@@ -27,6 +27,5 @@ pub mod exp14_contention;
 pub mod exp15_generality;
 pub mod exp16_overlay;
 pub mod exp17_reconfig_cost;
-pub mod exp18_throughput;
 pub mod figures;
 pub mod util;

@@ -1,21 +1,19 @@
 //! Lock-free concurrent execution of balancing networks.
 //!
-//! [`AtomicNetworkCounter`] was always lock-free per token (each
-//! balancer toggle is one `fetch_add`); since the snapshot protocol
-//! landed it also shares the adaptive runtime's **epoch-published
-//! snapshot** discipline (`acn_sync::SyncSnapshot`, `DESIGN.md` §8):
-//! the network description and its toggle bank live in an immutable
-//! snapshot that tokens pin through a read–write gate and validate by
-//! epoch, and [`AtomicNetworkCounter::replace_network`] can swap in a
-//! different (same-width) counting network *live* — the writer drains
-//! pinned tokens, seeds the replacement's toggles from the quiescent
-//! output counts so the value stream stays dense, and publishes the
-//! new snapshot under a bumped epoch.
+//! [`AtomicNetworkCounter`] is lock-free per token (each balancer
+//! toggle is one `fetch_add`) and shares the adaptive runtime's
+//! one-lock discipline (`DESIGN.md` §8): the network description and
+//! its toggle bank live behind one reader–writer lock; a token holds
+//! **one shared read pin** for its traversal, and
+//! [`AtomicNetworkCounter::replace_network`] can swap in a different
+//! (same-width) counting network *live* — the writer takes the write
+//! side, which drains pinned tokens, seeds the replacement's toggles
+//! from the quiescent output counts so the value stream stays dense,
+//! and installs it before releasing.
 
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 
-use acn_sync::{Ordering, RealSync, SyncApi, SyncAtomicU64, SyncRwLock, SyncSnapshot};
+use acn_sync::{Ordering, RealSync, SyncApi, SyncAtomicU64, SyncRwLock};
 use acn_telemetry::{Counter as TelemetryCounter, Histogram, Registry};
 use acn_trace::{Span, Tracer};
 
@@ -32,12 +30,6 @@ struct BitonicMetrics {
     traversal_depth: Histogram,
     /// `acn.bitonic.tokens` — values handed out via [`Counter::next`].
     tokens: TelemetryCounter,
-    /// `acn.bitonic.fastpath_hits` — traversals that completed on a
-    /// validated snapshot pin.
-    fastpath_hits: TelemetryCounter,
-    /// `acn.bitonic.snapshot_retries` — pinned snapshots that failed
-    /// epoch validation (a network replacement won the race).
-    snapshot_retries: TelemetryCounter,
 }
 
 impl BitonicMetrics {
@@ -46,34 +38,21 @@ impl BitonicMetrics {
             balancer_passes: registry.counter("acn.bitonic.balancer_passes"),
             traversal_depth: registry.histogram("acn.bitonic.traversal_depth"),
             tokens: registry.counter("acn.bitonic.tokens"),
-            fastpath_hits: registry.counter("acn.bitonic.fastpath_hits"),
-            snapshot_retries: registry.counter("acn.bitonic.snapshot_retries"),
         }
     }
 }
 
-/// The immutable unit a token traverses: a network description plus its
-/// toggle bank, published via [`SyncSnapshot`] and validated by epoch.
+/// The unit a token traverses: a network description plus its toggle
+/// bank, replaced wholesale by [`AtomicNetworkCounter::replace_network`].
 struct ToggleSnapshot<S: SyncApi> {
-    epoch: u64,
     net: BalancingNetwork,
     toggles: Vec<S::AtomicU64>,
 }
 
 impl<S: SyncApi> Hash for ToggleSnapshot<S> {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.epoch.hash(state);
         self.net.hash(state);
         self.toggles.hash(state);
-    }
-}
-
-impl<S: SyncApi> std::fmt::Debug for ToggleSnapshot<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ToggleSnapshot")
-            .field("epoch", &self.epoch)
-            .field("balancers", &self.net.balancer_count())
-            .finish()
     }
 }
 
@@ -163,15 +142,11 @@ fn quiescent_flow(net: &BalancingNetwork, total: u64) -> (Vec<u64>, Vec<u64>) {
 /// ```
 pub struct AtomicNetworkCounter<S: SyncApi = RealSync> {
     width: usize,
-    /// The published network + toggle bank.
-    snapshot: S::Snapshot<ToggleSnapshot<S>>,
-    /// Current epoch; bumped by every [`Self::replace_network`].
-    epoch: S::AtomicU64,
-    /// Drain gate: tokens pin (read) for their whole traversal
-    /// *including* the output-wire round claim; a replacement writer
-    /// acquires it exclusively, which is the quiescent point. The
-    /// payload carries no data.
-    gate: S::RwLock<u64>,
+    /// The network + toggle bank. Tokens pin the read side for their
+    /// whole traversal *including* the output-wire round claim; a
+    /// replacement writer takes the write side, which is the quiescent
+    /// point.
+    gate: S::RwLock<ToggleSnapshot<S>>,
     wire_counts: Vec<S::AtomicU64>,
     arrivals: S::AtomicU64,
     metrics: BitonicMetrics,
@@ -205,9 +180,7 @@ impl<S: SyncApi> AtomicNetworkCounter<S> {
         let toggles = (0..net.balancer_count()).map(|_| S::AtomicU64::new(0)).collect();
         AtomicNetworkCounter {
             width,
-            snapshot: S::Snapshot::new(Arc::new(ToggleSnapshot { epoch: 0, net, toggles })),
-            epoch: S::AtomicU64::new(0),
-            gate: S::RwLock::new(0),
+            gate: S::RwLock::new(ToggleSnapshot { net, toggles }),
             wire_counts: (0..width).map(|_| S::AtomicU64::new(0)).collect(),
             arrivals: S::AtomicU64::new(0),
             metrics: BitonicMetrics::default(),
@@ -240,30 +213,10 @@ impl<S: SyncApi> AtomicNetworkCounter<S> {
         self.width
     }
 
-    /// A clone of the currently published network description.
+    /// A clone of the currently installed network description.
     #[must_use]
     pub fn network(&self) -> BalancingNetwork {
-        self.snapshot.load().net.clone()
-    }
-
-    /// Pins the current snapshot (validated by epoch against racing
-    /// [`Self::replace_network`] calls) and runs `f` against it. The
-    /// pin is held until `f` returns, so a replacement's drain waits
-    /// out everything `f` does.
-    fn with_pin<R>(&self, f: impl FnOnce(&ToggleSnapshot<S>) -> R) -> R {
-        loop {
-            let snap = self.snapshot.load();
-            let pin = self.gate.read();
-            if snap.epoch != self.epoch.load(Ordering::Acquire) {
-                self.metrics.snapshot_retries.inc();
-                drop(pin);
-                continue;
-            }
-            self.metrics.fastpath_hits.inc();
-            let result = f(&snap);
-            drop(pin);
-            return result;
-        }
+        self.gate.read().net.clone()
     }
 
     /// Walks `snap` from `input_wire` to an output wire.
@@ -295,7 +248,7 @@ impl<S: SyncApi> AtomicNetworkCounter<S> {
     /// Panics if `input_wire >= width`.
     pub fn traverse(&self, input_wire: usize) -> usize {
         assert!(input_wire < self.width, "input wire out of range");
-        self.with_pin(|snap| self.walk(snap, input_wire))
+        self.walk(&self.gate.read(), input_wire)
     }
 
     /// Tokens that have exited on each wire so far (a quiescent snapshot
@@ -321,12 +274,13 @@ impl<S: SyncApi> AtomicNetworkCounter<S> {
             if self.tracer.should_sample(arrival) { Some(S::monotonic_now()) } else { None };
         // The round claim happens under the pin so a replacement's
         // quiescent point never misses an exited-but-uncounted token.
-        let value = self.with_pin(|snap| {
-            let out = self.walk(snap, wire);
+        let value = {
+            let pin = self.gate.read();
+            let out = self.walk(&pin, wire);
             // lint: relaxed-ok(the round comes from this wire's own RMW modification order, which alone determines the handed-out value; replacement reads under the gate edge)
             let round = self.wire_counts[out].fetch_add(1, Ordering::Relaxed);
             out as u64 + round * w as u64
-        });
+        };
         if let Some(start) = start {
             self.tracer.record(
                 Span::new("exec.bitonic", arrival)
@@ -338,12 +292,12 @@ impl<S: SyncApi> AtomicNetworkCounter<S> {
         value
     }
 
-    /// Replaces the published network with a different counting network
-    /// of the same width, *live*: drains pinned tokens at the gate,
-    /// seeds the replacement's toggles to the quiescent state implied
-    /// by the values already handed out, and publishes the new snapshot
-    /// under a bumped epoch. The value stream stays dense across the
-    /// swap (no value duplicated or skipped once quiescent).
+    /// Replaces the network with a different counting network of the
+    /// same width, *live*: drains pinned tokens at the gate, seeds the
+    /// replacement's toggles to the quiescent state implied by the
+    /// values already handed out, and installs it before releasing.
+    /// The value stream stays dense across the swap (no value
+    /// duplicated or skipped once quiescent).
     ///
     /// # Panics
     ///
@@ -354,7 +308,7 @@ impl<S: SyncApi> AtomicNetworkCounter<S> {
     /// `periodic_network`).
     pub fn replace_network(&self, net: BalancingNetwork) {
         assert_eq!(net.width(), self.width, "replacement must preserve the width");
-        let drain = self.gate.write();
+        let mut installed = self.gate.write();
         // Under the drain, every token has completed both its walk and
         // its round claim (the pin covers both), so the counts are a
         // quiescent step-property snapshot. The gate write acquisition
@@ -373,10 +327,7 @@ impl<S: SyncApi> AtomicNetworkCounter<S> {
             );
         }
         let toggles = toggle_values.into_iter().map(S::AtomicU64::new).collect();
-        let epoch = self.epoch.load(Ordering::Acquire) + 1;
-        self.snapshot.store(Arc::new(ToggleSnapshot { epoch, net, toggles }));
-        self.epoch.store(epoch, Ordering::Release);
-        drop(drain);
+        *installed = ToggleSnapshot { net, toggles };
     }
 }
 
@@ -450,9 +401,6 @@ mod tests {
         assert_eq!(depth.count, 12);
         assert_eq!(depth.sum, 36);
         assert_eq!(snap.counter("acn.bitonic.balancer_passes"), Some(36));
-        // Every token completed on a validated pin; nothing raced.
-        assert_eq!(snap.counter("acn.bitonic.fastpath_hits"), Some(12));
-        assert_eq!(snap.counter("acn.bitonic.snapshot_retries"), Some(0));
     }
 
     #[test]

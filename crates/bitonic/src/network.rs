@@ -19,8 +19,8 @@ pub enum Dest {
 ///
 /// The mutable toggle state lives separately in [`NetworkState`] so one
 /// network description can drive many executions. (`Hash`/`Eq` exist so
-/// the description can live inside checker-fingerprintable snapshot
-/// payloads — see `acn_sync::SyncSnapshot`.)
+/// the description can live inside a checker-fingerprintable lock
+/// payload — see `acn_sync::SyncData`.)
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BalancingNetwork {
     width: usize,

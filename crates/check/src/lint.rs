@@ -13,10 +13,11 @@
 //! # Rules
 //!
 //! - **`hash`** — `HashMap`/`HashSet` in the *deterministic
-//!   subsystems* (`crates/simnet/`, `crates/core/src/dist.rs`,
-//!   `crates/core/src/stabilize.rs`). Hash iteration order leaks
-//!   nondeterminism into seeded simulations; PR 1 fixed exactly this
-//!   bug in the simulator's process table. Use `BTreeMap`/`BTreeSet`.
+//!   subsystems* (`crates/simnet/`, and `dist.rs`, `stabilize.rs`,
+//!   `local.rs`, `concurrent.rs` under `crates/core/src/`). Hash
+//!   iteration order leaks nondeterminism into seeded simulations and
+//!   replayable explorer schedules; PR 1 fixed exactly this bug in the
+//!   simulator's process table. Use `BTreeMap`/`BTreeSet`.
 //! - **`relaxed`** — `Ordering::Relaxed` anywhere without a
 //!   `relaxed-ok` justification. The model checker interprets
 //!   orderings, so an unjustified `Relaxed` is either a latent bug or
@@ -45,13 +46,6 @@
 //!   depends on wall time or on global draw order. Seeded state
 //!   carried *in* the process struct is fine — the rule flags the
 //!   ambient sources, not arithmetic on stored seeds.
-//! - **`lock-order`** — a `let`-bound guard over a component-map lock
-//!   while another such guard is still live in an enclosing scope.
-//!   Static scanning cannot prove the acquisition order matches the
-//!   declared `ComponentId` lock order, so visible nesting must either
-//!   be restructured or waived with `lock-order-ok`; the model checker
-//!   enforces the rank order dynamically. Transient
-//!   `.lock().clone()`-style accesses (no live guard) are exempt.
 //! - **`trace-determinism`** — an ambient nondeterminism source on a
 //!   span-construction line (`Span::new` / `open_trace` /
 //!   `close_trace`), or anywhere inside the observability layer itself
@@ -105,8 +99,13 @@ const TRACE_TOKENS: [&str; 3] = [
 /// are forbidden.
 fn in_deterministic_subsystem(path: &str) -> bool {
     path.starts_with("crates/simnet/")
-        || path == "crates/core/src/dist.rs"
-        || path == "crates/core/src/stabilize.rs"
+        || [
+            "crates/core/src/dist.rs",
+            "crates/core/src/stabilize.rs",
+            "crates/core/src/local.rs",
+            "crates/core/src/concurrent.rs",
+        ]
+        .contains(&path)
 }
 
 /// The one place a snapshot cell may be implemented by hand: the
@@ -125,8 +124,7 @@ fn in_observability_layer(path: &str) -> bool {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Rule id (`hash`, `relaxed`, `std-sync`, `snapshot`,
-    /// `determinism-seam`, `lock-order`, `trace-determinism`,
-    /// `unsafe-audit`).
+    /// `determinism-seam`, `trace-determinism`, `unsafe-audit`).
     pub rule: &'static str,
     /// Workspace-relative path.
     pub path: String,
@@ -241,28 +239,11 @@ fn uses_std_sync_lock(line: &str) -> bool {
     false
 }
 
-/// Whether a line `let`-binds a guard over a component-map lock
-/// (`let g = ...components...lock()...;` with the guard kept alive).
-fn binds_component_guard(line: &str) -> bool {
-    let t = line.trim_start();
-    if !t.starts_with("let ") {
-        return false;
-    }
-    if !(t.contains("components[") || t.contains("components.get")) {
-        return false;
-    }
-    // Transient access (`.lock().clone()` and other method chains)
-    // drops the guard within the statement and is exempt.
-    t.contains(".lock()") && !t.contains(".lock().")
-}
-
 /// Lints one source file (workspace-relative `path`, full `source`).
 #[must_use]
 pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
     let mut findings = Vec::new();
     let lines: Vec<&str> = source.lines().collect();
-    // (brace depth at binding, line) of live component-lock guards.
-    let mut live_guards: Vec<(i64, usize)> = Vec::new();
     let mut depth: i64 = 0;
     let restricted = in_deterministic_subsystem(path);
     // Brace depth at which the current `impl Process for ...` block
@@ -413,27 +394,6 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
             });
         }
 
-        // Lock-order heuristic: nested live component guards.
-        if binds_component_guard(line) {
-            if !live_guards.is_empty() && !annotated("lock-order", line, above) {
-                let (_, first_line) = live_guards[0];
-                findings.push(Finding {
-                    rule: "lock-order",
-                    path: path.to_string(),
-                    line: lineno,
-                    message: format!(
-                        "component lock taken while the guard from line {first_line} is \
-                         still live; the acquisition order against the declared \
-                         ComponentId lock order cannot be verified statically — take \
-                         locks in ascending ComponentId order and annotate \
-                         `// lint: lock-order-ok(reason)`, or restructure"
-                    ),
-                    snippet: snippet.clone(),
-                });
-            }
-            live_guards.push((depth, lineno));
-        }
-
         // Rough brace tracking (strings with braces are rare in this
         // workspace; comment lines are already skipped).
         for c in line.chars() {
@@ -441,10 +401,8 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
                 '{' => depth += 1,
                 '}' => {
                     depth -= 1;
-                    // A guard bound at depth d dies when its scope
-                    // closes (depth falls below d).
-                    live_guards.retain(|&(d, _)| d <= depth);
-                    // Same for the Process-impl region.
+                    // The Process-impl region dies when its scope
+                    // closes.
                     if proc_impl.is_some_and(|d| depth <= d) {
                         proc_impl = None;
                     }
@@ -536,8 +494,9 @@ mod tests {
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert_eq!(hits[0].rule, "hash");
         assert_eq!(hits[0].line, 1);
-        assert!(lint_source("crates/core/src/dist.rs", &src).len() == 1);
-        assert!(lint_source("crates/core/src/stabilize.rs", &src).len() == 1);
+        for file in ["dist.rs", "stabilize.rs", "local.rs", "concurrent.rs"] {
+            assert_eq!(lint_source(&format!("crates/core/src/{file}"), &src).len(), 1, "{file}");
+        }
         // The same code is fine elsewhere.
         assert!(lint_source("crates/bench/src/lib.rs", &src).is_empty());
     }
@@ -614,39 +573,6 @@ mod tests {
             );
             assert!(lint_source("crates/core/src/concurrent.rs", &annotated).is_empty());
         }
-    }
-
-    /// A component-guard binding line, assembled at runtime so this
-    /// file's own scan stays clean.
-    fn guard_line(name: &str, key: &str) -> String {
-        format!("    let {name} = structure.components[&{key}].{}();\n", concat!("lo", "ck"))
-    }
-
-    #[test]
-    fn flags_nested_component_guards() {
-        let src = format!(
-            "fn bad(structure: &Structure) {{\n{}    {{\n    {}        drop(b);\n    }}\n    drop(a);\n}}\n",
-            guard_line("a", "first"),
-            guard_line("b", "second"),
-        );
-        let hits = lint_source("crates/core/src/concurrent.rs", &src);
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].rule, "lock-order");
-        assert_eq!(hits[0].line, 4);
-    }
-
-    #[test]
-    fn sequential_component_guards_are_fine() {
-        let transient = format!(
-            "    let c: Vec<_> = ids.iter().map(|i| structure.components[i].{}().clone()).collect();\n",
-            concat!("lo", "ck"),
-        );
-        let src = format!(
-            "fn good(structure: &Structure) {{\n    {{\n    {}        drop(a);\n    }}\n    {{\n    {}        drop(b);\n    }}\n{transient}}}\n",
-            guard_line("a", "first"),
-            guard_line("b", "second"),
-        );
-        assert!(lint_source("x.rs", &src).is_empty());
     }
 
     /// A `Process` impl wrapping `body`, assembled at runtime.

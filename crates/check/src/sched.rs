@@ -18,11 +18,8 @@
 //! semantics immediately and execution continues to the holder's next
 //! decision. This bundles each release with the preceding operation of
 //! the same thread, which loses only interleavings distinguishable by
-//! observing "lock currently held" without acquiring it (i.e. a
-//! failing `try_lock` between a release and the holder's next op).
-//! `try_lock` *is* modelled as a decision, so code that leans on it
-//! gets a documented coarser exploration; the workspace executors do
-//! not call it under the checker (`CONTENTION_PROBES == false`).
+//! observing "lock currently held" without acquiring it — and the
+//! [`acn_sync::SyncApi`] surface has no such operation (no `try_lock`).
 //!
 //! # Memory orderings
 //!
@@ -57,9 +54,7 @@
 //! Mutexes carry the rank declared via `SyncMutex::with_rank`. When a
 //! thread that already holds a ranked lock acquires another ranked
 //! lock of equal or lower rank, the kernel records a
-//! [`FailureKind::LockOrder`] failure with the full schedule. The
-//! workspace convention ranks per-component locks by the
-//! `ComponentId` total order.
+//! [`FailureKind::LockOrder`] failure with the full schedule.
 
 // The kernel deliberately builds on std primitives: it must not depend
 // on the very abstraction layer it checks, and acn-check stays
@@ -185,12 +180,6 @@ pub enum Op {
         /// Object id.
         obj: u64,
     },
-    /// Non-blocking mutex acquisition (always enabled; result reports
-    /// success).
-    MutexTryLock {
-        /// Object id.
-        obj: u64,
-    },
     /// Shared rwlock acquisition (enabled while no writer).
     RwRead {
         /// Object id.
@@ -218,7 +207,6 @@ impl Op {
             | Op::RmwAdd { obj, .. }
             | Op::Cas { obj, .. }
             | Op::MutexLock { obj }
-            | Op::MutexTryLock { obj }
             | Op::RwRead { obj }
             | Op::RwWrite { obj } => Some(*obj),
             Op::Join { .. } => None,
@@ -248,7 +236,6 @@ impl Op {
                 format!("cas(a{obj}:{expected}=>{new},{ord:?})")
             }
             Op::MutexLock { obj } => format!("lock(m{obj})"),
-            Op::MutexTryLock { obj } => format!("try_lock(m{obj})"),
             Op::RwRead { obj } => format!("read(rw{obj})"),
             Op::RwWrite { obj } => format!("write(rw{obj})"),
             Op::Join { target } => format!("join(t{target})"),
@@ -822,8 +809,7 @@ impl Kernel {
                 st.threads[tid].frontier.insert(*obj, idx);
                 old
             }
-            Op::MutexLock { obj } | Op::MutexTryLock { obj } => {
-                let try_only = matches!(op, Op::MutexTryLock { .. });
+            Op::MutexLock { obj } => {
                 let (free, rank, data_hash, release_clock) = {
                     let ObjRec::Mutex { held_by, rank, data_hash, release_clock } =
                         &st.objects[*obj as usize]
@@ -832,49 +818,45 @@ impl Kernel {
                     };
                     (held_by.is_none(), *rank, *data_hash, release_clock.clone())
                 };
-                if !free {
-                    debug_assert!(try_only, "blocking lock granted while held");
-                    0 // try_lock failure
-                } else {
-                    // Dynamic lock-order check over ranked locks.
-                    let worst = st.threads[tid]
-                        .held
-                        .iter()
-                        .filter(|&&(_, r)| r > 0)
-                        .map(|&(o, r)| (o, r))
-                        .max_by_key(|&(_, r)| r);
-                    if rank > 0 {
-                        if let Some((held_obj, held_rank)) = worst {
-                            if rank <= held_rank && st.failure.is_none() {
-                                let mut schedule = st.schedule.clone();
-                                schedule.push(ScheduleStep {
-                                    tid,
-                                    variant: 0,
-                                    desc: format!("{} [out of order]", op.describe()),
-                                });
-                                st.failure = Some(Failure {
-                                    kind: FailureKind::LockOrder,
-                                    message: format!(
-                                        "t{tid} acquired m{obj} (rank {rank:#x}) while \
-                                         holding m{held_obj} (rank {held_rank:#x}); ranked \
-                                         locks must be taken in ascending rank order"
-                                    ),
-                                    schedule,
-                                    choices: st.choices.clone(),
-                                    seed: None,
-                                });
-                            }
+                debug_assert!(free, "blocking lock granted while held");
+                // Dynamic lock-order check over ranked locks.
+                let worst = st.threads[tid]
+                    .held
+                    .iter()
+                    .filter(|&&(_, r)| r > 0)
+                    .map(|&(o, r)| (o, r))
+                    .max_by_key(|&(_, r)| r);
+                if rank > 0 {
+                    if let Some((held_obj, held_rank)) = worst {
+                        if rank <= held_rank && st.failure.is_none() {
+                            let mut schedule = st.schedule.clone();
+                            schedule.push(ScheduleStep {
+                                tid,
+                                variant: 0,
+                                desc: format!("{} [out of order]", op.describe()),
+                            });
+                            st.failure = Some(Failure {
+                                kind: FailureKind::LockOrder,
+                                message: format!(
+                                    "t{tid} acquired m{obj} (rank {rank:#x}) while \
+                                     holding m{held_obj} (rank {held_rank:#x}); ranked \
+                                     locks must be taken in ascending rank order"
+                                ),
+                                schedule,
+                                choices: st.choices.clone(),
+                                seed: None,
+                            });
                         }
                     }
-                    let ObjRec::Mutex { held_by, .. } = &mut st.objects[*obj as usize] else {
-                        unreachable!()
-                    };
-                    *held_by = Some(tid);
-                    st.threads[tid].held.push((*obj, rank));
-                    st.threads[tid].clock.join(&release_clock);
-                    st.threads[tid].obs ^= mix64(data_hash);
-                    1 // acquired
                 }
+                let ObjRec::Mutex { held_by, .. } = &mut st.objects[*obj as usize] else {
+                    unreachable!()
+                };
+                *held_by = Some(tid);
+                st.threads[tid].held.push((*obj, rank));
+                st.threads[tid].clock.join(&release_clock);
+                st.threads[tid].obs ^= mix64(data_hash);
+                1 // acquired
             }
             Op::RwRead { obj } => {
                 let (data_hash, release_clock) = {
@@ -1137,11 +1119,10 @@ mod tests {
         let store = Op::Store { obj: 3, value: 1, ord: OrdClass::Relaxed };
         let other = Op::Store { obj: 4, value: 1, ord: OrdClass::Relaxed };
         let lock = Op::MutexLock { obj: 7 };
-        let lock2 = Op::MutexTryLock { obj: 7 };
         assert!(!load.dependent(&load2), "two loads commute");
         assert!(load.dependent(&store));
         assert!(!store.dependent(&other), "different objects commute");
-        assert!(lock.dependent(&lock2), "lock ops on one mutex conflict");
+        assert!(lock.dependent(&lock.clone()), "lock ops on one mutex conflict");
         let rr = Op::RwRead { obj: 9 };
         let rw = Op::RwWrite { obj: 9 };
         assert!(!rr.dependent(&rr.clone()), "shared reads commute");

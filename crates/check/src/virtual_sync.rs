@@ -26,11 +26,6 @@ use crate::vthread::with_kernel;
 pub struct VirtualSync;
 
 impl SyncApi for VirtualSync {
-    /// Observation probes would double the visible ops per lock
-    /// acquisition without changing behaviour; skip them while
-    /// checking.
-    const CONTENTION_PROBES: bool = false;
-
     type AtomicU64 = VAtomicU64;
     type Mutex<T: SyncData> = VMutex<T>;
     type RwLock<T: SyncData + Sync> = VRwLock<T>;
@@ -172,18 +167,6 @@ impl<T: SyncData> SyncMutex<T> for VMutex<T> {
         });
         let inner = self.data.lock().unwrap_or_else(PoisonError::into_inner);
         VMutexGuard { kernel, tid, obj: self.obj, inner: Some(inner) }
-    }
-
-    fn try_lock(&self) -> Option<Self::Guard<'_>> {
-        let (kernel, tid, acquired) = with_kernel(|kernel, tid| {
-            let acquired = kernel.decision(tid, Op::MutexTryLock { obj: self.obj });
-            (Arc::clone(kernel), tid, acquired == 1)
-        });
-        if !acquired {
-            return None;
-        }
-        let inner = self.data.lock().unwrap_or_else(PoisonError::into_inner);
-        Some(VMutexGuard { kernel, tid, obj: self.obj, inner: Some(inner) })
     }
 }
 

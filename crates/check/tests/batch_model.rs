@@ -1,8 +1,7 @@
-//! Model-check suite for the **batched fast path** and the
-//! **elimination layer** (ISSUE 8): weighted tokens racing
-//! split/merge, the stale-snapshot retry branch with a pending batch,
-//! and exchange-slot pairing/timeout/withdraw races — each new
-//! fast-path ordering explored under `VirtualSync` and judged by the
+//! Model-check suite for the **batched traversal** and the sharded
+//! front-end: weighted tokens racing split/merge and refills racing
+//! each other, plus the `acn-sync` exchange-slot and compare-exchange
+//! primitives — each explored under `VirtualSync` and judged by the
 //! step-property and history oracles.
 
 use std::sync::atomic::AtomicBool;
@@ -12,9 +11,8 @@ use std::sync::Arc;
 use acn_check::{
     check, oracles, vthread, CheckConfig, CounterSpec, HistoryRecorder, VirtualSync,
 };
-use acn_core::{FrontendConfig, ShardedFrontEnd, SharedAdaptiveNetwork};
+use acn_core::{ShardedFrontEnd, SharedAdaptiveNetwork};
 use acn_sync::{ExchangeSlot, OfferOutcome, SyncApi, SyncAtomicU64};
-use acn_telemetry::Registry;
 use acn_topology::ComponentId;
 
 type VAtomic = <VirtualSync as SyncApi>::AtomicU64;
@@ -108,58 +106,6 @@ fn exhaustive_weighted_batch_races_merge_with_scalar_token() {
     });
     report.assert_ok();
     assert!(report.completed, "the schedule space must be exhausted");
-}
-
-/// The stale-snapshot retry branch with a **pending batch**: some
-/// schedule must pin a stale snapshot under the batch's weight and
-/// retry — and a raced reconfiguration admits at most one retry, so
-/// the batch still flushes exactly once (`acn.exec.batch_flushes`).
-#[test]
-fn stale_snapshot_retry_with_pending_batch_is_explored() {
-    let retried = Arc::new(AtomicBool::new(false));
-    let retried_probe = Arc::clone(&retried);
-    let report = check(CheckConfig::exhaustive(), move || {
-        let registry = Registry::new();
-        let mut net = SharedAdaptiveNetwork::<VirtualSync>::new_in(4);
-        net.attach_telemetry(&registry);
-        let net = Arc::new(net);
-        let batch = {
-            let net = Arc::clone(&net);
-            vthread::spawn(move || net.next_batch(0, 2))
-        };
-        let splitter = {
-            let net = Arc::clone(&net);
-            vthread::spawn(move || net.split(&ComponentId::root()).expect("root is splittable"))
-        };
-        let values = batch.join();
-        splitter.join();
-        oracles::assert_values_dense(&values);
-        let snap = registry.snapshot();
-        let retries = snap.counter("acn.conc.snapshot_retries").unwrap_or(0);
-        assert!(retries <= 1, "one raced split admits at most one retry, saw {retries}");
-        if retries > 0 {
-            // lint: relaxed-ok(cross-schedule accumulator on a real atomic; read after check() returns)
-            retried_probe.store(true, Ordering::Relaxed);
-        }
-        assert_eq!(
-            snap.counter("acn.exec.batch_flushes"),
-            Some(1),
-            "retries must not double-flush the batch"
-        );
-        assert_eq!(snap.counter("acn.exec.batch_tokens"), Some(2));
-        assert_eq!(
-            snap.counter("acn.conc.fastpath_hits"),
-            Some(2),
-            "the whole batch completes on one validated pin"
-        );
-    });
-    report.assert_ok();
-    assert!(report.completed, "the schedule space must be exhausted");
-    assert!(
-        // lint: relaxed-ok(single-threaded read after exploration finished)
-        retried.load(Ordering::Relaxed),
-        "some schedule must pin a stale snapshot under a pending batch"
-    );
 }
 
 /// Exchange-slot pairing vs. timeout, exhaustively: an offerer with a
@@ -261,11 +207,12 @@ fn exhaustive_batched_history_is_quiescently_consistent() {
     assert!(report.completed, "the schedule space must be exhausted");
 }
 
-/// The full sharded front-end under the checker: two shards, fixed
-/// weight-2 batches, one elimination slot with patience 1. On every
-/// schedule the served values are distinct and the quiescent union of
-/// consumed and stashed values is dense — conservation across
-/// batching, elimination pairing, withdrawal, and spills. (The
+/// The full sharded front-end under the checker: two shards, two
+/// draws each. A refill that draws a ticket right after the other
+/// shard's sees a foreign one and grows its batch, so scalar refills,
+/// batched refills and stash pops all interleave. On every schedule
+/// the served values are distinct and the quiescent union of consumed
+/// and stashed values is dense. (The
 /// *consumed* sequence alone is deliberately not history-checked: a
 /// stashing front-end may serve 3 while 0 waits in another shard's
 /// stash — that is the batched-counter trade, and the density oracle
@@ -274,19 +221,14 @@ fn exhaustive_batched_history_is_quiescently_consistent() {
 fn frontend_values_stay_dense_across_all_schedules() {
     let report = check(CheckConfig::exhaustive(), || {
         let net = Arc::new(SharedAdaptiveNetwork::<VirtualSync>::new_in(4));
-        let fe = Arc::new(ShardedFrontEnd::with_config_in(
-            Arc::clone(&net),
-            2,
-            FrontendConfig { batch_min: 2, batch_max: 2, quiet_window: 1, elim_slots: 1, elim_patience: 1 },
-        ));
+        let fe = Arc::new(ShardedFrontEnd::new_in(Arc::clone(&net), 2));
         let workers: Vec<_> = (0..2usize)
             .map(|shard| {
                 let fe = Arc::clone(&fe);
-                vthread::spawn(move || fe.next_value(shard, shard))
+                vthread::spawn(move || [fe.next_value(shard, shard), fe.next_value(shard, shard)])
             })
             .collect();
-        let mut consumed: Vec<u64> = workers.into_iter().map(|h| h.join()).collect();
-        assert_ne!(consumed[0], consumed[1], "served values must be distinct");
+        let mut consumed: Vec<u64> = workers.into_iter().flat_map(|h| h.join()).collect();
         // Quiescent conservation + density: consumed ∪ stashed = 0..n.
         let outstanding = fe.outstanding();
         assert_eq!(consumed.len() as u64 + outstanding, net.total_exited());

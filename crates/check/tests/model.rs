@@ -297,20 +297,6 @@ fn lock_order_inversion_is_reported() {
     assert!(!failure.choices.is_empty(), "lock-order reports carry the schedule");
 }
 
-#[test]
-fn component_rank_order_passes() {
-    // The workspace convention under test: component locks taken in
-    // ComponentId order never trip the rank check.
-    let report = check(CheckConfig::exhaustive(), || {
-        let net = Arc::new(SharedAdaptiveNetwork::<VirtualSync>::new_in(4));
-        net.split(&ComponentId::root()).expect("root splits");
-        // merge re-locks both children in id (rank) order.
-        net.merge(&ComponentId::root()).expect("root merges back");
-        assert!(net.structure_consistent());
-    });
-    report.assert_ok();
-}
-
 // ---------------------------------------------------------------------------
 // The bitonic executor under the checker.
 // ---------------------------------------------------------------------------
@@ -343,58 +329,16 @@ fn random_bitonic_width8_three_tokens() {
 }
 
 // ---------------------------------------------------------------------------
-// Fast-path snapshot protocol: the stale-pin retry branch must actually
-// be explored, the locked mode must still verify, and the bitonic
-// executor's live network replacement must preserve density.
+// The reference network must verify under the same scenario as the
+// compiled routes, and the bitonic executor's live network replacement
+// must preserve density.
 // ---------------------------------------------------------------------------
 
 #[test]
-fn stale_snapshot_retry_branch_is_explored() {
-    use std::sync::atomic::AtomicBool;
-    let retried = Arc::new(AtomicBool::new(false));
-    let retried_probe = Arc::clone(&retried);
-    let report = check(CheckConfig::exhaustive(), move || {
-        let registry = Registry::new();
-        let mut net = SharedAdaptiveNetwork::<VirtualSync>::new_in(4);
-        net.attach_telemetry(&registry);
-        let net = Arc::new(net);
-        let token = {
-            let net = Arc::clone(&net);
-            vthread::spawn(move || net.next_value(0))
-        };
-        let splitter = {
-            let net = Arc::clone(&net);
-            vthread::spawn(move || net.split(&ComponentId::root()).expect("root is splittable"))
-        };
-        let value = token.join();
-        splitter.join();
-        assert_eq!(value, 0, "a lone token always takes value 0, split or not");
-        oracles::assert_network_quiescent(&net.output_counts(), 1);
-        let snap = registry.snapshot();
-        let retries = snap.counter("acn.conc.snapshot_retries").unwrap_or(0);
-        // HB through the gate bounds the loop: one raced reconfiguration
-        // admits at most one stale pin.
-        assert!(retries <= 1, "one raced split admits at most one retry, saw {retries}");
-        if retries > 0 {
-            // lint: relaxed-ok(cross-schedule accumulator on a real atomic; read after check() returns)
-            retried_probe.store(true, Ordering::Relaxed);
-        }
-        let hits = snap.counter("acn.conc.fastpath_hits").expect("fast path instrumented");
-        assert_eq!(hits, 1, "exactly one validated pin completes the traversal");
-    });
-    report.assert_ok();
-    assert!(report.completed, "the schedule space must be exhausted");
-    assert!(
-        // lint: relaxed-ok(single-threaded read after exploration finished)
-        retried.load(Ordering::Relaxed),
-        "some schedule must pin a stale snapshot and take the retry branch"
-    );
-}
-
-#[test]
 fn exhaustive_locked_mode_width4_two_tokens_with_concurrent_split() {
-    // The per-component-lock path stays model-checked alongside the
-    // fast path: same acceptance scenario, ExecMode::Locked.
+    // The reference network (the sequential model under the exclusive
+    // lock) stays model-checked alongside the compiled routes: same
+    // acceptance scenario.
     let report = check(CheckConfig::exhaustive(), || {
         let net = Arc::new(SharedAdaptiveNetwork::<VirtualSync>::new_locked_in(4));
         let tokens: Vec<_> = (0..2)

@@ -1,11 +1,10 @@
-//! The sharded, batching, eliminating **front-end** of the lock-free
-//! executor — the fix for the flat 1→8-thread scaling curve.
+//! The sharded, batching **front-end** of the shared executor.
 //!
-//! [`SharedAdaptiveNetwork`]'s scalar fast path is one `fetch_add`
-//! per component crossed, which is optimal *per token* but still
-//! serializes every token of every thread through the same few hot
-//! cache lines: E18 measured ~12M tokens/s at 1 thread and ~12M at 8.
-//! [`ShardedFrontEnd`] restores scaling with three stacked moves:
+//! [`SharedAdaptiveNetwork`]'s scalar path is one shared read pin plus
+//! one `fetch_add` per leaf crossed, which is optimal *per token* but
+//! still serializes every token of every thread through the same few
+//! hot cache lines. [`ShardedFrontEnd`] amortizes that with two
+//! stacked moves:
 //!
 //! 1. **Per-shard value stashes**: each shard (one per core/thread)
 //!    holds a small stash of pre-claimed counter values behind its own
@@ -14,26 +13,19 @@
 //! 2. **Batched refills**: a dry stash refills with
 //!    [`SharedAdaptiveNetwork::next_batch`], claiming `B` values in
 //!    one traversal (one `fetch_add` per leaf for the whole batch).
-//!    `B` adapts: a refill that interleaves with other shards'
-//!    refills (observed via a shared refill sequence probe) or that
-//!    sees the network's contention counters rising
-//!    ([`SharedAdaptiveNetwork::contention_signal`]) multiplies `B`
-//!    by the size of the observed burst, toward `batch_max`; `B`
-//!    halves toward `batch_min` only after a full *quiet window* of
+//!    `B` adapts on one always-on signal, a shared refill *ticket*: a
+//!    refill whose ticket is not adjacent to the shard's previous one
+//!    interleaved with other shards' refills and multiplies `B` by
+//!    the size of the observed burst, toward `BATCH_MAX`; `B` halves
+//!    toward `BATCH_MIN` only after a full `QUIET_WINDOW` of
 //!    evidence-free refills (peers on an oversubscribed core surface
 //!    as rare bursts, once per scheduler quantum — instant shrinking
 //!    would floor the batch in between), so a lone thread decays back
 //!    to the scalar path in bounded time and never over-claims.
-//! 3. **Elimination slots** ([`ExchangeSlot`]): before traversing, a
-//!    refilling shard first tries to *pair off*. A combiner that
-//!    finds a posted offer absorbs the offered weight into its own
-//!    batch and hands the extra values back through the slot; the
-//!    network sees one combined traversal instead of two contending
-//!    ones (the diffraction move). Offers time out after a bounded
-//!    spin and fall back to the network, and a combiner whose partner
-//!    withdrew keeps the speculatively-claimed values in its own
-//!    stash (a *spill*) — values are never lost, so the quiescent
-//!    union of handed-out and stashed values stays dense.
+//!
+//! A refill is therefore: ticket probe → grow/shrink → `next_value`
+//! (batch of one) or `next_batch`. Nothing in it reads telemetry, so
+//! attaching a registry cannot change what the front-end hands out.
 //!
 //! # Consistency
 //!
@@ -42,79 +34,41 @@
 //! real-time order between values of different shards is not
 //! preserved, but no value is ever duplicated or lost, and at any
 //! quiescent point `consumed ∪ outstanding stashes` is exactly
-//! `0..total` (DESIGN.md §12; `acn-check` explores the pairing,
-//! timeout, spill, and reconfiguration races under `VirtualSync`).
+//! `0..total` (DESIGN.md §12; `acn-check` explores the refill and
+//! reconfiguration races under `VirtualSync`).
 
 use std::sync::Arc;
 
-use acn_sync::{
-    CachePadded, ExchangeSlot, OfferOutcome, Ordering, RealSync, SyncApi, SyncAtomicU64,
-    SyncMutex,
-};
+use acn_sync::{CachePadded, Ordering, RealSync, SyncApi, SyncAtomicU64, SyncMutex};
 use acn_telemetry::{Counter, Registry};
 
 use crate::concurrent::SharedAdaptiveNetwork;
 
-/// Tuning knobs for [`ShardedFrontEnd`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrontendConfig {
-    /// Smallest refill batch (also the initial size). Default 1: a
-    /// shard that observes no concurrency degenerates to the scalar
-    /// fast path — perfect freshness, nothing to amortize.
-    pub batch_min: u64,
-    /// Largest refill batch. Default 256.
-    pub batch_max: u64,
-    /// Consecutive refills with no foreign ticket (and a flat
-    /// contention signal) before the batch halves. One quantum of a
-    /// descheduled peer can span thousands of our refills on an
-    /// oversubscribed core, so aloneness needs sustained evidence;
-    /// concurrency (a foreign-ticket burst) is believed immediately.
-    /// Default 1024 (≲ a scheduler quantum of max-batch refills).
-    pub quiet_window: u64,
-    /// Elimination slots shared by all shards (0 disables the
-    /// elimination layer). Default 1 per two shards, at least 1.
-    pub elim_slots: usize,
-    /// Bounded spin (state loads) an offerer waits for a combiner
-    /// before withdrawing. Small values keep the model checker's
-    /// state space tight; production uses a few dozen. Default 32.
-    pub elim_patience: usize,
-}
-
-impl FrontendConfig {
-    fn default_for(shards: usize) -> FrontendConfig {
-        FrontendConfig {
-            batch_min: 1,
-            batch_max: 256,
-            quiet_window: 1024,
-            elim_slots: (shards / 2).max(1),
-            elim_patience: 32,
-        }
-    }
-
-    /// A fixed batch size `b` (adaptivity pinned): used by E18's
-    /// batch-size sweep.
-    #[must_use]
-    pub fn fixed_batch(mut self, b: u64) -> FrontendConfig {
-        self.batch_min = b;
-        self.batch_max = b;
-        self
-    }
-}
+/// Smallest refill batch (also the initial size): a shard that
+/// observes no concurrency degenerates to the scalar path — perfect
+/// freshness, nothing to amortize.
+const BATCH_MIN: u64 = 1;
+/// Largest refill batch.
+const BATCH_MAX: u64 = 256;
+/// Consecutive refills with no foreign ticket before the batch halves.
+/// One quantum of a descheduled peer can span thousands of our refills
+/// on an oversubscribed core, so aloneness needs sustained evidence
+/// (≲ a scheduler quantum of max-batch refills); concurrency (a
+/// foreign-ticket burst) is believed immediately.
+const QUIET_WINDOW: u64 = 1024;
 
 /// The mutable state of one shard, behind its cache-padded mutex.
 #[derive(Debug, Hash)]
 struct ShardState {
     /// Pre-claimed values, served LIFO.
     stash: Vec<u64>,
-    /// Current adaptive batch size, in `[batch_min, batch_max]`.
+    /// Current adaptive batch size, in `[BATCH_MIN, BATCH_MAX]`.
     batch: u64,
-    /// The refill sequence number observed at this shard's last
-    /// refill (concurrency probe).
-    last_seq: u64,
-    /// The network contention signal observed at the last refill.
-    last_signal: u64,
+    /// The ticket this shard would draw next if nobody else refilled
+    /// in between (concurrency probe).
+    next_ticket: u64,
     /// Consecutive refills with no concurrency evidence, in
-    /// `[0, quiet_window)`; hitting the window halves the batch.
+    /// `[0, QUIET_WINDOW)`; hitting the window halves the batch.
     quiet: u64,
 }
 
@@ -122,22 +76,11 @@ struct ShardState {
 /// [`ShardedFrontEnd::attach_telemetry`].
 #[derive(Debug, Default)]
 struct FrontMetrics {
-    /// `acn.exec.elim_hits` — successful pairings (counted once per
-    /// pairing, on the fulfilling side).
-    elim_hits: Counter,
-    /// `acn.exec.elim_timeouts` — offers withdrawn unanswered.
-    elim_timeouts: Counter,
-    /// `acn.exec.elim_busy` — offers not posted because every slot
-    /// was occupied.
-    elim_busy: Counter,
-    /// `acn.exec.elim_spills` — fulfilments that lost the race to a
-    /// withdrawing offerer; the combiner kept the extra values.
-    elim_spills: Counter,
-    /// `acn.exec.refills` — stash refills (batched traversals issued
-    /// by the front-end).
+    /// `acn.exec.refills` — stash refills (traversals issued by the
+    /// front-end).
     refills: Counter,
-    /// `acn.exec.batch_grow` — refills that saw concurrency evidence
-    /// and grew the batch (already-at-max refills count too).
+    /// `acn.exec.batch_grow` — refills that saw a foreign ticket and
+    /// grew the batch (already-at-max refills count too).
     batch_grow: Counter,
     /// `acn.exec.batch_shrink` — batch halvings after a full quiet
     /// window of alone refills (already-at-min halvings count too).
@@ -147,10 +90,6 @@ struct FrontMetrics {
 impl FrontMetrics {
     fn attach(registry: &Registry) -> FrontMetrics {
         FrontMetrics {
-            elim_hits: registry.counter("acn.exec.elim_hits"),
-            elim_timeouts: registry.counter("acn.exec.elim_timeouts"),
-            elim_busy: registry.counter("acn.exec.elim_busy"),
-            elim_spills: registry.counter("acn.exec.elim_spills"),
             refills: registry.counter("acn.exec.refills"),
             batch_grow: registry.counter("acn.exec.batch_grow"),
             batch_shrink: registry.counter("acn.exec.batch_shrink"),
@@ -158,8 +97,7 @@ impl FrontMetrics {
     }
 }
 
-/// The sharded batching/eliminating front-end. See the
-/// [module docs](self).
+/// The sharded batching front-end. See the [module docs](self).
 ///
 /// Callers address a shard explicitly (`shard` argument, typically
 /// the worker's index modulo [`shards`](Self::shards)) so placement
@@ -167,70 +105,56 @@ impl FrontMetrics {
 pub struct ShardedFrontEnd<S: SyncApi = RealSync> {
     net: Arc<SharedAdaptiveNetwork<S>>,
     shards: Vec<CachePadded<S::Mutex<ShardState>>>,
-    slots: Vec<ExchangeSlot<Vec<u64>, S>>,
-    /// Global refill sequence: each refill claims a ticket; a shard
-    /// whose consecutive tickets are non-adjacent knows other shards
-    /// refilled in between — the always-on concurrency probe behind
-    /// adaptive batch sizing (works with telemetry detached).
+    /// Global refill ticket counter: each refill claims a ticket; a
+    /// shard whose consecutive tickets are non-adjacent knows other
+    /// shards refilled in between.
     refill_seq: CachePadded<S::AtomicU64>,
-    config: FrontendConfig,
     metrics: FrontMetrics,
 }
 
 impl ShardedFrontEnd<RealSync> {
-    /// A front-end over `net` with `shards` shards and default tuning.
+    /// A front-end over `net` with `shards` shards.
     ///
     /// # Panics
     ///
     /// Panics if `shards == 0`.
     #[must_use]
     pub fn new(net: Arc<SharedAdaptiveNetwork>, shards: usize) -> Self {
-        Self::with_config_in(net, shards, FrontendConfig::default_for(shards))
+        Self::new_in(net, shards)
     }
 }
 
 impl<S: SyncApi> ShardedFrontEnd<S> {
-    /// A front-end with explicit tuning under an explicit [`SyncApi`]
-    /// (the model checker instantiates this with `VirtualSync`).
+    /// A front-end under an explicit [`SyncApi`] (the model checker
+    /// instantiates this with `VirtualSync`).
     ///
     /// # Panics
     ///
-    /// Panics if `shards == 0` or `config.batch_min` is 0 or exceeds
-    /// `config.batch_max`.
+    /// Panics if `shards == 0`.
     #[must_use]
-    pub fn with_config_in(
-        net: Arc<SharedAdaptiveNetwork<S>>,
-        shards: usize,
-        config: FrontendConfig,
-    ) -> Self {
+    pub fn new_in(net: Arc<SharedAdaptiveNetwork<S>>, shards: usize) -> Self {
         assert!(shards > 0, "at least one shard");
-        assert!(
-            (1..=config.batch_max).contains(&config.batch_min),
-            "batch_min must be in 1..=batch_max"
-        );
         ShardedFrontEnd {
             net,
             shards: (0..shards)
                 .map(|_| {
                     CachePadded::new(S::Mutex::new(ShardState {
                         stash: Vec::new(),
-                        batch: config.batch_min,
-                        last_seq: 0,
-                        last_signal: 0,
+                        batch: BATCH_MIN,
+                        next_ticket: 0,
                         quiet: 0,
                     }))
                 })
                 .collect(),
-            slots: (0..config.elim_slots).map(|_| ExchangeSlot::new()).collect(),
             refill_seq: CachePadded::new(S::AtomicU64::new(0)),
-            config,
             metrics: FrontMetrics::default(),
         }
     }
 
-    /// Registers the front-end's metrics (`acn.exec.elim_*`,
-    /// `acn.exec.refills`) with `registry`. Call before sharing across
-    /// threads (it needs `&mut`). Observation-only.
+    /// Registers the front-end's metrics (`acn.exec.refills`,
+    /// `acn.exec.batch_grow`/`batch_shrink`) with `registry`. Call
+    /// before sharing across threads (it needs `&mut`).
+    /// Observation-only.
     pub fn attach_telemetry(&mut self, registry: &Registry) {
         self.metrics = FrontMetrics::attach(registry);
     }
@@ -259,94 +183,41 @@ impl<S: SyncApi> ShardedFrontEnd<S> {
         if let Some(v) = st.stash.pop() {
             return v;
         }
-        self.refill(&mut st, shard, wire);
+        self.refill(&mut st, wire);
         st.stash.pop().expect("a refill stashes at least one value")
     }
 
-    /// Refills a dry stash: adapt the batch size, try to pair off at
-    /// an elimination slot, fall back to (or combine into) a batched
-    /// network traversal.
-    fn refill(&self, st: &mut ShardState, shard: usize, wire: usize) {
+    /// Refills a dry stash: adapt the batch size from the ticket
+    /// probe, then traverse.
+    fn refill(&self, st: &mut ShardState, wire: usize) {
         self.metrics.refills.inc();
-        // --- Adapt: grow under observed concurrency, shrink alone.
         // lint: relaxed-ok(monotone ticket counter; only the caller's own before/after delta is compared, no cross-location ordering consumed)
-        let seq = self.refill_seq.fetch_add(1, Ordering::Relaxed);
-        let signal = self.net.contention_signal();
-        // `last_seq` holds the ticket this shard would draw if nobody
-        // else refilled in between; `foreign` counts the peer refills
-        // that interleaved. On an oversubscribed core peers surface as
-        // rare huge bursts (one per scheduler quantum), so growth
-        // scales with the burst while shrinking waits out a quiet
-        // window — see `FrontendConfig::quiet_window`.
-        let foreign = seq.saturating_sub(st.last_seq);
-        let contended = foreign > 0 || signal > st.last_signal;
-        st.last_seq = seq + 1;
-        st.last_signal = signal;
-        if contended {
+        let ticket = self.refill_seq.fetch_add(1, Ordering::Relaxed);
+        // `foreign` counts the peer refills that interleaved. On an
+        // oversubscribed core peers surface as rare huge bursts (one
+        // per scheduler quantum), so growth scales with the burst
+        // while shrinking waits out a quiet window.
+        let foreign = ticket.saturating_sub(st.next_ticket);
+        st.next_ticket = ticket + 1;
+        if foreign > 0 {
             st.quiet = 0;
             self.metrics.batch_grow.inc();
-            st.batch = st
-                .batch
-                .saturating_mul((foreign + 1).max(2))
-                .min(self.config.batch_max);
+            st.batch = st.batch.saturating_mul(foreign + 1).min(BATCH_MAX);
         } else {
             st.quiet += 1;
-            if st.quiet >= self.config.quiet_window {
+            if st.quiet >= QUIET_WINDOW {
                 st.quiet = 0;
                 self.metrics.batch_shrink.inc();
-                st.batch = (st.batch / 2).max(self.config.batch_min);
+                st.batch = (st.batch / 2).max(BATCH_MIN);
             }
         }
-        let want = st.batch;
-
-        // --- Combine: absorb a pending offer into our own batch.
-        let mut pending: Option<(usize, u64)> = None;
-        for (i, slot) in self.slots.iter().enumerate() {
-            if let Some(w) = slot.pending_offer() {
-                pending = Some((i, w));
-                break;
-            }
-        }
-
-        // --- Or offer: under contention, with nothing to combine,
-        // try to get served by another shard's traversal instead of
-        // contending with it.
-        if pending.is_none() && contended && !self.slots.is_empty() {
-            match self.slots[shard % self.slots.len()]
-                .offer(want, self.config.elim_patience)
-            {
-                OfferOutcome::Exchanged(values) => {
-                    debug_assert_eq!(values.len() as u64, want);
-                    st.stash = values;
-                    return;
-                }
-                OfferOutcome::TimedOut => self.metrics.elim_timeouts.inc(),
-                OfferOutcome::Busy => self.metrics.elim_busy.inc(),
-            }
-        }
-
-        // --- Traverse, carrying any absorbed weight on top. A
-        // weight-1 refill with nothing absorbed IS the scalar fast
-        // path — take it directly (no batch bookkeeping, no Vec).
-        let extra = pending.map_or(0, |(_, w)| w);
-        if want + extra == 1 {
+        // A batch of one IS the scalar path — take it directly (no
+        // batch bookkeeping, no Vec).
+        if st.batch == 1 {
             st.stash.push(self.net.next_value(wire));
-            return;
+        } else {
+            st.stash = self.net.next_batch(wire, st.batch);
         }
-        let mut values = self.net.next_batch(wire, want + extra);
-        if let Some((slot, w)) = pending {
-            let handoff = values.split_off(values.len() - w as usize);
-            match self.slots[slot].fulfil(w, handoff) {
-                Ok(()) => self.metrics.elim_hits.inc(),
-                Err(spilled) => {
-                    // The offerer withdrew first; keep the values —
-                    // they are claimed and must eventually be served.
-                    values.extend(spilled);
-                    self.metrics.elim_spills.inc();
-                }
-            }
-        }
-        st.stash = values;
     }
 
     /// Each shard's current adaptive batch size (diagnostics; exact
@@ -379,11 +250,7 @@ impl<S: SyncApi> ShardedFrontEnd<S> {
 
 impl<S: SyncApi> std::fmt::Debug for ShardedFrontEnd<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedFrontEnd")
-            .field("shards", &self.shards.len())
-            .field("elim_slots", &self.slots.len())
-            .field("config", &self.config)
-            .finish()
+        f.debug_struct("ShardedFrontEnd").field("shards", &self.shards.len()).finish()
     }
 }
 
@@ -439,92 +306,33 @@ mod tests {
 
     #[test]
     fn batch_size_adapts_up_under_concurrency_and_down_alone() {
-        let net = Arc::new(SharedAdaptiveNetwork::new(8));
-        net.split(&ComponentId::root()).unwrap();
-        let cfg = FrontendConfig {
-            batch_min: 1,
-            batch_max: 64,
-            quiet_window: 3,
-            elim_slots: 1,
-            elim_patience: 2,
+        let fe = front(8, 2);
+        // Drains the stash so the next call refills.
+        let refill = |shard: usize| {
+            fe.shards[shard].lock().stash.clear();
+            let _ = fe.next_value(shard, 0);
         };
-        let fe = ShardedFrontEnd::with_config_in(net, 2, cfg);
         // Interleave refills of two shards: each sees the other's
         // ticket between its own → contended → batches grow.
-        for _ in 0..cfg.batch_max.ilog2() + 2 {
-            for shard in 0..2 {
-                // Drain the stash so the next call refills.
-                while fe.shards[shard].lock().stash.pop().is_some() {}
-                let _ = fe.next_value(shard, 0);
-            }
+        for _ in 0..BATCH_MAX.ilog2() + 2 {
+            refill(0);
+            refill(1);
         }
-        let grown = fe.shards[0].lock().batch;
-        assert!(grown > cfg.batch_min, "interleaved refills must grow the batch");
+        assert_eq!(fe.batch_sizes(), vec![BATCH_MAX; 2], "interleaved refills grow the batch");
 
         // Now refill only shard 0 repeatedly: adjacent tickets →
         // uncontended — but the batch must survive a full quiet
         // window before each halving (aloneness needs sustained
-        // evidence; see FrontendConfig::quiet_window) ...
-        for _ in 0..cfg.quiet_window - 1 {
-            while fe.shards[0].lock().stash.pop().is_some() {}
-            let _ = fe.next_value(0, 0);
+        // evidence; see QUIET_WINDOW) ...
+        for _ in 0..QUIET_WINDOW - 1 {
+            refill(0);
         }
-        assert_eq!(fe.shards[0].lock().batch, grown, "shrinking before the window");
+        assert_eq!(fe.batch_sizes()[0], BATCH_MAX, "shrinking before the window");
 
         // ... and then decays back to the minimum.
-        for _ in 0..(cfg.batch_max.ilog2() as u64 + 2) * cfg.quiet_window {
-            while fe.shards[0].lock().stash.pop().is_some() {}
-            let _ = fe.next_value(0, 0);
+        for _ in 0..u64::from(BATCH_MAX.ilog2() + 1) * QUIET_WINDOW {
+            refill(0);
         }
-        assert_eq!(fe.shards[0].lock().batch, cfg.batch_min);
-    }
-
-    #[test]
-    fn elimination_pairs_offer_with_combiner() {
-        // Deterministic pairing: post an offer directly on the slot,
-        // then drive a combining refill through the front-end.
-        let registry = Registry::new();
-        let net = Arc::new(SharedAdaptiveNetwork::new(8));
-        let mut fe = ShardedFrontEnd::with_config_in(
-            net,
-            2,
-            FrontendConfig { batch_min: 4, batch_max: 4, quiet_window: 1, elim_slots: 1, elim_patience: 4 },
-        );
-        fe.attach_telemetry(&registry);
-        let fe = Arc::new(fe);
-
-        let offerer = {
-            let fe = Arc::clone(&fe);
-            std::thread::spawn(move || fe.slots[0].offer(3, 1 << 22))
-        };
-        while fe.slots[0].pending_offer().is_none() {
-            std::hint::spin_loop();
-        }
-        // Shard 1 refills, finds the offer, combines 4 + 3 tokens.
-        let v = fe.next_value(1, 0);
-        let OfferOutcome::Exchanged(handed) = offerer.join().unwrap() else {
-            panic!("offer must be fulfilled by the combining refill");
-        };
-        assert_eq!(handed.len(), 3);
-        assert_eq!(registry.snapshot().counter("acn.exec.elim_hits"), Some(1));
-        // All 7 claimed values are distinct and dense.
-        let mut all = handed;
-        all.push(v);
-        all.extend(fe.drain_outstanding());
-        all.sort_unstable();
-        assert_eq!(all, (0..7u64).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn fixed_batch_config_pins_the_size() {
-        let net = Arc::new(SharedAdaptiveNetwork::new(8));
-        let fe = ShardedFrontEnd::with_config_in(
-            net,
-            2,
-            FrontendConfig::default_for(2).fixed_batch(32),
-        );
-        let _ = fe.next_value(0, 0);
-        assert_eq!(fe.shards[0].lock().batch, 32);
-        assert_eq!(fe.outstanding(), 31);
+        assert_eq!(fe.batch_sizes()[0], BATCH_MIN);
     }
 }

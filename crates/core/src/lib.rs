@@ -57,8 +57,8 @@ pub mod service;
 pub mod stabilize;
 
 pub use component::Component;
-pub use concurrent::{ExecMode, SharedAdaptiveNetwork};
-pub use frontend::{FrontendConfig, ShardedFrontEnd};
+pub use concurrent::SharedAdaptiveNetwork;
+pub use frontend::ShardedFrontEnd;
 pub use local::{AdaptError, LocalAdaptiveNetwork, TokenPos};
 pub use manager::{ConvergedNetwork, NetworkSnapshot};
 pub use matching::{MatchMaker, MatchOutcome};

@@ -11,7 +11,7 @@
 //! transfer, and it doubles as the fastest way to embed an adaptive
 //! counting network inside a single process.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 use acn_topology::{
@@ -75,12 +75,17 @@ pub enum TokenPos {
 /// net.split(&ComponentId::root()).unwrap();
 /// assert_eq!(net.push(1), 2);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct LocalAdaptiveNetwork {
     tree: Tree,
     style: WiringStyle,
     cut: Cut,
-    components: HashMap<ComponentId, Component>,
+    /// `BTreeMap`, not a hash map: iteration is in `ComponentId` order
+    /// on every run, so seeded explorers that pick a component by
+    /// position replay exactly, and the model is `Hash` for the model
+    /// checker's fingerprints (`acn-lint`'s `hash` rule covers this
+    /// file).
+    components: BTreeMap<ComponentId, Component>,
     input_counts: Vec<u64>,
     output_counts: Vec<u64>,
 }
@@ -193,7 +198,7 @@ impl LocalAdaptiveNetwork {
         self.components.get(id)
     }
 
-    /// Iterates over the live components.
+    /// Iterates over the live components in `ComponentId` order.
     pub fn components(&self) -> impl Iterator<Item = &Component> {
         self.components.values()
     }
@@ -666,6 +671,20 @@ mod tests {
         // Whereas the real split continues correctly.
         net.split(&root).unwrap();
         assert_eq!(net.push(0), 3);
+    }
+
+    #[test]
+    fn components_iterate_in_component_id_order() {
+        let mut net = LocalAdaptiveNetwork::new(16);
+        let root = ComponentId::root();
+        net.split(&root).unwrap();
+        net.split(&root.child(3)).unwrap();
+        net.split(&root.child(0)).unwrap();
+        let ids: Vec<ComponentId> = net.components().map(|c| c.id().clone()).collect();
+        let mut sorted = ids.clone();
+        sorted.sort();
+        assert_eq!(ids, sorted);
+        assert_eq!(ids, net.cut().leaves().iter().cloned().collect::<Vec<_>>());
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! The concurrent executors ([`SharedAdaptiveNetwork`] in `acn-core`,
 //! [`AtomicNetworkCounter`] in `acn-bitonic`) are generic over a
 //! [`SyncApi`]: the small set of primitives they actually use — a
-//! mutex, a reader–writer lock, a 64-bit atomic with explicit
-//! memory orderings, and an epoch-published immutable snapshot
-//! ([`SyncSnapshot`], the safe-Rust equivalent of an atomic pointer
-//! swap) that powers the executors' lock-free fast paths.
+//! mutex, a reader–writer lock, and a 64-bit atomic with explicit
+//! memory orderings. ([`SyncSnapshot`] and [`ExchangeSlot`] are no
+//! longer used by any executor; they remain only because the frozen
+//! benchmark probes them, see ROADMAP.md open item 2.)
 //!
 //! Two implementations exist:
 //!
@@ -54,12 +54,13 @@ pub use exchange::{ExchangeSlot, OfferOutcome};
 ///
 /// 128 bytes covers both the 64-byte x86-64 line (and its adjacent-
 /// line prefetcher, which drags pairs of lines) and the 128-byte
-/// aarch64 line. The hot per-leaf atomics of the lock-free fast path
+/// aarch64 line. The hot per-leaf atomics of the shared executor
 /// (`hops`, per-port arrival tallies, the per-wire entry/exit counts)
 /// are wrapped in this: without it, independent counters allocated
 /// side by side false-share lines and the throughput curve goes flat
-/// even when the algorithmic contention is gone (E18's padding
-/// microbench measures exactly this before/after).
+/// even when the algorithmic contention is gone (the benchmark's
+/// `sync.fetch_add_shared_2t_ns` / `sync.fetch_add_padded_2t_ns` rows
+/// measure exactly this).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 #[repr(align(128))]
 pub struct CachePadded<T> {
@@ -157,8 +158,7 @@ pub trait SyncMutex<T: SyncData>: Send + Sync + Sized + 'static {
     /// acquires two ranked locks simultaneously it must take them in
     /// ascending rank order. `RealSync` ignores the rank; the model
     /// checker enforces it dynamically and reports the offending
-    /// schedule on violation. The workspace convention is to rank
-    /// per-component locks by the `ComponentId` total order.
+    /// schedule on violation.
     fn with_rank(value: T, rank: u64) -> Self {
         let _ = rank;
         Self::new(value)
@@ -166,9 +166,6 @@ pub trait SyncMutex<T: SyncData>: Send + Sync + Sized + 'static {
 
     /// Acquires the lock, blocking until available.
     fn lock(&self) -> Self::Guard<'_>;
-
-    /// Attempts to acquire the lock without blocking.
-    fn try_lock(&self) -> Option<Self::Guard<'_>>;
 }
 
 /// An epoch-published immutable snapshot: the safe-Rust equivalent
@@ -220,13 +217,6 @@ pub trait SyncRwLock<T: SyncData>: Send + Sync + Sized + 'static {
 /// The family of synchronization primitives a concurrent executor is
 /// built from.
 pub trait SyncApi: Send + Sync + 'static {
-    /// Whether telemetry may probe locks with `try_lock` before a
-    /// blocking `lock` to count contention. The checker turns this
-    /// off so that the observation probe does not double the visible
-    /// operations per acquisition (telemetry is observation-only, so
-    /// the explored behaviours are identical).
-    const CONTENTION_PROBES: bool = true;
-
     /// The atomic 64-bit integer. `Hash` exists so atomics may live
     /// inside lock payloads and snapshot values (which must be
     /// fingerprintable by the checker); the real implementation
@@ -324,11 +314,6 @@ impl<T: SyncData> SyncMutex<T> for RealMutex<T> {
     #[inline]
     fn lock(&self) -> Self::Guard<'_> {
         self.0.lock()
-    }
-
-    #[inline]
-    fn try_lock(&self) -> Option<Self::Guard<'_>> {
-        self.0.try_lock()
     }
 }
 
@@ -453,15 +438,6 @@ mod tests {
         }
         assert_eq!(c.fast.load(Ordering::Acquire), 400);
         assert_eq!(*c.slow.lock(), 400);
-    }
-
-    #[test]
-    fn try_lock_contends() {
-        let m: RealMutex<u32> = SyncMutex::new(7);
-        let g = m.lock();
-        assert!(m.try_lock().is_none());
-        drop(g);
-        assert_eq!(*m.try_lock().expect("free"), 7);
     }
 
     #[test]

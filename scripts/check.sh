@@ -57,11 +57,12 @@ ACN_TRACE_DIR=target/trace cargo test -q --test trace_schema
 test -s target/trace/smoke.trace.json \
     || { echo "trace_schema did not produce target/trace/smoke.trace.json" >&2; exit 1; }
 
-echo "==> bench smoke (E18 throughput harness, artifact under target/)"
-# Exercises the multi-threaded harness end to end with a tiny op count;
-# headline numbers come from a full `scripts/bench.sh` run, which owns
-# the committed BENCH_throughput.json.
-scripts/bench.sh --smoke
+echo "==> benchmark smoke (acn-perf: all 7 workloads, tiny budgets) + its own tests"
+# The benchmark package is outside the workspace (benchmark/Cargo.toml);
+# its smoke run exercises every workload's unskippable output checks
+# end to end, and its tests hold the catalogue to BENCHMARK.json.
+cargo run --release --offline --manifest-path benchmark/Cargo.toml --bin acn-perf -- run --smoke
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -6,12 +6,20 @@
 //!    or change control flow).
 //! 2. A churn scenario populates the full metric and event surface —
 //!    every layer's instruments are asserted in one place.
+//! 3. The shared-memory front-end's batch sizing reads no telemetry —
+//!    a lone shard stays at batch 1 beside a reconfiguring writer even
+//!    with a registry attached.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
+use adaptive_counting_networks::bitonic::step::is_step_sequence;
 use adaptive_counting_networks::core::dist::Deployment;
+use adaptive_counting_networks::core::{ShardedFrontEnd, SharedAdaptiveNetwork};
 use adaptive_counting_networks::overlay::NodeId;
 use adaptive_counting_networks::simnet::SimStats;
 use adaptive_counting_networks::telemetry::{Registry, RingBufferSink, Snapshot, Value};
-use adaptive_counting_networks::topology::Cut;
+use adaptive_counting_networks::topology::{ComponentId, Cut};
 use adaptive_counting_networks::trace::Tracer;
 
 /// One deterministic churn scenario: grow 4 → 16 nodes with traffic,
@@ -181,4 +189,57 @@ fn churn_scenario_populates_the_full_metric_surface() {
     assert!(sink.count_kind("estimator.estimate") > 0);
     assert!(sink.count_kind("dist.level_change") > 0);
     assert!(sink.count_kind("dist.migrate") > 0);
+}
+
+/// Benchmark finding 3 (`benchmark/README.md`): with a registry
+/// attached, one `acn.conc.snapshot_retries` tick used to count as
+/// contention and grow the refill batch, so a traced run measured a
+/// different program. Batch sizing now depends on the ticket probe
+/// alone, and a lone shard never sees a foreign ticket — so it must end
+/// at batch 1, attached or not, however often a writer reconfigures.
+#[test]
+fn frontend_batch_sizing_is_observation_only_under_reconfiguration() {
+    const WIDTH: usize = 16;
+    const DRAWS: usize = 300_000;
+    const RECONFIGS: u64 = 500;
+    let registry = Registry::new();
+    let mut net = SharedAdaptiveNetwork::new(WIDTH);
+    net.attach_telemetry(&registry);
+    let net = Arc::new(net);
+    let root = ComponentId::root();
+    net.split(&root).expect("root splits");
+    let mut fe = ShardedFrontEnd::new(Arc::clone(&net), 1);
+    fe.attach_telemetry(&registry);
+
+    // The client keeps drawing for as long as the writer reconfigures
+    // (and for at least `DRAWS` values), so the two always overlap.
+    let writer_done = AtomicBool::new(false);
+    let leaf = root.child(0);
+    let mut consumed = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            for _ in 0..RECONFIGS {
+                net.split(&leaf).expect("leaf splits");
+                net.merge(&leaf).expect("leaf merges back");
+            }
+            writer_done.store(true, Ordering::Release);
+        });
+        let mut values = Vec::with_capacity(DRAWS);
+        while values.len() < DRAWS || !writer_done.load(Ordering::Acquire) {
+            values.push(fe.next_value(0, values.len() % WIDTH));
+        }
+        values
+    });
+
+    assert_eq!(fe.batch_sizes(), vec![1], "telemetry must not feed batch sizing");
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter("acn.exec.refills"), Some(consumed.len() as u64));
+    assert_eq!(snap.counter("acn.exec.batch_grow"), Some(0));
+    assert_eq!(snap.counter("acn.conc.splits"), Some(1 + RECONFIGS));
+    // Conservation, density, step property, structure.
+    assert_eq!(consumed.len() as u64 + fe.outstanding(), net.total_exited());
+    consumed.extend(fe.drain_outstanding());
+    consumed.sort_unstable();
+    assert_eq!(consumed, (0..consumed.len() as u64).collect::<Vec<u64>>());
+    assert!(is_step_sequence(&net.output_counts()));
+    assert!(net.structure_consistent());
 }
