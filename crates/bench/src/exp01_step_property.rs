@@ -62,7 +62,7 @@ pub fn run() -> String {
                             .cloned()
                             .collect();
                         if !splittable.is_empty() {
-                            let pick = splittable[rng.below(splittable.len())].clone();
+                            let pick = splittable[rng.below(splittable.len())];
                             // Deferred transfers (in-flight traffic) are
                             // expected; just retry later.
                             let _ = net.split(&pick);
@@ -72,7 +72,7 @@ pub fn run() -> String {
                         let parents: Vec<ComponentId> =
                             net.cut().leaves().iter().filter_map(|l| l.parent()).collect();
                         if !parents.is_empty() {
-                            let pick = parents[rng.below(parents.len())].clone();
+                            let pick = parents[rng.below(parents.len())];
                             let _ = net.merge(&pick);
                         }
                     }

@@ -34,7 +34,7 @@ fn timed_makespan(tree: &Tree, cut: &Cut, ring: &Ring, tokens: u64) -> u64 {
     let mut components: HashMap<ComponentId, Component> = cut
         .leaves()
         .iter()
-        .map(|id| (id.clone(), Component::new(tree, id)))
+        .map(|id| (*id, Component::new(tree, id)))
         .collect();
     // Node service availability.
     let mut node_free: HashMap<u64, u64> = HashMap::new();

@@ -64,8 +64,8 @@ fn generate(seed: u64, rng: &mut SplitMix64) -> DistScenario {
     let n_actions = 3 + rng.below(4); // 3..=6
     for _ in 0..n_actions {
         actions.push(match rng.below(8) {
-            0 | 1 => DistAction::Split(root.clone()),
-            2 => DistAction::Merge(root.clone()),
+            0 | 1 => DistAction::Split(root),
+            2 => DistAction::Merge(root),
             3 => DistAction::CrashMidSplit,
             4 => DistAction::CrashMidMerge,
             5 => DistAction::Join,

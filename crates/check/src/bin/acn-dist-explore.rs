@@ -36,7 +36,7 @@ fn exhaustive_suite(seed: u64) -> Vec<(&'static str, DistScenario)> {
     baseline.timer_preemptions = 1;
 
     let mut split_merge = DistScenario::new(4, 2, seed, vec![0, 3]);
-    split_merge.actions = vec![DistAction::Split(root.clone()), DistAction::Merge(root.clone())];
+    split_merge.actions = vec![DistAction::Split(root), DistAction::Merge(root)];
 
     // No scripted `Repair`: detection, tombstoning, and cut re-cover
     // all happen through protocol messages, and the recovery oracle
@@ -57,7 +57,7 @@ fn random_scenario(seed: u64) -> DistScenario {
     let root = ComponentId::root();
     let mut s = DistScenario::new(4, 3, seed, vec![0, 1, 2, 3]);
     s.actions = vec![
-        DistAction::Split(root.clone()),
+        DistAction::Split(root),
         DistAction::Inject(2),
         DistAction::Join,
         DistAction::Merge(root),

@@ -974,7 +974,7 @@ mod tests {
     fn scripted_reconfig_survives_estimator_automerge() {
         let root = ComponentId::root();
         let mut s = DistScenario::new(4, 2, 0xA07031, vec![0, 3]);
-        s.actions = vec![DistAction::Split(root.clone()), DistAction::Merge(root.clone())];
+        s.actions = vec![DistAction::Split(root), DistAction::Merge(root)];
         let mut run = DistRun::new(&s, 200_000);
 
         // Apply the scripted split as soon as it is offered, then keep

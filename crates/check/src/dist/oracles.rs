@@ -193,7 +193,7 @@ pub(crate) fn check_terminal(run: &DistRun, cfg: &OracleConfig) -> Result<(), St
                          at quiescence"
                     ));
                 }
-                if !seen.insert(id.clone()) {
+                if !seen.insert(*id) {
                     return Err(format!(
                         "component {id} is hosted by more than one node"
                     ));
@@ -246,7 +246,7 @@ pub(crate) fn check_terminal(run: &DistRun, cfg: &OracleConfig) -> Result<(), St
         if cfg.stabilize {
             // Corrupt one live counter, prove the audit notices, then
             // prove stabilization restores a legal state.
-            let victim = net.components().next().map(|c| c.id().clone());
+            let victim = net.components().next().map(|c| *c.id());
             if let Some(victim) = victim {
                 let comp = net.component_mut(&victim).expect("victim is live");
                 let corrupted = comp.tokens().wrapping_add(97);

@@ -32,7 +32,7 @@ fn exhausts_two_nodes_two_tokens() {
 fn exhausts_two_nodes_two_tokens_with_concurrent_split() {
     let root = ComponentId::root();
     let mut scenario = DistScenario::new(4, 2, 0xD15C1, vec![0, 3]);
-    scenario.actions = vec![DistAction::Split(root.clone()), DistAction::Merge(root)];
+    scenario.actions = vec![DistAction::Split(root), DistAction::Merge(root)];
     let report = check_dist(&DistCheckConfig::exhaustive(), &scenario);
     report.assert_ok();
     assert!(
@@ -158,7 +158,7 @@ fn deep_sweep_scenario() -> DistScenario {
     let root = ComponentId::root();
     let mut scenario = DistScenario::new(4, 3, 0xACE5, vec![0, 1, 2, 3]);
     scenario.actions = vec![
-        DistAction::Split(root.clone()),
+        DistAction::Split(root),
         DistAction::Inject(2),
         DistAction::Join,
         DistAction::Merge(root),
@@ -280,7 +280,7 @@ fn crash_during_merge_recovers_in_protocol() {
     let root = ComponentId::root();
     let mut scenario = DistScenario::new(4, 2, 0xD15C8, vec![0, 3]);
     scenario.actions = vec![
-        DistAction::Split(root.clone()),
+        DistAction::Split(root),
         DistAction::Merge(root),
         DistAction::CrashMidMerge,
     ];
@@ -295,7 +295,7 @@ fn crash_during_merge_recovers_in_protocol() {
 fn random_mode_is_seed_deterministic() {
     let root = ComponentId::root();
     let mut scenario = DistScenario::new(4, 3, 0xD15C5, vec![0, 1, 2]);
-    scenario.actions = vec![DistAction::Split(root.clone()), DistAction::Merge(root)];
+    scenario.actions = vec![DistAction::Split(root), DistAction::Merge(root)];
     scenario.timer_preemptions = 1;
     scenario.max_drops = 1;
     let a = check_dist(&DistCheckConfig::random(10, 77), &scenario);

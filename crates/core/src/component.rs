@@ -117,7 +117,7 @@ impl Component {
     pub fn new(tree: &Tree, id: &ComponentId) -> Self {
         let info = tree.info(id).expect("invalid component id");
         Component {
-            id: id.clone(),
+            id: *id,
             kind: info.kind,
             width: info.width,
             tokens: 0,
@@ -167,7 +167,7 @@ impl Component {
         assert_eq!(emitted.len(), info.width, "emission ledger length mismatch");
         assert_eq!(owed.len(), info.width, "owed length mismatch");
         Component {
-            id: id.clone(),
+            id: *id,
             kind: info.kind,
             width: info.width,
             tokens,

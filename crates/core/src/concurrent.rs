@@ -164,7 +164,7 @@ impl<S: SyncApi> FastSnapshot<S> {
                     })
                     .collect();
                 FastLeaf {
-                    id: id.clone(),
+                    id: *id,
                     width,
                     base_tokens: comp.tokens(),
                     hops: CachePadded::new(S::AtomicU64::new(0)),

@@ -116,6 +116,11 @@ const ATTEMPT_CACHED: u8 = u8::MAX;
 pub const COLLECTOR: ProcessId = ProcessId(u64::MAX - 1);
 
 /// Messages of the distributed runtime.
+///
+/// Every pending event carries one `Msg` through the simulator's heap,
+/// so the enum is kept small: ids and wire addresses are inline `Copy`
+/// values, and the four reconfiguration variants that move a whole
+/// [`Component`] box it (see the size guard below the enum).
 #[derive(Debug, Clone)]
 pub enum Msg {
     /// A client asks the receiving node to inject a token on this input
@@ -191,7 +196,7 @@ pub enum Msg {
     /// result).
     Install {
         /// The full component state to install.
-        comp: Component,
+        comp: Box<Component>,
         /// The travelling `(token, addr)` idempotency ledger: the
         /// parent's ledger for split children, the union of the
         /// children's for a merge result.
@@ -213,7 +218,7 @@ pub enum Msg {
     /// Reply to [`Msg::FreezeCollect`] with the frozen state.
     CollectReply {
         /// The frozen child's full state.
-        comp: Component,
+        comp: Box<Component>,
         /// The frozen child's travelling idempotency ledger (unioned
         /// into the merge result's).
         seen: SeenTokens,
@@ -270,7 +275,7 @@ pub enum Msg {
     /// hosts already overlaps the subtree, and acknowledges either way.
     RescueInstall {
         /// The replacement component (freshly initialized).
-        comp: Component,
+        comp: Box<Component>,
     },
     /// Acknowledges a [`Msg::RescueInstall`].
     RescueAck {
@@ -290,7 +295,7 @@ pub enum Msg {
     /// [`Msg::MigrateAck`] so a crash of the target cannot lose it.
     Migrate {
         /// The migrating component.
-        comp: Component,
+        comp: Box<Component>,
         /// Its travelling `(token, addr)` idempotency ledger.
         seen: SeenTokens,
         /// Tokens that were buffered at the component.
@@ -318,6 +323,13 @@ pub enum Msg {
         entries: Vec<ComponentId>,
     },
 }
+
+// `Install`, `CollectReply`, `Migrate` and `RescueInstall` box their
+// `Component` (three `Vec`s and an id: 120 bytes). They are a handful
+// per reconfiguration; `Token`/`TokenAck`/`Exit` are a dozen per token,
+// and every one of them is sifted through the event heap at the size of
+// the largest variant.
+const _: () = assert!(std::mem::size_of::<Msg>() <= 80);
 
 /// Pre-resolved telemetry handles for the distributed runtime
 /// (`acn.dist.*`). All handles are no-ops until
@@ -593,6 +605,17 @@ struct TokenFlight {
     injected_at: u64,
     /// Inter-node forwards taken so far.
     hops: u64,
+}
+
+/// What token routing reads from the shared [`World`]: taken once per
+/// handler, not once per hop.
+struct RouteEnv {
+    tree: Tree,
+    style: WiringStyle,
+    /// Whether the dedup layers are on (off only under the planted
+    /// checker mutation).
+    dedup: bool,
+    tracer: Tracer,
 }
 
 /// Per-component idempotency ledger: `(token, addr)` pairs this
@@ -938,7 +961,7 @@ impl NodeProc {
     /// ledger (split inheritance, merge union, migration).
     pub fn install_component_with_seen(&mut self, comp: Component, seen: SeenTokens) {
         self.components.insert(
-            comp.id().clone(),
+            *comp.id(),
             Hosted { comp, frozen: false, frozen_by: None, buffer: Vec::new(), seen },
         );
     }
@@ -996,7 +1019,7 @@ impl NodeProc {
 
     /// Drains the split list (departure hand-off).
     pub fn drain_split_list(&mut self) -> Vec<ComponentId> {
-        let items: Vec<ComponentId> = self.split_list.iter().cloned().collect();
+        let items: Vec<ComponentId> = self.split_list.iter().copied().collect();
         self.split_list.clear();
         items
     }
@@ -1096,6 +1119,17 @@ impl NodeProc {
         addr.candidates().find(|c| self.components.contains_key(c))
     }
 
+    /// Reads what token routing needs from the shared world.
+    fn route_env(&self) -> RouteEnv {
+        let w = self.world.borrow();
+        RouteEnv {
+            tree: w.tree,
+            style: w.style,
+            dedup: !w.mutation_no_ack_dedup,
+            tracer: w.tracer.clone(),
+        }
+    }
+
     /// Like [`route_token`](Self::route_token), but keeps an existing
     /// obligation id when the token must be forwarded remotely.
     fn route_token_with_guid(
@@ -1107,16 +1141,18 @@ impl NodeProc {
         injected_at: u64,
         hops: u64,
     ) {
-        if self.hosted_candidate(&addr).is_some() && !self.departed {
+        let flight = TokenFlight { token, addr, injected_at, hops };
+        match self.hosted_candidate(&addr) {
             // The original send may still be in flight (silence is not
             // proof of loss): this local copy and the in-flight one now
             // race on *different* paths, where no receiver-side GUID
             // check can see both. The collector's end-to-end `token`
             // dedup is what keeps the count exactly-once.
-            self.route_token(ctx, token, addr, injected_at, hops);
-        } else {
-            let flight = TokenFlight { token, addr, injected_at, hops };
-            self.send_token(ctx, Some(guid), flight, ATTEMPT_CACHED);
+            Some(id) if !self.departed => {
+                let env = self.route_env();
+                self.route_token_from(ctx, &env, Some(id), flight);
+            }
+            _ => self.send_token(ctx, Some(guid), flight, ATTEMPT_CACHED),
         }
     }
 
@@ -1127,96 +1163,105 @@ impl NodeProc {
         &mut self,
         ctx: &mut Context<'_, Msg>,
         token: u64,
-        mut addr: WireAddress,
+        addr: WireAddress,
         injected_at: u64,
         hops: u64,
     ) {
-        let tracer = self.world.borrow().tracer.clone();
+        let env = self.route_env();
+        let candidate = self.hosted_candidate(&addr);
+        self.route_token_from(ctx, &env, candidate, TokenFlight { token, addr, injected_at, hops });
+    }
+
+    /// [`route_token`](Self::route_token) for a caller that already
+    /// probed the candidate chain of the token's wire (`candidate`) and
+    /// read the world (`env`).
+    fn route_token_from(
+        &mut self,
+        ctx: &mut Context<'_, Msg>,
+        env: &RouteEnv,
+        mut candidate: Option<ComponentId>,
+        flight: TokenFlight,
+    ) {
+        let TokenFlight { token, mut addr, injected_at, hops } = flight;
+        let tracer = &env.tracer;
         let traced = tracer.should_sample(token);
-        loop {
-            match self.hosted_candidate(&addr) {
-                Some(id) => {
-                    let (tree, style, dedup) = {
-                        let w = self.world.borrow();
-                        (w.tree, w.style, !w.mutation_no_ack_dedup)
-                    };
-                    let hosted = self.components.get_mut(&id).expect("candidate is hosted");
-                    if hosted.frozen {
-                        if traced {
-                            tracer.record(
-                                Span::new("token.buffer", token)
-                                    .at(ctx.now())
-                                    .node(self.node.0)
-                                    .with("level", id.level() as u64),
-                            );
-                        }
-                        hosted.buffer.push((token, addr, injected_at, hops));
-                        return;
-                    }
-                    if dedup && !hosted.seen.insert((token, addr.clone())) {
-                        // This component (or its lineage) already
-                        // consumed this token at this wire: the copy is
-                        // a re-routed retransmission whose original was
-                        // delayed, not lost. Dropping it here keeps the
-                        // balancer states — and hence the step property
-                        // — exactly as if the token traversed once.
-                        let mut w = self.world.borrow_mut();
-                        w.duplicate_traversal_drops += 1;
-                        w.metrics.dup_traversals.inc();
-                        if traced {
-                            w.tracer.record(
-                                Span::new("token.dup_drop", token)
-                                    .at(ctx.now())
-                                    .node(self.node.0)
-                                    .with("level", id.level() as u64),
-                            );
-                        }
-                        return;
-                    }
-                    let in_port = input_port_of(&tree, &id, &addr, style);
-                    let port = hosted.comp.process_token(in_port);
+        while let Some(id) = candidate {
+            let hosted = self.components.get_mut(&id).expect("candidate is hosted");
+            if hosted.frozen {
+                if traced {
+                    tracer.record(
+                        Span::new("token.buffer", token)
+                            .at(ctx.now())
+                            .node(self.node.0)
+                            .with("level", id.level() as u64),
+                    );
+                }
+                hosted.buffer.push((token, addr, injected_at, hops));
+                return;
+            }
+            if env.dedup && !hosted.seen.insert((token, addr)) {
+                // This component (or its lineage) already consumed this
+                // token at this wire: the copy is a re-routed
+                // retransmission whose original was delayed, not lost.
+                // Dropping it here keeps the balancer states — and hence
+                // the step property — exactly as if the token traversed
+                // once.
+                let mut w = self.world.borrow_mut();
+                w.duplicate_traversal_drops += 1;
+                w.metrics.dup_traversals.inc();
+                if traced {
+                    w.tracer.record(
+                        Span::new("token.dup_drop", token)
+                            .at(ctx.now())
+                            .node(self.node.0)
+                            .with("level", id.level() as u64),
+                    );
+                }
+                return;
+            }
+            let in_port = input_port_of(&env.tree, &id, &addr, env.style);
+            let port = hosted.comp.process_token(in_port);
+            if traced {
+                tracer.record(
+                    Span::new("token.route", token)
+                        .at(ctx.now())
+                        .node(self.node.0)
+                        .with("level", id.level() as u64)
+                        .with("in_port", in_port.map_or(u64::MAX, |p| p as u64))
+                        .with("out_port", port as u64),
+                );
+            }
+            match resolve_output(&env.tree, &id, port, env.style) {
+                OutputDestination::NetworkOutput(wire) => {
+                    self.world.borrow().metrics.routing_hops.record(hops);
                     if traced {
                         tracer.record(
-                            Span::new("token.route", token)
+                            Span::new("token.exit", token)
                                 .at(ctx.now())
                                 .node(self.node.0)
-                                .with("level", id.level() as u64)
-                                .with("in_port", in_port.map_or(u64::MAX, |p| p as u64))
-                                .with("out_port", port as u64),
+                                .with("wire", wire as u64)
+                                .with("hops", hops),
                         );
                     }
-                    match resolve_output(&tree, &id, port, style) {
-                        OutputDestination::NetworkOutput(wire) => {
-                            self.world.borrow().metrics.routing_hops.record(hops);
-                            if traced {
-                                tracer.record(
-                                    Span::new("token.exit", token)
-                                        .at(ctx.now())
-                                        .node(self.node.0)
-                                        .with("wire", wire as u64)
-                                        .with("hops", hops),
-                                );
-                            }
-                            ctx.send(COLLECTOR, Msg::Exit { wire, token, injected_at, hops });
-                            return;
-                        }
-                        OutputDestination::Wire(next) => addr = next,
-                    }
-                }
-                None => {
-                    let flight = TokenFlight { token, addr, injected_at, hops };
-                    self.send_token(ctx, None, flight, ATTEMPT_CACHED);
+                    ctx.send(COLLECTOR, Msg::Exit { wire, token, injected_at, hops });
                     return;
+                }
+                OutputDestination::Wire(next) => {
+                    addr = next;
+                    candidate = self.hosted_candidate(&addr);
                 }
             }
         }
+        let flight = TokenFlight { token, addr, injected_at, hops };
+        self.send_token(ctx, None, flight, ATTEMPT_CACHED);
     }
 
     /// Sends a token towards a guessed owner of its wire address,
     /// registering the retransmission obligation under `guid` (a fresh
     /// one if `None`). `attempt` is `ATTEMPT_CACHED` for the
-    /// cache-directed first try, otherwise an index into the canonical
-    /// (deepest-first) chain.
+    /// cache-directed first try, otherwise the number of levels above
+    /// the balancer to probe: the owner candidates of a wire are the
+    /// prefixes of its balancer's path, deepest first.
     fn send_token(
         &mut self,
         ctx: &mut Context<'_, Msg>,
@@ -1226,20 +1271,15 @@ impl NodeProc {
     ) {
         let TokenFlight { token, addr, injected_at, hops } = flight;
         let guid = guid.unwrap_or_else(|| self.world.borrow_mut().fresh_guid());
-        let candidates: Vec<ComponentId> = addr.candidates().collect();
+        let balancer = addr.balancer();
+        let depth = balancer.level();
         let mut attempt = attempt;
         loop {
             let guess = if attempt == ATTEMPT_CACHED {
-                let level = self
-                    .cache
-                    .get(&addr)
-                    .copied()
-                    .unwrap_or(self.level)
-                    .min(candidates.len() - 1);
-                // candidates[i] has level (max_level - i): deepest first.
-                candidates[candidates.len() - 1 - level].clone()
-            } else if (attempt as usize) < candidates.len() {
-                candidates[attempt as usize].clone()
+                let level = self.cache.get(&addr).copied().unwrap_or(self.level);
+                balancer.prefix(level.min(depth))
+            } else if usize::from(attempt) <= depth {
+                balancer.prefix(depth - usize::from(attempt))
             } else {
                 // Chain exhausted (reconfiguration window): keep the
                 // obligation and let the retry timer start over.
@@ -1256,10 +1296,10 @@ impl NodeProc {
                 attempt = if attempt == ATTEMPT_CACHED { 0 } else { attempt + 1 };
                 continue;
             }
-            self.cache.insert(addr.clone(), guess.level());
+            self.cache.insert(addr, guess.level());
             self.unacked.insert(
                 guid,
-                UnackedToken { token, addr: addr.clone(), injected_at, sent_at: ctx.now(), hops },
+                UnackedToken { token, addr, injected_at, sent_at: ctx.now(), hops },
             );
             self.arm_retry(ctx);
             {
@@ -1323,10 +1363,10 @@ impl NodeProc {
             if ProcessId(host.0) == ctx.self_id() {
                 local_installs.push(child);
             } else {
-                op.pending.insert(child.id().clone(), child.clone());
+                op.pending.insert(*child.id(), child.clone());
                 ctx.send(
                     ProcessId(host.0),
-                    Msg::Install { comp: child, seen: parent_seen.clone() },
+                    Msg::Install { comp: Box::new(child), seen: parent_seen.clone() },
                 );
             }
         }
@@ -1334,9 +1374,9 @@ impl NodeProc {
             self.install_component_with_seen(child, parent_seen.clone());
         }
         if op.pending.is_empty() {
-            self.finish_split(ctx, id.clone(), op.started_at);
+            self.finish_split(ctx, *id, op.started_at);
         } else {
-            self.splits.insert(id.clone(), op);
+            self.splits.insert(*id, op);
         }
     }
 
@@ -1394,7 +1434,7 @@ impl NodeProc {
                 .with("nested", requester.is_some()),
         );
         self.merges.insert(
-            id.clone(),
+            *id,
             MergeOp {
                 started_at: ctx.now(),
                 collected: vec![None; arity],
@@ -1415,7 +1455,7 @@ impl NodeProc {
         if let Some(hosted) = self.components.get_mut(child) {
             if self.splits.contains_key(child) {
                 // Mid-split: retry once the split finishes.
-                self.stuck_collects.push((child.clone(), parent.clone()));
+                self.stuck_collects.push((*child, *parent));
                 self.arm_retry(ctx);
                 return;
             }
@@ -1428,20 +1468,20 @@ impl NodeProc {
             let me = ctx.self_id();
             if let Some(op) = self.merges.get_mut(child) {
                 // Already merging it for ourselves: attach the requester.
-                op.requester = Some((me, parent.clone()));
+                op.requester = Some((me, *parent));
             } else {
-                self.start_merge(ctx, &child.clone(), Some((me, parent.clone())));
+                self.start_merge(ctx, child, Some((me, *parent)));
             }
         } else {
             let host = self.owner_of(child);
             if ProcessId(host.0) == ctx.self_id() {
                 // We own the name but have nothing: transient window.
-                self.stuck_collects.push((child.clone(), parent.clone()));
+                self.stuck_collects.push((*child, *parent));
                 self.arm_retry(ctx);
             } else {
                 ctx.send(
                     ProcessId(host.0),
-                    Msg::FreezeCollect { id: child.clone(), parent: parent.clone() },
+                    Msg::FreezeCollect { id: *child, parent: *parent },
                 );
             }
         }
@@ -1466,7 +1506,7 @@ impl NodeProc {
         op.reporters[index] = Some(reporter);
         op.stalled_rounds = 0;
         if op.collected.iter().all(Option::is_some) {
-            self.complete_merge(ctx, parent.clone());
+            self.complete_merge(ctx, *parent);
         }
     }
 
@@ -1487,10 +1527,10 @@ impl NodeProc {
             // idempotency ledgers: it covers all their regions.
             let mut merged_seen = SeenTokens::new();
             for c in op.collected.iter() {
-                merged_seen.extend(c.as_ref().expect("all collected").1.iter().cloned());
+                merged_seen.extend(c.as_ref().expect("all collected").1.iter().copied());
             }
             match merge_components(&tree, &parent, &children, style) {
-                Ok(m) => (m, merged_seen, op.requester.clone()),
+                Ok(m) => (m, merged_seen, op.requester),
                 Err(_) => {
                     // Unsettled traffic: release the children and retry
                     // at a later tick.
@@ -1504,7 +1544,7 @@ impl NodeProc {
             // requester will `RemoveFrozen` us like any other child.
             let frozen_by = (req_pid != ctx.self_id()).then_some(req_pid);
             self.components.insert(
-                parent.clone(),
+                parent,
                 Hosted {
                     comp: merged.clone(),
                     frozen: true,
@@ -1522,7 +1562,11 @@ impl NodeProc {
             } else {
                 ctx.send(
                     req_pid,
-                    Msg::CollectReply { comp: merged, seen: merged_seen, parent: grandparent },
+                    Msg::CollectReply {
+                        comp: Box::new(merged),
+                        seen: merged_seen,
+                        parent: grandparent,
+                    },
                 );
             }
             return;
@@ -1540,7 +1584,10 @@ impl NodeProc {
                 .get_mut(&parent)
                 .expect("merge in progress")
                 .awaiting_install = true;
-            ctx.send(ProcessId(host.0), Msg::Install { comp: merged, seen: merged_seen });
+            ctx.send(
+                ProcessId(host.0),
+                Msg::Install { comp: Box::new(merged), seen: merged_seen },
+            );
         }
     }
 
@@ -1616,12 +1663,12 @@ impl NodeProc {
         }
         if let Some((req_pid, grandparent)) = op.requester {
             if req_pid == ctx.self_id() {
-                self.stuck_collects.push((parent.clone(), grandparent));
+                self.stuck_collects.push((*parent, grandparent));
                 self.arm_retry(ctx);
             } else {
                 ctx.send(
                     req_pid,
-                    Msg::CollectMissing { id: parent.clone(), parent: grandparent },
+                    Msg::CollectMissing { id: *parent, parent: grandparent },
                 );
             }
         }
@@ -1697,7 +1744,7 @@ impl NodeProc {
             .filter(|(id, hosted)| {
                 !hosted.frozen && hosted.comp.width() >= 4 && id.level() < self.level
             })
-            .map(|(id, _)| id.clone())
+            .map(|(id, _)| *id)
             .collect();
         for id in to_split {
             self.start_split(ctx, &id);
@@ -1709,7 +1756,7 @@ impl NodeProc {
             .split_list
             .iter()
             .filter(|id| self.components.contains_key(*id))
-            .cloned()
+            .copied()
             .collect();
         for id in zombies {
             self.split_list.remove(&id);
@@ -1722,7 +1769,7 @@ impl NodeProc {
             .split_list
             .iter()
             .filter(|id| id.level() >= self.level && !self.merges.contains_key(*id))
-            .cloned()
+            .copied()
             .collect();
         for id in to_merge {
             self.start_merge(ctx, &id, None);
@@ -1742,7 +1789,7 @@ impl NodeProc {
             .iter_mut()
             .filter_map(|(id, op)| {
                 op.stalled_rounds += 1;
-                (op.stalled_rounds > 2).then(|| id.clone())
+                (op.stalled_rounds > 2).then_some(*id)
             })
             .collect();
         for parent in stalled {
@@ -1759,7 +1806,7 @@ impl NodeProc {
                     op.pending.remove(&cid);
                     if op.pending.is_empty() {
                         let op = self.splits.remove(&parent).expect("present");
-                        self.finish_split(ctx, parent.clone(), op.started_at);
+                        self.finish_split(ctx, parent, op.started_at);
                         break;
                     }
                 } else {
@@ -1767,7 +1814,7 @@ impl NodeProc {
                     // either way, so a duplicate is harmless.
                     ctx.send(
                         ProcessId(host.0),
-                        Msg::Install { comp, seen: seen.clone() },
+                        Msg::Install { comp: Box::new(comp), seen: seen.clone() },
                     );
                 }
             }
@@ -1785,7 +1832,7 @@ impl NodeProc {
             .merges
             .iter()
             .filter(|(_, op)| !op.awaiting_install)
-            .map(|(id, _)| id.clone())
+            .map(|(id, _)| *id)
             .collect();
         for parent in in_progress {
             let (missing, progressed): (Vec<ComponentId>, bool) = {
@@ -1839,7 +1886,7 @@ impl NodeProc {
             .components
             .iter()
             .filter(|(_, h)| !h.frozen)
-            .map(|(id, _)| id.clone())
+            .map(|(id, _)| *id)
             .collect();
         for id in ids {
             let owner = self.owner_of(&id);
@@ -1882,7 +1929,7 @@ impl NodeProc {
                     sent_at: ctx.now(),
                 },
             );
-            ctx.send(ProcessId(owner.0), Msg::Migrate { comp, seen, buffer });
+            ctx.send(ProcessId(owner.0), Msg::Migrate { comp: Box::new(comp), seen, buffer });
             self.arm_retry(ctx);
         }
     }
@@ -1979,7 +2026,7 @@ impl NodeProc {
             .iter()
             .filter_map(|(id, h)| match h.frozen_by {
                 Some(pid) if self.view_dead.contains(&NodeId(pid.0)) => {
-                    id.parent().map(|p| (id.clone(), p))
+                    id.parent().map(|p| (*id, p))
                 }
                 _ => None,
             })
@@ -2016,7 +2063,7 @@ impl NodeProc {
             }
             return;
         }
-        self.split_list.insert(parent.clone());
+        self.split_list.insert(parent);
         if !self.merges.contains_key(&parent) {
             self.start_merge(ctx, &parent, None);
         }
@@ -2038,20 +2085,20 @@ impl NodeProc {
         let mut covered: Vec<(ComponentId, bool)> = self
             .components
             .iter()
-            .map(|(id, h)| (id.clone(), h.frozen))
+            .map(|(id, h)| (*id, h.frozen))
             .collect();
         for op in self.splits.values() {
-            covered.extend(op.pending.keys().map(|id| (id.clone(), false)));
+            covered.extend(op.pending.keys().map(|id| (*id, false)));
         }
         for (parent, op) in &self.merges {
             if op.awaiting_install {
-                covered.push((parent.clone(), false));
+                covered.push((*parent, false));
             }
         }
         if let Some(op) = &self.rescue {
-            covered.extend(op.installs.keys().map(|id| (id.clone(), false)));
+            covered.extend(op.installs.keys().map(|id| (*id, false)));
         }
-        covered.extend(self.migrating.keys().map(|id| (id.clone(), false)));
+        covered.extend(self.migrating.keys().map(|id| (*id, false)));
         covered
     }
 
@@ -2163,7 +2210,7 @@ impl NodeProc {
         // Refresh local coverage so the walk below doesn't resurrect an
         // ancestor of something we now host.
         for (id, h) in &self.components {
-            op.covered.insert(id.clone(), (self.node, h.frozen));
+            op.covered.insert(*id, (self.node, h.frozen));
         }
         for id in self
             .splits
@@ -2171,7 +2218,7 @@ impl NodeProc {
             .flat_map(|s| s.pending.keys())
             .chain(self.migrating.keys())
         {
-            op.covered.insert(id.clone(), (self.node, false));
+            op.covered.insert(*id, (self.node, false));
         }
         // A *frozen* covered id under a *live* covered proper ancestor
         // is a merge leftover (the coordinator died between installing
@@ -2188,7 +2235,7 @@ impl NodeProc {
                         op.covered.get(&a).is_some_and(|(_, afrozen)| !afrozen)
                     })
             })
-            .map(|(id, (reporter, _))| (id.clone(), *reporter))
+            .map(|(id, (reporter, _))| (*id, *reporter))
             .collect();
         for (id, reporter) in discards {
             self.world.borrow().metrics.rescue_discards.inc();
@@ -2242,10 +2289,10 @@ impl NodeProc {
             if ProcessId(owner.0) == ctx.self_id() && !self.departed {
                 self.install_component(Component::new(&tree, &id));
             } else {
-                op.installs.insert(id.clone(), owner);
+                op.installs.insert(id, owner);
                 ctx.send(
                     ProcessId(owner.0),
-                    Msg::RescueInstall { comp: Component::new(&tree, &id) },
+                    Msg::RescueInstall { comp: Box::new(Component::new(&tree, &id)) },
                 );
             }
         }
@@ -2297,7 +2344,7 @@ impl NodeProc {
             op.pending.retain(|n| !dead.contains(n));
             let requery: Vec<NodeId> = op.pending.iter().copied().collect();
             let reinstall: Vec<ComponentId> = if requery.is_empty() {
-                op.installs.keys().cloned().collect()
+                op.installs.keys().copied().collect()
             } else {
                 Vec::new()
             };
@@ -2330,11 +2377,11 @@ impl NodeProc {
                 }
             } else {
                 if let Some(op) = &mut self.rescue {
-                    op.installs.insert(id.clone(), owner);
+                    op.installs.insert(id, owner);
                 }
                 ctx.send(
                     ProcessId(owner.0),
-                    Msg::RescueInstall { comp: Component::new(&tree, &id) },
+                    Msg::RescueInstall { comp: Box::new(Component::new(&tree, &id)) },
                 );
             }
         }
@@ -2350,41 +2397,35 @@ impl Process<Msg> for NodeProc {
         }
         match msg {
             Msg::ClientInject { wire } => {
-                let (tree, style) = {
-                    let w = self.world.borrow();
-                    (w.tree, w.style)
-                };
-                let addr = network_input_address(&tree, wire, style);
+                let env = self.route_env();
+                let addr = network_input_address(&env.tree, wire, env.style);
                 let now = ctx.now();
                 let token = self.world.borrow_mut().fresh_token_id();
-                {
-                    let w = self.world.borrow();
-                    if w.tracer.should_sample(token) {
-                        w.tracer.open_trace(token, now);
-                        w.tracer.record(
-                            Span::new("token.inject", token)
-                                .at(now)
-                                .node(self.node.0)
-                                .with("wire", wire as u64),
-                        );
-                    }
+                if env.tracer.should_sample(token) {
+                    env.tracer.open_trace(token, now);
+                    env.tracer.record(
+                        Span::new("token.inject", token)
+                            .at(now)
+                            .node(self.node.0)
+                            .with("wire", wire as u64),
+                    );
                 }
+                let flight = TokenFlight { token, addr, injected_at: now, hops: 0 };
                 if self.departed {
-                    let flight = TokenFlight { token, addr, injected_at: now, hops: 0 };
                     self.send_token(ctx, None, flight, ATTEMPT_CACHED);
                 } else {
-                    self.route_token(ctx, token, addr, now, 0);
+                    let candidate = self.hosted_candidate(&addr);
+                    self.route_token_from(ctx, &env, candidate, flight);
                 }
             }
             Msg::Token { guid, token, addr, injected_at, attempt, hops } => {
-                let dedup = !self.world.borrow().mutation_no_ack_dedup;
-                let tracer = self.world.borrow().tracer.clone();
-                let traced = tracer.should_sample(token);
-                if dedup && self.seen.contains(&guid) {
+                let env = self.route_env();
+                let traced = env.tracer.should_sample(token);
+                if env.dedup && self.seen.contains(&guid) {
                     // Duplicate (retransmission raced the ack): already
                     // accepted; just re-acknowledge.
                     if traced {
-                        tracer.record(
+                        env.tracer.record(
                             Span::new("token.dup_recv", token)
                                 .at(ctx.now())
                                 .node(self.node.0)
@@ -2392,14 +2433,21 @@ impl Process<Msg> for NodeProc {
                         );
                     }
                     ctx.send(from, Msg::TokenAck { guid });
-                } else if self.departed || self.hosted_candidate(&addr).is_none() {
+                    return;
+                }
+                // One probe of the candidate chain answers all three
+                // questions: do we own the wire, is its owner shedding,
+                // and where does routing start.
+                let candidate =
+                    if self.departed { None } else { self.hosted_candidate(&addr) };
+                let Some(id) = candidate else {
                     {
                         let mut w = self.world.borrow_mut();
                         w.token_nacks += 1;
                         w.metrics.nacks.inc();
                     }
                     if traced {
-                        tracer.record(
+                        env.tracer.record(
                             Span::new("token.nack", token)
                                 .at(ctx.now())
                                 .node(self.node.0)
@@ -2414,13 +2462,12 @@ impl Process<Msg> for NodeProc {
                     } else {
                         ctx.send(from, Msg::TokenNack { guid, token, addr, injected_at, attempt });
                     }
-                } else if from != ProcessId::EXTERNAL
-                    && self
-                        .hosted_candidate(&addr)
-                        .and_then(|id| self.components.get(&id))
-                        .is_some_and(|h| {
-                            h.frozen && h.buffer.len() >= self.frozen_buffer_cap
-                        })
+                    return;
+                };
+                let owner = &self.components[&id];
+                if from != ProcessId::EXTERNAL
+                    && owner.frozen
+                    && owner.buffer.len() >= self.frozen_buffer_cap
                 {
                     // Backpressure: the owning component is frozen and
                     // its buffer is at capacity. Shed the token back to
@@ -2429,7 +2476,7 @@ impl Process<Msg> for NodeProc {
                     // backoff, and retries after the freeze drains.
                     self.world.borrow().metrics.busy_sheds.inc();
                     if traced {
-                        tracer.record(
+                        env.tracer.record(
                             Span::new("token.busy", token)
                                 .at(ctx.now())
                                 .node(self.node.0)
@@ -2437,22 +2484,23 @@ impl Process<Msg> for NodeProc {
                         );
                     }
                     ctx.send(from, Msg::TokenBusy { guid });
-                } else {
-                    self.seen.insert(guid);
-                    if traced {
-                        tracer.record(
-                            Span::new("token.deliver", token)
-                                .at(ctx.now())
-                                .node(self.node.0)
-                                .with("from", from.0)
-                                .with("guid", guid)
-                                .with("hops", hops + 1),
-                        );
-                    }
-                    ctx.send(from, Msg::TokenAck { guid });
-                    // Accepting the forward counts as one routing hop.
-                    self.route_token(ctx, token, addr, injected_at, hops + 1);
+                    return;
                 }
+                self.seen.insert(guid);
+                if traced {
+                    env.tracer.record(
+                        Span::new("token.deliver", token)
+                            .at(ctx.now())
+                            .node(self.node.0)
+                            .with("from", from.0)
+                            .with("guid", guid)
+                            .with("hops", hops + 1),
+                    );
+                }
+                ctx.send(from, Msg::TokenAck { guid });
+                // Accepting the forward counts as one routing hop.
+                let flight = TokenFlight { token, addr, injected_at, hops: hops + 1 };
+                self.route_token_from(ctx, &env, candidate, flight);
             }
             Msg::TokenAck { guid } => {
                 if self.unacked.remove(&guid).is_some() {
@@ -2478,11 +2526,11 @@ impl Process<Msg> for NodeProc {
                 // split or re-covered. Ack either way — the sender's
                 // obligation is discharged by the region being
                 // covered, not by this exact copy landing.
-                let id = comp.id().clone();
+                let id = *comp.id();
                 if !self.components.contains_key(&id)
                     && !self.accepting_would_double_cover(&id)
                 {
-                    self.install_component_with_seen(comp, seen);
+                    self.install_component_with_seen(*comp, seen);
                 }
                 ctx.send(from, Msg::InstallAck { id });
             }
@@ -2515,7 +2563,7 @@ impl Process<Msg> for NodeProc {
                     hosted.frozen_by = (from != ctx.self_id()).then_some(from);
                     let comp = hosted.comp.clone();
                     let seen = hosted.seen.clone();
-                    ctx.send(from, Msg::CollectReply { comp, seen, parent });
+                    ctx.send(from, Msg::CollectReply { comp: Box::new(comp), seen, parent });
                 } else if self.split_list.contains(&id) {
                     if let Some(op) = self.merges.get_mut(&id) {
                         op.requester = Some((from, parent));
@@ -2527,7 +2575,7 @@ impl Process<Msg> for NodeProc {
                 }
             }
             Msg::CollectReply { comp, seen, parent } => {
-                self.record_collect(ctx, comp, seen, &parent, from);
+                self.record_collect(ctx, *comp, seen, &parent, from);
             }
             Msg::CollectMissing { id, parent } => {
                 // Transient window (split in progress / migration):
@@ -2567,11 +2615,11 @@ impl Process<Msg> for NodeProc {
                 if self.departed || !self.view_live(self.node) {
                     return;
                 }
-                let id = comp.id().clone();
+                let id = *comp.id();
                 if !self.components.contains_key(&id)
                     && !self.accepting_would_double_cover(&id)
                 {
-                    self.install_component(comp);
+                    self.install_component(*comp);
                 }
                 ctx.send(from, Msg::RescueAck { id });
             }
@@ -2603,7 +2651,7 @@ impl Process<Msg> for NodeProc {
                     // re-resolves ownership against a fresher view.
                     return;
                 }
-                let id = comp.id().clone();
+                let id = *comp.id();
                 match self.components.get_mut(&id) {
                     Some(h) => {
                         // Double cover: a rescue installed a fresh
@@ -2621,7 +2669,7 @@ impl Process<Msg> for NodeProc {
                         // stale — ack so the sender drops the
                         // obligation, but do not resurrect it.
                         if !self.accepting_would_double_cover(&id) {
-                            self.install_component_with_seen(comp, seen);
+                            self.install_component_with_seen(*comp, seen);
                         }
                     }
                 }
@@ -2724,7 +2772,7 @@ impl Process<Msg> for NodeProc {
                     .migrating
                     .iter()
                     .filter(|(_, m)| now.saturating_sub(m.sent_at) >= timeout)
-                    .map(|(id, _)| id.clone())
+                    .map(|(id, _)| *id)
                     .collect();
                 for id in stale_migrations {
                     let owner = self.owner_of(&id);
@@ -2741,7 +2789,7 @@ impl Process<Msg> for NodeProc {
                         let m = self.migrating.get_mut(&id).expect("listed above");
                         m.sent_at = now;
                         let (comp, seen, buffer) =
-                            (m.comp.clone(), m.seen.clone(), m.buffer.clone());
+                            (Box::new(m.comp.clone()), m.seen.clone(), m.buffer.clone());
                         ctx.send(ProcessId(owner.0), Msg::Migrate { comp, seen, buffer });
                     }
                 }
@@ -3096,8 +3144,10 @@ impl Deployment {
 
     /// Injects a token on input wire `wire` via a uniformly random node.
     pub fn inject(&mut self, wire: usize) {
-        let nodes: Vec<NodeId> = self.world.borrow().ring.nodes().collect();
-        let pick = nodes[(acn_overlay::splitmix64(&mut self.seed) as usize) % nodes.len()];
+        let draw = acn_overlay::splitmix64(&mut self.seed) as usize;
+        let w = self.world.borrow();
+        let pick = w.ring.nodes().nth(draw % w.ring.len()).expect("index is below the ring size");
+        drop(w);
         self.sim.send_external(ProcessId(pick.0), Msg::ClientInject { wire });
     }
 
@@ -3134,7 +3184,7 @@ impl Deployment {
                     if frozen {
                         busy = true;
                     } else {
-                        leaves.push(id.clone());
+                        leaves.push(*id);
                     }
                 }
             }

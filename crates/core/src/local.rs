@@ -125,7 +125,7 @@ impl LocalAdaptiveNetwork {
         let components = cut
             .leaves()
             .iter()
-            .map(|id| (id.clone(), Component::new(&tree, id)))
+            .map(|id| (*id, Component::new(&tree, id)))
             .collect();
         LocalAdaptiveNetwork {
             tree,
@@ -158,7 +158,7 @@ impl LocalAdaptiveNetwork {
     ) -> Self {
         assert_eq!(input_counts.len(), w, "input ledger must have width {w}");
         assert_eq!(output_counts.len(), w, "output ledger must have width {w}");
-        let cut = Cut::from_leaves(components.iter().map(|c| c.id().clone()));
+        let cut = Cut::from_leaves(components.iter().map(|c| *c.id()));
         let mut net = Self::with_cut(w, cut, style);
         for comp in components {
             net.replace_component(comp);
@@ -301,10 +301,10 @@ impl LocalAdaptiveNetwork {
         let mut cut = self.cut.clone();
         cut.split(&self.tree, id)?;
         let children = split_component(&self.tree, &self.components[id], self.style)
-            .map_err(|why| AdaptError::Deferred(id.clone(), why))?;
+            .map_err(|why| AdaptError::Deferred(*id, why))?;
         self.components.remove(id).expect("leaf has a component");
         for child in children {
-            self.components.insert(child.id().clone(), child);
+            self.components.insert(*child.id(), child);
         }
         self.cut = cut;
         Ok(())
@@ -320,11 +320,11 @@ impl LocalAdaptiveNetwork {
     /// covered by the current cut.
     pub fn merge(&mut self, id: &ComponentId) -> Result<(), AdaptError> {
         if self.cut.contains(id) {
-            return Err(CutError::NotALeaf(id.clone()).into());
+            return Err(CutError::NotALeaf(*id).into());
         }
         let children_ids = self.tree.children(id);
         if children_ids.is_empty() {
-            return Err(CutError::ChildrenNotLeaves(id.clone()).into());
+            return Err(CutError::ChildrenNotLeaves(*id).into());
         }
         // Every child must be covered by the cut at or below it; merge
         // grandchildren first.
@@ -339,11 +339,11 @@ impl LocalAdaptiveNetwork {
             .collect();
         let children_owned: Vec<Component> = children.into_iter().cloned().collect();
         let parent = merge_components(&self.tree, id, &children_owned, self.style)
-            .map_err(|why| AdaptError::Deferred(id.clone(), why))?;
+            .map_err(|why| AdaptError::Deferred(*id, why))?;
         for c in &children_ids {
             self.components.remove(c);
         }
-        self.components.insert(id.clone(), parent);
+        self.components.insert(*id, parent);
         self.cut.merge(&self.tree, id).expect("children are leaves now");
         Ok(())
     }
@@ -402,7 +402,7 @@ impl LocalAdaptiveNetwork {
     /// Replaces a live component wholesale (stabilization).
     pub(crate) fn replace_component(&mut self, comp: Component) {
         assert!(self.cut.contains(comp.id()), "replacement must be a cut leaf");
-        self.components.insert(comp.id().clone(), comp);
+        self.components.insert(*comp.id(), comp);
     }
 
     /// Internal consistency check: the component map matches the cut.
@@ -506,7 +506,7 @@ mod tests {
                         .cloned()
                         .collect();
                     if !candidates.is_empty() {
-                        let pick = candidates[(lcg(&mut seed) as usize) % candidates.len()].clone();
+                        let pick = candidates[(lcg(&mut seed) as usize) % candidates.len()];
                         net.split(&pick).unwrap();
                     }
                 }
@@ -519,7 +519,7 @@ mod tests {
                         .filter_map(|l| l.parent())
                         .collect();
                     if !parents.is_empty() {
-                        let pick = parents[(lcg(&mut seed) as usize) % parents.len()].clone();
+                        let pick = parents[(lcg(&mut seed) as usize) % parents.len()];
                         let _ = net.merge(&pick);
                     }
                 }
@@ -680,7 +680,7 @@ mod tests {
         net.split(&root).unwrap();
         net.split(&root.child(3)).unwrap();
         net.split(&root.child(0)).unwrap();
-        let ids: Vec<ComponentId> = net.components().map(|c| c.id().clone()).collect();
+        let ids: Vec<ComponentId> = net.components().map(|c| *c.id()).collect();
         let mut sorted = ids.clone();
         sorted.sort();
         assert_eq!(ids, sorted);

@@ -90,25 +90,24 @@ impl NeighborCache {
     /// Panics if the cut does not cover the address (invalid cut).
     pub fn resolve(&mut self, cut: &Cut, addr: &WireAddress) -> ComponentId {
         self.stats.lookups += 1;
-        let candidates: Vec<ComponentId> = addr.candidates().collect();
-        let start_level = self
-            .cache
-            .get(addr)
-            .map_or(candidates.len() - 1, |c| c.level());
-        // Probe by increasing level distance from the cached level.
-        let mut order: Vec<&ComponentId> = candidates.iter().collect();
-        order.sort_by_key(|c| (c.level() as i64 - start_level as i64).unsigned_abs());
+        let balancer = addr.balancer();
+        let start_level = self.cache.get(addr).map_or(balancer.level(), ComponentId::level);
+        // Probe the candidate levels (deepest first) by increasing
+        // distance from the cached level.
+        let mut levels: Vec<usize> = (0..=balancer.level()).rev().collect();
+        levels.sort_by_key(|level| level.abs_diff(start_level));
         let mut probes = 0u64;
-        for candidate in order {
+        for level in levels {
+            let candidate = balancer.prefix(level);
             probes += 1;
-            if cut.contains(candidate) {
+            if cut.contains(&candidate) {
                 self.stats.probes += probes;
                 self.stats.max_probes = self.stats.max_probes.max(probes);
                 if probes == 1 && self.cache.contains_key(addr) {
                     self.stats.cache_hits += 1;
                 }
-                self.cache.insert(addr.clone(), candidate.clone());
-                return candidate.clone();
+                self.cache.insert(*addr, candidate);
+                return candidate;
             }
         }
         panic!("cut does not cover wire address {addr}");

@@ -79,7 +79,7 @@ pub fn audit(net: &LocalAdaptiveNetwork) -> Vec<Fault> {
         let arrivals: u64 = comp.arrivals().iter().sum();
         if arrivals != comp.tokens() {
             faults.push(Fault::CounterMismatch {
-                id: leaf.clone(),
+                id: *leaf,
                 tokens: comp.tokens(),
                 arrivals,
             });
@@ -87,7 +87,7 @@ pub fn audit(net: &LocalAdaptiveNetwork) -> Vec<Fault> {
         for port in 0..comp.width() {
             let expected = port_emissions(comp.tokens(), comp.width(), port);
             if comp.emitted()[port] + comp.owed()[port] != expected {
-                faults.push(Fault::EmissionMismatch { id: leaf.clone() });
+                faults.push(Fault::EmissionMismatch { id: *leaf });
                 break;
             }
         }
@@ -121,7 +121,7 @@ pub fn audit(net: &LocalAdaptiveNetwork) -> Vec<Fault> {
                     let recorded = net.output_counts()[wire];
                     if comp.emitted()[port] != recorded {
                         faults.push(Fault::WireMismatch {
-                            id: leaf.clone(),
+                            id: *leaf,
                             port,
                             sent: comp.emitted()[port],
                             received: recorded,
@@ -177,7 +177,7 @@ pub fn stabilize(net: &mut LocalAdaptiveNetwork) -> usize {
         profiles[vi][port] = net.input_counts()[wire];
     }
     for &vi in &order {
-        let id = dag.vertices()[vi].clone();
+        let id = dag.vertices()[vi];
         let width = tree.info(&id).expect("valid leaf").width;
         let profile = profiles[vi].clone();
         let tokens: u64 = profile.iter().sum();
@@ -303,7 +303,7 @@ mod tests {
     fn corruption_is_detected() {
         let mut seed = 5u64;
         let mut net = warmed_network(16, 17, &mut seed);
-        let victim = net.cut().leaves().iter().next().expect("non-empty cut").clone();
+        let victim = *net.cut().leaves().iter().next().expect("non-empty cut");
         net.component_mut(&victim).expect("live").set_tokens(999);
         let faults = audit(&net);
         assert!(!faults.is_empty(), "corruption went undetected");
@@ -362,7 +362,7 @@ mod tests {
         let mut net = warmed_network(16, 21, &mut seed);
         assert!(audit_with_telemetry(&net, &registry).is_empty());
         assert_eq!(registry.snapshot().gauge("acn.dist.audit_faults"), Some(0.0));
-        let victim = net.cut().leaves().iter().next().expect("non-empty cut").clone();
+        let victim = *net.cut().leaves().iter().next().expect("non-empty cut");
         net.component_mut(&victim).expect("live").set_tokens(4242);
         assert!(!audit_with_telemetry(&net, &registry).is_empty());
         let snap = registry.snapshot();
@@ -383,7 +383,7 @@ mod tests {
         let mut seed = 13u64;
         let mut net = warmed_network(16, 19, &mut seed);
         assert!(audit_traced(&net, &registry, &tracer).is_empty());
-        let victim = net.cut().leaves().iter().next().expect("non-empty cut").clone();
+        let victim = *net.cut().leaves().iter().next().expect("non-empty cut");
         net.component_mut(&victim).expect("live").set_tokens(777);
         let corrected = stabilize_traced(&mut net, &registry, &tracer);
         assert!(corrected >= 1);
@@ -430,7 +430,7 @@ mod tests {
                         .cloned()
                         .collect();
                     if !splittable.is_empty() {
-                        let pick = splittable[(lcg(&mut seed) as usize) % splittable.len()].clone();
+                        let pick = splittable[(lcg(&mut seed) as usize) % splittable.len()];
                         let _ = net.split(&pick);
                     }
                 }
@@ -438,7 +438,7 @@ mod tests {
                     let parents: Vec<_> =
                         net.cut().leaves().iter().filter_map(|l| l.parent()).collect();
                     if !parents.is_empty() {
-                        let pick = parents[(lcg(&mut seed) as usize) % parents.len()].clone();
+                        let pick = parents[(lcg(&mut seed) as usize) % parents.len()];
                         let _ = net.merge(&pick);
                     }
                 }

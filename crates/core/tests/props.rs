@@ -36,7 +36,7 @@ fn fuzz_target(net: &SharedAdaptiveNetwork, a: u8, merge: bool) -> Option<Compon
     let cut = net.cut();
     let leaves: Vec<&ComponentId> = cut.leaves().iter().collect();
     let leaf = leaves[a as usize % leaves.len()];
-    if merge { leaf.parent() } else { Some(leaf.clone()) }
+    if merge { leaf.parent() } else { Some(*leaf) }
 }
 
 proptest! {

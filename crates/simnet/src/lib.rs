@@ -18,8 +18,9 @@
 //! *Which pending event fires next* is decided by the simulator's
 //! [`DeliveryPolicy`]:
 //!
-//! - [`DeliveryPolicy::Seeded`] (the default, and the zero-overhead
-//!   fast path): events fire in the explicit total order documented on
+//! - [`DeliveryPolicy::Seeded`] (the default, and the fast path — per
+//!   event one heap pop, one process-map lookup, and the handler run in
+//!   place): events fire in the explicit total order documented on
 //!   the internal heap key — `(time, destination, kind, sender/tag,
 //!   sequence)`, with messages before timers at the same instant. The
 //!   timestamps come from the seeded latency model, so runs are
@@ -35,6 +36,15 @@
 //!   backwards across links; handlers only ever observe their own
 //!   event's timestamp, which is what makes deliveries to different
 //!   processes commute for the explorer's partial-order reduction.
+//!
+//! # Delivery
+//!
+//! A handler runs on its process where it lives in the process map — the
+//! process is not moved out and back — and can reach the simulator only
+//! through its [`Context`], which buffers sends and timer requests. The
+//! simulator applies them when the handler returns and reuses the two
+//! buffers from event to event, so the event loop itself allocates only
+//! when the heap or a buffer grows.
 //!
 //! # Example
 //!
@@ -259,7 +269,7 @@ fn splitmix(state: &mut u64) -> u64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DeliveryPolicy {
     /// Timestamp order from the seeded latency model — the default and
-    /// the zero-overhead fast path (a `BinaryHeap` pop per event).
+    /// the fast path (a `BinaryHeap` pop per event).
     #[default]
     Seeded,
     /// The environment picks each delivery via [`Simulator::fire`]
@@ -820,12 +830,18 @@ impl<M, P: Process<M>> Simulator<M, P> {
     }
 
     /// Delivers one event: advances time to the event's own timestamp,
-    /// runs the handler, and applies its buffered sends and timers.
+    /// runs the handler on the process *in place*, and applies its
+    /// buffered sends and timers.
+    ///
+    /// In place is sound because a handler reaches the simulator only
+    /// through its [`Context`], and the context borrows three fields —
+    /// the outbox, the timer requests and the RNG — that are disjoint
+    /// from `processes`. Whatever a handler asks for is applied after it
+    /// returns, so it can neither observe nor disturb the process map.
     fn deliver(&mut self, event: Event<M>) {
         self.time = event.time;
         self.stats.events_processed += 1;
-        // Take the process out to sidestep aliasing with the context.
-        let Some(mut process) = self.processes.remove(&event.to) else {
+        let Some(process) = self.processes.get_mut(&event.to) else {
             if let Payload::Message { from, .. } = &event.payload {
                 self.stats.messages_dropped += 1;
                 self.metrics.drops_absent.inc();
@@ -848,48 +864,38 @@ impl<M, P: Process<M>> Simulator<M, P> {
             self.metrics.queue_depth.set(self.pending_events() as f64);
             return;
         };
-        {
-            let mut ctx = Context {
-                self_id: event.to,
-                now: self.time,
-                outbox: &mut self.outbox,
-                timers: &mut self.timer_requests,
-                rng: &mut self.rng,
-            };
-            match event.payload {
-                Payload::Message { from, msg } => {
-                    self.stats.messages_delivered += 1;
-                    self.metrics.delivered.inc();
-                    self.metrics.latency.record(event.time.saturating_sub(event.sent_at));
-                    process.on_message(&mut ctx, from, msg);
-                }
-                Payload::Timer { tag } => {
-                    self.stats.timers_fired += 1;
-                    self.metrics.timers_fired.inc();
-                    process.on_timer(&mut ctx, tag);
-                }
+        let mut ctx = Context {
+            self_id: event.to,
+            now: self.time,
+            outbox: &mut self.outbox,
+            timers: &mut self.timer_requests,
+            rng: &mut self.rng,
+        };
+        match event.payload {
+            Payload::Message { from, msg } => {
+                self.stats.messages_delivered += 1;
+                self.metrics.delivered.inc();
+                self.metrics.latency.record(event.time.saturating_sub(event.sent_at));
+                process.on_message(&mut ctx, from, msg);
+            }
+            Payload::Timer { tag } => {
+                self.stats.timers_fired += 1;
+                self.metrics.timers_fired.inc();
+                process.on_timer(&mut ctx, tag);
             }
         }
-        self.processes.insert(event.to, process);
-        // Apply buffered sends and timers.
-        let outbox = std::mem::take(&mut self.outbox);
-        for (from, to, msg, lossy) in outbox {
+        // Apply buffered sends and timers. The buffers are drained and
+        // put back, so they keep their capacity from event to event.
+        let mut outbox = std::mem::take(&mut self.outbox);
+        for (from, to, msg, lossy) in outbox.drain(..) {
             self.enqueue_message(from, to, msg, lossy);
         }
-        let timers = std::mem::take(&mut self.timer_requests);
-        for (on, delay, tag) in timers {
-            let time = self.time + delay.max(1);
-            let seq = self.next_seq();
-            let sent_at = self.time;
-            self.push_event(Event {
-                time,
-                seq,
-                sent_at,
-                to: on,
-                lossy: false,
-                payload: Payload::Timer { tag },
-            });
+        self.outbox = outbox;
+        let mut timers = std::mem::take(&mut self.timer_requests);
+        for (on, delay, tag) in timers.drain(..) {
+            self.schedule_timer(on, delay.max(1), tag);
         }
+        self.timer_requests = timers;
         self.metrics.queue_depth.set(self.pending_events() as f64);
     }
 
@@ -982,9 +988,71 @@ mod tests {
             }
             sim.run_until_idle(10_000);
             let result = log.borrow().clone();
-            result
+            (result, sim.stats())
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn handler_may_send_to_itself_and_set_a_zero_delay_timer() {
+        // The handler runs on the process in place, so its own id is in
+        // the map while it asks for a self-send and an immediate timer;
+        // both are buffered and land on it after it returns.
+        struct Echo(Rc<RefCell<Vec<(u64, u32)>>>);
+        impl Process<u32> for Echo {
+            fn on_message(&mut self, ctx: &mut Context<'_, u32>, _: ProcessId, msg: u32) {
+                self.0.borrow_mut().push((ctx.now(), msg));
+                if msg == 0 {
+                    ctx.send(ctx.self_id(), 1);
+                    ctx.set_timer(0, 9);
+                }
+            }
+            fn on_timer(&mut self, ctx: &mut Context<'_, u32>, tag: u64) {
+                self.0.borrow_mut().push((ctx.now(), 1000 + tag as u32));
+            }
+        }
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut sim: Simulator<u32, Echo> =
+            Simulator::new(SimConfig { base_latency: 3, jitter: 0, loss_per_mille: 0, seed: 1 });
+        sim.add_process(ProcessId(1), Echo(Rc::clone(&log)));
+        sim.send_external(ProcessId(1), 0);
+        assert!(sim.run_until_idle(10));
+        // A zero delay still fires strictly later than the handler.
+        assert_eq!(log.borrow().as_slice(), &[(3, 0), (4, 1009), (6, 1)]);
+        let stats = sim.stats();
+        assert_eq!((stats.messages_delivered, stats.timers_fired), (2, 1));
+    }
+
+    #[test]
+    fn process_removed_between_its_pending_events_drops_the_rest() {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut sim: Simulator<u32, Recorder> =
+            Simulator::new(SimConfig { base_latency: 2, jitter: 0, loss_per_mille: 0, seed: 1 });
+        sim.add_process(ProcessId(1), Recorder { log: Rc::clone(&log) });
+        sim.send_external(ProcessId(1), 1);
+        sim.send_external(ProcessId(1), 2);
+        assert!(sim.step());
+        assert!(sim.remove_process(ProcessId(1)).is_some());
+        assert!(sim.run_until_idle(10));
+        assert_eq!(log.borrow().len(), 1, "only the first event reached the process");
+        let stats = sim.stats();
+        assert_eq!((stats.messages_delivered, stats.messages_dropped), (1, 1));
+        assert_eq!(stats.events_processed, 2);
+    }
+
+    #[test]
+    fn replacing_a_live_process_hands_it_the_pending_events() {
+        let (old_log, new_log) = (Rc::default(), Rc::default());
+        let mut sim: Simulator<u32, Recorder> = Simulator::new(SimConfig::default());
+        sim.add_process(ProcessId(1), Recorder { log: Rc::clone(&old_log) });
+        sim.send_external(ProcessId(1), 7);
+        sim.set_timer_external(ProcessId(1), 50, 3);
+        let replaced = sim.add_process(ProcessId(1), Recorder { log: Rc::clone(&new_log) });
+        assert!(replaced.is_some());
+        assert!(sim.run_until_idle(10));
+        assert!(old_log.borrow().is_empty());
+        assert_eq!(new_log.borrow().len(), 2, "message and timer both reach the new process");
+        assert_eq!(sim.stats().messages_dropped, 0);
     }
 
     struct PingPong {

@@ -133,16 +133,16 @@ impl Cut {
     /// [`CutError::AtomicComponent`] if it is a balancer.
     pub fn split(&mut self, tree: &Tree, id: &ComponentId) -> Result<Vec<ComponentId>, CutError> {
         if !self.leaves.contains(id) {
-            return Err(CutError::NotALeaf(id.clone()));
+            return Err(CutError::NotALeaf(*id));
         }
         let info = tree.info(id).expect("leaf ids are valid");
         if info.is_balancer() {
-            return Err(CutError::AtomicComponent(id.clone()));
+            return Err(CutError::AtomicComponent(*id));
         }
         self.leaves.remove(id);
         let children = tree.children(id);
         for child in &children {
-            self.leaves.insert(child.clone());
+            self.leaves.insert(*child);
         }
         Ok(children)
     }
@@ -159,12 +159,12 @@ impl Cut {
     pub fn merge(&mut self, tree: &Tree, id: &ComponentId) -> Result<(), CutError> {
         let children = tree.children(id);
         if children.is_empty() || !children.iter().all(|c| self.leaves.contains(c)) {
-            return Err(CutError::ChildrenNotLeaves(id.clone()));
+            return Err(CutError::ChildrenNotLeaves(*id));
         }
         for child in &children {
             self.leaves.remove(child);
         }
-        self.leaves.insert(id.clone());
+        self.leaves.insert(*id);
         Ok(())
     }
 
@@ -212,7 +212,7 @@ impl Cut {
         fn cuts_below(tree: &Tree, id: &ComponentId) -> Vec<Vec<ComponentId>> {
             let info = tree.info(id).expect("valid node");
             // Option 1: this node is a leaf of the cut.
-            let mut all = vec![vec![id.clone()]];
+            let mut all = vec![vec![*id]];
             if !info.is_balancer() {
                 // Option 2: recurse — the cartesian product of child cuts.
                 let child_choices: Vec<Vec<Vec<ComponentId>>> = (0..info.child_count() as u8)
@@ -330,7 +330,7 @@ mod tests {
         assert!(cut.is_valid(&tree));
         assert_eq!(cut.leaves().len(), 5 + 4);
         // Merging the root now fails (children not all leaves).
-        assert_eq!(cut.clone().merge(&tree, &root), Err(CutError::ChildrenNotLeaves(root.clone())));
+        assert_eq!(cut.clone().merge(&tree, &root), Err(CutError::ChildrenNotLeaves(root)));
         // Merge back bottom-up.
         cut.merge(&tree, &mt).unwrap();
         cut.merge(&tree, &root).unwrap();
@@ -342,12 +342,12 @@ mod tests {
         let tree = Tree::new(4);
         let mut cut = Cut::root();
         let bogus = ComponentId::from_path(vec![0]);
-        assert_eq!(cut.split(&tree, &bogus), Err(CutError::NotALeaf(bogus.clone())));
+        assert_eq!(cut.split(&tree, &bogus), Err(CutError::NotALeaf(bogus)));
         cut.split(&tree, &ComponentId::root()).unwrap();
         // Children of BITONIC[4] are balancers: cannot split further.
         assert_eq!(
             cut.split(&tree, &bogus),
-            Err(CutError::AtomicComponent(bogus.clone()))
+            Err(CutError::AtomicComponent(bogus))
         );
     }
 

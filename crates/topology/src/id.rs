@@ -1,6 +1,13 @@
 //! Path-based component identifiers.
+//!
+//! A [`ComponentId`] is a plain 24-byte value — a length and a fixed
+//! step array, no heap — so every `parent()`, `child()` and copy on the
+//! token path is register arithmetic. It compares, hashes and prints
+//! exactly as the path slice it stands for.
 
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::kind::ComponentKind;
 
@@ -15,6 +22,9 @@ use crate::kind::ComponentKind;
 /// pre-order traversal order of `T_w` among comparable nodes; the paper's
 /// pre-order *name* of a component is computed by [`Tree::preorder_index`].
 ///
+/// The path is stored inline (at most [`MAX_DEPTH`](Self::MAX_DEPTH)
+/// steps), so the identifier is `Copy`.
+///
 /// [`Tree::preorder_index`]: crate::Tree::preorder_index
 ///
 /// # Example
@@ -27,16 +37,25 @@ use crate::kind::ComponentKind;
 /// assert_eq!(child.level(), 1);
 /// assert_eq!(child.parent(), Some(root));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+// `PartialEq` may be derived only because steps past `len` are kept
+// zero; `Ord` and `Hash` are written out below because a derive over
+// `(len, steps)` would order by length first and hash the padding.
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
 pub struct ComponentId {
-    path: Vec<u8>,
+    len: u8,
+    steps: [u8; Self::MAX_DEPTH + 1],
 }
 
 impl ComponentId {
+    /// The deepest level an identifier can name: what
+    /// [`to_u64`](Self::to_u64) can pack (`7^22 < 2^64`) and what `T_w`
+    /// needs for `w <= 2^23`.
+    pub const MAX_DEPTH: usize = 22;
+
     /// The root component, `BITONIC[w]`.
     #[must_use]
-    pub fn root() -> Self {
-        ComponentId { path: Vec::new() }
+    pub const fn root() -> Self {
+        ComponentId { len: 0, steps: [0; Self::MAX_DEPTH + 1] }
     }
 
     /// Builds an identifier directly from a path of child indices.
@@ -44,73 +63,105 @@ impl ComponentId {
     /// The path is not validated against any particular tree; use
     /// [`Tree::info`] to check validity for a given width.
     ///
+    /// # Panics
+    ///
+    /// Panics if the path is longer than [`MAX_DEPTH`](Self::MAX_DEPTH).
+    ///
     /// [`Tree::info`]: crate::Tree::info
     #[must_use]
-    pub fn from_path(path: impl Into<Vec<u8>>) -> Self {
-        ComponentId { path: path.into() }
+    pub fn from_path(path: impl AsRef<[u8]>) -> Self {
+        let path = path.as_ref();
+        assert!(
+            path.len() <= Self::MAX_DEPTH,
+            "path of {} steps exceeds ComponentId::MAX_DEPTH ({})",
+            path.len(),
+            Self::MAX_DEPTH
+        );
+        let mut id = Self::root();
+        id.steps[..path.len()].copy_from_slice(path);
+        id.len = path.len() as u8;
+        id
     }
 
     /// The path of child indices from the root.
     #[must_use]
     pub fn path(&self) -> &[u8] {
-        &self.path
+        &self.steps[..usize::from(self.len)]
     }
 
     /// The level of this component in `T_w` (the root is at level 0).
     #[must_use]
     pub fn level(&self) -> usize {
-        self.path.len()
+        usize::from(self.len)
     }
 
     /// Whether this is the root component.
     #[must_use]
     pub fn is_root(&self) -> bool {
-        self.path.is_empty()
+        self.len == 0
     }
 
     /// The identifier of the `index`-th child.
     ///
     /// # Panics
     ///
-    /// Panics if `index >= 6` (no component kind has more children).
+    /// Panics if `index >= 6` (no component kind has more children) or
+    /// if `self` is already at [`MAX_DEPTH`](Self::MAX_DEPTH).
     #[must_use]
     pub fn child(&self, index: u8) -> Self {
         assert!(index < 6, "child index {index} out of range");
-        let mut path = self.path.clone();
-        path.push(index);
-        ComponentId { path }
+        assert!(
+            self.level() < Self::MAX_DEPTH,
+            "child of {self} would exceed ComponentId::MAX_DEPTH ({})",
+            Self::MAX_DEPTH
+        );
+        let mut id = *self;
+        id.steps[self.level()] = index;
+        id.len += 1;
+        id
     }
 
     /// The identifier of the parent, or `None` for the root.
     #[must_use]
     pub fn parent(&self) -> Option<Self> {
-        if self.path.is_empty() {
-            return None;
-        }
-        let mut path = self.path.clone();
-        path.pop();
-        Some(ComponentId { path })
+        (!self.is_root()).then(|| self.prefix(self.level() - 1))
+    }
+
+    /// The ancestor-or-self at `level`: the first `level` steps of the
+    /// path. The owner candidates of a wire are exactly the prefixes of
+    /// its balancer's path (paper Section 3.5).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `level > self.level()`.
+    #[must_use]
+    pub fn prefix(&self, level: usize) -> Self {
+        assert!(level <= self.level(), "prefix {level} is deeper than {self}");
+        let mut id = *self;
+        // Vacated steps go back to zero: derived equality relies on it.
+        id.steps[level..self.level()].fill(0);
+        id.len = level as u8;
+        id
     }
 
     /// The child index of this component within its parent, or `None` for
     /// the root.
     #[must_use]
     pub fn child_index(&self) -> Option<u8> {
-        self.path.last().copied()
+        self.path().last().copied()
     }
 
     /// Whether `self` is an ancestor of `other` (a proper prefix of its
     /// path). A component is not its own ancestor.
     #[must_use]
     pub fn is_ancestor_of(&self, other: &ComponentId) -> bool {
-        self.path.len() < other.path.len() && other.path.starts_with(&self.path)
+        self.len < other.len && other.path().starts_with(self.path())
     }
 
     /// Iterator over all ancestors from the parent up to the root.
-    pub fn ancestors(&self) -> impl Iterator<Item = ComponentId> + '_ {
-        (0..self.path.len())
-            .rev()
-            .map(|len| ComponentId::from_path(&self.path[..len]))
+    pub fn ancestors(&self) -> impl Iterator<Item = ComponentId> {
+        let id = *self;
+        (0..id.level()).rev().map(move |level| id.prefix(level))
     }
 
     /// The kind of the component this path names (independent of width).
@@ -120,7 +171,7 @@ impl ComponentId {
     #[must_use]
     pub fn kind(&self) -> Option<ComponentKind> {
         let mut kind = ComponentKind::Bitonic;
-        for &step in &self.path {
+        for &step in self.path() {
             kind = kind.child_kind(step as usize)?;
         }
         Some(kind)
@@ -129,39 +180,70 @@ impl ComponentId {
     /// Packs the path into a `u64` for hashing and wire formats.
     ///
     /// Encoding: base-7 digits (child index + 1), most significant first.
-    /// Unique for paths of length at most 22, which covers every practical
-    /// width (`w` up to `2^23`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the path is longer than 22 steps.
+    /// Unique because no path is longer than
+    /// [`MAX_DEPTH`](Self::MAX_DEPTH) and every step is below 6.
     #[must_use]
     pub fn to_u64(&self) -> u64 {
-        assert!(self.path.len() <= 22, "path too long to pack into u64");
-        self.path
+        self.path()
             .iter()
             .fold(0u64, |acc, &c| acc * 7 + u64::from(c) + 1)
     }
 
     /// Inverse of [`to_u64`](ComponentId::to_u64).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `packed` is not the image of an identifier (a zero
+    /// digit, or more than [`MAX_DEPTH`](Self::MAX_DEPTH) digits).
     #[must_use]
     pub fn from_u64(mut packed: u64) -> Self {
-        let mut rev = Vec::new();
+        let mut id = Self::root();
         while packed != 0 {
-            rev.push((packed % 7) as u8 - 1);
+            let digit = (packed % 7) as u8;
+            assert!(
+                digit != 0 && id.level() < Self::MAX_DEPTH,
+                "not a packed ComponentId (MAX_DEPTH = {})",
+                Self::MAX_DEPTH
+            );
+            id.steps[id.level()] = digit - 1;
+            id.len += 1;
             packed /= 7;
         }
-        rev.reverse();
-        ComponentId { path: rev }
+        id.steps[..usize::from(id.len)].reverse();
+        id
+    }
+}
+
+impl Ord for ComponentId {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.path().cmp(other.path())
+    }
+}
+
+impl PartialOrd for ComponentId {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Hash for ComponentId {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.path().hash(state);
+    }
+}
+
+impl fmt::Debug for ComponentId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ComponentId").field("path", &self.path()).finish()
     }
 }
 
 impl fmt::Display for ComponentId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.path.is_empty() {
+        if self.is_root() {
             return f.write_str("/");
         }
-        for step in &self.path {
+        for step in self.path() {
             write!(f, "/{step}")?;
         }
         Ok(())
@@ -228,7 +310,8 @@ mod tests {
             ComponentId::from_path(vec![0]),
             ComponentId::from_path(vec![5]),
             ComponentId::from_path(vec![5, 1, 0, 1, 1]),
-            ComponentId::from_path(vec![0; 22]),
+            ComponentId::from_path(vec![0; ComponentId::MAX_DEPTH]),
+            ComponentId::from_path(vec![5; ComponentId::MAX_DEPTH]),
         ];
         for id in &ids {
             assert_eq!(&ComponentId::from_u64(id.to_u64()), id);
@@ -258,5 +341,26 @@ mod tests {
         let b = ComponentId::from_path(vec![0, 1]);
         let c = ComponentId::from_path(vec![1]);
         assert!(a < b && b < c);
+        // By path, not by length: a longer path can sort first.
+        assert!(ComponentId::from_path([0, 5]) < c);
+    }
+
+    #[test]
+    fn parent_clears_the_vacated_step() {
+        let id = ComponentId::from_path([3, 2, 1]);
+        assert_eq!(id.parent(), Some(ComponentId::from_path([3, 2])));
+        assert_eq!(id.prefix(0), ComponentId::root());
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_DEPTH")]
+    fn child_at_max_depth_panics() {
+        let _ = ComponentId::from_path([0; ComponentId::MAX_DEPTH]).child(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_DEPTH")]
+    fn from_path_beyond_max_depth_panics() {
+        let _ = ComponentId::from_path([0; ComponentId::MAX_DEPTH + 1]);
     }
 }

@@ -67,12 +67,18 @@ impl Tree {
     ///
     /// # Panics
     ///
-    /// Panics if `width` is not a power of two or is less than 2.
+    /// Panics if `width` is not a power of two, is less than 2, or needs
+    /// balancers deeper than [`ComponentId::MAX_DEPTH`] (`width > 2^23`).
     #[must_use]
     pub fn new(width: usize) -> Self {
         assert!(
             width >= 2 && width.is_power_of_two(),
             "width must be a power of two >= 2, got {width}"
+        );
+        assert!(
+            width <= 1 << (ComponentId::MAX_DEPTH + 1),
+            "width {width} puts balancers below ComponentId::MAX_DEPTH ({})",
+            ComponentId::MAX_DEPTH
         );
         Tree { width }
     }
@@ -100,7 +106,7 @@ impl Tree {
         }
         let kind = id.kind()?;
         Some(NodeInfo {
-            id: id.clone(),
+            id: *id,
             kind,
             width: self.width >> id.level(),
             level: id.level(),
@@ -123,21 +129,18 @@ impl Tree {
     #[must_use]
     pub fn subtree_size_of(kind: ComponentKind, width: usize) -> u64 {
         assert!(width >= 2 && width.is_power_of_two());
-        if width == 2 {
-            return 1;
+        // Sizes of a MIX, MERGER and BITONIC subtree, doubled up from
+        // width 2: each is one node plus two of every child kind.
+        let (mut mix, mut merger, mut bitonic) = (1u64, 1u64, 1u64);
+        for _ in 1..width.trailing_zeros() {
+            bitonic = 1 + 2 * (bitonic + merger + mix);
+            merger = 1 + 2 * (merger + mix);
+            mix = 1 + 2 * mix;
         }
-        let half = width / 2;
-        let x = Self::subtree_size_of(ComponentKind::Mix, half);
         match kind {
-            ComponentKind::Mix => 1 + 2 * x,
-            ComponentKind::Merger => {
-                1 + 2 * Self::subtree_size_of(ComponentKind::Merger, half) + 2 * x
-            }
-            ComponentKind::Bitonic => {
-                1 + 2 * Self::subtree_size_of(ComponentKind::Bitonic, half)
-                    + 2 * Self::subtree_size_of(ComponentKind::Merger, half)
-                    + 2 * x
-            }
+            ComponentKind::Mix => mix,
+            ComponentKind::Merger => merger,
+            ComponentKind::Bitonic => bitonic,
         }
     }
 
@@ -166,14 +169,17 @@ impl Tree {
     /// Panics if `id` is not a valid node of this tree.
     #[must_use]
     pub fn preorder_index(&self, id: &ComponentId) -> u64 {
+        assert!(id.level() <= self.max_level(), "invalid component id");
         let mut name = 0u64;
-        let mut prefix = ComponentId::root();
+        let (mut kind, mut width) = (ComponentKind::Bitonic, self.width);
         for &step in id.path() {
+            width /= 2;
             name += 1; // enter the child region
-            for sibling in 0..step {
-                name += self.subtree_size(&prefix.child(sibling));
+            for sibling in 0..usize::from(step) {
+                let sibling = kind.child_kind(sibling).expect("invalid component id");
+                name += Self::subtree_size_of(sibling, width);
             }
-            prefix = prefix.child(step);
+            kind = kind.child_kind(usize::from(step)).expect("invalid component id");
         }
         name
     }
@@ -228,6 +234,18 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn rejects_non_power_of_two() {
         let _ = Tree::new(6);
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_DEPTH")]
+    fn rejects_trees_deeper_than_an_id_can_name() {
+        let _ = Tree::new(1 << (ComponentId::MAX_DEPTH + 2));
+    }
+
+    #[test]
+    fn widest_tree_reaches_exactly_max_depth() {
+        let tree = Tree::new(1 << (ComponentId::MAX_DEPTH + 1));
+        assert_eq!(tree.max_level(), ComponentId::MAX_DEPTH);
     }
 
     #[test]

@@ -16,6 +16,11 @@
 //!   Section 3.5);
 //! - [`CutWiring`]: the fully resolved component graph of one cut.
 //!
+//! Identifiers, [`WireAddress`], [`PortRef`] and [`OutputDestination`]
+//! are small `Copy` values: resolving a port or walking an ancestor chain
+//! allocates nothing, and the owner candidates of a wire are the prefixes
+//! of its balancer's path ([`ComponentId::prefix`]).
+//!
 //! # Wiring style
 //!
 //! The paper's prose says the top `MERGER[k/2]` receives the *even*
@@ -48,7 +53,7 @@ pub enum WiringStyle {
 }
 
 /// A reference to a port (input or output, by context) of a component.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PortRef {
     /// The component.
     pub id: ComponentId,
@@ -315,7 +320,7 @@ pub fn input_port_of(
         id == addr.balancer() || id.is_ancestor_of(addr.balancer()),
         "address {addr} is not under component {id}"
     );
-    let mut node = addr.balancer().clone();
+    let mut node = *addr.balancer();
     let mut port = usize::from(addr.port());
     while &node != id {
         let parent = node.parent().expect("walk stays under id");
@@ -339,7 +344,7 @@ pub fn input_port_of(
 /// is the balancer itself or one of its ancestors — see
 /// [`WireAddress::owner_under`]. This is exactly the ancestor-chain
 /// probing structure of paper Section 3.5.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct WireAddress {
     balancer: ComponentId,
     port: u8,
@@ -366,16 +371,17 @@ impl WireAddress {
     #[must_use]
     pub fn owner_under(&self, cut: &Cut) -> Option<ComponentId> {
         if cut.contains(&self.balancer) {
-            return Some(self.balancer.clone());
+            return Some(self.balancer);
         }
         self.balancer.ancestors().find(|a| cut.contains(a))
     }
 
     /// The candidate owners, deepest first: the balancer, then its
-    /// ancestors up to the root. A router probes along this chain (at most
-    /// `log w - 1` names beyond the first, paper Section 3.5).
-    pub fn candidates(&self) -> impl Iterator<Item = ComponentId> + '_ {
-        std::iter::once(self.balancer.clone()).chain(self.balancer.ancestors())
+    /// ancestors up to the root — the prefixes of the balancer's path. A
+    /// router probes along this chain (at most `log w - 1` names beyond
+    /// the first, paper Section 3.5).
+    pub fn candidates(&self) -> impl Iterator<Item = ComponentId> {
+        std::iter::once(self.balancer).chain(self.balancer.ancestors())
     }
 }
 
@@ -387,7 +393,7 @@ impl fmt::Display for WireAddress {
 
 /// Where a component's output wire leads: either to another wire of the
 /// network (addressed cut-independently) or out of the network.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OutputDestination {
     /// The wire feeds another component; `WireAddress` names it at
     /// balancer granularity.
@@ -431,7 +437,7 @@ pub fn resolve_output(
 ) -> OutputDestination {
     let info = tree.info(id).expect("invalid component id");
     assert!(port < info.width, "port {port} out of range for width {}", info.width);
-    let mut node = id.clone();
+    let mut node = *id;
     let mut port = port;
     loop {
         let Some(parent) = node.parent() else {
@@ -535,7 +541,7 @@ impl CutWiring {
                 };
                 ports.push(dest);
             }
-            edges.insert(leaf.clone(), ports);
+            edges.insert(*leaf, ports);
         }
         let inputs = (0..tree.width())
             .map(|wire| {
@@ -610,7 +616,7 @@ impl CutWiring {
         let mut v: Vec<ComponentId> = self.edges[leaf]
             .iter()
             .filter_map(|d| match d {
-                ResolvedDestination::Leaf(id) => Some(id.clone()),
+                ResolvedDestination::Leaf(id) => Some(*id),
                 ResolvedDestination::NetworkOutput(_) => None,
             })
             .collect();
@@ -741,7 +747,7 @@ mod tests {
         let mut seen = HashSet::new();
         for wire in 0..16 {
             let addr = network_input_address(&tree, wire, WiringStyle::Ahs);
-            assert!(seen.insert(addr.clone()), "wire {wire} duplicated");
+            assert!(seen.insert(addr), "wire {wire} duplicated");
             // Input wires land on level-max balancers on the input side:
             // the all-bitonic spine.
             assert!(addr.balancer().path().iter().all(|&c| c <= 1));
@@ -759,10 +765,11 @@ mod tests {
         let mut cut2 = Cut::root();
         cut2.split(&tree, &ComponentId::root()).unwrap();
         assert_eq!(addr.owner_under(&cut2), Some(ComponentId::root().child(0)));
-        // Candidate chain is balancer, then ancestors to the root.
-        let cands: Vec<ComponentId> = addr.candidates().collect();
-        assert_eq!(cands.len(), tree.max_level() + 1);
-        assert_eq!(cands.last(), Some(&ComponentId::root()));
+        // Candidate chain is balancer, then ancestors to the root: the
+        // prefixes of the balancer's path, longest first.
+        let prefixes = (0..=tree.max_level()).rev().map(|level| addr.balancer().prefix(level));
+        assert!(addr.candidates().eq(prefixes));
+        assert_eq!(addr.candidates().last(), Some(ComponentId::root()));
     }
 
     #[test]
@@ -854,7 +861,7 @@ mod tests {
             for port in 0..node.width {
                 let addr = super::descend_to_balancer(
                     &tree,
-                    node.id.clone(),
+                    node.id,
                     port,
                     WiringStyle::Ahs,
                 );

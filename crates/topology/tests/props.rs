@@ -5,6 +5,13 @@ use acn_topology::{
     ComponentId, ComponentKind, Cut, Tree, WiringStyle,
 };
 use proptest::prelude::*;
+use std::hash::{DefaultHasher, Hash, Hasher};
+
+fn hash_of<T: Hash>(value: &T) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    value.hash(&mut hasher);
+    hasher.finish()
+}
 
 proptest! {
     /// Pre-order naming round-trips for every node of every tree.
@@ -30,6 +37,45 @@ proptest! {
         }
         let id = ComponentId::from_path(valid);
         prop_assert_eq!(ComponentId::from_u64(id.to_u64()), id);
+    }
+
+    /// The inline id is indistinguishable from the `Vec<u8>` path it
+    /// replaced — order, equality, hash, formatting, packing, ancestry —
+    /// on unrelated paths and on a path against its own prefix, where
+    /// comparing `(length, steps)` instead of the path would differ.
+    #[test]
+    fn inline_id_behaves_as_its_path(
+        a in proptest::collection::vec(0u8..6, 0..23),
+        b in proptest::collection::vec(0u8..6, 0..23),
+        cut in any::<usize>(),
+    ) {
+        let prefix = a[..cut % (a.len() + 1)].to_vec();
+        for (x, y) in [(&a, &b), (&a, &prefix), (&prefix, &a), (&a, &a)] {
+            let (ix, iy) = (ComponentId::from_path(x), ComponentId::from_path(y));
+            prop_assert_eq!(ix.cmp(&iy), x.cmp(y));
+            prop_assert_eq!(ix == iy, x == y);
+            prop_assert_eq!(ix.is_ancestor_of(&iy), x.len() < y.len() && y.starts_with(x));
+        }
+        let id = ComponentId::from_path(&a);
+        prop_assert_eq!(id.path(), &a[..]);
+        prop_assert_eq!(hash_of(&id), hash_of(&a));
+        prop_assert_eq!(format!("{id:?}"), format!("ComponentId {{ path: {a:?} }}"));
+        let shown: String = a.iter().map(|step| format!("/{step}")).collect();
+        prop_assert_eq!(id.to_string(), if a.is_empty() { "/".to_string() } else { shown });
+        let packed = a.iter().fold(0u64, |acc, &step| acc * 7 + u64::from(step) + 1);
+        prop_assert_eq!(id.to_u64(), packed);
+        prop_assert_eq!(ComponentId::from_u64(packed), id);
+        // Walking up must leave no trace of the steps walked away from.
+        let mut up = id;
+        for len in (0..a.len()).rev() {
+            up = up.parent().expect("below the root");
+            prop_assert_eq!(up, ComponentId::from_path(&a[..len]));
+            prop_assert_eq!(hash_of(&up), hash_of(&a[..len].to_vec()));
+        }
+        prop_assert_eq!(up.parent(), None);
+        let ancestors: Vec<Vec<u8>> = id.ancestors().map(|p| p.path().to_vec()).collect();
+        let expected: Vec<Vec<u8>> = (0..a.len()).rev().map(|len| a[..len].to_vec()).collect();
+        prop_assert_eq!(ancestors, expected);
     }
 
     /// The decomposition port maps are mutually consistent bijections.
@@ -80,7 +126,7 @@ proptest! {
         let mut seen = std::collections::HashSet::new();
         for wire in 0..w {
             let addr = network_input_address(&tree, wire, WiringStyle::Ahs);
-            prop_assert!(seen.insert(addr.clone()));
+            prop_assert!(seen.insert(addr));
             for level in 0..=tree.max_level() {
                 let cut = Cut::uniform(&tree, level);
                 prop_assert!(addr.owner_under(&cut).is_some());

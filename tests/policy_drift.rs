@@ -9,8 +9,14 @@
 //! the collector's per-wire counts, and the `acn.sim.*` / `acn.dist.*`
 //! telemetry counters must be byte-identical. Any divergence means the
 //! seam changed scheduling semantics, not just structure.
+//!
+//! The same discipline pins two later representation changes (PR 14:
+//! `ComponentId` became an inline value with hand-written `Ord`/`Hash`,
+//! and simnet began delivering events to processes in place): a lossy
+//! run and a crash-and-leave run, captured at the commit before either
+//! change, must reproduce to the last counter.
 
-use adaptive_counting_networks::core::dist::Deployment;
+use adaptive_counting_networks::core::dist::{Deployment, Proc};
 use adaptive_counting_networks::overlay::NodeId;
 use adaptive_counting_networks::telemetry::Registry;
 
@@ -20,6 +26,11 @@ fn fingerprint(seed: u64, width: usize, start_nodes: usize) -> Vec<u64> {
     let registry = Registry::new();
     let mut d = Deployment::new(width, start_nodes, seed);
     d.attach_telemetry(&registry);
+    let injected = grow_traffic_shrink(&mut d, seed, width);
+    digest(&d, &registry, injected)
+}
+
+fn grow_traffic_shrink(d: &mut Deployment, seed: u64, width: usize) -> u64 {
     let mut injected = 0u64;
     for i in 0..60usize {
         d.inject(i % width);
@@ -43,7 +54,12 @@ fn fingerprint(seed: u64, width: usize, start_nodes: usize) -> Vec<u64> {
     }
     assert!(d.settle(300), "seed {seed}: post-shrink settle failed");
     d.run_for(100_000);
+    injected
+}
 
+/// Everything a seeded run decides: simulator totals, protocol
+/// counters, collector outcome, mirrored telemetry, per-wire counts.
+fn digest(d: &Deployment, registry: &Registry, injected: u64) -> Vec<u64> {
     let stats = d.sim.stats();
     let collector_counts = d.collector().counts.clone();
     let snap = registry.snapshot();
@@ -104,4 +120,103 @@ fn seeded_policy_matches_pre_refactor_e16_seed() {
         84, 6, 6, 6, 6, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5,
     ];
     assert_eq!(fp, golden, "E16-seed fingerprint drifted across the DeliveryPolicy seam");
+}
+
+/// [`digest`] plus the counters only loss and crashes move: both dedup
+/// layers' drop tallies, the crash/detection log, and the recovery
+/// telemetry.
+fn fault_digest(d: &Deployment, registry: &Registry, injected: u64) -> Vec<u64> {
+    let mut fp = digest(d, registry, injected);
+    let snap = registry.snapshot();
+    let tele = |name: &str| snap.counter(name).unwrap_or(0);
+    let world = d.world.borrow();
+    fp.extend([
+        world.duplicate_traversal_drops,
+        d.collector().duplicate_drops,
+        tele("acn.dist.token_retransmits"),
+        tele("acn.dist.backoff.escalations"),
+        tele("acn.dist.backoff.resets"),
+        tele("acn.dist.component_migrations"),
+        tele("acn.dist.fd.gossip"),
+        tele("acn.dist.rescue.sweeps"),
+        tele("acn.dist.rescue.installs"),
+        tele("acn.dist.rescue.duplicate_discards"),
+    ]);
+    for (node, at) in &world.crashed {
+        fp.extend([node.0, *at, world.detections.get(node).copied().unwrap_or(u64::MAX)]);
+    }
+    fp
+}
+
+/// The E10-shaped run over a token channel that drops 5%: retransmit
+/// timers, backoff escalation/reset and both dedup layers are live.
+/// Captured at the commit before `ComponentId` became an inline value
+/// and simnet began delivering in place (PR 14); every map this run
+/// iterates is keyed by ids or wire addresses, so a changed `Ord` or a
+/// reordered delivery shows up here.
+#[test]
+fn seeded_lossy_run_matches_pre_inline_id_capture() {
+    let registry = Registry::new();
+    let mut d = Deployment::with_loss(32, 20, 0xAB5, 50);
+    d.attach_telemetry(&registry);
+    let injected = grow_traffic_shrink(&mut d, 0xAB5, 32);
+    let fp = fault_digest(&d, &registry, injected);
+    let golden: Vec<u64> = vec![
+        84, 7889, 0, 22, 3250, 11139, 6, 3, 261, 22, 1470, 84, 28091, 2995, 7889, 3250, 6,
+        3, 261, 84, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 2, 2, 2, 2,
+        2, 2, 2, 2, 2, 2, 2, 2, 0, 0, 22, 17, 17, 14, 5065, 0, 0, 0,
+    ];
+    assert_eq!(fp, golden, "lossy-run fingerprint drifted");
+}
+
+/// Join, crash a component host under traffic, then a graceful leave —
+/// with no `repair()`: the failure detector, the rescue sweep
+/// (`covered_report` iteration order), view-driven migration and the
+/// split-list hand-off all run in protocol. Captured with the lossy
+/// golden above.
+#[test]
+fn seeded_crash_and_leave_run_matches_pre_inline_id_capture() {
+    let width = 32;
+    let registry = Registry::new();
+    let mut d = Deployment::new(width, 24, 0xC4A5);
+    d.attach_telemetry(&registry);
+    let mut injected = 0u64;
+    let mut burst = |d: &mut Deployment, n: usize, pause: u64| {
+        for i in 0..n {
+            d.inject((i * 5) % width);
+            injected += 1;
+            d.run_for(pause);
+        }
+    };
+    assert!(d.settle(100), "boot did not settle");
+    for _ in 0..3 {
+        d.join_node();
+        burst(&mut d, 8, 60);
+    }
+    let victim = d
+        .sim
+        .process_ids()
+        .find_map(|pid| match d.sim.process(pid) {
+            Some(Proc::Node(np)) if np.components().next().is_some() && !np.departed() => {
+                Some(np.node_id())
+            }
+            _ => None,
+        })
+        .expect("someone hosts a component");
+    burst(&mut d, 6, 3);
+    d.crash_node(victim).expect("not the last node");
+    burst(&mut d, 30, 400);
+    let leaver = d.world.borrow().ring.nodes().next().expect("ring is not empty");
+    d.leave_node(leaver);
+    burst(&mut d, 12, 150);
+    assert!(d.settle(300), "crash + leave did not settle");
+    d.run_for(100_000);
+    let fp = fault_digest(&d, &registry, injected);
+    let golden: Vec<u64> = vec![
+        72, 6143, 113, 0, 3253, 9512, 7, 0, 192, 60, 2227, 72, 89630, 6753, 6143, 3253, 7,
+        0, 192, 72, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 2, 2, 2, 2, 2, 2, 3, 3, 2, 2, 2, 2, 2, 2,
+        2, 2, 2, 2, 1, 1, 1, 1, 0, 0, 60, 18, 13, 6, 3278, 1, 5, 0, 2271037301670349577,
+        3458, 9053,
+    ];
+    assert_eq!(fp, golden, "crash-and-leave fingerprint drifted");
 }

@@ -30,7 +30,7 @@ fn arb_cut(w: usize) -> impl Strategy<Value = Cut> {
             if splittable.is_empty() {
                 break;
             }
-            let target = splittable[pick % splittable.len()].clone();
+            let target = splittable[pick % splittable.len()];
             cut.split(&tree, &target).expect("splittable leaf");
         }
         cut
@@ -201,7 +201,7 @@ proptest! {
             std::thread::spawn(move || {
                 for (pick, kind) in adapt_ops {
                     let leaves: Vec<ComponentId> = net.cut().leaves().iter().cloned().collect();
-                    let leaf = leaves[pick % leaves.len()].clone();
+                    let leaf = leaves[pick % leaves.len()];
                     if kind == 0 {
                         // Leaves of minimal width are not splittable;
                         // racing tokens may also defer — both are fine.
