@@ -220,3 +220,56 @@ fn seeded_crash_and_leave_run_matches_pre_inline_id_capture() {
     ];
     assert_eq!(fp, golden, "crash-and-leave fingerprint drifted");
 }
+
+/// Joins and leaves under bursty traffic with a capacity-1 frozen
+/// buffer (the set-up of the unit test
+/// `tiny_frozen_buffer_cap_conserves_tokens`, with four tokens per step
+/// and a shrink phase — at one token per step that set-up sheds
+/// nothing): senders are shed with `TokenBusy`, rewind `sent_at`,
+/// escalate their backoff and retry, and a merge is aborted over
+/// unsettled traffic — paths none of the goldens above reach. Captured
+/// at the commit before `dist.rs` was cut into `dist/` (PR 15).
+#[test]
+fn seeded_backpressure_run_matches_pre_split_capture() {
+    use adaptive_counting_networks::overlay::splitmix64;
+    let width = 32;
+    let registry = Registry::new();
+    let mut d = Deployment::new(width, 6, 0x77);
+    d.attach_telemetry(&registry);
+    d.set_frozen_buffer_cap(1);
+    let mut seed = 1u64;
+    let mut injected = 0u64;
+    let mut burst = |d: &mut Deployment, n: usize| {
+        for _ in 0..n {
+            d.inject((splitmix64(&mut seed) as usize) % width);
+            injected += 1;
+        }
+        d.run_for(60);
+    };
+    for i in 0..120u64 {
+        burst(&mut d, 4);
+        if i % 6 == 3 {
+            d.join_node();
+        }
+    }
+    let leavers: Vec<NodeId> = d.world.borrow().ring.nodes().take(10).collect();
+    for v in leavers {
+        d.leave_node(v);
+        burst(&mut d, 16);
+    }
+    assert!(d.settle(300), "did not settle under backpressure");
+    d.run_for(300_000);
+    let mut fp = fault_digest(&d, &registry, injected);
+    let snap = registry.snapshot();
+    let sheds = snap.counter("acn.dist.backoff.sheds").unwrap_or(0);
+    let merge_aborts = snap.counter("acn.dist.merge_aborts").unwrap_or(0);
+    assert!(sheds > 0 && merge_aborts > 0, "the run no longer reaches the paths it pins");
+    fp.extend([sheds, merge_aborts]);
+    let golden: Vec<u64> = vec![
+        640, 23106, 0, 0, 6337, 29443, 7, 6, 1533, 60, 4986, 640, 110804, 2417, 23106, 6337,
+        7, 6, 1533, 640, 20, 20, 20, 20, 20, 20, 20, 20, 20, 20, 20, 20, 20, 20, 20, 20, 20,
+        20, 20, 20, 20, 20, 20, 20, 20, 20, 20, 20, 20, 20, 20, 20, 0, 0, 60, 29, 27, 48,
+        12030, 0, 0, 0, 2, 1,
+    ];
+    assert_eq!(fp, golden, "backpressure-run fingerprint drifted");
+}
