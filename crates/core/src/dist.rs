@@ -2513,6 +2513,11 @@ impl Process<Msg> for NodeProc {
                     // through a different path.
                     return;
                 };
+                debug_assert_eq!(
+                    (token, addr, injected_at),
+                    (t.token, t.addr, t.injected_at),
+                    "a NACK echoes exactly what the obligation under its guid holds"
+                );
                 let next = if attempt == ATTEMPT_CACHED { 0 } else { attempt + 1 };
                 let flight = TokenFlight { token, addr, injected_at, hops: t.hops };
                 self.send_token(ctx, Some(guid), flight, next);
