@@ -169,14 +169,9 @@ pub enum Msg {
     /// The receiver hosts no live candidate for the token's wire; the
     /// sender advances the probe. Reliable.
     TokenNack {
-        /// The rejected token.
+        /// The rejected send's obligation id; the sender still holds
+        /// the token under it.
         guid: u64,
-        /// Echo of the token's end-to-end identity.
-        token: u64,
-        /// Echo of the token's destination.
-        addr: WireAddress,
-        /// Echo of the injection time.
-        injected_at: u64,
         /// Echo of the failed attempt.
         attempt: u8,
     },
@@ -299,7 +294,7 @@ pub enum Msg {
         /// Its travelling `(token, addr)` idempotency ledger.
         seen: SeenTokens,
         /// Tokens that were buffered at the component.
-        buffer: Vec<BufferedToken>,
+        buffer: Vec<Token>,
     },
     /// Acknowledges a [`Msg::Migrate`]; the sender drops its copy.
     MigrateAck {
@@ -330,6 +325,31 @@ pub enum Msg {
 // and every one of them is sifted through the event heap at the size of
 // the largest variant.
 const _: () = assert!(std::mem::size_of::<Msg>() <= 80);
+
+/// A token as a node holds it — while routing it, buffered at a frozen
+/// component, riding a [`Msg::Migrate`], or awaiting an ack. On the
+/// wire [`Msg::Token`] carries the same four fields flat: nested, the
+/// 25-byte align-1 `WireAddress` would pad every `Msg` from 64 to 72
+/// bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Token {
+    /// Stable end-to-end identity (see [`Msg::Token`]).
+    pub id: u64,
+    /// The cut-independent destination wire.
+    pub addr: WireAddress,
+    /// Simulated time at which the token entered the network.
+    pub injected_at: u64,
+    /// Inter-node forwards taken so far.
+    pub hops: u64,
+}
+
+impl Token {
+    /// The wire form of one send of this token.
+    fn into_msg(self, guid: u64, attempt: u8) -> Msg {
+        let Token { id, addr, injected_at, hops } = self;
+        Msg::Token { guid, token: id, addr, injected_at, attempt, hops }
+    }
+}
 
 /// Pre-resolved telemetry handles for the distributed runtime
 /// (`acn.dist.*`). All handles are no-ops until
@@ -581,30 +601,8 @@ impl World {
 /// not stored: a timed-out obligation restarts probing from the cache.)
 #[derive(Debug, Clone)]
 struct UnackedToken {
-    token: u64,
-    addr: WireAddress,
-    injected_at: u64,
+    t: Token,
     sent_at: u64,
-    hops: u64,
-}
-
-/// A token buffered at a frozen component:
-/// `(token, addr, injected_at, hops)`.
-pub type BufferedToken = (u64, WireAddress, u64, u64);
-
-/// A token in flight: its stable end-to-end identity plus destination
-/// and provenance, threaded through routing, sending, and
-/// retransmission (an [`UnackedToken`] is a `TokenFlight` plus the
-/// send time backing the retry timer).
-struct TokenFlight {
-    /// Stable end-to-end token id (see [`Msg::Token`]).
-    token: u64,
-    /// Cut-independent destination wire.
-    addr: WireAddress,
-    /// Injection time (for latency accounting).
-    injected_at: u64,
-    /// Inter-node forwards taken so far.
-    hops: u64,
 }
 
 /// What token routing reads from the shared [`World`]: taken once per
@@ -647,7 +645,7 @@ struct Hosted {
     /// instead of waiting forever.
     frozen_by: Option<ProcessId>,
     /// Tokens buffered while frozen.
-    buffer: Vec<BufferedToken>,
+    buffer: Vec<Token>,
     /// The travelling `(token, addr)` idempotency ledger.
     seen: SeenTokens,
 }
@@ -674,7 +672,7 @@ struct SplitOp {
 struct MigratingComponent {
     comp: Component,
     seen: SeenTokens,
-    buffer: Vec<BufferedToken>,
+    buffer: Vec<Token>,
     /// When the hand-off was (last) sent; stale entries are re-sent to
     /// the *current* view owner by the retry timer.
     sent_at: u64,
@@ -729,9 +727,8 @@ pub struct NodeProc {
     split_list: BTreeSet<ComponentId>,
     splits: BTreeMap<ComponentId, SplitOp>,
     merges: BTreeMap<ComponentId, MergeOp>,
-    /// Tokens this node is responsible for until acknowledged:
-    /// guid -> (addr, injected_at, attempt of the outstanding send,
-    /// send time; `sent` false while the probe chain is exhausted).
+    /// Tokens this node is responsible for until acknowledged, by the
+    /// guid of the outstanding (or exhausted) send.
     unacked: BTreeMap<u64, UnackedToken>,
     /// GUIDs of tokens this node has accepted (duplicate suppression).
     seen: BTreeSet<u64>,
@@ -993,7 +990,7 @@ impl NodeProc {
     pub fn take_component(
         &mut self,
         id: &ComponentId,
-    ) -> Option<(Component, Vec<BufferedToken>, SeenTokens)> {
+    ) -> Option<(Component, Vec<Token>, SeenTokens)> {
         if self.components.get(id).map(|h| h.frozen).unwrap_or(true) {
             return None;
         }
@@ -1136,13 +1133,9 @@ impl NodeProc {
         &mut self,
         ctx: &mut Context<'_, Msg>,
         guid: u64,
-        token: u64,
-        addr: WireAddress,
-        injected_at: u64,
-        hops: u64,
+        t: Token,
     ) {
-        let flight = TokenFlight { token, addr, injected_at, hops };
-        match self.hosted_candidate(&addr) {
+        match self.hosted_candidate(&t.addr) {
             // The original send may still be in flight (silence is not
             // proof of loss): this local copy and the in-flight one now
             // race on *different* paths, where no receiver-side GUID
@@ -1150,26 +1143,19 @@ impl NodeProc {
             // dedup is what keeps the count exactly-once.
             Some(id) if !self.departed => {
                 let env = self.route_env();
-                self.route_token_from(ctx, &env, Some(id), flight);
+                self.route_token_from(ctx, &env, Some(id), t);
             }
-            _ => self.send_token(ctx, Some(guid), flight, ATTEMPT_CACHED),
+            _ => self.send_token(ctx, Some(guid), t, ATTEMPT_CACHED),
         }
     }
 
     /// Routes a token: processes it locally as long as this node hosts
     /// the next owner, then sends it on (or to the collector). `hops` is
     /// how many inter-node forwards the token has already taken.
-    fn route_token(
-        &mut self,
-        ctx: &mut Context<'_, Msg>,
-        token: u64,
-        addr: WireAddress,
-        injected_at: u64,
-        hops: u64,
-    ) {
+    fn route_token(&mut self, ctx: &mut Context<'_, Msg>, t: Token) {
         let env = self.route_env();
-        let candidate = self.hosted_candidate(&addr);
-        self.route_token_from(ctx, &env, candidate, TokenFlight { token, addr, injected_at, hops });
+        let candidate = self.hosted_candidate(&t.addr);
+        self.route_token_from(ctx, &env, candidate, t);
     }
 
     /// [`route_token`](Self::route_token) for a caller that already
@@ -1180,9 +1166,9 @@ impl NodeProc {
         ctx: &mut Context<'_, Msg>,
         env: &RouteEnv,
         mut candidate: Option<ComponentId>,
-        flight: TokenFlight,
+        t: Token,
     ) {
-        let TokenFlight { token, mut addr, injected_at, hops } = flight;
+        let Token { id: token, mut addr, injected_at, hops } = t;
         let tracer = &env.tracer;
         let traced = tracer.should_sample(token);
         while let Some(id) = candidate {
@@ -1196,7 +1182,7 @@ impl NodeProc {
                             .with("level", id.level() as u64),
                     );
                 }
-                hosted.buffer.push((token, addr, injected_at, hops));
+                hosted.buffer.push(Token { addr, ..t });
                 return;
             }
             if env.dedup && !hosted.seen.insert((token, addr)) {
@@ -1252,8 +1238,7 @@ impl NodeProc {
                 }
             }
         }
-        let flight = TokenFlight { token, addr, injected_at, hops };
-        self.send_token(ctx, None, flight, ATTEMPT_CACHED);
+        self.send_token(ctx, None, Token { addr, ..t }, ATTEMPT_CACHED);
     }
 
     /// Sends a token towards a guessed owner of its wire address,
@@ -1266,10 +1251,10 @@ impl NodeProc {
         &mut self,
         ctx: &mut Context<'_, Msg>,
         guid: Option<u64>,
-        flight: TokenFlight,
+        t: Token,
         attempt: u8,
     ) {
-        let TokenFlight { token, addr, injected_at, hops } = flight;
+        let Token { id: token, addr, hops, .. } = t;
         let guid = guid.unwrap_or_else(|| self.world.borrow_mut().fresh_guid());
         let balancer = addr.balancer();
         let depth = balancer.level();
@@ -1283,10 +1268,7 @@ impl NodeProc {
             } else {
                 // Chain exhausted (reconfiguration window): keep the
                 // obligation and let the retry timer start over.
-                self.unacked.insert(
-                    guid,
-                    UnackedToken { token, addr, injected_at, sent_at: ctx.now(), hops },
-                );
+                self.unacked.insert(guid, UnackedToken { t, sent_at: ctx.now() });
                 self.arm_retry(ctx);
                 return;
             };
@@ -1297,10 +1279,7 @@ impl NodeProc {
                 continue;
             }
             self.cache.insert(addr, guess.level());
-            self.unacked.insert(
-                guid,
-                UnackedToken { token, addr, injected_at, sent_at: ctx.now(), hops },
-            );
+            self.unacked.insert(guid, UnackedToken { t, sent_at: ctx.now() });
             self.arm_retry(ctx);
             {
                 let w = self.world.borrow();
@@ -1315,10 +1294,7 @@ impl NodeProc {
                     );
                 }
             }
-            ctx.send_lossy(
-                ProcessId(host.0),
-                Msg::Token { guid, token, addr, injected_at, attempt, hops },
-            );
+            ctx.send_lossy(ProcessId(host.0), t.into_msg(guid, attempt));
             return;
         }
     }
@@ -1410,8 +1386,8 @@ impl NodeProc {
             }
         }
         self.split_list.insert(id);
-        for (token, addr, injected_at, hops) in hosted.buffer {
-            self.route_token(ctx, token, addr, injected_at, hops);
+        for t in hosted.buffer {
+            self.route_token(ctx, t);
         }
     }
 
@@ -1680,8 +1656,8 @@ impl NodeProc {
             hosted.frozen = false;
             hosted.frozen_by = None;
             let buffered = std::mem::take(&mut hosted.buffer);
-            for (token, addr, injected_at, hops) in buffered {
-                self.route_token(ctx, token, addr, injected_at, hops);
+            for t in buffered {
+                self.route_token(ctx, t);
             }
         }
     }
@@ -1691,8 +1667,8 @@ impl NodeProc {
     fn remove_frozen(&mut self, ctx: &mut Context<'_, Msg>, id: &ComponentId) {
         if let Some(hosted) = self.components.remove(id) {
             self.world.borrow().metrics.merge_drained.add(hosted.buffer.len() as u64);
-            for (token, addr, injected_at, hops) in hosted.buffer {
-                self.route_token(ctx, token, addr, injected_at, hops);
+            for t in hosted.buffer {
+                self.route_token(ctx, t);
             }
         }
     }
@@ -2410,12 +2386,12 @@ impl Process<Msg> for NodeProc {
                             .with("wire", wire as u64),
                     );
                 }
-                let flight = TokenFlight { token, addr, injected_at: now, hops: 0 };
+                let t = Token { id: token, addr, injected_at: now, hops: 0 };
                 if self.departed {
-                    self.send_token(ctx, None, flight, ATTEMPT_CACHED);
+                    self.send_token(ctx, None, t, ATTEMPT_CACHED);
                 } else {
                     let candidate = self.hosted_candidate(&addr);
-                    self.route_token_from(ctx, &env, candidate, flight);
+                    self.route_token_from(ctx, &env, candidate, t);
                 }
             }
             Msg::Token { guid, token, addr, injected_at, attempt, hops } => {
@@ -2457,10 +2433,10 @@ impl Process<Msg> for NodeProc {
                     if from == ProcessId::EXTERNAL {
                         // Re-injected buffer token with no live sender:
                         // adopt the obligation ourselves.
-                        let flight = TokenFlight { token, addr, injected_at, hops };
-                        self.send_token(ctx, Some(guid), flight, attempt);
+                        let t = Token { id: token, addr, injected_at, hops };
+                        self.send_token(ctx, Some(guid), t, attempt);
                     } else {
-                        ctx.send(from, Msg::TokenNack { guid, token, addr, injected_at, attempt });
+                        ctx.send(from, Msg::TokenNack { guid, attempt });
                     }
                     return;
                 };
@@ -2499,28 +2475,22 @@ impl Process<Msg> for NodeProc {
                 }
                 ctx.send(from, Msg::TokenAck { guid });
                 // Accepting the forward counts as one routing hop.
-                let flight = TokenFlight { token, addr, injected_at, hops: hops + 1 };
-                self.route_token_from(ctx, &env, candidate, flight);
+                let t = Token { id: token, addr, injected_at, hops: hops + 1 };
+                self.route_token_from(ctx, &env, candidate, t);
             }
             Msg::TokenAck { guid } => {
                 if self.unacked.remove(&guid).is_some() {
                     self.reset_backoff();
                 }
             }
-            Msg::TokenNack { guid, token, addr, injected_at, attempt } => {
-                let Some(t) = self.unacked.remove(&guid) else {
+            Msg::TokenNack { guid, attempt } => {
+                let Some(u) = self.unacked.remove(&guid) else {
                     // Stale NACK for an obligation already satisfied
                     // through a different path.
                     return;
                 };
-                debug_assert_eq!(
-                    (token, addr, injected_at),
-                    (t.token, t.addr, t.injected_at),
-                    "a NACK echoes exactly what the obligation under its guid holds"
-                );
                 let next = if attempt == ATTEMPT_CACHED { 0 } else { attempt + 1 };
-                let flight = TokenFlight { token, addr, injected_at, hops: t.hops };
-                self.send_token(ctx, Some(guid), flight, next);
+                self.send_token(ctx, Some(guid), u.t, next);
             }
             Msg::Install { comp, seen } => {
                 // Install-if-absent: a crash re-drive can duplicate an
@@ -2679,8 +2649,8 @@ impl Process<Msg> for NodeProc {
                     }
                 }
                 ctx.send(from, Msg::MigrateAck { id });
-                for (token, addr, injected_at, hops) in buffer {
-                    self.route_token(ctx, token, addr, injected_at, hops);
+                for t in buffer {
+                    self.route_token(ctx, t);
                 }
             }
             Msg::MigrateAck { id } => {
@@ -2725,43 +2695,31 @@ impl Process<Msg> for NodeProc {
                     self.escalate_backoff();
                 }
                 for guid in stale {
-                    let t = self.unacked.remove(&guid).expect("listed above");
+                    let UnackedToken { t, sent_at } =
+                        self.unacked.remove(&guid).expect("listed above");
                     {
                         let mut w = self.world.borrow_mut();
                         w.token_retransmits += 1;
                         w.metrics.retransmits.inc();
-                        if w.tracer.should_sample(t.token) {
+                        if w.tracer.should_sample(t.id) {
                             w.tracer.record(
-                                Span::new("token.retry", t.token)
+                                Span::new("token.retry", t.id)
                                     .at(now)
                                     .node(self.node.0)
                                     .with("guid", guid)
-                                    .with("silent_for", now.saturating_sub(t.sent_at)),
+                                    .with("silent_for", now.saturating_sub(sent_at)),
                             );
                         }
                     }
                     if self.departed {
-                        let flight = TokenFlight {
-                            token: t.token,
-                            addr: t.addr,
-                            injected_at: t.injected_at,
-                            hops: t.hops,
-                        };
-                        self.send_token(ctx, Some(guid), flight, ATTEMPT_CACHED);
+                        self.send_token(ctx, Some(guid), t, ATTEMPT_CACHED);
                     } else {
                         // Re-route: we may host the owner by now. The
                         // timed-out send may *still* arrive (silence is
-                        // not loss), so the stable `t.token` identity
+                        // not loss), so the stable `t.id` identity
                         // travels with both copies and the collector
                         // counts it once.
-                        self.route_token_with_guid(
-                            ctx,
-                            guid,
-                            t.token,
-                            t.addr,
-                            t.injected_at,
-                            t.hops,
-                        );
+                        self.route_token_with_guid(ctx, guid, t);
                     }
                 }
                 let collects = std::mem::take(&mut self.stuck_collects);
@@ -2787,8 +2745,8 @@ impl Process<Msg> for NodeProc {
                         }
                         let m = self.migrating.remove(&id).expect("listed above");
                         self.install_component_with_seen(m.comp, m.seen);
-                        for (token, addr, injected_at, hops) in m.buffer {
-                            self.route_token(ctx, token, addr, injected_at, hops);
+                        for t in m.buffer {
+                            self.route_token(ctx, t);
                         }
                     } else {
                         let m = self.migrating.get_mut(&id).expect("listed above");
@@ -3418,6 +3376,24 @@ impl StateDigest {
     }
 }
 
+impl Token {
+    /// Folds the token, its id renamed.
+    fn digest(&self, d: &mut StateDigest) {
+        d.token(self.id);
+        d.item(&self.addr);
+        d.word(self.injected_at);
+        d.word(self.hops);
+    }
+}
+
+/// Folds a buffer of tokens in order.
+fn digest_tokens(tokens: &[Token], d: &mut StateDigest) {
+    d.word(tokens.len() as u64);
+    for t in tokens {
+        t.digest(d);
+    }
+}
+
 /// Folds a travelling idempotency ledger (token ids renamed).
 fn digest_seen(seen: &SeenTokens, d: &mut StateDigest) {
     d.word(seen.len() as u64);
@@ -3450,12 +3426,9 @@ impl Msg {
                 d.word(2);
                 d.guid(*guid);
             }
-            Msg::TokenNack { guid, token, addr, injected_at, attempt } => {
+            Msg::TokenNack { guid, attempt } => {
                 d.word(3);
                 d.guid(*guid);
-                d.token(*token);
-                d.item(addr);
-                d.word(*injected_at);
                 d.word(u64::from(*attempt));
             }
             Msg::Exit { wire, token, injected_at, hops } => {
@@ -3530,13 +3503,7 @@ impl Msg {
                 d.word(20);
                 d.item(comp);
                 digest_seen(seen, d);
-                d.word(buffer.len() as u64);
-                for (token, addr, injected_at, hops) in buffer {
-                    d.token(*token);
-                    d.item(addr);
-                    d.word(*injected_at);
-                    d.word(*hops);
-                }
+                digest_tokens(buffer, d);
             }
             Msg::MigrateAck { id } => {
                 d.word(21);
@@ -3600,13 +3567,7 @@ impl NodeProc {
             d.item(&hosted.comp);
             d.word(u64::from(hosted.frozen));
             d.word(hosted.frozen_by.map_or(u64::MAX, |p| p.0));
-            d.word(hosted.buffer.len() as u64);
-            for (token, addr, injected_at, hops) in &hosted.buffer {
-                d.token(*token);
-                d.item(addr);
-                d.word(*injected_at);
-                d.word(*hops);
-            }
+            digest_tokens(&hosted.buffer, d);
             digest_seen(&hosted.seen, d);
         }
         d.item(&self.split_list);
@@ -3649,11 +3610,8 @@ impl NodeProc {
         d.word(self.unacked.len() as u64);
         for (guid, u) in &self.unacked {
             d.guid(*guid);
-            d.token(u.token);
-            d.item(&u.addr);
-            d.word(u.injected_at);
+            u.t.digest(d);
             d.word(u.sent_at);
-            d.word(u.hops);
         }
         d.word(self.seen.len() as u64);
         for g in &self.seen {
@@ -3703,13 +3661,7 @@ impl NodeProc {
             d.item(id);
             d.item(&m.comp);
             digest_seen(&m.seen, d);
-            d.word(m.buffer.len() as u64);
-            for (token, addr, injected_at, hops) in &m.buffer {
-                d.token(*token);
-                d.item(addr);
-                d.word(*injected_at);
-                d.word(*hops);
-            }
+            digest_tokens(&m.buffer, d);
             d.word(m.sent_at);
         }
         d.word(self.retry_interval);
