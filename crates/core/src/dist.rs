@@ -1127,47 +1127,45 @@ impl NodeProc {
         }
     }
 
-    /// Like [`route_token`](Self::route_token), but keeps an existing
-    /// obligation id when the token must be forwarded remotely.
-    fn route_token_with_guid(
-        &mut self,
-        ctx: &mut Context<'_, Msg>,
-        guid: u64,
-        t: Token,
-    ) {
-        match self.hosted_candidate(&t.addr) {
-            // The original send may still be in flight (silence is not
-            // proof of loss): this local copy and the in-flight one now
-            // race on *different* paths, where no receiver-side GUID
-            // check can see both. The collector's end-to-end `token`
-            // dedup is what keeps the count exactly-once.
-            Some(id) if !self.departed => {
-                let env = self.route_env();
-                self.route_token_from(ctx, &env, Some(id), t);
-            }
-            _ => self.send_token(ctx, Some(guid), t, ATTEMPT_CACHED),
+    /// Where a token arriving from outside (a client, a peer, or this
+    /// node's own retry pass) enters local routing: the hosted candidate
+    /// covering `addr` — or nowhere when this node is a ghost, which
+    /// must not consume traffic it no longer owns.
+    fn entry_point(&self, addr: &WireAddress) -> Option<ComponentId> {
+        if self.departed {
+            None
+        } else {
+            self.hosted_candidate(addr)
         }
     }
 
-    /// Routes a token: processes it locally as long as this node hosts
-    /// the next owner, then sends it on (or to the collector). `hops` is
-    /// how many inter-node forwards the token has already taken.
-    fn route_token(&mut self, ctx: &mut Context<'_, Msg>, t: Token) {
-        let env = self.route_env();
-        let candidate = self.hosted_candidate(&t.addr);
-        self.route_token_from(ctx, &env, candidate, t);
+    /// Re-routes tokens drained from a frozen buffer (a split or merge
+    /// finished, a freeze was released, a hand-off landed). No ghost
+    /// check: a departed node still processes its own drained tokens at
+    /// whatever it hosts.
+    fn drain(&mut self, ctx: &mut Context<'_, Msg>, buffer: Vec<Token>) {
+        for t in buffer {
+            let start = self.hosted_candidate(&t.addr);
+            self.route(ctx, None, t, start);
+        }
     }
 
-    /// [`route_token`](Self::route_token) for a caller that already
-    /// probed the candidate chain of the token's wire (`candidate`) and
-    /// read the world (`env`).
-    fn route_token_from(
+    /// Routes a token: processes it at `start` and onwards for as long
+    /// as this node hosts the next owner, then sends it on (or to the
+    /// collector). `start` is the hosted candidate of `t.addr` the
+    /// caller probed, `None` to go straight to the wire. A supplied
+    /// `guid` (the retry pass re-routing its own obligation) names the
+    /// onward send only if no component processed the token here first;
+    /// past a local hop the send is a new obligation with a fresh guid.
+    fn route(
         &mut self,
         ctx: &mut Context<'_, Msg>,
-        env: &RouteEnv,
-        mut candidate: Option<ComponentId>,
+        mut guid: Option<u64>,
         t: Token,
+        start: Option<ComponentId>,
     ) {
+        let env = self.route_env();
+        let mut candidate = start;
         let Token { id: token, mut addr, injected_at, hops } = t;
         let tracer = &env.tracer;
         let traced = tracer.should_sample(token);
@@ -1207,6 +1205,7 @@ impl NodeProc {
             }
             let in_port = input_port_of(&env.tree, &id, &addr, env.style);
             let port = hosted.comp.process_token(in_port);
+            guid = None;
             if traced {
                 tracer.record(
                     Span::new("token.route", token)
@@ -1238,7 +1237,7 @@ impl NodeProc {
                 }
             }
         }
-        self.send_token(ctx, None, Token { addr, ..t }, ATTEMPT_CACHED);
+        self.send_token(ctx, guid, Token { addr, ..t }, ATTEMPT_CACHED);
     }
 
     /// Sends a token towards a guessed owner of its wire address,
@@ -1386,9 +1385,7 @@ impl NodeProc {
             }
         }
         self.split_list.insert(id);
-        for t in hosted.buffer {
-            self.route_token(ctx, t);
-        }
+        self.drain(ctx, hosted.buffer);
     }
 
     /// Begins merging split component `id` back together.
@@ -1656,9 +1653,7 @@ impl NodeProc {
             hosted.frozen = false;
             hosted.frozen_by = None;
             let buffered = std::mem::take(&mut hosted.buffer);
-            for t in buffered {
-                self.route_token(ctx, t);
-            }
+            self.drain(ctx, buffered);
         }
     }
 
@@ -1667,9 +1662,7 @@ impl NodeProc {
     fn remove_frozen(&mut self, ctx: &mut Context<'_, Msg>, id: &ComponentId) {
         if let Some(hosted) = self.components.remove(id) {
             self.world.borrow().metrics.merge_drained.add(hosted.buffer.len() as u64);
-            for t in hosted.buffer {
-                self.route_token(ctx, t);
-            }
+            self.drain(ctx, hosted.buffer);
         }
     }
 
@@ -2387,12 +2380,8 @@ impl Process<Msg> for NodeProc {
                     );
                 }
                 let t = Token { id: token, addr, injected_at: now, hops: 0 };
-                if self.departed {
-                    self.send_token(ctx, None, t, ATTEMPT_CACHED);
-                } else {
-                    let candidate = self.hosted_candidate(&addr);
-                    self.route_token_from(ctx, &env, candidate, t);
-                }
+                let start = self.entry_point(&addr);
+                self.route(ctx, None, t, start);
             }
             Msg::Token { guid, token, addr, injected_at, attempt, hops } => {
                 let env = self.route_env();
@@ -2414,8 +2403,7 @@ impl Process<Msg> for NodeProc {
                 // One probe of the candidate chain answers all three
                 // questions: do we own the wire, is its owner shedding,
                 // and where does routing start.
-                let candidate =
-                    if self.departed { None } else { self.hosted_candidate(&addr) };
+                let candidate = self.entry_point(&addr);
                 let Some(id) = candidate else {
                     {
                         let mut w = self.world.borrow_mut();
@@ -2476,7 +2464,7 @@ impl Process<Msg> for NodeProc {
                 ctx.send(from, Msg::TokenAck { guid });
                 // Accepting the forward counts as one routing hop.
                 let t = Token { id: token, addr, injected_at, hops: hops + 1 };
-                self.route_token_from(ctx, &env, candidate, t);
+                self.route(ctx, None, t, candidate);
             }
             Msg::TokenAck { guid } => {
                 if self.unacked.remove(&guid).is_some() {
@@ -2649,9 +2637,7 @@ impl Process<Msg> for NodeProc {
                     }
                 }
                 ctx.send(from, Msg::MigrateAck { id });
-                for t in buffer {
-                    self.route_token(ctx, t);
-                }
+                self.drain(ctx, buffer);
             }
             Msg::MigrateAck { id } => {
                 if self.migrating.remove(&id).is_some() {
@@ -2711,16 +2697,15 @@ impl Process<Msg> for NodeProc {
                             );
                         }
                     }
-                    if self.departed {
-                        self.send_token(ctx, Some(guid), t, ATTEMPT_CACHED);
-                    } else {
-                        // Re-route: we may host the owner by now. The
-                        // timed-out send may *still* arrive (silence is
-                        // not loss), so the stable `t.id` identity
-                        // travels with both copies and the collector
-                        // counts it once.
-                        self.route_token_with_guid(ctx, guid, t);
-                    }
+                    // Re-route: we may host the owner by now. The
+                    // timed-out send may *still* arrive (silence is not
+                    // loss): this copy and the in-flight one then race
+                    // on *different* paths, where no receiver-side GUID
+                    // check can see both. The stable `t.id` travels with
+                    // both, and the component ledgers and the collector
+                    // count it once.
+                    let start = self.entry_point(&t.addr);
+                    self.route(ctx, Some(guid), t, start);
                 }
                 let collects = std::mem::take(&mut self.stuck_collects);
                 for (child, parent) in collects {
@@ -2745,9 +2730,7 @@ impl Process<Msg> for NodeProc {
                         }
                         let m = self.migrating.remove(&id).expect("listed above");
                         self.install_component_with_seen(m.comp, m.seen);
-                        for t in m.buffer {
-                            self.route_token(ctx, t);
-                        }
+                        self.drain(ctx, m.buffer);
                     } else {
                         let m = self.migrating.get_mut(&id).expect("listed above");
                         m.sent_at = now;
