@@ -632,6 +632,276 @@ struct RouteEnv {
 /// deployment would expire entries; the simulation keeps them all.)
 pub type SeenTokens = BTreeSet<(u64, WireAddress)>;
 
+/// What one failure-detector tick decided ([`View::fd_tick`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FdStep {
+    /// Nobody to monitor, or the predecessor was heard from within the
+    /// lease period.
+    Idle,
+    /// The predecessor has been silent: probe it.
+    Ping(NodeId),
+    /// [`FD_STRIKE_LIMIT`] consecutive silent ticks: declare it crashed.
+    Suspect(NodeId),
+}
+
+/// What one node believes the membership is, and the failure detector
+/// watching its ring predecessor. Pure state: it sends nothing and
+/// reads no clock but the `now` it is handed, so the CRDT laws and the
+/// detector's strike counting are testable without a simulator.
+#[derive(Debug, Clone)]
+pub(crate) struct View {
+    me: NodeId,
+    /// Membership CRDT: every node ever known. Monotone (ids are never
+    /// reused), so the view epoch `|known| + |dead|` only grows and
+    /// gossip merge is a plain union.
+    known: BTreeSet<NodeId>,
+    /// Membership CRDT: tombstones for crashed/departed nodes.
+    dead: BTreeSet<NodeId>,
+    /// Materialized ring over `known - dead`: what *this node believes*
+    /// the membership is. All hot-path ownership lookups resolve here —
+    /// never against the harness's ground-truth `World::ring`.
+    ring: Ring,
+    /// Virtual time each peer was last heard from (any message counts
+    /// as a heartbeat; explicit pings fill idle gaps).
+    last_heard: BTreeMap<NodeId, u64>,
+    /// The predecessor currently being monitored (strikes reset when
+    /// the view changes it).
+    fd_target: Option<NodeId>,
+    /// Consecutive silent failure-detector ticks for `fd_target`.
+    fd_strikes: u32,
+}
+
+impl View {
+    /// The view of a node that knows only itself.
+    pub(crate) fn new(me: NodeId) -> Self {
+        let mut view = View {
+            me,
+            known: BTreeSet::from([me]),
+            dead: BTreeSet::new(),
+            ring: Ring::new(),
+            last_heard: BTreeMap::new(),
+            fd_target: None,
+            fd_strikes: 0,
+        };
+        view.rebuild_ring();
+        view
+    }
+
+    fn rebuild_ring(&mut self) {
+        let mut ring = Ring::new();
+        for &n in self.known.difference(&self.dead) {
+            ring.add_node(n);
+        }
+        self.ring = ring;
+    }
+
+    /// Adds bootstrap/join contacts.
+    pub(crate) fn seed(&mut self, nodes: impl IntoIterator<Item = NodeId>) {
+        self.known.extend(nodes);
+        self.rebuild_ring();
+    }
+
+    /// The membership epoch `|known| + |dead|`. Both sets are monotone,
+    /// so the epoch totally orders a single node's view history and a
+    /// gossip merge never moves it backwards.
+    pub(crate) fn epoch(&self) -> u64 {
+        (self.known.len() + self.dead.len()) as u64
+    }
+
+    /// Union-merges a gossiped view into this one. Returns whether
+    /// anything changed (the re-broadcast trigger).
+    pub(crate) fn merge(&mut self, known: &BTreeSet<NodeId>, dead: &BTreeSet<NodeId>) -> bool {
+        let before = self.epoch();
+        self.known.extend(known.iter().copied());
+        self.known.extend(dead.iter().copied());
+        self.dead.extend(dead.iter().copied());
+        let changed = self.epoch() != before;
+        if changed {
+            self.rebuild_ring();
+        }
+        changed
+    }
+
+    /// Tombstones `n`; `false` if it already was.
+    pub(crate) fn tombstone(&mut self, n: NodeId) -> bool {
+        self.known.insert(n);
+        let new = self.dead.insert(n);
+        if new {
+            self.rebuild_ring();
+        }
+        new
+    }
+
+    /// Whether `n` is tombstoned.
+    pub(crate) fn is_dead(&self, n: NodeId) -> bool {
+        self.dead.contains(&n)
+    }
+
+    /// Whether this node itself is tombstoned — it departed, or was
+    /// (rightly or not) declared crashed. A ghost stops claiming
+    /// ownership and sheds its state like a graceful leaver, so the
+    /// network converges to a single host per component.
+    pub(crate) fn is_ghost(&self) -> bool {
+        self.dead.contains(&self.me)
+    }
+
+    /// The live membership as this node sees it.
+    pub(crate) fn ring(&self) -> &Ring {
+        &self.ring
+    }
+
+    /// The live owner of hashed `name`; this node itself when the ring
+    /// is empty (an excommunicated ghost with no live peers left —
+    /// nothing useful to do but keep the state).
+    pub(crate) fn owner_of_name(&self, name: u64) -> NodeId {
+        if self.ring.is_empty() {
+            self.me
+        } else {
+            self.ring.owner_of_name(name)
+        }
+    }
+
+    /// Every other node ever known, tombstoned ones included (the
+    /// gossip fan-out).
+    pub(crate) fn peers(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.known.iter().copied().filter(|&n| n != self.me)
+    }
+
+    /// The two CRDT sets, as gossiped.
+    pub(crate) fn sets(&self) -> (&BTreeSet<NodeId>, &BTreeSet<NodeId>) {
+        (&self.known, &self.dead)
+    }
+
+    /// Notes a message from `from` at `now` (every message is a
+    /// heartbeat).
+    pub(crate) fn heard(&mut self, from: NodeId, now: u64) {
+        self.last_heard.insert(from, now);
+    }
+
+    /// One failure-detector tick of a live node: monitor the ring
+    /// predecessor, ask for a ping while it has been silent for a lease
+    /// `period`, and for a suspicion after [`FD_STRIKE_LIMIT`]
+    /// consecutive silent ticks.
+    pub(crate) fn fd_tick(&mut self, now: u64, period: u64) -> FdStep {
+        let pred = self.ring.predecessor(self.me);
+        if pred == self.me {
+            return FdStep::Idle;
+        }
+        if self.fd_target != Some(pred) {
+            self.fd_target = Some(pred);
+            self.fd_strikes = 0;
+        }
+        let fresh = self.last_heard.get(&pred).is_some_and(|&t| now.saturating_sub(t) < period);
+        if fresh {
+            self.fd_strikes = 0;
+            return FdStep::Idle;
+        }
+        self.fd_strikes += 1;
+        if self.fd_strikes >= FD_STRIKE_LIMIT {
+            self.fd_strikes = 0;
+            FdStep::Suspect(pred)
+        } else {
+            FdStep::Ping(pred)
+        }
+    }
+}
+
+/// `ring` is `known - dead` materialized, and `me` is the owning
+/// process's key: neither adds state.
+impl Hash for View {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        (&self.known, &self.dead, &self.last_heard, self.fd_target, self.fd_strikes).hash(h);
+    }
+}
+
+/// The retry timer's seeded, jittered exponential backoff.
+#[derive(Debug, Clone, Hash)]
+pub(crate) struct Backoff {
+    /// Current interval (0 = base `period/4 + 1`); doubled on
+    /// unproductive retries and backpressure NACKs up to one period,
+    /// reset to base on acknowledged progress.
+    interval: u64,
+    /// Private splitmix64 stream for retry jitter. Seeded from the
+    /// node id, advanced only by this node's own arms — part of the
+    /// canonical state digest, unlike the shared sim RNG.
+    rng: u64,
+}
+
+impl Backoff {
+    pub(crate) fn new(node: NodeId) -> Self {
+        Backoff { interval: 0, rng: node.0 ^ 0x9E37_79B9_7F4A_7C15 }
+    }
+
+    fn current(&self, period: u64) -> u64 {
+        self.interval.max(period / 4 + 1)
+    }
+
+    /// The next retry-timer delay: the current interval plus jitter
+    /// below a quarter of it. The base interval far exceeds the
+    /// simulated RTT, so a retransmission never races a still-pending
+    /// ack; escalation only widens that margin.
+    pub(crate) fn next_delay(&mut self, period: u64) -> u64 {
+        let interval = self.current(period);
+        interval + acn_overlay::splitmix64(&mut self.rng) % (interval / 4 + 1)
+    }
+
+    /// Doubles the interval (cap: one period).
+    pub(crate) fn escalate(&mut self, period: u64) {
+        self.interval = (self.current(period) * 2).min(period);
+    }
+
+    /// Back to base; reports whether that changed anything.
+    pub(crate) fn reset(&mut self) -> bool {
+        std::mem::take(&mut self.interval) != 0
+    }
+}
+
+/// The cut a rescue sweep assembles from peer reports:
+/// id -> (reporter, frozen).
+type Covered = BTreeMap<ComponentId, (NodeId, bool)>;
+
+/// Merge debris in a reported cut: a *frozen* covered id under a *live*
+/// covered proper ancestor (the coordinator died between installing
+/// the parent and dismissing the children), with its reporter. Split
+/// children under their frozen parent are live, so they are never
+/// discarded; the frozen split parent itself has no covered ancestor.
+fn rescue_discards(covered: &Covered) -> Vec<(ComponentId, NodeId)> {
+    covered
+        .iter()
+        .filter(|(id, (_, frozen))| {
+            *frozen
+                && id.ancestors().any(|a| covered.get(&a).is_some_and(|(_, afrozen)| !afrozen))
+        })
+        .map(|(id, (reporter, _))| (*id, *reporter))
+        .collect()
+}
+
+/// The maximal subtrees of `tree` that nothing in `covered` lies in,
+/// above, or below: where a sweep installs fresh replacements.
+fn uncovered_subtrees(tree: &Tree, covered: &Covered) -> Vec<ComponentId> {
+    let mut uncovered = Vec::new();
+    let mut stack = vec![ComponentId::root()];
+    while let Some(id) = stack.pop() {
+        if covered.contains_key(&id) || id.ancestors().any(|a| covered.contains_key(&a)) {
+            continue;
+        }
+        if !covered.keys().any(|l| id.is_ancestor_of(l)) {
+            uncovered.push(id);
+            continue;
+        }
+        let info = tree.info(&id).expect("valid node");
+        for c in 0..info.child_count() as u8 {
+            stack.push(id.child(c));
+        }
+    }
+    uncovered
+}
+
+/// Whether `id` lies above or below any *other* id in `covering`.
+fn overlaps<'a>(id: &ComponentId, mut covering: impl Iterator<Item = &'a ComponentId>) -> bool {
+    covering.any(|c| c != id && (c.is_ancestor_of(id) || id.is_ancestor_of(c)))
+}
+
 /// A hosted component plus its runtime bookkeeping.
 #[derive(Debug, Clone)]
 struct Hosted {
@@ -684,14 +954,14 @@ struct MigratingComponent {
 /// installs fresh components over every uncovered subtree — so a sweep
 /// triggered by one crash also heals holes left by earlier ones (e.g.
 /// a previous coordinator that died mid-sweep).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 struct RescueOp {
     /// When the sweep started (telemetry: rescue duration).
     started_at: u64,
     /// Peers still to report their covered slice.
     pending: BTreeSet<NodeId>,
     /// Covered components reported so far: id -> (reporter, frozen).
-    covered: BTreeMap<ComponentId, (NodeId, bool)>,
+    covered: Covered,
     /// Replacement installs awaiting acks: id -> last target.
     installs: BTreeMap<ComponentId, NodeId>,
     /// Failure-detector ticks without progress (re-drive trigger).
@@ -742,27 +1012,8 @@ pub struct NodeProc {
     level: usize,
     /// Period of the level-maintenance timer.
     level_period: u64,
-    /// Whether the node has gracefully departed (still NACKs tokens so
-    /// none are lost while senders re-resolve).
-    departed: bool,
-    /// Membership CRDT: every node ever known. Monotone (ids are never
-    /// reused), so the view epoch `|known| + |dead|` only grows and
-    /// gossip merge is a plain union.
-    view_known: BTreeSet<NodeId>,
-    /// Membership CRDT: tombstones for crashed/departed nodes.
-    view_dead: BTreeSet<NodeId>,
-    /// Materialized ring over `known - dead`: what *this node believes*
-    /// the membership is. All hot-path ownership lookups resolve here —
-    /// never against the harness's ground-truth `World::ring`.
-    view_ring: Ring,
-    /// Virtual time each peer was last heard from (any message counts
-    /// as a heartbeat; explicit pings fill idle gaps).
-    last_heard: BTreeMap<NodeId, u64>,
-    /// The predecessor currently being monitored (strikes reset when
-    /// the view changes it).
-    fd_target: Option<NodeId>,
-    /// Consecutive silent failure-detector ticks for `fd_target`.
-    fd_strikes: u32,
+    /// Local membership view and failure detector.
+    view: View,
     /// In-progress rescue sweep this node coordinates.
     rescue: Option<RescueOp>,
     /// A suspicion arrived while a sweep was running: run another
@@ -770,14 +1021,8 @@ pub struct NodeProc {
     rescue_again: bool,
     /// Components handed off and awaiting [`Msg::MigrateAck`].
     migrating: BTreeMap<ComponentId, MigratingComponent>,
-    /// Current retry backoff interval (0 = base `level_period/4 + 1`);
-    /// doubled on unproductive retries and backpressure NACKs up to
-    /// one `level_period`, reset to base on acknowledged progress.
-    retry_interval: u64,
-    /// Private splitmix64 stream for retry jitter. Seeded from the
-    /// node id, advanced only by this node's own arms — part of the
-    /// canonical state digest, unlike the shared sim RNG.
-    jitter_rng: u64,
+    /// Backoff of the retry timer.
+    backoff: Backoff,
     /// Bound on remotely sent tokens parked in one frozen buffer.
     frozen_buffer_cap: usize,
 }
@@ -800,51 +1045,24 @@ impl NodeProc {
             cache: BTreeMap::new(),
             level: 0,
             level_period,
-            departed: false,
-            view_known: BTreeSet::from([node]),
-            view_dead: BTreeSet::new(),
-            view_ring: {
-                let mut r = Ring::new();
-                r.add_node(node);
-                r
-            },
-            last_heard: BTreeMap::new(),
-            fd_target: None,
-            fd_strikes: 0,
+            view: View::new(node),
             rescue: None,
             rescue_again: false,
             migrating: BTreeMap::new(),
-            retry_interval: 0,
-            jitter_rng: node.0 ^ 0x9E37_79B9_7F4A_7C15,
+            backoff: Backoff::new(node),
             frozen_buffer_cap: DEFAULT_FROZEN_BUFFER_CAP,
         }
     }
 
     /// Seeds the initial membership view (bootstrap/join contact list).
     pub fn seed_view(&mut self, nodes: impl IntoIterator<Item = NodeId>) {
-        self.view_known.extend(nodes);
-        self.view_known.insert(self.node);
-        self.rebuild_view_ring();
-    }
-
-    /// This node's membership epoch: `|known| + |dead|`. Both sets are
-    /// monotone, so the epoch totally orders a single node's view
-    /// history and a gossip merge never moves it backwards.
-    #[must_use]
-    pub fn view_epoch(&self) -> u64 {
-        (self.view_known.len() + self.view_dead.len()) as u64
-    }
-
-    /// Whether `n` is live in this node's view.
-    #[must_use]
-    pub fn view_live(&self, n: NodeId) -> bool {
-        self.view_known.contains(&n) && !self.view_dead.contains(&n)
+        self.view.seed(nodes);
     }
 
     /// Whether `n` is tombstoned in this node's view.
     #[must_use]
     pub fn view_dead_contains(&self, n: NodeId) -> bool {
-        self.view_dead.contains(&n)
+        self.view.is_dead(n)
     }
 
     /// Whether this node is currently coordinating a rescue sweep.
@@ -871,30 +1089,6 @@ impl NodeProc {
         self.frozen_buffer_cap = cap.max(1);
     }
 
-    fn rebuild_view_ring(&mut self) {
-        let mut ring = Ring::new();
-        for &n in &self.view_known {
-            if !self.view_dead.contains(&n) {
-                ring.add_node(n);
-            }
-        }
-        self.view_ring = ring;
-    }
-
-    /// Union-merges a gossiped view into the local one. Returns whether
-    /// anything changed (the re-broadcast trigger).
-    fn merge_view(&mut self, known: &BTreeSet<NodeId>, dead: &BTreeSet<NodeId>) -> bool {
-        let before = self.view_epoch();
-        self.view_known.extend(known.iter().copied());
-        self.view_known.extend(dead.iter().copied());
-        self.view_dead.extend(dead.iter().copied());
-        let changed = self.view_epoch() != before;
-        if changed {
-            self.rebuild_view_ring();
-        }
-        changed
-    }
-
     /// Gossips the local view to every known peer. Sent only on change,
     /// so each membership event costs O(N^2) messages before every
     /// view converges and the wave dies out. Tombstoned peers are
@@ -902,25 +1096,21 @@ impl NodeProc {
     /// may still hold frozen state whose coordinator just died, and it
     /// needs the tombstone to nudge the orphan back into the protocol.
     /// Sends to genuinely crashed processes are dropped by the plane.
-    fn broadcast_view(&mut self, ctx: &mut Context<'_, Msg>) {
-        let peers: Vec<NodeId> =
-            self.view_known.iter().copied().filter(|&n| n != self.node).collect();
-        self.world.borrow().metrics.fd_gossip.add(peers.len() as u64);
-        for peer in peers {
+    fn broadcast_view(&self, ctx: &mut Context<'_, Msg>) {
+        let (known, dead) = self.view.sets();
+        let mut sent = 0;
+        for peer in self.view.peers() {
             ctx.send(
                 ProcessId(peer.0),
-                Msg::ViewGossip {
-                    known: self.view_known.clone(),
-                    dead: self.view_dead.clone(),
-                },
+                Msg::ViewGossip { known: known.clone(), dead: dead.clone() },
             );
+            sent += 1;
         }
+        self.world.borrow().metrics.fd_gossip.add(sent);
     }
 
     /// The hash owner of component `id` per this node's *local view*
-    /// (one DHT lookup in a real deployment). Falls back to self when
-    /// the view ring is empty (an excommunicated ghost with no live
-    /// peers left — nothing useful to do but keep the state).
+    /// (one DHT lookup in a real deployment).
     fn owner_of(&mut self, id: &ComponentId) -> NodeId {
         let name = {
             let mut w = self.world.borrow_mut();
@@ -928,11 +1118,7 @@ impl NodeProc {
             w.metrics.dht_lookups.inc();
             w.tree.preorder_index(id)
         };
-        if self.view_ring.is_empty() {
-            self.node
-        } else {
-            self.view_ring.owner_of_name(name)
-        }
+        self.view.owner_of_name(name)
     }
 
     /// The overlay node this process represents.
@@ -941,10 +1127,12 @@ impl NodeProc {
         self.node
     }
 
-    /// Whether this node has gracefully departed.
+    /// Whether this node is a ghost: it gracefully departed, or was
+    /// declared crashed and adopted its own tombstone. Ghosts still
+    /// NACK tokens so none are lost while senders re-resolve.
     #[must_use]
     pub fn departed(&self) -> bool {
-        self.departed
+        self.view.is_ghost()
     }
 
     /// Installs a component directly with an empty idempotency ledger
@@ -1025,9 +1213,7 @@ impl NodeProc {
     /// view (so its migration sweeps shed every component to the
     /// remaining owners) and NACKs tokens so senders re-resolve.
     pub fn depart(&mut self) {
-        self.departed = true;
-        self.view_dead.insert(self.node);
-        self.rebuild_view_ring();
+        self.view.tombstone(self.node);
     }
 
     /// Debug rendering of in-flight operations (diagnostics).
@@ -1079,34 +1265,28 @@ impl NodeProc {
             && self.rescue.is_none()
     }
 
-    /// Arms the retry timer with the current backoff interval plus
-    /// deterministic seeded jitter. The base interval far exceeds the
-    /// simulated RTT, so a retransmission never races a still-pending
-    /// ack; escalation only widens that margin.
+    /// Arms the retry timer (if it is not already) with the next
+    /// backoff delay.
     fn arm_retry(&mut self, ctx: &mut Context<'_, Msg>) {
         if self.retry_armed {
             return;
         }
         self.retry_armed = true;
-        let base = self.level_period / 4 + 1;
-        let interval = self.retry_interval.max(base);
-        let jitter = acn_overlay::splitmix64(&mut self.jitter_rng) % (interval / 4 + 1);
-        let delay = interval + jitter;
+        let delay = self.backoff.next_delay(self.level_period);
         self.world.borrow().metrics.backoff_interval.record(delay);
         ctx.set_timer(delay, TIMER_RETRY);
     }
 
-    /// Doubles the retry backoff (cap: one level period).
+    /// An unproductive retry round or a backpressure NACK: widen the
+    /// retry interval.
     fn escalate_backoff(&mut self) {
-        let base = self.level_period / 4 + 1;
-        self.retry_interval = (self.retry_interval.max(base) * 2).min(self.level_period);
+        self.backoff.escalate(self.level_period);
         self.world.borrow().metrics.backoff_escalations.inc();
     }
 
-    /// Resets the backoff to base on acknowledged progress.
+    /// Acknowledged progress: back to the base interval.
     fn reset_backoff(&mut self) {
-        if self.retry_interval != 0 {
-            self.retry_interval = 0;
+        if self.backoff.reset() {
             self.world.borrow().metrics.backoff_resets.inc();
         }
     }
@@ -1132,7 +1312,7 @@ impl NodeProc {
     /// covering `addr` — or nowhere when this node is a ghost, which
     /// must not consume traffic it no longer owns.
     fn entry_point(&self, addr: &WireAddress) -> Option<ComponentId> {
-        if self.departed {
+        if self.view.is_ghost() {
             None
         } else {
             self.hosted_candidate(addr)
@@ -1671,7 +1851,7 @@ impl NodeProc {
     /// components whose view-owner changed, and re-drive stalled
     /// operations.
     fn level_tick(&mut self, ctx: &mut Context<'_, Msg>) {
-        if self.departed || !self.view_live(self.node) {
+        if self.view.is_ghost() {
             // Ghost (departed or excommunicated): no adaptivity
             // decisions, but keep shedding state and finishing
             // in-flight obligations, re-arming only while any remain.
@@ -1692,7 +1872,7 @@ impl NodeProc {
             let level = w
                 .metrics
                 .estimator
-                .node_level_at(&self.view_ring, self.node, ctx.now())
+                .node_level_at(self.view.ring(), self.node, ctx.now())
                 .min(w.tree.max_level());
             if level != self.level {
                 w.metrics.level_changes.inc();
@@ -1848,7 +2028,7 @@ impl NodeProc {
     /// `migrate_components` sweep: it runs on every level tick and
     /// after every view change.
     fn migration_sweep(&mut self, ctx: &mut Context<'_, Msg>) {
-        if self.view_ring.is_empty() {
+        if self.view.ring().is_empty() {
             return; // no live peer to shed to; keep the state
         }
         let ids: Vec<ComponentId> = self
@@ -1859,7 +2039,7 @@ impl NodeProc {
             .collect();
         for id in ids {
             let owner = self.owner_of(&id);
-            if owner == self.node && !self.departed {
+            if owner == self.node && !self.view.is_ghost() {
                 continue;
             }
             if ProcessId(owner.0) == ctx.self_id() {
@@ -1911,7 +2091,7 @@ impl NodeProc {
     fn fd_tick(&mut self, ctx: &mut Context<'_, Msg>) {
         let period = self.level_period;
         self.redrive_rescue(ctx);
-        if self.departed || !self.view_live(self.node) {
+        if self.view.is_ghost() {
             // Ghosts keep the lease timer only while they still have
             // cleanup (a rescue they coordinate) to finish.
             if self.rescue.is_some() {
@@ -1919,29 +2099,13 @@ impl NodeProc {
             }
             return;
         }
-        let pred = self.view_ring.predecessor(self.node);
-        if pred != self.node {
-            if self.fd_target != Some(pred) {
-                self.fd_target = Some(pred);
-                self.fd_strikes = 0;
+        match self.view.fd_tick(ctx.now(), period) {
+            FdStep::Idle => {}
+            FdStep::Ping(pred) => {
+                self.world.borrow().metrics.fd_pings.inc();
+                ctx.send(ProcessId(pred.0), Msg::Ping);
             }
-            let now = ctx.now();
-            let fresh = self
-                .last_heard
-                .get(&pred)
-                .is_some_and(|&t| now.saturating_sub(t) < period);
-            if fresh {
-                self.fd_strikes = 0;
-            } else {
-                self.fd_strikes += 1;
-                if self.fd_strikes >= FD_STRIKE_LIMIT {
-                    self.fd_strikes = 0;
-                    self.suspect(ctx, pred);
-                } else {
-                    self.world.borrow().metrics.fd_pings.inc();
-                    ctx.send(ProcessId(pred.0), Msg::Ping);
-                }
-            }
+            FdStep::Suspect(pred) => self.suspect(ctx, pred),
         }
         ctx.set_timer(period, TIMER_FD);
     }
@@ -1953,12 +2117,9 @@ impl NodeProc {
     /// time); if that coordinator dies mid-sweep, *its* suspector's
     /// sweep re-covers everything, because sweeps are global.
     fn suspect(&mut self, ctx: &mut Context<'_, Msg>, dead: NodeId) {
-        if self.view_dead.contains(&dead) {
+        if !self.view.tombstone(dead) {
             return;
         }
-        self.view_known.insert(dead);
-        self.view_dead.insert(dead);
-        self.rebuild_view_ring();
         self.world.borrow_mut().note_detection(dead, ctx.now());
         {
             let w = self.world.borrow();
@@ -1968,7 +2129,7 @@ impl NodeProc {
                         .at(ctx.now())
                         .node(self.node.0)
                         .with("dead", dead.0)
-                        .with("epoch", self.view_epoch()),
+                        .with("epoch", self.view.epoch()),
                 );
             }
         }
@@ -1977,16 +2138,10 @@ impl NodeProc {
         self.start_rescue_sweep(ctx);
     }
 
-    /// Reacts to an adopted view change: self-excommunication check,
-    /// orphaned-merge nudges, and an ownership sweep.
+    /// Reacts to an adopted view change: orphaned-merge nudges and an
+    /// ownership sweep (which, if the change tombstoned this node
+    /// itself, sheds everything it hosts).
     fn after_view_change(&mut self, ctx: &mut Context<'_, Msg>) {
-        if self.view_dead.contains(&self.node) && !self.departed {
-            // We were (falsely or not) declared dead: stop claiming
-            // ownership and shed state like a graceful leaver, so the
-            // network converges to a single host per component.
-            self.departed = true;
-            self.rebuild_view_ring();
-        }
         // Components frozen for a coordinator that is now tombstoned:
         // the merge will never complete. Nudge the parent's current
         // owner to adopt (or disown) the obligation.
@@ -1994,7 +2149,7 @@ impl NodeProc {
             .components
             .iter()
             .filter_map(|(id, h)| match h.frozen_by {
-                Some(pid) if self.view_dead.contains(&NodeId(pid.0)) => {
+                Some(pid) if self.view.is_dead(NodeId(pid.0)) => {
                     id.parent().map(|p| (*id, p))
                 }
                 _ => None,
@@ -2082,16 +2237,10 @@ impl NodeProc {
     /// deliberately ignored: a merge-parent install legitimately lands
     /// on a node still holding children it froze for that very merge.
     fn accepting_would_double_cover(&self, id: &ComponentId) -> bool {
-        let hit = self.splits.contains_key(id)
-            || self
-                .components
-                .iter()
-                .filter(|(_, h)| !h.frozen)
-                .map(|(c, _)| c)
-                .chain(self.splits.values().flat_map(|op| op.pending.keys()))
-                .chain(self.migrating.keys())
-                .any(|c| c != id && (c.is_ancestor_of(id) || id.is_ancestor_of(c)));
-        hit
+        let resident = self.components.iter().filter(|(_, h)| !h.frozen).map(|(c, _)| c);
+        let in_flight = self.splits.values().flat_map(|op| op.pending.keys());
+        self.splits.contains_key(id)
+            || overlaps(id, resident.chain(in_flight).chain(self.migrating.keys()))
     }
 
     /// Starts (or queues) a global rescue sweep: collect every peer's
@@ -2102,7 +2251,7 @@ impl NodeProc {
             return;
         }
         let peers: BTreeSet<NodeId> =
-            self.view_ring.nodes().filter(|&n| n != self.node).collect();
+            self.view.ring().nodes().filter(|&n| n != self.node).collect();
         let mut op = RescueOp {
             started_at: ctx.now(),
             pending: peers.clone(),
@@ -2189,23 +2338,7 @@ impl NodeProc {
         {
             op.covered.insert(*id, (self.node, false));
         }
-        // A *frozen* covered id under a *live* covered proper ancestor
-        // is a merge leftover (the coordinator died between installing
-        // the parent and dismissing the children): drop it. Split
-        // children under their frozen parent are live, so they are
-        // never discarded; the frozen split parent itself has no
-        // covered ancestor.
-        let discards: Vec<(ComponentId, NodeId)> = op
-            .covered
-            .iter()
-            .filter(|(id, (_, frozen))| {
-                *frozen
-                    && id.ancestors().any(|a| {
-                        op.covered.get(&a).is_some_and(|(_, afrozen)| !afrozen)
-                    })
-            })
-            .map(|(id, (reporter, _))| (*id, *reporter))
-            .collect();
+        let discards = rescue_discards(&op.covered);
         for (id, reporter) in discards {
             self.world.borrow().metrics.rescue_discards.inc();
             if reporter == self.node {
@@ -2214,27 +2347,8 @@ impl NodeProc {
                 ctx.send(ProcessId(reporter.0), Msg::RemoveFrozen { id });
             }
         }
-        // Uncovered maximal subtrees (same walk the old harness
-        // `repair` did, but over the *reported* cut).
         let tree = self.world.borrow().tree;
-        let mut to_install: Vec<ComponentId> = Vec::new();
-        let mut stack = vec![ComponentId::root()];
-        while let Some(id) = stack.pop() {
-            if op.covered.contains_key(&id)
-                || id.ancestors().any(|a| op.covered.contains_key(&a))
-            {
-                continue;
-            }
-            let covered_below = op.covered.keys().any(|l| id.is_ancestor_of(l));
-            if !covered_below {
-                to_install.push(id);
-                continue;
-            }
-            let info = tree.info(&id).expect("valid node");
-            for c in 0..info.child_count() as u8 {
-                stack.push(id.child(c));
-            }
-        }
+        let to_install = uncovered_subtrees(&tree, &op.covered);
         for id in to_install {
             let owner = self.owner_of(&id);
             {
@@ -2255,7 +2369,7 @@ impl NodeProc {
                     );
                 }
             }
-            if ProcessId(owner.0) == ctx.self_id() && !self.departed {
+            if ProcessId(owner.0) == ctx.self_id() && !self.view.is_ghost() {
                 self.install_component(Component::new(&tree, &id));
             } else {
                 op.installs.insert(id, owner);
@@ -2303,14 +2417,13 @@ impl NodeProc {
     /// pending installs to their *current* view-owners.
     fn redrive_rescue(&mut self, ctx: &mut Context<'_, Msg>) {
         let (requery, reinstall, finalize) = {
-            let dead = self.view_dead.clone();
             let Some(op) = &mut self.rescue else { return };
             op.stalled_rounds += 1;
             if op.stalled_rounds <= 2 {
                 return;
             }
             op.stalled_rounds = 0;
-            op.pending.retain(|n| !dead.contains(n));
+            op.pending.retain(|n| !self.view.is_dead(*n));
             let requery: Vec<NodeId> = op.pending.iter().copied().collect();
             let reinstall: Vec<ComponentId> = if requery.is_empty() {
                 op.installs.keys().copied().collect()
@@ -2329,7 +2442,7 @@ impl NodeProc {
         let tree = self.world.borrow().tree;
         for id in reinstall {
             let owner = self.owner_of(&id);
-            if ProcessId(owner.0) == ctx.self_id() && !self.departed {
+            if ProcessId(owner.0) == ctx.self_id() && !self.view.is_ghost() {
                 // The install was computed at finalize time; state may
                 // have moved since (a migration landed, a split
                 // started). Same refusal the remote handler applies.
@@ -2362,7 +2475,7 @@ impl Process<Msg> for NodeProc {
         // Every protocol message doubles as a heartbeat: the failure
         // detector only sends explicit pings over otherwise-idle links.
         if from != ProcessId::EXTERNAL && from != COLLECTOR && from != ctx.self_id() {
-            self.last_heard.insert(NodeId(from.0), ctx.now());
+            self.view.heard(NodeId(from.0), ctx.now());
         }
         match msg {
             Msg::ClientInject { wire } => {
@@ -2560,7 +2673,7 @@ impl Process<Msg> for NodeProc {
                 // already cleared the strike window.
             }
             Msg::ViewGossip { known, dead } => {
-                if self.merge_view(&known, &dead) {
+                if self.view.merge(&known, &dead) {
                     self.broadcast_view(ctx);
                     self.after_view_change(ctx);
                 }
@@ -2575,7 +2688,7 @@ impl Process<Msg> for NodeProc {
             Msg::RescueInstall { comp } => {
                 // Silence (no ack) when we cannot host: the
                 // coordinator's re-drive resolves the current owner.
-                if self.departed || !self.view_live(self.node) {
+                if self.view.is_ghost() {
                     return;
                 }
                 let id = *comp.id();
@@ -2609,7 +2722,7 @@ impl Process<Msg> for NodeProc {
                 }
             }
             Msg::Migrate { comp, seen, buffer } => {
-                if self.departed || !self.view_live(self.node) {
+                if self.view.is_ghost() {
                     // Cannot adopt: stay silent so the sender's retry
                     // re-resolves ownership against a fresher view.
                     return;
@@ -2725,7 +2838,7 @@ impl Process<Msg> for NodeProc {
                 for id in stale_migrations {
                     let owner = self.owner_of(&id);
                     if ProcessId(owner.0) == ctx.self_id() {
-                        if self.departed || !self.view_live(self.node) {
+                        if self.view.is_ghost() {
                             continue; // nowhere to shed to yet; keep holding
                         }
                         let m = self.migrating.remove(&id).expect("listed above");
@@ -2753,7 +2866,7 @@ impl Process<Msg> for NodeProc {
                     .get(&id)
                     .map(|h| !h.frozen && h.comp.width() >= 4)
                     .unwrap_or(false);
-                if splittable && !self.splits.contains_key(&id) && !self.departed {
+                if splittable && !self.splits.contains_key(&id) && !self.view.is_ghost() {
                     self.start_split(ctx, &id);
                 }
             }
@@ -2761,7 +2874,7 @@ impl Process<Msg> for NodeProc {
                 let id = ComponentId::from_u64(tag & FORCE_TAG_ID_MASK);
                 if self.split_list.contains(&id)
                     && !self.merges.contains_key(&id)
-                    && !self.departed
+                    && !self.view.is_ghost()
                 {
                     self.start_merge(ctx, &id, None);
                 }
@@ -3542,7 +3655,6 @@ impl NodeProc {
     fn digest(&self, d: &mut StateDigest) {
         d.word(self.node.0);
         d.word(self.level as u64);
-        d.word(u64::from(self.departed));
         d.word(u64::from(self.retry_armed));
         d.word(self.components.len() as u64);
         for (id, hosted) in &self.components {
@@ -3608,36 +3720,10 @@ impl NodeProc {
         d.item(&self.cache);
         // Failure-detector and membership state. `last_heard` carries
         // raw timestamps: freshness decisions depend on them, so they
-        // must split states that would behave differently.
-        d.item(&self.view_known);
-        d.item(&self.view_dead);
-        d.word(self.last_heard.len() as u64);
-        for (n, t) in &self.last_heard {
-            d.word(n.0);
-            d.word(*t);
-        }
-        d.word(self.fd_target.map_or(u64::MAX, |n| n.0));
-        d.word(u64::from(self.fd_strikes));
-        match &self.rescue {
-            Some(op) => {
-                d.word(1);
-                d.word(op.started_at);
-                d.item(&op.pending);
-                d.word(op.covered.len() as u64);
-                for (id, (n, frozen)) in &op.covered {
-                    d.item(id);
-                    d.word(n.0);
-                    d.word(u64::from(*frozen));
-                }
-                d.word(op.installs.len() as u64);
-                for (id, n) in &op.installs {
-                    d.item(id);
-                    d.word(n.0);
-                }
-                d.word(u64::from(op.stalled_rounds));
-            }
-            None => d.word(0),
-        }
+        // must split states that would behave differently — as does a
+        // sweep's `started_at` (it dates the `rescue.duration` record).
+        d.item(&self.view);
+        d.item(&self.rescue);
         d.word(u64::from(self.rescue_again));
         d.word(self.migrating.len() as u64);
         for (id, m) in &self.migrating {
@@ -3647,8 +3733,7 @@ impl NodeProc {
             digest_tokens(&m.buffer, d);
             d.word(m.sent_at);
         }
-        d.word(self.retry_interval);
-        d.word(self.jitter_rng);
+        d.item(&self.backoff);
         d.word(self.frozen_buffer_cap as u64);
     }
 }
