@@ -41,7 +41,7 @@
 //! Exited tokens are reported to a collector process which serves as the
 //! measurement endpoint for the experiments.
 
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
@@ -605,17 +605,6 @@ struct UnackedToken {
     sent_at: u64,
 }
 
-/// What token routing reads from the shared [`World`]: taken once per
-/// handler, not once per hop.
-struct RouteEnv {
-    tree: Tree,
-    style: WiringStyle,
-    /// Whether the dedup layers are on (off only under the planted
-    /// checker mutation).
-    dedup: bool,
-    tracer: Tracer,
-}
-
 /// Per-component idempotency ledger: `(token, addr)` pairs this
 /// component (or its decomposition-lineage ancestors) has already
 /// consumed. A feed-forward network processes each token at each wire
@@ -991,6 +980,10 @@ struct MergeOp {
 pub struct NodeProc {
     world: Rc<RefCell<World>>,
     node: NodeId,
+    /// The decomposition tree and wiring style: deployment constants,
+    /// copied out of the world at construction.
+    tree: Tree,
+    style: WiringStyle,
     components: BTreeMap<ComponentId, Hosted>,
     /// Components this node split and has not merged back yet (the
     /// paper's per-node split list).
@@ -1031,9 +1024,15 @@ impl NodeProc {
     /// Creates the process for overlay node `node`.
     #[must_use]
     pub fn new(world: Rc<RefCell<World>>, node: NodeId, level_period: u64) -> Self {
+        let (tree, style) = {
+            let w = world.borrow();
+            (w.tree, w.style)
+        };
         NodeProc {
             world,
             node,
+            tree,
+            style,
             components: BTreeMap::new(),
             split_list: BTreeSet::new(),
             splits: BTreeMap::new(),
@@ -1089,6 +1088,27 @@ impl NodeProc {
         self.frozen_buffer_cap = cap.max(1);
     }
 
+    /// The deployment-wide `acn.dist.*` handles. With
+    /// [`trace`](Self::trace), the world's mirrored counters, its two
+    /// id allocators and the planted-mutation switch this is all that
+    /// protocol code touches of the shared [`World`]: write-only
+    /// observation, never membership or harness ground truth.
+    fn metrics(&self) -> Ref<'_, DistMetrics> {
+        Ref::map(self.world.borrow(), |w| &w.metrics)
+    }
+
+    /// Records `span` (a no-op while no tracer is attached).
+    fn trace(&self, span: Span) {
+        self.world.borrow().tracer.record(span);
+    }
+
+    /// Whether the dedup layers are on (off only under the planted
+    /// checker mutation), and whether `token`'s spans are sampled.
+    fn token_flags(&self, token: u64) -> (bool, bool) {
+        let w = self.world.borrow();
+        (!w.mutation_no_ack_dedup, w.tracer.should_sample(token))
+    }
+
     /// Gossips the local view to every known peer. Sent only on change,
     /// so each membership event costs O(N^2) messages before every
     /// view converges and the wave dies out. Tombstoned peers are
@@ -1106,19 +1126,18 @@ impl NodeProc {
             );
             sent += 1;
         }
-        self.world.borrow().metrics.fd_gossip.add(sent);
+        self.metrics().fd_gossip.add(sent);
     }
 
     /// The hash owner of component `id` per this node's *local view*
     /// (one DHT lookup in a real deployment).
-    fn owner_of(&mut self, id: &ComponentId) -> NodeId {
-        let name = {
+    fn owner_of(&self, id: &ComponentId) -> NodeId {
+        {
             let mut w = self.world.borrow_mut();
             w.dht_lookups += 1;
             w.metrics.dht_lookups.inc();
-            w.tree.preorder_index(id)
-        };
-        self.view.owner_of_name(name)
+        }
+        self.view.owner_of_name(self.tree.preorder_index(id))
     }
 
     /// The overlay node this process represents.
@@ -1273,7 +1292,7 @@ impl NodeProc {
         }
         self.retry_armed = true;
         let delay = self.backoff.next_delay(self.level_period);
-        self.world.borrow().metrics.backoff_interval.record(delay);
+        self.metrics().backoff_interval.record(delay);
         ctx.set_timer(delay, TIMER_RETRY);
     }
 
@@ -1281,30 +1300,19 @@ impl NodeProc {
     /// retry interval.
     fn escalate_backoff(&mut self) {
         self.backoff.escalate(self.level_period);
-        self.world.borrow().metrics.backoff_escalations.inc();
+        self.metrics().backoff_escalations.inc();
     }
 
     /// Acknowledged progress: back to the base interval.
     fn reset_backoff(&mut self) {
         if self.backoff.reset() {
-            self.world.borrow().metrics.backoff_resets.inc();
+            self.metrics().backoff_resets.inc();
         }
     }
 
     /// The hosted candidate (if any) covering `addr`.
     fn hosted_candidate(&self, addr: &WireAddress) -> Option<ComponentId> {
         addr.candidates().find(|c| self.components.contains_key(c))
-    }
-
-    /// Reads what token routing needs from the shared world.
-    fn route_env(&self) -> RouteEnv {
-        let w = self.world.borrow();
-        RouteEnv {
-            tree: w.tree,
-            style: w.style,
-            dedup: !w.mutation_no_ack_dedup,
-            tracer: w.tracer.clone(),
-        }
     }
 
     /// Where a token arriving from outside (a client, a peer, or this
@@ -1344,26 +1352,24 @@ impl NodeProc {
         t: Token,
         start: Option<ComponentId>,
     ) {
-        let env = self.route_env();
-        let mut candidate = start;
         let Token { id: token, mut addr, injected_at, hops } = t;
-        let tracer = &env.tracer;
-        let traced = tracer.should_sample(token);
+        let (dedup, traced) = self.token_flags(token);
+        let mut candidate = start;
         while let Some(id) = candidate {
             let hosted = self.components.get_mut(&id).expect("candidate is hosted");
             if hosted.frozen {
+                hosted.buffer.push(Token { addr, ..t });
                 if traced {
-                    tracer.record(
+                    self.trace(
                         Span::new("token.buffer", token)
                             .at(ctx.now())
                             .node(self.node.0)
                             .with("level", id.level() as u64),
                     );
                 }
-                hosted.buffer.push(Token { addr, ..t });
                 return;
             }
-            if env.dedup && !hosted.seen.insert((token, addr)) {
+            if dedup && !hosted.seen.insert((token, addr)) {
                 // This component (or its lineage) already consumed this
                 // token at this wire: the copy is a re-routed
                 // retransmission whose original was delayed, not lost.
@@ -1383,11 +1389,11 @@ impl NodeProc {
                 }
                 return;
             }
-            let in_port = input_port_of(&env.tree, &id, &addr, env.style);
+            let in_port = input_port_of(&self.tree, &id, &addr, self.style);
             let port = hosted.comp.process_token(in_port);
             guid = None;
             if traced {
-                tracer.record(
+                self.trace(
                     Span::new("token.route", token)
                         .at(ctx.now())
                         .node(self.node.0)
@@ -1396,11 +1402,11 @@ impl NodeProc {
                         .with("out_port", port as u64),
                 );
             }
-            match resolve_output(&env.tree, &id, port, env.style) {
+            match resolve_output(&self.tree, &id, port, self.style) {
                 OutputDestination::NetworkOutput(wire) => {
-                    self.world.borrow().metrics.routing_hops.record(hops);
+                    self.metrics().routing_hops.record(hops);
                     if traced {
-                        tracer.record(
+                        self.trace(
                             Span::new("token.exit", token)
                                 .at(ctx.now())
                                 .node(self.node.0)
@@ -1434,7 +1440,10 @@ impl NodeProc {
         attempt: u8,
     ) {
         let Token { id: token, addr, hops, .. } = t;
-        let guid = guid.unwrap_or_else(|| self.world.borrow_mut().fresh_guid());
+        let (guid, traced) = {
+            let mut w = self.world.borrow_mut();
+            (guid.unwrap_or_else(|| w.fresh_guid()), w.tracer.should_sample(token))
+        };
         let balancer = addr.balancer();
         let depth = balancer.level();
         let mut attempt = attempt;
@@ -1460,18 +1469,15 @@ impl NodeProc {
             self.cache.insert(addr, guess.level());
             self.unacked.insert(guid, UnackedToken { t, sent_at: ctx.now() });
             self.arm_retry(ctx);
-            {
-                let w = self.world.borrow();
-                if w.tracer.should_sample(token) {
-                    w.tracer.record(
-                        Span::new("token.send", token)
-                            .at(ctx.now())
-                            .node(self.node.0)
-                            .with("to", host.0)
-                            .with("guid", guid)
-                            .with("hops", hops),
-                    );
-                }
+            if traced {
+                self.trace(
+                    Span::new("token.send", token)
+                        .at(ctx.now())
+                        .node(self.node.0)
+                        .with("to", host.0)
+                        .with("guid", guid)
+                        .with("hops", hops),
+                );
             }
             ctx.send_lossy(ProcessId(host.0), t.into_msg(guid, attempt));
             return;
@@ -1481,14 +1487,10 @@ impl NodeProc {
     /// Begins splitting hosted component `id`. Defers (no-op) if the
     /// component's traffic has not settled; the next level tick retries.
     fn start_split(&mut self, ctx: &mut Context<'_, Msg>, id: &ComponentId) {
-        let (tree, style) = {
-            let w = self.world.borrow();
-            (w.tree, w.style)
-        };
         let children = {
             let hosted = self.components.get(id).expect("split target is hosted");
             debug_assert!(!hosted.frozen);
-            match split_component(&tree, &hosted.comp, style) {
+            match split_component(&self.tree, &hosted.comp, self.style) {
                 Ok(children) => children,
                 Err(_) => return, // transient; retry at the next tick
             }
@@ -1499,7 +1501,7 @@ impl NodeProc {
         // covered their regions, so any token it consumed must not be
         // consumed again by a child processing a delayed duplicate.
         let parent_seen = hosted.seen.clone();
-        self.world.borrow().metrics.registry.emit(
+        self.metrics().registry.emit(
             TelemetryEvent::new("split.begin")
                 .at(ctx.now())
                 .node(self.node.0)
@@ -1554,15 +1556,13 @@ impl NodeProc {
                     .with("duration", duration)
                     .with("drained", drained),
             );
-            if w.tracer.is_enabled() {
-                w.tracer.record(
-                    Span::new("net.split", SYSTEM_TRACE)
-                        .between(started_at, ctx.now())
-                        .node(self.node.0)
-                        .with("level", id.level() as u64)
-                        .with("drained", drained),
-                );
-            }
+            w.tracer.record(
+                Span::new("net.split", SYSTEM_TRACE)
+                    .between(started_at, ctx.now())
+                    .node(self.node.0)
+                    .with("level", id.level() as u64)
+                    .with("drained", drained),
+            );
         }
         self.split_list.insert(id);
         self.drain(ctx, hosted.buffer);
@@ -1575,10 +1575,9 @@ impl NodeProc {
         id: &ComponentId,
         requester: Option<(ProcessId, ComponentId)>,
     ) {
-        let tree = self.world.borrow().tree;
-        let children = tree.children(id);
+        let children = self.tree.children(id);
         let arity = children.len();
-        self.world.borrow().metrics.registry.emit(
+        self.metrics().registry.emit(
             TelemetryEvent::new("merge.begin")
                 .at(ctx.now())
                 .node(self.node.0)
@@ -1665,10 +1664,6 @@ impl NodeProc {
 
     /// All children collected: reconstruct the parent.
     fn complete_merge(&mut self, ctx: &mut Context<'_, Msg>, parent: ComponentId) {
-        let (tree, style) = {
-            let w = self.world.borrow();
-            (w.tree, w.style)
-        };
         let (merged, merged_seen, nested_requester) = {
             let op = self.merges.get(&parent).expect("merge in progress");
             let children: Vec<Component> = op
@@ -1682,7 +1677,7 @@ impl NodeProc {
             for c in op.collected.iter() {
                 merged_seen.extend(c.as_ref().expect("all collected").1.iter().copied());
             }
-            match merge_components(&tree, &parent, &children, style) {
+            match merge_components(&self.tree, &parent, &children, self.style) {
                 Ok(m) => (m, merged_seen, op.requester),
                 Err(_) => {
                     // Unsettled traffic: release the children and retry
@@ -1780,14 +1775,12 @@ impl NodeProc {
                 .component(parent.to_string())
                 .with("duration", duration),
         );
-        if w.tracer.is_enabled() {
-            w.tracer.record(
-                Span::new("net.merge", SYSTEM_TRACE)
-                    .between(started_at, ctx.now())
-                    .node(self.node.0)
-                    .with("level", parent.level() as u64),
-            );
-        }
+        w.tracer.record(
+            Span::new("net.merge", SYSTEM_TRACE)
+                .between(started_at, ctx.now())
+                .node(self.node.0)
+                .with("level", parent.level() as u64),
+        );
     }
 
     /// Aborts an in-progress merge: children are unfrozen in place and
@@ -1796,9 +1789,9 @@ impl NodeProc {
     fn abort_merge(&mut self, ctx: &mut Context<'_, Msg>, parent: &ComponentId) {
         let op = self.merges.remove(parent).expect("merge in progress");
         {
-            let w = self.world.borrow();
-            w.metrics.merge_aborts.inc();
-            w.metrics.registry.emit(
+            let m = self.metrics();
+            m.merge_aborts.inc();
+            m.registry.emit(
                 TelemetryEvent::new("merge.abort")
                     .at(ctx.now())
                     .node(self.node.0)
@@ -1841,7 +1834,7 @@ impl NodeProc {
     /// merge-drain step of the protocol).
     fn remove_frozen(&mut self, ctx: &mut Context<'_, Msg>, id: &ComponentId) {
         if let Some(hosted) = self.components.remove(id) {
-            self.world.borrow().metrics.merge_drained.add(hosted.buffer.len() as u64);
+            self.metrics().merge_drained.add(hosted.buffer.len() as u64);
             self.drain(ctx, hosted.buffer);
         }
     }
@@ -1867,25 +1860,23 @@ impl NodeProc {
             }
             return;
         }
-        {
-            let w = self.world.borrow();
-            let level = w
-                .metrics
-                .estimator
-                .node_level_at(self.view.ring(), self.node, ctx.now())
-                .min(w.tree.max_level());
-            if level != self.level {
-                w.metrics.level_changes.inc();
-                w.metrics.registry.emit(
-                    TelemetryEvent::new("dist.level_change")
-                        .at(ctx.now())
-                        .node(self.node.0)
-                        .with("from", self.level as u64)
-                        .with("to", level as u64),
-                );
-            }
-            self.level = level;
+        let level = self
+            .metrics()
+            .estimator
+            .node_level_at(self.view.ring(), self.node, ctx.now())
+            .min(self.tree.max_level());
+        if level != self.level {
+            let m = self.metrics();
+            m.level_changes.inc();
+            m.registry.emit(
+                TelemetryEvent::new("dist.level_change")
+                    .at(ctx.now())
+                    .node(self.node.0)
+                    .with("from", self.level as u64)
+                    .with("to", level as u64),
+            );
         }
+        self.level = level;
         // Splitting rule.
         let to_split: Vec<ComponentId> = self
             .components
@@ -2050,25 +2041,23 @@ impl NodeProc {
             }
             let Some((comp, buffer, seen)) = self.take_component(&id) else { continue };
             {
-                let w = self.world.borrow();
-                w.metrics.migrations.inc();
-                w.metrics.registry.emit(
+                let m = self.metrics();
+                m.migrations.inc();
+                m.registry.emit(
                     TelemetryEvent::new("dist.migrate")
                         .at(ctx.now())
                         .node(owner.0)
                         .component(id.to_string())
                         .with("from", self.node.0),
                 );
-                if w.tracer.is_enabled() {
-                    w.tracer.record(
-                        Span::new("net.migrate", SYSTEM_TRACE)
-                            .at(ctx.now())
-                            .node(owner.0)
-                            .with("from", self.node.0)
-                            .with("level", id.level() as u64),
-                    );
-                }
             }
+            self.trace(
+                Span::new("net.migrate", SYSTEM_TRACE)
+                    .at(ctx.now())
+                    .node(owner.0)
+                    .with("from", self.node.0)
+                    .with("level", id.level() as u64),
+            );
             self.migrating.insert(
                 id,
                 MigratingComponent {
@@ -2102,7 +2091,7 @@ impl NodeProc {
         match self.view.fd_tick(ctx.now(), period) {
             FdStep::Idle => {}
             FdStep::Ping(pred) => {
-                self.world.borrow().metrics.fd_pings.inc();
+                self.metrics().fd_pings.inc();
                 ctx.send(ProcessId(pred.0), Msg::Ping);
             }
             FdStep::Suspect(pred) => self.suspect(ctx, pred),
@@ -2121,18 +2110,13 @@ impl NodeProc {
             return;
         }
         self.world.borrow_mut().note_detection(dead, ctx.now());
-        {
-            let w = self.world.borrow();
-            if w.tracer.is_enabled() {
-                w.tracer.record(
-                    Span::new("fd.suspect", SYSTEM_TRACE)
-                        .at(ctx.now())
-                        .node(self.node.0)
-                        .with("dead", dead.0)
-                        .with("epoch", self.view.epoch()),
-                );
-            }
-        }
+        self.trace(
+            Span::new("fd.suspect", SYSTEM_TRACE)
+                .at(ctx.now())
+                .node(self.node.0)
+                .with("dead", dead.0)
+                .with("epoch", self.view.epoch()),
+        );
         self.broadcast_view(ctx);
         self.after_view_change(ctx);
         self.start_rescue_sweep(ctx);
@@ -2264,20 +2248,16 @@ impl NodeProc {
         }
         self.rescue = Some(op);
         {
-            let w = self.world.borrow();
-            w.metrics.rescue_sweeps.inc();
-            w.metrics.registry.emit(
-                TelemetryEvent::new("rescue.begin").at(ctx.now()).node(self.node.0),
-            );
-            if w.tracer.is_enabled() {
-                w.tracer.record(
-                    Span::new("rescue.begin", SYSTEM_TRACE)
-                        .at(ctx.now())
-                        .node(self.node.0)
-                        .with("peers", peers.len() as u64),
-                );
-            }
+            let m = self.metrics();
+            m.rescue_sweeps.inc();
+            m.registry.emit(TelemetryEvent::new("rescue.begin").at(ctx.now()).node(self.node.0));
         }
+        self.trace(
+            Span::new("rescue.begin", SYSTEM_TRACE)
+                .at(ctx.now())
+                .node(self.node.0)
+                .with("peers", peers.len() as u64),
+        );
         // Make sure the sweep gets re-driven even if this node's FD
         // lease timer is the only thing keeping time.
         ctx.set_timer(self.level_period, TIMER_FD);
@@ -2340,43 +2320,38 @@ impl NodeProc {
         }
         let discards = rescue_discards(&op.covered);
         for (id, reporter) in discards {
-            self.world.borrow().metrics.rescue_discards.inc();
+            self.metrics().rescue_discards.inc();
             if reporter == self.node {
                 self.remove_frozen(ctx, &id);
             } else {
                 ctx.send(ProcessId(reporter.0), Msg::RemoveFrozen { id });
             }
         }
-        let tree = self.world.borrow().tree;
-        let to_install = uncovered_subtrees(&tree, &op.covered);
+        let to_install = uncovered_subtrees(&self.tree, &op.covered);
         for id in to_install {
             let owner = self.owner_of(&id);
             {
-                let w = self.world.borrow();
-                w.metrics.rescue_installs.inc();
-                w.metrics.registry.emit(
+                let m = self.metrics();
+                m.rescue_installs.inc();
+                m.registry.emit(
                     TelemetryEvent::new("rescue.install")
                         .at(ctx.now())
                         .node(owner.0)
                         .component(id.to_string()),
                 );
-                if w.tracer.is_enabled() {
-                    w.tracer.record(
-                        Span::new("rescue.install", SYSTEM_TRACE)
-                            .at(ctx.now())
-                            .node(owner.0)
-                            .with("level", id.level() as u64),
-                    );
-                }
             }
+            self.trace(
+                Span::new("rescue.install", SYSTEM_TRACE)
+                    .at(ctx.now())
+                    .node(owner.0)
+                    .with("level", id.level() as u64),
+            );
+            let fresh = Component::new(&self.tree, &id);
             if ProcessId(owner.0) == ctx.self_id() && !self.view.is_ghost() {
-                self.install_component(Component::new(&tree, &id));
+                self.install_component(fresh);
             } else {
                 op.installs.insert(id, owner);
-                ctx.send(
-                    ProcessId(owner.0),
-                    Msg::RescueInstall { comp: Box::new(Component::new(&tree, &id)) },
-                );
+                ctx.send(ProcessId(owner.0), Msg::RescueInstall { comp: Box::new(fresh) });
             }
         }
         if op.installs.is_empty() {
@@ -2389,23 +2364,19 @@ impl NodeProc {
     /// The sweep is complete (all replacement installs acked).
     fn rescue_done(&mut self, ctx: &mut Context<'_, Msg>, started_at: u64) {
         {
-            let w = self.world.borrow();
+            let m = self.metrics();
             let duration = ctx.now().saturating_sub(started_at);
-            w.metrics.rescue_duration.record(duration);
-            w.metrics.registry.emit(
+            m.rescue_duration.record(duration);
+            m.registry.emit(
                 TelemetryEvent::new("rescue.end")
                     .at(ctx.now())
                     .node(self.node.0)
                     .with("duration", duration),
             );
-            if w.tracer.is_enabled() {
-                w.tracer.record(
-                    Span::new("rescue.end", SYSTEM_TRACE)
-                        .between(started_at, ctx.now())
-                        .node(self.node.0),
-                );
-            }
         }
+        self.trace(
+            Span::new("rescue.end", SYSTEM_TRACE).between(started_at, ctx.now()).node(self.node.0),
+        );
         if self.rescue_again {
             self.rescue_again = false;
             self.start_rescue_sweep(ctx);
@@ -2439,15 +2410,15 @@ impl NodeProc {
         for p in requery {
             ctx.send(ProcessId(p.0), Msg::RescueQuery);
         }
-        let tree = self.world.borrow().tree;
         for id in reinstall {
             let owner = self.owner_of(&id);
+            let fresh = Component::new(&self.tree, &id);
             if ProcessId(owner.0) == ctx.self_id() && !self.view.is_ghost() {
                 // The install was computed at finalize time; state may
                 // have moved since (a migration landed, a split
                 // started). Same refusal the remote handler applies.
                 if !self.accepting_would_double_cover(&id) {
-                    self.install_component(Component::new(&tree, &id));
+                    self.install_component(fresh);
                 }
                 if let Some(op) = &mut self.rescue {
                     op.installs.remove(&id);
@@ -2461,10 +2432,7 @@ impl NodeProc {
                 if let Some(op) = &mut self.rescue {
                     op.installs.insert(id, owner);
                 }
-                ctx.send(
-                    ProcessId(owner.0),
-                    Msg::RescueInstall { comp: Box::new(Component::new(&tree, &id)) },
-                );
+                ctx.send(ProcessId(owner.0), Msg::RescueInstall { comp: Box::new(fresh) });
             }
         }
     }
@@ -2479,31 +2447,33 @@ impl Process<Msg> for NodeProc {
         }
         match msg {
             Msg::ClientInject { wire } => {
-                let env = self.route_env();
-                let addr = network_input_address(&env.tree, wire, env.style);
+                let addr = network_input_address(&self.tree, wire, self.style);
                 let now = ctx.now();
-                let token = self.world.borrow_mut().fresh_token_id();
-                if env.tracer.should_sample(token) {
-                    env.tracer.open_trace(token, now);
-                    env.tracer.record(
-                        Span::new("token.inject", token)
-                            .at(now)
-                            .node(self.node.0)
-                            .with("wire", wire as u64),
-                    );
-                }
+                let token = {
+                    let mut w = self.world.borrow_mut();
+                    let token = w.fresh_token_id();
+                    if w.tracer.should_sample(token) {
+                        w.tracer.open_trace(token, now);
+                        w.tracer.record(
+                            Span::new("token.inject", token)
+                                .at(now)
+                                .node(self.node.0)
+                                .with("wire", wire as u64),
+                        );
+                    }
+                    token
+                };
                 let t = Token { id: token, addr, injected_at: now, hops: 0 };
                 let start = self.entry_point(&addr);
                 self.route(ctx, None, t, start);
             }
             Msg::Token { guid, token, addr, injected_at, attempt, hops } => {
-                let env = self.route_env();
-                let traced = env.tracer.should_sample(token);
-                if env.dedup && self.seen.contains(&guid) {
+                let (dedup, traced) = self.token_flags(token);
+                if dedup && self.seen.contains(&guid) {
                     // Duplicate (retransmission raced the ack): already
                     // accepted; just re-acknowledge.
                     if traced {
-                        env.tracer.record(
+                        self.trace(
                             Span::new("token.dup_recv", token)
                                 .at(ctx.now())
                                 .node(self.node.0)
@@ -2524,7 +2494,7 @@ impl Process<Msg> for NodeProc {
                         w.metrics.nacks.inc();
                     }
                     if traced {
-                        env.tracer.record(
+                        self.trace(
                             Span::new("token.nack", token)
                                 .at(ctx.now())
                                 .node(self.node.0)
@@ -2551,9 +2521,9 @@ impl Process<Msg> for NodeProc {
                     // the sender instead of queueing unboundedly — the
                     // sender keeps the obligation, escalates its
                     // backoff, and retries after the freeze drains.
-                    self.world.borrow().metrics.busy_sheds.inc();
+                    self.metrics().busy_sheds.inc();
                     if traced {
-                        env.tracer.record(
+                        self.trace(
                             Span::new("token.busy", token)
                                 .at(ctx.now())
                                 .node(self.node.0)
@@ -2565,7 +2535,7 @@ impl Process<Msg> for NodeProc {
                 }
                 self.seen.insert(guid);
                 if traced {
-                    env.tracer.record(
+                    self.trace(
                         Span::new("token.deliver", token)
                             .at(ctx.now())
                             .node(self.node.0)
