@@ -75,7 +75,7 @@ pub fn run() -> String {
     for v in victims {
         d.leave_node(v);
         inject(&mut d, &mut rng, 3, &mut injected);
-        d.migrate_components();
+        d.run_for(2 * d.level_period);
     }
     snapshot(&mut d, "after shrink (N=6)", injected, &mut table);
 

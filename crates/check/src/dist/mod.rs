@@ -92,8 +92,6 @@ pub enum DistAction {
     Leave(usize),
     /// Add a fresh node and migrate components to it.
     Join,
-    /// Run the cut-repair sweep (re-cover subtrees lost to crashes).
-    Repair,
     /// Inject one token on this input wire mid-run.
     Inject(usize),
     /// Crash whichever live node currently has a split in flight
@@ -113,7 +111,6 @@ impl fmt::Display for DistAction {
             DistAction::Crash(i) => write!(f, "crash node #{i}"),
             DistAction::Leave(i) => write!(f, "leave node #{i}"),
             DistAction::Join => write!(f, "join a node"),
-            DistAction::Repair => write!(f, "repair the cut"),
             DistAction::Inject(w) => write!(f, "inject on wire {w}"),
             DistAction::CrashMidSplit => write!(f, "crash the split coordinator"),
             DistAction::CrashMidMerge => write!(f, "crash the merge coordinator"),
@@ -498,7 +495,6 @@ impl DistRun {
             // still terminate, so the closed-window case is a no-op
             // rather than a never-enabled stuck state.
             DistAction::Join
-            | DistAction::Repair
             | DistAction::Inject(_)
             | DistAction::CrashMidSplit
             | DistAction::CrashMidMerge => true,
@@ -859,7 +855,6 @@ impl DistRun {
             DistAction::Join => {
                 let _ = self.d.join_node();
             }
-            DistAction::Repair => self.d.repair(),
             DistAction::Inject(wire) => {
                 self.d.inject(*wire);
                 self.injected += 1;

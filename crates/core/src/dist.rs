@@ -1064,12 +1064,6 @@ impl NodeProc {
         self.view.is_dead(n)
     }
 
-    /// Whether this node is currently coordinating a rescue sweep.
-    #[must_use]
-    pub fn rescue_active(&self) -> bool {
-        self.rescue.is_some()
-    }
-
     /// In-flight split operations this node coordinates.
     #[must_use]
     pub fn splits_in_flight(&self) -> usize {
@@ -1154,16 +1148,11 @@ impl NodeProc {
         self.view.is_ghost()
     }
 
-    /// Installs a component directly with an empty idempotency ledger
-    /// (bootstrap and crash repair — where token history is gone by
-    /// definition).
-    pub fn install_component(&mut self, comp: Component) {
-        self.install_component_with_seen(comp, SeenTokens::new());
-    }
-
-    /// Installs a component carrying its travelling `(token, addr)`
-    /// ledger (split inheritance, merge union, migration).
-    pub fn install_component_with_seen(&mut self, comp: Component, seen: SeenTokens) {
+    /// Installs a component with its travelling `(token, addr)` ledger:
+    /// inherited on a split, unioned on a merge, carried by a migration,
+    /// and empty at boot and after a rescue, where token history is gone
+    /// by definition.
+    fn install(&mut self, comp: Component, seen: SeenTokens) {
         self.components.insert(
             *comp.id(),
             Hosted { comp, frozen: false, frozen_by: None, buffer: Vec::new(), seen },
@@ -1184,35 +1173,10 @@ impl NodeProc {
         self.components.iter().map(|(id, h)| (id, &h.comp, h.frozen, h.buffer.len()))
     }
 
-    /// Number of token obligations still awaiting end-to-end acks (the
-    /// checker's leaked-retransmit oracle).
-    #[must_use]
-    pub fn unacked_count(&self) -> usize {
-        self.unacked.len()
-    }
-
-    /// Removes and returns an unfrozen hosted component with its
-    /// buffered tokens and idempotency ledger (harness-side migration
-    /// on churn).
-    pub fn take_component(
-        &mut self,
-        id: &ComponentId,
-    ) -> Option<(Component, Vec<Token>, SeenTokens)> {
-        if self.components.get(id).map(|h| h.frozen).unwrap_or(true) {
-            return None;
-        }
-        self.components.remove(id).map(|h| (h.comp, h.buffer, h.seen))
-    }
-
     /// The split list (components this node is responsible for merging).
     #[must_use]
     pub fn split_list(&self) -> &BTreeSet<ComponentId> {
         &self.split_list
-    }
-
-    /// Adds entries to the split list (successor hand-off on leave).
-    pub fn extend_split_list(&mut self, items: impl IntoIterator<Item = ComponentId>) {
-        self.split_list.extend(items);
     }
 
     /// Whether a merge of `id` is currently coordinated by this node.
@@ -1221,18 +1185,24 @@ impl NodeProc {
         self.merges.contains_key(id)
     }
 
-    /// Drains the split list (departure hand-off).
-    pub fn drain_split_list(&mut self) -> Vec<ComponentId> {
-        let items: Vec<ComponentId> = self.split_list.iter().copied().collect();
-        self.split_list.clear();
-        items
-    }
-
     /// Marks the node as departed: it tombstones itself in its own
     /// view (so its migration sweeps shed every component to the
     /// remaining owners) and NACKs tokens so senders re-resolve.
-    pub fn depart(&mut self) {
+    /// Returns the split-list entries to hand to the successor: all but
+    /// those whose merge is already in flight here — the ghost finishes
+    /// those itself, and handing them off too would duplicate the
+    /// obligation.
+    fn depart(&mut self) -> Vec<ComponentId> {
         self.view.tombstone(self.node);
+        let mut handed_off = Vec::new();
+        self.split_list.retain(|id| {
+            let keep = self.merges.contains_key(id);
+            if !keep {
+                handed_off.push(*id);
+            }
+            keep
+        });
+        handed_off
     }
 
     /// Debug rendering of in-flight operations (diagnostics).
@@ -1528,7 +1498,7 @@ impl NodeProc {
             }
         }
         for child in local_installs {
-            self.install_component_with_seen(child, parent_seen.clone());
+            self.install(child, parent_seen.clone());
         }
         if op.pending.is_empty() {
             self.finish_split(ctx, *id, op.started_at);
@@ -1723,7 +1693,7 @@ impl NodeProc {
         // per the local view.
         let host = self.owner_of(&parent);
         if ProcessId(host.0) == ctx.self_id() {
-            self.install_component_with_seen(merged, merged_seen);
+            self.install(merged, merged_seen);
             let started_at = self.cleanup_merge(ctx, &parent);
             self.split_list.remove(&parent);
             self.note_merge_done(ctx, &parent, started_at);
@@ -1941,7 +1911,7 @@ impl NodeProc {
             for (cid, comp) in children {
                 let host = self.owner_of(&cid);
                 if ProcessId(host.0) == ctx.self_id() {
-                    self.install_component_with_seen(comp, seen.clone());
+                    self.install(comp, seen.clone());
                     let op = self.splits.get_mut(&parent).expect("still present");
                     op.pending.remove(&cid);
                     if op.pending.is_empty() {
@@ -2039,7 +2009,8 @@ impl NodeProc {
             if self.migrating.contains_key(&id) {
                 continue; // already in flight; the retry timer re-sends
             }
-            let Some((comp, buffer, seen)) = self.take_component(&id) else { continue };
+            let Hosted { comp, buffer, seen, .. } =
+                self.components.remove(&id).expect("listed above");
             {
                 let m = self.metrics();
                 m.migrations.inc();
@@ -2348,7 +2319,7 @@ impl NodeProc {
             );
             let fresh = Component::new(&self.tree, &id);
             if ProcessId(owner.0) == ctx.self_id() && !self.view.is_ghost() {
-                self.install_component(fresh);
+                self.install(fresh, SeenTokens::new());
             } else {
                 op.installs.insert(id, owner);
                 ctx.send(ProcessId(owner.0), Msg::RescueInstall { comp: Box::new(fresh) });
@@ -2418,7 +2389,7 @@ impl NodeProc {
                 // have moved since (a migration landed, a split
                 // started). Same refusal the remote handler applies.
                 if !self.accepting_would_double_cover(&id) {
-                    self.install_component(fresh);
+                    self.install(fresh, SeenTokens::new());
                 }
                 if let Some(op) = &mut self.rescue {
                     op.installs.remove(&id);
@@ -2576,7 +2547,7 @@ impl Process<Msg> for NodeProc {
                 if !self.components.contains_key(&id)
                     && !self.accepting_would_double_cover(&id)
                 {
-                    self.install_component_with_seen(*comp, seen);
+                    self.install(*comp, seen);
                 }
                 ctx.send(from, Msg::InstallAck { id });
             }
@@ -2665,7 +2636,7 @@ impl Process<Msg> for NodeProc {
                 if !self.components.contains_key(&id)
                     && !self.accepting_would_double_cover(&id)
                 {
-                    self.install_component(*comp);
+                    self.install(*comp, SeenTokens::new());
                 }
                 ctx.send(from, Msg::RescueAck { id });
             }
@@ -2715,7 +2686,7 @@ impl Process<Msg> for NodeProc {
                         // stale — ack so the sender drops the
                         // obligation, but do not resurrect it.
                         if !self.accepting_would_double_cover(&id) {
-                            self.install_component_with_seen(*comp, seen);
+                            self.install(*comp, seen);
                         }
                     }
                 }
@@ -2812,7 +2783,7 @@ impl Process<Msg> for NodeProc {
                             continue; // nowhere to shed to yet; keep holding
                         }
                         let m = self.migrating.remove(&id).expect("listed above");
-                        self.install_component_with_seen(m.comp, m.seen);
+                        self.install(m.comp, m.seen);
                         self.drain(ctx, m.buffer);
                     } else {
                         let m = self.migrating.get_mut(&id).expect("listed above");
@@ -3104,7 +3075,7 @@ impl Deployment {
         let owner = world.borrow_mut().host_of(&root);
         let tree = world.borrow().tree;
         if let Some(Proc::Node(np)) = sim.process_mut(ProcessId(owner.0)) {
-            np.install_component(Component::new(&tree, &root));
+            np.install(Component::new(&tree, &root), SeenTokens::new());
         }
         Deployment { sim, world, level_period, seed: s }
     }
@@ -3279,27 +3250,17 @@ impl Deployment {
             assert!(w.ring.len() > 1, "cannot remove the last node");
             w.ring.remove_node(node);
         }
-        // Hand off the split list to the ring successor via a protocol
-        // message — except entries whose merge is already in flight
-        // here: the departed ghost finishes those itself (handing them
-        // off too would duplicate the obligation).
-        let entries: Vec<ComponentId> = match self.sim.process_mut(ProcessId(node.0)) {
-            Some(Proc::Node(np)) => {
-                let drained = np.drain_split_list();
-                let (in_flight, transfer): (Vec<ComponentId>, Vec<ComponentId>) =
-                    drained.into_iter().partition(|id| np.has_merge_in_progress(id));
-                np.extend_split_list(in_flight);
-                transfer
-            }
+        // The leaver tombstones itself and hands the split-list entries
+        // it will not finish itself to the ring successor, via a
+        // protocol message.
+        let entries = match self.sim.process_mut(ProcessId(node.0)) {
+            Some(Proc::Node(np)) => np.depart(),
             _ => Vec::new(),
         };
         let succ = self.world.borrow().ring.successor_of_point(node.0);
         if !entries.is_empty() {
             self.sim
                 .send_external(ProcessId(succ.0), Msg::SplitListHandoff { entries });
-        }
-        if let Some(Proc::Node(np)) = self.sim.process_mut(ProcessId(node.0)) {
-            np.depart();
         }
         // Announce the departure: the successor adopts the tombstone
         // and gossip floods it; every node's next migration sweep then
@@ -3312,7 +3273,7 @@ impl Deployment {
                 dead: BTreeSet::from([node]),
             },
         );
-        self.migrate_components();
+        self.run_for(2 * self.level_period);
     }
 
     /// Crash: the node vanishes with all its state (components are
@@ -3351,23 +3312,6 @@ impl Deployment {
         }
         self.sim.remove_process(ProcessId(node.0));
         Ok(())
-    }
-
-    /// Test-only wrapper: component placement is in-protocol now (each
-    /// node's per-tick migration sweep sheds what its local view says
-    /// it no longer owns), so this just advances the simulation far
-    /// enough for a round of sweeps to run.
-    pub fn migrate_components(&mut self) {
-        self.run_for(2 * self.level_period);
-    }
-
-    /// Test-only wrapper: cut repair after crashes is in-protocol now
-    /// (failure detection → view gossip → rescue sweep), so this just
-    /// advances the simulation until the network is quiescent with a
-    /// valid cut (or a generous budget runs out). Kept so older
-    /// experiments read naturally; it performs no installs itself.
-    pub fn repair(&mut self) {
-        self.settle(64);
     }
 
     /// Runs in level-period slices until the network is quiescent (live
@@ -3875,7 +3819,7 @@ mod tests {
         for v in victims {
             d.leave_node(v);
             d.run_for(300);
-            d.migrate_components();
+            d.run_for(2 * d.level_period);
         }
         assert!(d.settle(200), "did not settle after leaves");
         assert!(d.world.borrow().merges_done > 0, "shrink did not merge");
@@ -3919,7 +3863,7 @@ mod tests {
             victim.expect("some node hosts a component")
         };
         d.crash_node(victim).expect("not the last node");
-        d.repair();
+        d.settle(64);
         let (cut, _) = d.live_cut();
         assert!(cut.is_valid(&d.world.borrow().tree), "repair left an invalid cut: {cut}");
         // Counting resumes and new tokens are conserved.
@@ -3998,7 +3942,7 @@ mod tests {
         // Let in-flight protocol messages to the dead node drain, then
         // repair and settle.
         d.run_for(20_000);
-        d.repair();
+        d.settle(64);
         assert!(d.settle(300), "network did not settle after crash+repair");
         let (cut, _) = d.live_cut();
         assert!(cut.is_valid(&d.world.borrow().tree), "invalid cut after repair: {cut}");
@@ -4041,7 +3985,7 @@ mod tests {
             })
             .expect("someone hosts a component");
         d.crash_node(victim).expect("not the last node");
-        // No repair()/migrate_components(): the failure detector must
+        // No harness help: the failure detector must
         // suspect the crash and the rescue sweep must re-cover the cut
         // purely via protocol messages.
         assert!(d.settle(100), "in-protocol recovery did not converge");
@@ -4104,7 +4048,7 @@ mod tests {
         for v in victims {
             d.leave_node(v);
             d.run_for(500);
-            d.migrate_components();
+            d.run_for(2 * d.level_period);
         }
         assert!(d.settle(300), "did not settle at N=1");
         let (cut, _) = d.live_cut();

@@ -51,7 +51,7 @@ fn main() {
     for v in victims {
         deployment.leave_node(v);
         inject(&mut deployment, 2, &mut injected, &mut seed);
-        deployment.migrate_components();
+        deployment.run_for(2 * deployment.level_period);
     }
     assert!(deployment.settle(300), "network failed to settle after shrink");
     deployment.run_for(500_000);

@@ -102,7 +102,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     for v in victims {
         d.leave_node(v);
         d.run_for(200);
-        d.migrate_components();
+        d.run_for(2 * d.level_period);
     }
     d.settle(300);
     inject(&mut d, tokens - injected, &mut injected, &mut s);

@@ -22,7 +22,7 @@ fn storm(seed: u64, width: usize, start_nodes: usize, loss_per_mille: u32) {
                 if nodes.len() > 2 {
                     let victim = nodes[(splitmix64(&mut s) as usize) % nodes.len()];
                     d.leave_node(victim);
-                    d.migrate_components();
+                    d.run_for(2 * d.level_period);
                 }
             }
             _ => {

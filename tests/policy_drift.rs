@@ -49,7 +49,7 @@ fn grow_traffic_shrink(d: &mut Deployment, seed: u64, width: usize) -> u64 {
     let victims: Vec<NodeId> = d.world.borrow().ring.nodes().take(3).collect();
     for v in victims {
         d.leave_node(v);
-        d.migrate_components();
+        d.run_for(2 * d.level_period);
         d.run_for(500);
     }
     assert!(d.settle(300), "seed {seed}: post-shrink settle failed");

@@ -58,7 +58,7 @@ fn run_scenario_traced(
         d.leave_node(v);
         d.inject((j * 11) % w);
         d.run_for(50);
-        d.migrate_components();
+        d.run_for(2 * d.level_period);
     }
     d.run_for(100_000);
     assert!(d.settle(300), "failed to settle after shrink");
