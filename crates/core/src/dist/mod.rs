@@ -1,0 +1,59 @@
+//! The distributed, message-passing runtime of the adaptive counting
+//! network, executing on the deterministic simulator of [`acn_simnet`].
+//!
+//! Every overlay node is a [`NodeProc`]; all interaction is via
+//! [`Msg`] messages. The runtime implements, faithfully to the paper:
+//!
+//! - **token routing** (Section 3.5): tokens carry the cut-independent
+//!   wire address of their destination; senders guess the live owner
+//!   from a per-node cache and walk the ancestor name chain on a miss
+//!   (each guess is one DHT lookup in a real deployment). Tokens ride a
+//!   *lossy* datagram channel: each send carries a GUID, receivers
+//!   acknowledge accepted sends, and senders retransmit obligations
+//!   that stay silent (the control plane is reliable, like TCP next to
+//!   a fast datagram path). Exactly-once *traversal and counting* is
+//!   then enforced by three dedup layers, each catching a duplicate
+//!   class the previous one structurally cannot: per-receiver GUID
+//!   suppression (same-node retransmit races), a travelling
+//!   per-component `(token, wire)` idempotency ledger ([`SeenTokens`] —
+//!   a retried obligation re-routed to a *different* node after a
+//!   reconfiguration, while the delayed original is still in flight;
+//!   found by the schedule explorer in `acn-check`), and collector-side
+//!   end-to-end token-id dedup as the last line for the counting
+//!   oracle;
+//! - **splitting** (Section 2.2): the host freezes the component,
+//!   installs initialized children at their hash owners, then removes
+//!   the component and re-routes anything buffered meanwhile;
+//! - **merging** (Section 2.2): the node that split a component
+//!   coordinates the merge — children are frozen and collected
+//!   (recursively merging grandchildren first), the parent is
+//!   reconstructed from the output-side children's counters, installed,
+//!   and only then are the frozen children discarded and their buffered
+//!   tokens re-routed;
+//! - **distributed decisions** (Section 3.2): a periodic local timer
+//!   re-estimates the system size from successor distances and enforces
+//!   the invariant "every component on `v` is at level `>= l_v`";
+//! - **churn** (Section 3.4): joins migrate components to their new hash
+//!   owners; graceful leaves hand components and pending merge
+//!   obligations to the successor; crashes lose state, and a repair
+//!   sweep re-covers the cut (the \[HT03\]-style stabilization hook).
+//!
+//! Exited tokens are reported to a collector process which serves as the
+//! measurement endpoint for the experiments.
+
+mod deploy;
+mod digest;
+mod msg;
+mod node;
+mod reconfig;
+mod rescue;
+#[cfg(test)]
+mod tests;
+mod view;
+mod wire;
+mod world;
+
+pub use deploy::{Collector, CrashError, Deployment, Proc};
+pub use msg::{Msg, SeenTokens, Token, COLLECTOR};
+pub use node::{force_merge_tag, force_split_tag, NodeProc};
+pub use world::World;

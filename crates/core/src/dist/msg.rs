@@ -1,0 +1,268 @@
+//! The wire format: [`Msg`], the [`Token`] value a node holds between
+//! messages, and the travelling [`SeenTokens`] ledger.
+
+use std::collections::BTreeSet;
+
+use acn_overlay::NodeId;
+use acn_simnet::ProcessId;
+use acn_topology::{ComponentId, WireAddress};
+
+use crate::component::Component;
+
+/// Sentinel for "first try, use the cache" probing attempts.
+pub(super) const ATTEMPT_CACHED: u8 = u8::MAX;
+
+/// The process id of the measurement collector.
+pub const COLLECTOR: ProcessId = ProcessId(u64::MAX - 1);
+
+/// Messages of the distributed runtime.
+///
+/// Every pending event carries one `Msg` through the simulator's heap,
+/// so the enum is kept small: ids and wire addresses are inline `Copy`
+/// values, and the four reconfiguration variants that move a whole
+/// [`Component`] box it (see the size guard below the enum).
+#[derive(Debug, Clone)]
+pub enum Msg {
+    /// A client asks the receiving node to inject a token on this input
+    /// wire (clients may contact any node, paper Section 1.4).
+    ClientInject {
+        /// Network input wire, `0..w`.
+        wire: usize,
+    },
+    /// A token travelling towards the component owning `addr`. Tokens
+    /// ride the **lossy** channel (an unreliable datagram fast path);
+    /// delivery is guaranteed end to end by acknowledgement,
+    /// retransmission, and two dedup layers: a per-receiver GUID check
+    /// (suppresses a retransmission racing its own ack at the *same*
+    /// node) and a collector-side `token` check (suppresses the copy
+    /// that escapes to a *different* path when a timed-out obligation
+    /// is re-routed after reconfiguration while the original send is
+    /// still in flight — a race the schedule explorer found; see
+    /// `Collector`).
+    Token {
+        /// Per-send obligation identifier (receiver-side duplicate
+        /// suppression and ack/nack correlation). Fresh per forward,
+        /// stable across retransmissions of the same obligation.
+        guid: u64,
+        /// Stable end-to-end identity of the injected token: assigned
+        /// once at injection, preserved across forwards, buffering,
+        /// migration, and retransmission. The collector counts each
+        /// `token` at most once.
+        token: u64,
+        /// The cut-independent destination wire.
+        addr: WireAddress,
+        /// Simulated time at which the token entered the network.
+        injected_at: u64,
+        /// Probe progress: `ATTEMPT_CACHED` for the cached guess,
+        /// otherwise an index into the canonical candidate chain.
+        attempt: u8,
+        /// Inter-node forwards this token has taken so far (telemetry:
+        /// the `acn.dist.routing_hops` histogram at network output).
+        hops: u64,
+    },
+    /// The receiver accepted (processed or buffered) the token; the
+    /// sender releases its retransmission obligation. Reliable.
+    TokenAck {
+        /// The accepted token.
+        guid: u64,
+    },
+    /// The receiver hosts no live candidate for the token's wire; the
+    /// sender advances the probe. Reliable.
+    TokenNack {
+        /// The rejected send's obligation id; the sender still holds
+        /// the token under it.
+        guid: u64,
+        /// Echo of the failed attempt.
+        attempt: u8,
+    },
+    /// A token exited the network (sent to [`COLLECTOR`]).
+    Exit {
+        /// The network output wire.
+        wire: usize,
+        /// End-to-end token identity (collector-side exactly-once
+        /// dedup).
+        token: u64,
+        /// When the token was injected (for latency accounting).
+        injected_at: u64,
+        /// Inter-node forwards the token took end to end.
+        hops: u64,
+    },
+    /// Install a component on the receiver (split child or merge
+    /// result).
+    Install {
+        /// The full component state to install.
+        comp: Box<Component>,
+        /// The travelling `(token, addr)` idempotency ledger: the
+        /// parent's ledger for split children, the union of the
+        /// children's for a merge result.
+        seen: SeenTokens,
+    },
+    /// Acknowledges an [`Msg::Install`].
+    InstallAck {
+        /// The installed component.
+        id: ComponentId,
+    },
+    /// Merge protocol: freeze `id` and report its state to the
+    /// coordinator merging `parent`.
+    FreezeCollect {
+        /// The child component to freeze.
+        id: ComponentId,
+        /// The component being reconstructed.
+        parent: ComponentId,
+    },
+    /// Reply to [`Msg::FreezeCollect`] with the frozen state.
+    CollectReply {
+        /// The frozen child's full state.
+        comp: Box<Component>,
+        /// The frozen child's travelling idempotency ledger (unioned
+        /// into the merge result's).
+        seen: SeenTokens,
+        /// The component being reconstructed.
+        parent: ComponentId,
+    },
+    /// The receiver neither hosts `id` nor can reconstruct it right now.
+    CollectMissing {
+        /// The requested child.
+        id: ComponentId,
+        /// The component being reconstructed.
+        parent: ComponentId,
+    },
+    /// The merge coordinator is done: drop the frozen child and re-route
+    /// its buffered tokens.
+    RemoveFrozen {
+        /// The frozen child to remove.
+        id: ComponentId,
+    },
+    /// The merge was deferred (unsettled traffic): unfreeze the child in
+    /// place and process its buffered tokens.
+    AbortFreeze {
+        /// The frozen child to release.
+        id: ComponentId,
+    },
+    /// Failure-detector liveness probe: the sender has not heard from
+    /// the receiver for a lease period.
+    Ping,
+    /// Liveness reply to [`Msg::Ping`].
+    Pong,
+    /// Epoch-stamped membership gossip. Both sets grow monotonically
+    /// (node ids are never reused), so merging is a plain set union and
+    /// every node's view epoch `|known| + |dead|` only moves forward —
+    /// a state-based CRDT that converges regardless of delivery order.
+    ViewGossip {
+        /// Every node the sender has ever known.
+        known: BTreeSet<NodeId>,
+        /// Tombstones: nodes the sender knows to be crashed or departed.
+        dead: BTreeSet<NodeId>,
+    },
+    /// Rescue sweep: the coordinator (the suspector of a crash) asks a
+    /// peer for the slice of the cut it covers.
+    RescueQuery,
+    /// Reply to [`Msg::RescueQuery`]: components this node covers —
+    /// hosted ones plus in-flight obligations (pending split children,
+    /// merge parents awaiting install) — with their frozen flags.
+    RescueReport {
+        /// `(component, frozen)` for everything this node covers.
+        covered: Vec<(ComponentId, bool)>,
+    },
+    /// Install a freshly initialized replacement component for a
+    /// subtree orphaned by a crash. Token history of the lost component
+    /// is gone by definition; the receiver installs only if nothing it
+    /// hosts already overlaps the subtree, and acknowledges either way.
+    RescueInstall {
+        /// The replacement component (freshly initialized).
+        comp: Box<Component>,
+    },
+    /// Acknowledges a [`Msg::RescueInstall`].
+    RescueAck {
+        /// The replacement component's id.
+        id: ComponentId,
+    },
+    /// Backpressure NACK: the receiver's covering component is frozen
+    /// and its buffer is full. The sender keeps the obligation and
+    /// retries under escalated backoff.
+    TokenBusy {
+        /// The shed token's obligation id.
+        guid: u64,
+    },
+    /// Hand a component to its current hash owner (view-driven
+    /// migration). Carries the travelling idempotency ledger and the
+    /// frozen-buffer backlog; the sender keeps a copy until
+    /// [`Msg::MigrateAck`] so a crash of the target cannot lose it.
+    Migrate {
+        /// The migrating component.
+        comp: Box<Component>,
+        /// Its travelling `(token, addr)` idempotency ledger.
+        seen: SeenTokens,
+        /// Tokens that were buffered at the component.
+        buffer: Vec<Token>,
+    },
+    /// Acknowledges a [`Msg::Migrate`]; the sender drops its copy.
+    MigrateAck {
+        /// The migrated component.
+        id: ComponentId,
+    },
+    /// The sender hosts `child` frozen for a merge whose coordinator
+    /// died. The receiver is the current hash owner of `parent`: it
+    /// either adopts the merge obligation or, if it already hosts the
+    /// parent live, tells the sender to drop the leftover child.
+    MergeOrphan {
+        /// The frozen child orphaned by the coordinator's crash.
+        child: ComponentId,
+        /// The merge parent whose coordinator died.
+        parent: ComponentId,
+    },
+    /// Split-list obligations handed to the receiver (the entries'
+    /// current hash owner) by a gracefully departing node.
+    SplitListHandoff {
+        /// The handed-off split-list entries.
+        entries: Vec<ComponentId>,
+    },
+}
+
+// `Install`, `CollectReply`, `Migrate` and `RescueInstall` box their
+// `Component` (three `Vec`s and an id: 120 bytes). They are a handful
+// per reconfiguration; `Token`/`TokenAck`/`Exit` are a dozen per token,
+// and every one of them is sifted through the event heap at the size of
+// the largest variant.
+const _: () = assert!(std::mem::size_of::<Msg>() <= 80);
+
+/// A token as a node holds it — while routing it, buffered at a frozen
+/// component, riding a [`Msg::Migrate`], or awaiting an ack. On the
+/// wire [`Msg::Token`] carries the same four fields flat: nested, the
+/// 25-byte align-1 `WireAddress` would pad every `Msg` from 64 to 72
+/// bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Token {
+    /// Stable end-to-end identity (see [`Msg::Token`]).
+    pub id: u64,
+    /// The cut-independent destination wire.
+    pub addr: WireAddress,
+    /// Simulated time at which the token entered the network.
+    pub injected_at: u64,
+    /// Inter-node forwards taken so far.
+    pub hops: u64,
+}
+
+impl Token {
+    /// The wire form of one send of this token.
+    pub(super) fn into_msg(self, guid: u64, attempt: u8) -> Msg {
+        let Token { id, addr, injected_at, hops } = self;
+        Msg::Token { guid, token: id, addr, injected_at, attempt, hops }
+    }
+}
+
+/// Per-component idempotency ledger: `(token, addr)` pairs this
+/// component (or its decomposition-lineage ancestors) has already
+/// consumed. A feed-forward network processes each token at each wire
+/// address at most once, so a repeat is always a duplicate copy — the
+/// re-route of a timed-out retransmission racing its merely-delayed
+/// original. The ledger **travels with the component**: split children
+/// inherit the parent's ledger, a merge takes the union of the
+/// children's, and migration carries it — so whichever node ends up
+/// hosting the covering component can recognize the second copy, which
+/// per-node receiver state cannot (the copies may land on different
+/// nodes). Keying on `(token, addr)` rather than `token` alone keeps a
+/// merge from swallowing a token that legitimately passed one child's
+/// region and is still in flight towards a sibling's. (A real
+/// deployment would expire entries; the simulation keeps them all.)
+pub type SeenTokens = BTreeSet<(u64, WireAddress)>;

@@ -1,0 +1,808 @@
+//! Reconfiguration: split, merge and migrate, each by
+//! freeze-drain-forward — their state, their handlers and the re-drives
+//! that finish them when a peer crashed mid-protocol.
+
+use std::collections::BTreeMap;
+
+use acn_simnet::{Context, ProcessId};
+use acn_telemetry::Event as TelemetryEvent;
+use acn_topology::ComponentId;
+use acn_trace::{Span, SYSTEM_TRACE};
+
+use crate::component::{merge_components, split_component, Component};
+
+use super::msg::{Msg, SeenTokens, Token};
+use super::node::NodeProc;
+
+/// A hosted component plus its runtime bookkeeping.
+#[derive(Debug, Clone)]
+pub(super) struct Hosted {
+    pub(super) comp: Component,
+    pub(super) frozen: bool,
+    /// The remote coordinator that froze this component (a
+    /// `FreezeCollect` sender or nested-merge requester), if any.
+    /// `None` for locally driven freezes. When the freezer is later
+    /// tombstoned, the merge obligation is orphaned and this node
+    /// nudges the parent's current hash owner ([`Msg::MergeOrphan`])
+    /// instead of waiting forever.
+    pub(super) frozen_by: Option<ProcessId>,
+    /// Tokens buffered while frozen.
+    pub(super) buffer: Vec<Token>,
+    /// The travelling `(token, addr)` idempotency ledger.
+    pub(super) seen: SeenTokens,
+}
+
+/// An in-progress split at its coordinator.
+#[derive(Debug, Clone)]
+pub(super) struct SplitOp {
+    /// Children still awaiting install acks, with their full state so
+    /// a stalled install (target crashed) can be re-sent to the
+    /// child's *new* hash owner.
+    pub(super) pending: BTreeMap<ComponentId, Component>,
+    /// The parent's idempotency ledger (children inherit it), kept for
+    /// re-sent installs.
+    pub(super) seen: SeenTokens,
+    /// Ticks without an install ack (re-drive trigger).
+    pub(super) stalled_rounds: u32,
+    /// When the split froze the parent (telemetry: split duration).
+    pub(super) started_at: u64,
+}
+
+/// An in-progress merge at its coordinator.
+#[derive(Debug, Clone)]
+pub(super) struct MergeOp {
+    /// When the merge was started (telemetry: merge duration).
+    pub(super) started_at: u64,
+    /// Collected child states (with their idempotency ledgers), by
+    /// child index.
+    pub(super) collected: Vec<Option<(Component, SeenTokens)>>,
+    /// The process that reported each child (for `RemoveFrozen`).
+    pub(super) reporters: Vec<Option<ProcessId>>,
+    /// Collection rounds that made no progress (stall detector).
+    pub(super) stalled_rounds: u32,
+    /// Set while waiting for a remote install ack of the parent.
+    pub(super) awaiting_install: bool,
+    /// For nested merges: reply to this coordinator when reconstructed.
+    pub(super) requester: Option<(ProcessId, ComponentId)>,
+}
+
+/// A component handed off to its new owner, retained until the
+/// [`Msg::MigrateAck`] so a crash of the target cannot lose it.
+#[derive(Debug, Clone)]
+pub(super) struct MigratingComponent {
+    pub(super) comp: Component,
+    pub(super) seen: SeenTokens,
+    pub(super) buffer: Vec<Token>,
+    /// When the hand-off was (last) sent; stale entries are re-sent to
+    /// the *current* view owner by the retry timer.
+    pub(super) sent_at: u64,
+}
+
+impl NodeProc {
+    /// Installs a component with its travelling `(token, addr)` ledger:
+    /// inherited on a split, unioned on a merge, carried by a migration,
+    /// and empty at boot and after a rescue, where token history is gone
+    /// by definition.
+    pub(super) fn install(&mut self, comp: Component, seen: SeenTokens) {
+        self.components.insert(
+            *comp.id(),
+            Hosted { comp, frozen: false, frozen_by: None, buffer: Vec::new(), seen },
+        );
+    }
+
+    /// Begins splitting hosted component `id`. Defers (no-op) if the
+    /// component's traffic has not settled; the next level tick retries.
+    pub(super) fn start_split(&mut self, ctx: &mut Context<'_, Msg>, id: &ComponentId) {
+        let children = {
+            let hosted = self.components.get(id).expect("split target is hosted");
+            debug_assert!(!hosted.frozen);
+            match split_component(&self.tree, &hosted.comp, self.style) {
+                Ok(children) => children,
+                Err(_) => return, // transient; retry at the next tick
+            }
+        };
+        let hosted = self.components.get_mut(id).expect("split target is hosted");
+        hosted.frozen = true;
+        // Children inherit the parent's idempotency ledger: the parent
+        // covered their regions, so any token it consumed must not be
+        // consumed again by a child processing a delayed duplicate.
+        let parent_seen = hosted.seen.clone();
+        self.metrics().registry.emit(
+            TelemetryEvent::new("split.begin")
+                .at(ctx.now())
+                .node(self.node.0)
+                .component(id.to_string())
+                .with("level", id.level() as u64),
+        );
+        let mut op = SplitOp {
+            pending: BTreeMap::new(),
+            seen: parent_seen.clone(),
+            stalled_rounds: 0,
+            started_at: ctx.now(),
+        };
+        let mut local_installs = Vec::new();
+        for child in children {
+            let host = self.owner_of(child.id());
+            if ProcessId(host.0) == ctx.self_id() {
+                local_installs.push(child);
+            } else {
+                op.pending.insert(*child.id(), child.clone());
+                ctx.send(
+                    ProcessId(host.0),
+                    Msg::Install { comp: Box::new(child), seen: parent_seen.clone() },
+                );
+            }
+        }
+        for child in local_installs {
+            self.install(child, parent_seen.clone());
+        }
+        if op.pending.is_empty() {
+            self.finish_split(ctx, *id, op.started_at);
+        } else {
+            self.splits.insert(*id, op);
+        }
+    }
+
+    /// All children installed: drop the parent and re-route its buffer.
+    pub(super) fn finish_split(
+        &mut self,
+        ctx: &mut Context<'_, Msg>,
+        id: ComponentId,
+        started_at: u64,
+    ) {
+        let hosted = self.components.remove(&id).expect("split parent is hosted");
+        let drained = hosted.buffer.len() as u64;
+        {
+            let mut w = self.world.borrow_mut();
+            w.splits_done += 1;
+            w.metrics.splits.inc();
+            w.metrics.split_drained.add(drained);
+            let duration = ctx.now().saturating_sub(started_at);
+            w.metrics.split_duration.record(duration);
+            w.metrics.registry.emit(
+                TelemetryEvent::new("split.end")
+                    .at(ctx.now())
+                    .node(self.node.0)
+                    .component(id.to_string())
+                    .with("duration", duration)
+                    .with("drained", drained),
+            );
+            w.tracer.record(
+                Span::new("net.split", SYSTEM_TRACE)
+                    .between(started_at, ctx.now())
+                    .node(self.node.0)
+                    .with("level", id.level() as u64)
+                    .with("drained", drained),
+            );
+        }
+        self.split_list.insert(id);
+        self.drain(ctx, hosted.buffer);
+    }
+
+    /// Begins merging split component `id` back together.
+    pub(super) fn start_merge(
+        &mut self,
+        ctx: &mut Context<'_, Msg>,
+        id: &ComponentId,
+        requester: Option<(ProcessId, ComponentId)>,
+    ) {
+        let children = self.tree.children(id);
+        let arity = children.len();
+        self.metrics().registry.emit(
+            TelemetryEvent::new("merge.begin")
+                .at(ctx.now())
+                .node(self.node.0)
+                .component(id.to_string())
+                .with("level", id.level() as u64)
+                .with("nested", requester.is_some()),
+        );
+        self.merges.insert(
+            *id,
+            MergeOp {
+                started_at: ctx.now(),
+                collected: vec![None; arity],
+                reporters: vec![None; arity],
+                stalled_rounds: 0,
+                awaiting_install: false,
+                requester,
+            },
+        );
+        for child in children {
+            self.collect_child(ctx, &child, id);
+        }
+    }
+
+    /// `child` cannot be collected for the merge of `parent` right now
+    /// (it is mid-split, migrating, or aborted its own merge): ask
+    /// again at the next retry pass.
+    pub(super) fn defer_collect(
+        &mut self,
+        ctx: &mut Context<'_, Msg>,
+        child: ComponentId,
+        parent: ComponentId,
+    ) {
+        self.stuck_collects.push((child, parent));
+        self.arm_retry(ctx);
+    }
+
+    /// The retry pass over deferred collections whose merge is still on.
+    pub(super) fn retry_collects(&mut self, ctx: &mut Context<'_, Msg>) {
+        for (child, parent) in std::mem::take(&mut self.stuck_collects) {
+            if self.merges.contains_key(&parent) {
+                self.collect_child(ctx, &child, &parent);
+            }
+        }
+    }
+
+    /// Asks for (or locally performs) the freeze-and-collect of one
+    /// child of an in-progress merge.
+    pub(super) fn collect_child(
+        &mut self,
+        ctx: &mut Context<'_, Msg>,
+        child: &ComponentId,
+        parent: &ComponentId,
+    ) {
+        if let Some(hosted) = self.components.get_mut(child) {
+            if self.splits.contains_key(child) {
+                // Mid-split: retry once the split finishes.
+                self.defer_collect(ctx, *child, *parent);
+                return;
+            }
+            hosted.frozen = true;
+            let comp = hosted.comp.clone();
+            let seen = hosted.seen.clone();
+            let me = ctx.self_id();
+            self.record_collect(ctx, comp, seen, parent, me);
+        } else if self.split_list.contains(child) {
+            let me = ctx.self_id();
+            if let Some(op) = self.merges.get_mut(child) {
+                // Already merging it for ourselves: attach the requester.
+                op.requester = Some((me, *parent));
+            } else {
+                self.start_merge(ctx, child, Some((me, *parent)));
+            }
+        } else {
+            let host = self.owner_of(child);
+            if ProcessId(host.0) == ctx.self_id() {
+                // We own the name but have nothing: transient window.
+                self.defer_collect(ctx, *child, *parent);
+            } else {
+                ctx.send(
+                    ProcessId(host.0),
+                    Msg::FreezeCollect { id: *child, parent: *parent },
+                );
+            }
+        }
+    }
+
+    /// Records a collected child state; completes the merge when all
+    /// children have reported.
+    pub(super) fn record_collect(
+        &mut self,
+        ctx: &mut Context<'_, Msg>,
+        comp: Component,
+        seen: SeenTokens,
+        parent: &ComponentId,
+        reporter: ProcessId,
+    ) {
+        let Some(op) = self.merges.get_mut(parent) else { return };
+        if op.awaiting_install {
+            return;
+        }
+        let index = comp.id().child_index().expect("child has an index") as usize;
+        op.collected[index] = Some((comp, seen));
+        op.reporters[index] = Some(reporter);
+        op.stalled_rounds = 0;
+        if op.collected.iter().all(Option::is_some) {
+            self.complete_merge(ctx, *parent);
+        }
+    }
+
+    /// All children collected: reconstruct the parent.
+    pub(super) fn complete_merge(&mut self, ctx: &mut Context<'_, Msg>, parent: ComponentId) {
+        let (merged, merged_seen, nested_requester) = {
+            let op = self.merges.get(&parent).expect("merge in progress");
+            let children: Vec<Component> = op
+                .collected
+                .iter()
+                .map(|c| c.clone().expect("all collected").0)
+                .collect();
+            // The merge result inherits the union of the children's
+            // idempotency ledgers: it covers all their regions.
+            let mut merged_seen = SeenTokens::new();
+            for c in op.collected.iter() {
+                merged_seen.extend(c.as_ref().expect("all collected").1.iter().copied());
+            }
+            match merge_components(&self.tree, &parent, &children, self.style) {
+                Ok(m) => (m, merged_seen, op.requester),
+                Err(_) => {
+                    // Unsettled traffic: release the children and retry
+                    // at a later tick.
+                    self.abort_merge(ctx, &parent);
+                    return;
+                }
+            }
+        };
+        if let Some((req_pid, grandparent)) = nested_requester {
+            // Reconstruct locally, frozen, and report upward; the
+            // requester will `RemoveFrozen` us like any other child.
+            let frozen_by = (req_pid != ctx.self_id()).then_some(req_pid);
+            self.components.insert(
+                parent,
+                Hosted {
+                    comp: merged.clone(),
+                    frozen: true,
+                    frozen_by,
+                    buffer: Vec::new(),
+                    seen: merged_seen.clone(),
+                },
+            );
+            self.finish_merge(ctx, &parent);
+            if req_pid == ctx.self_id() {
+                let me = ctx.self_id();
+                self.record_collect(ctx, merged, merged_seen, &grandparent, me);
+            } else {
+                ctx.send(
+                    req_pid,
+                    Msg::CollectReply {
+                        comp: Box::new(merged),
+                        seen: merged_seen,
+                        parent: grandparent,
+                    },
+                );
+            }
+            return;
+        }
+        // Top-level merge: install the parent at its current hash owner
+        // per the local view.
+        let host = self.owner_of(&parent);
+        if ProcessId(host.0) == ctx.self_id() {
+            self.install(merged, merged_seen);
+            self.finish_merge(ctx, &parent);
+        } else {
+            self.merges
+                .get_mut(&parent)
+                .expect("merge in progress")
+                .awaiting_install = true;
+            ctx.send(
+                ProcessId(host.0),
+                Msg::Install { comp: Box::new(merged), seen: merged_seen },
+            );
+        }
+    }
+
+    /// The merge result is in place: dismiss the frozen children, drop
+    /// the split-list obligation, and record the completed merge
+    /// (counters, duration histogram, `merge.end`, `net.merge`).
+    pub(super) fn finish_merge(&mut self, ctx: &mut Context<'_, Msg>, parent: &ComponentId) {
+        let op = self.merges.remove(parent).expect("merge in progress");
+        for (index, reporter) in op.reporters.iter().enumerate() {
+            let child = parent.child(index as u8);
+            let reporter = reporter.expect("all children reported");
+            if reporter == ctx.self_id() {
+                self.remove_frozen(ctx, &child);
+            } else {
+                ctx.send(reporter, Msg::RemoveFrozen { id: child });
+            }
+        }
+        self.split_list.remove(parent);
+        let mut w = self.world.borrow_mut();
+        w.merges_done += 1;
+        w.metrics.merges.inc();
+        let duration = ctx.now().saturating_sub(op.started_at);
+        w.metrics.merge_duration.record(duration);
+        w.metrics.registry.emit(
+            TelemetryEvent::new("merge.end")
+                .at(ctx.now())
+                .node(self.node.0)
+                .component(parent.to_string())
+                .with("duration", duration),
+        );
+        w.tracer.record(
+            Span::new("net.merge", SYSTEM_TRACE)
+                .between(op.started_at, ctx.now())
+                .node(self.node.0)
+                .with("level", parent.level() as u64),
+        );
+    }
+
+    /// Aborts an in-progress merge: children are unfrozen in place and
+    /// their buffered tokens resume; a nested requester is told to
+    /// retry.
+    pub(super) fn abort_merge(&mut self, ctx: &mut Context<'_, Msg>, parent: &ComponentId) {
+        let op = self.merges.remove(parent).expect("merge in progress");
+        {
+            let m = self.metrics();
+            m.merge_aborts.inc();
+            m.registry.emit(
+                TelemetryEvent::new("merge.abort")
+                    .at(ctx.now())
+                    .node(self.node.0)
+                    .component(parent.to_string()),
+            );
+        }
+        for (index, reporter) in op.reporters.iter().enumerate() {
+            let child = parent.child(index as u8);
+            let Some(reporter) = *reporter else { continue };
+            if reporter == ctx.self_id() {
+                self.release_frozen(ctx, &child);
+            } else {
+                ctx.send(reporter, Msg::AbortFreeze { id: child });
+            }
+        }
+        if let Some((req_pid, grandparent)) = op.requester {
+            if req_pid == ctx.self_id() {
+                self.defer_collect(ctx, *parent, grandparent);
+            } else {
+                ctx.send(
+                    req_pid,
+                    Msg::CollectMissing { id: *parent, parent: grandparent },
+                );
+            }
+        }
+    }
+
+    /// Unfreezes a component in place and processes its buffered tokens.
+    pub(super) fn release_frozen(&mut self, ctx: &mut Context<'_, Msg>, id: &ComponentId) {
+        if let Some(hosted) = self.components.get_mut(id) {
+            hosted.frozen = false;
+            hosted.frozen_by = None;
+            let buffered = std::mem::take(&mut hosted.buffer);
+            self.drain(ctx, buffered);
+        }
+    }
+
+    /// Drops a frozen component and re-routes its buffered tokens (the
+    /// merge-drain step of the protocol).
+    pub(super) fn remove_frozen(&mut self, ctx: &mut Context<'_, Msg>, id: &ComponentId) {
+        if let Some(hosted) = self.components.remove(id) {
+            self.metrics().merge_drained.add(hosted.buffer.len() as u64);
+            self.drain(ctx, hosted.buffer);
+        }
+    }
+
+    /// Re-sends `Install`s for split children whose ack is overdue
+    /// (the original target crashed): ownership is recomputed against
+    /// the current view, and a child we now own is installed locally.
+    pub(super) fn redrive_splits(&mut self, ctx: &mut Context<'_, Msg>) {
+        let stalled: Vec<ComponentId> = self
+            .splits
+            .iter_mut()
+            .filter_map(|(id, op)| {
+                op.stalled_rounds += 1;
+                (op.stalled_rounds > 2).then_some(*id)
+            })
+            .collect();
+        for parent in stalled {
+            let (children, seen) = {
+                let op = self.splits.get_mut(&parent).expect("listed above");
+                op.stalled_rounds = 0;
+                (op.pending.clone(), op.seen.clone())
+            };
+            for (cid, comp) in children {
+                let host = self.owner_of(&cid);
+                if ProcessId(host.0) == ctx.self_id() {
+                    self.install(comp, seen.clone());
+                    let op = self.splits.get_mut(&parent).expect("still present");
+                    op.pending.remove(&cid);
+                    if op.pending.is_empty() {
+                        let op = self.splits.remove(&parent).expect("present");
+                        self.finish_split(ctx, parent, op.started_at);
+                        break;
+                    }
+                } else {
+                    // Re-send; the receiver installs if absent and acks
+                    // either way, so a duplicate is harmless.
+                    ctx.send(
+                        ProcessId(host.0),
+                        Msg::Install { comp: Box::new(comp), seen: seen.clone() },
+                    );
+                }
+            }
+        }
+    }
+
+    /// Re-drives stalled merges: children migrate under churn, so a
+    /// FreezeCollect can land on a node that no longer (or does not
+    /// yet) host the child. Re-request every still-missing child;
+    /// merges that stall for many rounds are aborted — a genuinely
+    /// merged-away ("zombie") obligation is then dropped, while a
+    /// real one is retried from scratch with fresh topology.
+    pub(super) fn redrive_merges(&mut self, ctx: &mut Context<'_, Msg>) {
+        let in_progress: Vec<ComponentId> = self
+            .merges
+            .iter()
+            .filter(|(_, op)| !op.awaiting_install)
+            .map(|(id, _)| *id)
+            .collect();
+        for parent in in_progress {
+            let (missing, progressed): (Vec<ComponentId>, bool) = {
+                let op = self.merges.get_mut(&parent).expect("listed above");
+                let missing: Vec<ComponentId> = op
+                    .collected
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, c)| c.is_none())
+                    .map(|(i, _)| parent.child(i as u8))
+                    .collect();
+                if missing.is_empty() {
+                    continue;
+                }
+                op.stalled_rounds += 1;
+                (missing, op.stalled_rounds <= 8)
+            };
+            if progressed {
+                for child in missing {
+                    self.collect_child(ctx, &child, &parent);
+                }
+            } else {
+                let collected_any = self
+                    .merges
+                    .get(&parent)
+                    .map(|op| op.collected.iter().any(Option::is_some))
+                    .unwrap_or(false);
+                self.abort_merge(ctx, &parent);
+                if !collected_any {
+                    // No child was ever found: the obligation is stale
+                    // (the merge happened elsewhere). Correctness does
+                    // not depend on the entry — worst case the network
+                    // stays finer than ideal.
+                    self.split_list.remove(&parent);
+                }
+            }
+        }
+    }
+
+    /// Hands every unfrozen component whose view-owner is not this
+    /// node to that owner. The component is retained in `migrating`
+    /// until acked, so a crash of the target cannot lose it. This is
+    /// the in-protocol replacement for the old harness
+    /// `migrate_components` sweep: it runs on every level tick and
+    /// after every view change.
+    pub(super) fn migration_sweep(&mut self, ctx: &mut Context<'_, Msg>) {
+        if self.view.ring().is_empty() {
+            return; // no live peer to shed to; keep the state
+        }
+        let ids: Vec<ComponentId> = self
+            .components
+            .iter()
+            .filter(|(_, h)| !h.frozen)
+            .map(|(id, _)| *id)
+            .collect();
+        for id in ids {
+            let owner = self.owner_of(&id);
+            if owner == self.node && !self.view.is_ghost() {
+                continue;
+            }
+            if ProcessId(owner.0) == ctx.self_id() {
+                continue; // excommunicated with nowhere else to go
+            }
+            if self.migrating.contains_key(&id) {
+                continue; // already in flight; the retry timer re-sends
+            }
+            let Hosted { comp, buffer, seen, .. } =
+                self.components.remove(&id).expect("listed above");
+            {
+                let m = self.metrics();
+                m.migrations.inc();
+                m.registry.emit(
+                    TelemetryEvent::new("dist.migrate")
+                        .at(ctx.now())
+                        .node(owner.0)
+                        .component(id.to_string())
+                        .with("from", self.node.0),
+                );
+            }
+            self.trace(
+                Span::new("net.migrate", SYSTEM_TRACE)
+                    .at(ctx.now())
+                    .node(owner.0)
+                    .with("from", self.node.0)
+                    .with("level", id.level() as u64),
+            );
+            self.migrating.insert(
+                id,
+                MigratingComponent {
+                    comp: comp.clone(),
+                    seen: seen.clone(),
+                    buffer: buffer.clone(),
+                    sent_at: ctx.now(),
+                },
+            );
+            ctx.send(ProcessId(owner.0), Msg::Migrate { comp: Box::new(comp), seen, buffer });
+            self.arm_retry(ctx);
+        }
+    }
+
+    /// Handles a [`Msg::MergeOrphan`] nudge as the parent's hash owner
+    /// (`reporter` is `None` when the orphaned child is local).
+    pub(super) fn adopt_merge_orphan(
+        &mut self,
+        ctx: &mut Context<'_, Msg>,
+        reporter: Option<ProcessId>,
+        child: ComponentId,
+        parent: ComponentId,
+    ) {
+        if let Some(h) = self.components.get(&parent) {
+            if !h.frozen {
+                // The parent is already live (the dead coordinator got
+                // its install out before crashing): the frozen child is
+                // a leftover duplicate of a region the parent covers.
+                match reporter {
+                    Some(pid) => ctx.send(pid, Msg::RemoveFrozen { id: child }),
+                    None => self.remove_frozen(ctx, &child),
+                }
+            }
+            return;
+        }
+        self.split_list.insert(parent);
+        if !self.merges.contains_key(&parent) {
+            self.start_merge(ctx, &parent, None);
+        }
+        if let Some(pid) = reporter {
+            // The orphaned child lives on the reporter (typically a
+            // ghost), not at its hash owner — collect it directly so
+            // the merge does not stall probing an owner that has
+            // nothing. `FreezeCollect` re-homes `frozen_by` to us.
+            ctx.send(pid, Msg::FreezeCollect { id: child, parent });
+        }
+    }
+
+    /// Installs an arriving component unless it is resident already
+    /// or would double-cover. A re-driven install or hand-off can
+    /// duplicate one whose original (and its ack) were merely slow: the
+    /// resident copy may have processed tokens since and must not be
+    /// clobbered, and a stale duplicate must not resurrect a region
+    /// this node has split or re-covered in the meantime.
+    pub(super) fn install_if_uncovered(&mut self, comp: Component, seen: SeenTokens) {
+        let id = comp.id();
+        if !self.components.contains_key(id) && !self.accepting_would_double_cover(id) {
+            self.install(comp, seen);
+        }
+    }
+
+    /// A split child or a merge result arrives. Ack whether or not it
+    /// is installed — the sender's obligation is discharged by the
+    /// region being covered, not by this exact copy landing.
+    pub(super) fn on_install(
+        &mut self,
+        ctx: &mut Context<'_, Msg>,
+        from: ProcessId,
+        comp: Component,
+        seen: SeenTokens,
+    ) {
+        let id = *comp.id();
+        self.install_if_uncovered(comp, seen);
+        ctx.send(from, Msg::InstallAck { id });
+    }
+
+    /// An install landed: a split child's, or a merge parent's.
+    pub(super) fn on_install_ack(&mut self, ctx: &mut Context<'_, Msg>, id: ComponentId) {
+        if let Some(parent) = id.parent() {
+            if let Some(op) = self.splits.get_mut(&parent) {
+                op.pending.remove(&id);
+                if op.pending.is_empty() {
+                    let op = self.splits.remove(&parent).expect("present");
+                    self.finish_split(ctx, parent, op.started_at);
+                }
+                return;
+            }
+        }
+        if self.merges.get(&id).is_some_and(|op| op.awaiting_install) {
+            self.finish_merge(ctx, &id);
+        }
+    }
+
+    /// A merge coordinator asks for child `id`: freeze and report it,
+    /// merge it back together first, or say it is missing.
+    pub(super) fn on_freeze_collect(
+        &mut self,
+        ctx: &mut Context<'_, Msg>,
+        from: ProcessId,
+        id: ComponentId,
+        parent: ComponentId,
+    ) {
+        if self.components.contains_key(&id) && !self.splits.contains_key(&id) {
+            let hosted = self.components.get_mut(&id).expect("hosted");
+            hosted.frozen = true;
+            // Remember who froze us: if the coordinator crashes
+            // before the merge completes, the tombstone adoption
+            // nudges the parent's new owner to take over.
+            hosted.frozen_by = (from != ctx.self_id()).then_some(from);
+            let comp = Box::new(hosted.comp.clone());
+            let seen = hosted.seen.clone();
+            ctx.send(from, Msg::CollectReply { comp, seen, parent });
+        } else if self.split_list.contains(&id) {
+            if let Some(op) = self.merges.get_mut(&id) {
+                op.requester = Some((from, parent));
+            } else {
+                self.start_merge(ctx, &id, Some((from, parent)));
+            }
+        } else {
+            ctx.send(from, Msg::CollectMissing { id, parent });
+        }
+    }
+
+    /// A component is handed to this node as its hash owner. A ghost
+    /// cannot adopt and stays silent, so the sender's retry re-resolves
+    /// ownership against a fresher view.
+    pub(super) fn on_migrate(
+        &mut self,
+        ctx: &mut Context<'_, Msg>,
+        from: ProcessId,
+        comp: Component,
+        seen: SeenTokens,
+        buffer: Vec<Token>,
+    ) {
+        if self.view.is_ghost() {
+            return;
+        }
+        let id = *comp.id();
+        match self.components.get_mut(&id) {
+            // Double cover: a rescue installed a fresh replacement
+            // while the authentic copy was in flight. Keep the
+            // resident, union the ledgers (so delayed duplicates still
+            // drop), and re-route the travelling buffer.
+            Some(h) => h.seen.extend(seen),
+            None => self.install_if_uncovered(comp, seen),
+        }
+        ctx.send(from, Msg::MigrateAck { id });
+        self.drain(ctx, buffer);
+    }
+
+    /// The new owner has the component: drop the retained copy.
+    pub(super) fn on_migrate_ack(&mut self, id: ComponentId) {
+        if self.migrating.remove(&id).is_some() {
+            self.reset_backoff();
+        }
+    }
+
+    /// The retry pass over hand-offs whose ack is overdue (the target
+    /// may have crashed): re-resolve against the current view —
+    /// ownership may even have swung back to this node.
+    pub(super) fn retry_migrations(&mut self, ctx: &mut Context<'_, Msg>, timeout: u64) {
+        let now = ctx.now();
+        let stale: Vec<ComponentId> = self
+            .migrating
+            .iter()
+            .filter(|(_, m)| now.saturating_sub(m.sent_at) >= timeout)
+            .map(|(id, _)| *id)
+            .collect();
+        for id in stale {
+            let owner = self.owner_of(&id);
+            if ProcessId(owner.0) == ctx.self_id() {
+                if self.view.is_ghost() {
+                    continue; // nowhere to shed to yet; keep holding
+                }
+                let m = self.migrating.remove(&id).expect("listed above");
+                self.install(m.comp, m.seen);
+                self.drain(ctx, m.buffer);
+            } else {
+                let m = self.migrating.get_mut(&id).expect("listed above");
+                m.sent_at = now;
+                let (comp, seen, buffer) =
+                    (Box::new(m.comp.clone()), m.seen.clone(), m.buffer.clone());
+                ctx.send(ProcessId(owner.0), Msg::Migrate { comp, seen, buffer });
+            }
+        }
+    }
+
+    /// A harness-scheduled split of `id`: a no-op unless `id` is hosted
+    /// here live, unfrozen and wide enough.
+    pub(super) fn force_split(&mut self, ctx: &mut Context<'_, Msg>, id: ComponentId) {
+        let splittable =
+            self.components.get(&id).is_some_and(|h| !h.frozen && h.comp.width() >= 4);
+        if splittable && !self.splits.contains_key(&id) && !self.view.is_ghost() {
+            self.start_split(ctx, &id);
+        }
+    }
+
+    /// A harness-scheduled merge of `id`: a no-op unless `id` is on the
+    /// split list with no merge already in flight.
+    pub(super) fn force_merge(&mut self, ctx: &mut Context<'_, Msg>, id: ComponentId) {
+        if self.split_list.contains(&id) && !self.merges.contains_key(&id) && !self.view.is_ghost()
+        {
+            self.start_merge(ctx, &id, None);
+        }
+    }
+}

@@ -1,0 +1,386 @@
+use super::*;
+use acn_overlay::NodeId;
+use acn_simnet::ProcessId;
+use acn_bitonic::step::is_step_sequence;
+
+#[test]
+fn single_node_deployment_counts() {
+    let mut d = Deployment::new(8, 1, 7);
+    for i in 0..24 {
+        d.inject(i % 8);
+    }
+    d.run_for(50_000);
+    let c = d.collector();
+    assert_eq!(c.total(), 24);
+    assert!(is_step_sequence(&c.counts), "{:?}", c.counts);
+}
+
+#[test]
+fn deployment_self_organizes_and_counts() {
+    let mut d = Deployment::new(64, 32, 13);
+    assert!(d.settle(50), "network did not settle");
+    assert!(d.world.borrow().splits_done > 0, "no splits happened");
+    let (cut, _) = d.live_cut();
+    assert!(cut.is_valid(&d.world.borrow().tree), "invalid live cut: {cut}");
+    let mut seed = 5u64;
+    for _ in 0..200 {
+        let wire = (acn_overlay::splitmix64(&mut seed) as usize) % 64;
+        d.inject(wire);
+    }
+    d.run_for(200_000);
+    let c = d.collector();
+    assert_eq!(c.total(), 200, "tokens lost or duplicated");
+    assert!(is_step_sequence(&c.counts), "{:?}", c.counts);
+}
+
+#[test]
+fn tokens_survive_reconfiguration() {
+    let mut d = Deployment::new(32, 24, 99);
+    let mut injected = 0u64;
+    let mut seed = 1u64;
+    for _ in 0..40 {
+        for _ in 0..5 {
+            let wire = (acn_overlay::splitmix64(&mut seed) as usize) % 32;
+            d.inject(wire);
+            injected += 1;
+        }
+        d.run_for(500); // interleave with reconfiguration
+    }
+    assert!(d.settle(100), "network did not settle");
+    d.run_for(100_000);
+    let c = d.collector();
+    assert_eq!(c.total(), injected, "token conservation violated");
+    assert!(is_step_sequence(&c.counts), "{:?}", c.counts);
+}
+
+#[test]
+fn join_and_leave_churn() {
+    let mut d = Deployment::new(64, 4, 21);
+    assert!(d.settle(50));
+    let mut injected = 0u64;
+    let mut seed = 3u64;
+    for _ in 0..30 {
+        let wire = (acn_overlay::splitmix64(&mut seed) as usize) % 64;
+        d.inject(wire);
+        injected += 1;
+    }
+    // Grow to 40 nodes.
+    for _ in 0..36 {
+        d.join_node();
+        d.run_for(300);
+    }
+    assert!(d.settle(100), "did not settle after joins");
+    assert!(d.world.borrow().splits_done > 0, "growth did not split");
+    for _ in 0..30 {
+        let wire = (acn_overlay::splitmix64(&mut seed) as usize) % 64;
+        d.inject(wire);
+        injected += 1;
+    }
+    // Shrink back to 6 nodes (graceful leaves).
+    let victims: Vec<NodeId> = d.world.borrow().ring.nodes().take(34).collect();
+    for v in victims {
+        d.leave_node(v);
+        d.run_for(300);
+        d.run_for(2 * d.level_period);
+    }
+    assert!(d.settle(200), "did not settle after leaves");
+    assert!(d.world.borrow().merges_done > 0, "shrink did not merge");
+    for _ in 0..30 {
+        let wire = (acn_overlay::splitmix64(&mut seed) as usize) % 64;
+        d.inject(wire);
+        injected += 1;
+    }
+    d.run_for(300_000);
+    let c = d.collector();
+    assert_eq!(c.total(), injected, "token conservation violated");
+    assert!(is_step_sequence(&c.counts), "{:?}", c.counts);
+}
+
+#[test]
+fn crash_and_repair() {
+    let mut d = Deployment::new(16, 8, 55);
+    assert!(d.settle(50));
+    let mut injected = 0u64;
+    let mut seed = 9u64;
+    for _ in 0..40 {
+        let wire = (acn_overlay::splitmix64(&mut seed) as usize) % 16;
+        d.inject(wire);
+        injected += 1;
+    }
+    d.run_for(100_000);
+    assert_eq!(d.collector().total(), injected);
+    // Crash a node that hosts at least one component.
+    let victim = {
+        let pids: Vec<ProcessId> =
+            d.sim.process_ids().filter(|p| *p != COLLECTOR).collect();
+        let mut victim = None;
+        for pid in pids {
+            if let Some(Proc::Node(np)) = d.sim.process(pid) {
+                if np.components().next().is_some() && !np.departed() {
+                    victim = Some(np.node_id());
+                    break;
+                }
+            }
+        }
+        victim.expect("some node hosts a component")
+    };
+    d.crash_node(victim).expect("not the last node");
+    d.settle(64);
+    let (cut, _) = d.live_cut();
+    assert!(cut.is_valid(&d.world.borrow().tree), "repair left an invalid cut: {cut}");
+    // Counting resumes and new tokens are conserved.
+    let before_new = d.collector().total();
+    let mut new_tokens = 0u64;
+    for _ in 0..40 {
+        let wire = (acn_overlay::splitmix64(&mut seed) as usize) % 16;
+        d.inject(wire);
+        new_tokens += 1;
+    }
+    assert!(d.settle(100));
+    d.run_for(200_000);
+    let c = d.collector();
+    assert!(
+        c.total() >= before_new + new_tokens,
+        "post-repair tokens lost: {} vs {}",
+        c.total(),
+        before_new + new_tokens
+    );
+    // The lost component forgot a bounded amount of round-robin
+    // offset: the counts may deviate from a step sequence by at most
+    // the lost width.
+    let max = *c.counts.iter().max().unwrap();
+    let min = *c.counts.iter().min().unwrap();
+    assert!(max - min <= 1 + 16, "crash deviation too large: {:?}", c.counts);
+}
+
+#[test]
+fn join_storm_without_settling() {
+    // 30 joins with no settling in between, traffic interleaved.
+    let mut d = Deployment::new(32, 2, 0x5707);
+    let mut seed = 11u64;
+    let mut injected = 0u64;
+    for burst in 0..30 {
+        d.join_node();
+        if burst % 2 == 0 {
+            d.inject((acn_overlay::splitmix64(&mut seed) as usize) % 32);
+            injected += 1;
+        }
+        d.run_for(73); // deliberately not a multiple of anything
+    }
+    assert!(d.settle(300), "join storm did not settle");
+    d.run_for(200_000);
+    let c = d.collector();
+    assert_eq!(c.total(), injected, "token conservation violated");
+    assert!(is_step_sequence(&c.counts), "{:?}", c.counts);
+    assert!(d.world.borrow().splits_done > 0);
+}
+
+#[test]
+fn crash_during_reconfiguration() {
+    // Crash a component-hosting node while the network is still
+    // splitting/merging; repair must restore a valid cut and new
+    // traffic must flow.
+    let mut d = Deployment::new(32, 4, 0xCAFE);
+    d.run_for(2_500); // mid-reconfiguration, deliberately unsettled
+    for _ in 0..12 {
+        d.join_node();
+        d.run_for(400);
+    }
+    // Crash the first node that hosts any component.
+    let victim = d
+        .sim
+        .process_ids()
+        .filter(|p| *p != COLLECTOR)
+        .find_map(|pid| match d.sim.process(pid) {
+            Some(Proc::Node(np))
+                if np.components().next().is_some() && !np.departed() =>
+            {
+                Some(np.node_id())
+            }
+            _ => None,
+        })
+        .expect("someone hosts a component");
+    d.crash_node(victim).expect("not the last node");
+    // Let in-flight protocol messages to the dead node drain, then
+    // repair and settle.
+    d.run_for(20_000);
+    d.settle(64);
+    assert!(d.settle(300), "network did not settle after crash+repair");
+    let (cut, _) = d.live_cut();
+    assert!(cut.is_valid(&d.world.borrow().tree), "invalid cut after repair: {cut}");
+    // New traffic flows and is conserved.
+    let before = d.collector().total();
+    let mut seed = 3u64;
+    for _ in 0..25 {
+        d.inject((acn_overlay::splitmix64(&mut seed) as usize) % 32);
+    }
+    d.run_for(300_000);
+    assert_eq!(d.collector().total(), before + 25, "post-crash tokens lost");
+}
+
+#[test]
+fn crash_last_node_is_recoverable_error() {
+    let mut d = Deployment::new(8, 1, 42);
+    let node = d.world.borrow().ring.nodes().next().expect("one node");
+    assert_eq!(d.crash_node(node), Err(CrashError::LastLiveNode));
+    // The refused crash left the deployment fully functional.
+    d.inject(0);
+    d.run_for(50_000);
+    assert_eq!(d.collector().total(), 1);
+}
+
+#[test]
+fn crash_recovers_in_protocol_without_repair() {
+    let mut d = Deployment::new(16, 4, 0xBEEF);
+    assert!(d.settle(50));
+    let victim = d
+        .sim
+        .process_ids()
+        .filter(|p| *p != COLLECTOR)
+        .find_map(|pid| match d.sim.process(pid) {
+            Some(Proc::Node(np))
+                if np.components().next().is_some() && !np.departed() =>
+            {
+                Some(np.node_id())
+            }
+            _ => None,
+        })
+        .expect("someone hosts a component");
+    d.crash_node(victim).expect("not the last node");
+    // No harness help: the failure detector must
+    // suspect the crash and the rescue sweep must re-cover the cut
+    // purely via protocol messages.
+    assert!(d.settle(100), "in-protocol recovery did not converge");
+    let w = d.world.borrow();
+    let detected_at = *w.detections.get(&victim).expect("crash went undetected");
+    let crashed_at = w.crashed[&victim];
+    assert!(
+        detected_at - crashed_at <= 16 * d.level_period,
+        "detection took {} periods",
+        (detected_at - crashed_at) / d.level_period
+    );
+    drop(w);
+    let (cut, _) = d.live_cut();
+    assert!(cut.is_valid(&d.world.borrow().tree), "cut not re-covered: {cut}");
+    // Counting still works end to end.
+    let before = d.collector().total();
+    for i in 0..16 {
+        d.inject(i % 16);
+    }
+    d.run_for(200_000);
+    assert_eq!(d.collector().total(), before + 16, "post-rescue tokens lost");
+}
+
+#[test]
+fn tiny_frozen_buffer_cap_conserves_tokens() {
+    // With a capacity-1 frozen buffer, reconfiguration windows shed
+    // tokens back to their senders (TokenBusy); backoff + retry
+    // must still deliver every one exactly once.
+    let mut d = Deployment::new(32, 6, 0x77);
+    d.set_frozen_buffer_cap(1);
+    let mut seed = 1u64;
+    let mut injected = 0u64;
+    for i in 0..120u64 {
+        d.inject((acn_overlay::splitmix64(&mut seed) as usize) % 32);
+        injected += 1;
+        d.run_for(97);
+        if i % 40 == 20 {
+            d.join_node();
+        }
+    }
+    assert!(d.settle(300), "did not settle under backpressure");
+    d.run_for(300_000);
+    let c = d.collector();
+    assert_eq!(c.total(), injected, "token conservation violated under shed");
+    assert!(is_step_sequence(&c.counts), "{:?}", c.counts);
+}
+
+#[test]
+fn leave_everything_back_to_one_node() {
+    // Shrink all the way down to a single node: the network must end
+    // as (at most a few) coarse components on that node.
+    let mut d = Deployment::new(16, 12, 0x0E0);
+    assert!(d.settle(100));
+    let mut seed = 9u64;
+    for _ in 0..30 {
+        d.inject((acn_overlay::splitmix64(&mut seed) as usize) % 16);
+    }
+    d.run_for(100_000);
+    let victims: Vec<NodeId> = d.world.borrow().ring.nodes().take(11).collect();
+    for v in victims {
+        d.leave_node(v);
+        d.run_for(500);
+        d.run_for(2 * d.level_period);
+    }
+    assert!(d.settle(300), "did not settle at N=1");
+    let (cut, _) = d.live_cut();
+    assert!(cut.is_valid(&d.world.borrow().tree));
+    assert_eq!(cut.leaves().len(), 1, "N=1 must converge to the root: {cut}");
+    for _ in 0..10 {
+        d.inject((acn_overlay::splitmix64(&mut seed) as usize) % 16);
+    }
+    d.run_for(100_000);
+    assert_eq!(d.collector().total(), 40);
+    assert!(is_step_sequence(&d.collector().counts));
+}
+
+#[test]
+fn lossy_tokens_are_delivered_exactly_once() {
+    // 15% token loss: the ack/retransmit/dedup layer must still
+    // deliver every token exactly once, with the step property.
+    let mut d = Deployment::with_loss(32, 16, 0x1055, 150);
+    assert!(d.settle(100));
+    let mut seed = 5u64;
+    let mut injected = 0u64;
+    for _ in 0..40 {
+        for _ in 0..4 {
+            d.inject((acn_overlay::splitmix64(&mut seed) as usize) % 32);
+            injected += 1;
+        }
+        d.run_for(400);
+    }
+    assert!(d.settle(400), "lossy deployment did not settle");
+    d.run_for(400_000);
+    let c = d.collector();
+    assert_eq!(c.total(), injected, "exactly-once delivery violated");
+    assert!(is_step_sequence(&c.counts), "{:?}", c.counts);
+    let world = d.world.borrow();
+    assert!(world.token_retransmits > 0, "loss never exercised retransmission");
+    assert!(d.sim.stats().messages_lost > 0, "the lossy channel never dropped");
+}
+
+#[test]
+fn lossy_tokens_survive_churn() {
+    let mut d = Deployment::with_loss(32, 4, 0x1056, 100);
+    assert!(d.settle(100));
+    let mut seed = 7u64;
+    let mut injected = 0u64;
+    for round in 0..30 {
+        if round % 3 == 0 {
+            d.join_node();
+        }
+        for _ in 0..3 {
+            d.inject((acn_overlay::splitmix64(&mut seed) as usize) % 32);
+            injected += 1;
+        }
+        d.run_for(600);
+    }
+    assert!(d.settle(400), "lossy churn did not settle");
+    d.run_for(400_000);
+    let c = d.collector();
+    assert_eq!(c.total(), injected, "exactly-once delivery violated under churn");
+    assert!(is_step_sequence(&c.counts), "{:?}", c.counts);
+}
+
+#[test]
+fn latency_accounting() {
+    let mut d = Deployment::new(16, 16, 77);
+    assert!(d.settle(50));
+    for i in 0..50 {
+        d.inject(i % 16);
+    }
+    d.run_for(200_000);
+    let c = d.collector();
+    assert_eq!(c.total(), 50);
+    assert!(c.max_latency >= c.total_latency / 50);
+}
