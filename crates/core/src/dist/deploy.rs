@@ -236,10 +236,10 @@ impl Deployment {
         for _ in 0..n {
             ring.add_random_node(&mut s);
         }
+        let nodes: Vec<NodeId> = ring.nodes().collect();
         let world = World::new(w, ring);
         let mut sim = Simulator::with_policy(config, policy);
         let level_period = 2_000;
-        let nodes: Vec<NodeId> = world.borrow().ring.nodes().collect();
         for (i, node) in nodes.iter().enumerate() {
             let mut proc = NodeProc::new(Rc::clone(&world), *node, level_period);
             // Boot membership is configuration, not failure recovery:
@@ -249,24 +249,19 @@ impl Deployment {
             proc.seed_view(nodes.iter().copied());
             sim.add_process(ProcessId(node.0), Proc::Node(proc));
             // Stagger the level timers.
-            sim.set_timer_external(
-                ProcessId(node.0),
-                1 + (i as u64 * 37) % level_period,
-                TIMER_LEVEL,
-            );
+            let stagger = |step: u64| (i as u64 * step) % level_period;
+            sim.set_timer_external(ProcessId(node.0), 1 + stagger(37), TIMER_LEVEL);
             // Stagger the failure-detector lease timers on a different
             // phase so fd and level ticks interleave.
-            sim.set_timer_external(
-                ProcessId(node.0),
-                level_period / 2 + (i as u64 * 53) % level_period,
-                TIMER_FD,
-            );
+            sim.set_timer_external(ProcessId(node.0), level_period / 2 + stagger(53), TIMER_FD);
         }
         sim.add_process(COLLECTOR, Proc::Collector(Collector::new(w)));
         // Install the root component at its owner.
         let root = ComponentId::root();
-        let owner = world.borrow_mut().host_of(&root);
-        let tree = world.borrow().tree;
+        let (owner, tree) = {
+            let mut w = world.borrow_mut();
+            (w.host_of(&root), w.tree)
+        };
         if let Some(Proc::Node(np)) = sim.process_mut(ProcessId(owner.0)) {
             np.install(Component::new(&tree, &root), SeenTokens::new());
         }
@@ -392,23 +387,18 @@ impl Deployment {
     /// view, and every node's next migration sweep sheds the
     /// components the newcomer now owns.
     pub fn join_node(&mut self) -> NodeId {
-        let node = {
+        let (node, succ) = {
             let mut w = self.world.borrow_mut();
-            w.ring.add_random_node(&mut self.seed)
+            let node = w.ring.add_random_node(&mut self.seed);
+            (node, w.ring.successor(node))
         };
         let proc = NodeProc::new(Rc::clone(&self.world), node, self.level_period);
         self.sim.add_process(ProcessId(node.0), Proc::Node(proc));
         self.sim.set_timer_external(ProcessId(node.0), 1, TIMER_LEVEL);
         self.sim.set_timer_external(ProcessId(node.0), 1 + self.level_period / 2, TIMER_FD);
-        let succ = self.world.borrow().ring.successor(node);
         if succ != node {
-            self.sim.send_external(
-                ProcessId(succ.0),
-                Msg::ViewGossip {
-                    known: BTreeSet::from([node]),
-                    dead: BTreeSet::new(),
-                },
-            );
+            let (known, dead) = (BTreeSet::from([node]), BTreeSet::new());
+            self.sim.send_external(ProcessId(succ.0), Msg::ViewGossip { known, dead });
         }
         node
     }
@@ -435,14 +425,14 @@ impl Deployment {
             if !busy {
                 break;
             }
-            let period = self.level_period;
-            self.run_for(period);
+            self.run_for(self.level_period);
         }
-        {
+        let succ = {
             let mut w = self.world.borrow_mut();
             assert!(w.ring.len() > 1, "cannot remove the last node");
             w.ring.remove_node(node);
-        }
+            w.ring.successor_of_point(node.0)
+        };
         // The leaver tombstones itself and hands the split-list entries
         // it will not finish itself to the ring successor, via a
         // protocol message.
@@ -450,22 +440,15 @@ impl Deployment {
             Some(Proc::Node(np)) => np.depart(),
             _ => Vec::new(),
         };
-        let succ = self.world.borrow().ring.successor_of_point(node.0);
         if !entries.is_empty() {
-            self.sim
-                .send_external(ProcessId(succ.0), Msg::SplitListHandoff { entries });
+            self.sim.send_external(ProcessId(succ.0), Msg::SplitListHandoff { entries });
         }
         // Announce the departure: the successor adopts the tombstone
         // and gossip floods it; every node's next migration sweep then
         // routes around the leaver, and the ghost sheds its own
         // components to the new owners.
-        self.sim.send_external(
-            ProcessId(succ.0),
-            Msg::ViewGossip {
-                known: BTreeSet::from([node]),
-                dead: BTreeSet::from([node]),
-            },
-        );
+        let (known, dead) = (BTreeSet::from([node]), BTreeSet::from([node]));
+        self.sim.send_external(ProcessId(succ.0), Msg::ViewGossip { known, dead });
         self.run_for(2 * self.level_period);
     }
 
@@ -483,15 +466,15 @@ impl Deployment {
     /// no rescue target, so the deployment would be unrecoverable.
     /// Chaos sweeps treat this as a skipped action, not a panic.
     pub fn crash_node(&mut self, node: NodeId) -> Result<(), CrashError> {
-        if self.world.borrow().ring.len() <= 1 {
-            return Err(CrashError::LastLiveNode);
-        }
         let lost_components = match self.sim.process(ProcessId(node.0)) {
             Some(Proc::Node(np)) => np.components().count() as u64,
             _ => 0,
         };
         {
             let mut w = self.world.borrow_mut();
+            if w.ring.len() <= 1 {
+                return Err(CrashError::LastLiveNode);
+            }
             w.ring.remove_node(node);
             w.metrics.crashes.inc();
             let now = self.sim.now();

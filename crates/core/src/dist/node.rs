@@ -25,37 +25,62 @@ use super::world::{DistMetrics, World};
 pub(super) const TIMER_LEVEL: u64 = 0;
 pub(super) const TIMER_RETRY: u64 = 1;
 /// The failure-detector lease tick: each node monitors its ring
-/// predecessor (the unique node whose successor it is), pinging it
-/// when it has been silent for a lease period and suspecting it after
-/// [`FD_STRIKE_LIMIT`] consecutive silent ticks.
+/// predecessor (the unique node whose successor it is), see
+/// [`View::fd_tick`].
 pub(super) const TIMER_FD: u64 = 3;
 
-/// Base of the harness-injected "force a split now" timer tags: the
-/// low bits carry the packed [`ComponentId`] (see
-/// [`force_split_tag`]). The distributed model checker schedules these
-/// so reconfiguration happens at *explored* points instead of waiting
-/// for the estimator-driven level tick.
-const TIMER_FORCE_SPLIT_BASE: u64 = 1 << 48;
-/// Base of the "force a merge now" timer tags (see [`force_merge_tag`]).
-const TIMER_FORCE_MERGE_BASE: u64 = 2 << 48;
-/// Mask extracting the packed component id from a force tag.
-const FORCE_TAG_ID_MASK: u64 = (1 << 48) - 1;
+/// Harness-injected "reconfigure now" timer tags carry the operation
+/// above bit 48 and the packed [`ComponentId`] below it. The
+/// distributed model checker schedules these so reconfiguration happens
+/// at *explored* points instead of waiting for the estimator-driven
+/// level tick.
+const FORCE_TAG_SHIFT: u32 = 48;
+const FORCE_SPLIT: u64 = 1;
+const FORCE_MERGE: u64 = 2;
+/// The deepest id a force tag can name: `ComponentId::to_u64` packs a
+/// level-`L` id into base-7 digits below `7^L`, and `7^17 < 2^48 < 7^18`
+/// (ids themselves go to `ComponentId::MAX_DEPTH` = 22).
+const FORCE_TAG_MAX_LEVEL: usize = 17;
+
+fn force_tag(op: u64, id: &ComponentId) -> u64 {
+    assert!(
+        id.level() <= FORCE_TAG_MAX_LEVEL,
+        "{id} lies deeper than FORCE_TAG_MAX_LEVEL = {FORCE_TAG_MAX_LEVEL}, the last level a force tag can hold"
+    );
+    op << FORCE_TAG_SHIFT | id.to_u64()
+}
+
+/// The operation and component a force tag names; `None` for every
+/// other timer tag.
+fn decode_force_tag(tag: u64) -> Option<(u64, ComponentId)> {
+    let op = tag >> FORCE_TAG_SHIFT;
+    (op == FORCE_SPLIT || op == FORCE_MERGE)
+        .then(|| (op, ComponentId::from_u64(tag & ((1 << FORCE_TAG_SHIFT) - 1))))
+}
 
 /// The timer tag that makes the receiving [`NodeProc`] start splitting
 /// hosted component `id` (no-op if it does not host `id` live and
 /// unfrozen). Harness/checker use; deterministic and explorable, unlike
 /// the estimator-driven level tick.
+///
+/// # Panics
+///
+/// Panics if `id` is deeper than level 17, the deepest a tag can hold.
 #[must_use]
 pub fn force_split_tag(id: &ComponentId) -> u64 {
-    TIMER_FORCE_SPLIT_BASE | id.to_u64()
+    force_tag(FORCE_SPLIT, id)
 }
 
 /// The timer tag that makes the receiving [`NodeProc`] start merging
 /// split component `id` (no-op unless `id` is on its split list with no
 /// merge already in flight). Harness/checker use.
+///
+/// # Panics
+///
+/// Panics if `id` is deeper than level 17, the deepest a tag can hold.
 #[must_use]
 pub fn force_merge_tag(id: &ComponentId) -> u64 {
-    TIMER_FORCE_MERGE_BASE | id.to_u64()
+    force_tag(FORCE_MERGE, id)
 }
 
 /// One overlay node of the distributed adaptive counting network.
@@ -304,17 +329,19 @@ impl NodeProc {
         let (known, dead) = self.view.sets();
         let mut sent = 0;
         for peer in self.view.peers() {
-            ctx.send(
-                ProcessId(peer.0),
-                Msg::ViewGossip { known: known.clone(), dead: dead.clone() },
-            );
+            ctx.send(ProcessId(peer.0), Msg::ViewGossip { known: known.clone(), dead: dead.clone() });
             sent += 1;
         }
         self.metrics().fd_gossip.add(sent);
     }
 
     /// Adopts gossiped membership; re-gossips and reacts only on change.
-    pub(super) fn on_view_gossip(&mut self, ctx: &mut Context<'_, Msg>, known: &BTreeSet<NodeId>, dead: &BTreeSet<NodeId>) {
+    pub(super) fn on_view_gossip(
+        &mut self,
+        ctx: &mut Context<'_, Msg>,
+        known: &BTreeSet<NodeId>,
+        dead: &BTreeSet<NodeId>,
+    ) {
         if self.view.merge(known, dead) {
             self.broadcast_view(ctx);
             self.after_view_change(ctx);
@@ -430,11 +457,10 @@ impl NodeProc {
         ctx.set_timer(self.level_period, TIMER_LEVEL);
     }
 
-    /// The failure-detector tick: monitor the view predecessor, ping
-    /// it when silent for a lease period, suspect it after
-    /// [`FD_STRIKE_LIMIT`] consecutive silent ticks. Any received
-    /// message counts as a heartbeat (`last_heard`), so explicit pings
-    /// only flow when the link is otherwise idle.
+    /// The failure-detector tick: re-drive a stalled rescue sweep, then
+    /// act on what [`View::fd_tick`] decided about the predecessor. Any
+    /// received message counts as a heartbeat, so explicit pings only
+    /// flow when the link is otherwise idle.
     pub(super) fn fd_tick(&mut self, ctx: &mut Context<'_, Msg>) {
         let period = self.level_period;
         self.redrive_rescue(ctx);
@@ -508,13 +534,38 @@ impl Process<Msg> for NodeProc {
             TIMER_LEVEL => self.level_tick(ctx),
             TIMER_FD => self.fd_tick(ctx),
             TIMER_RETRY => self.retry_tick(ctx),
-            tag if tag & TIMER_FORCE_SPLIT_BASE != 0 => {
-                self.force_split(ctx, ComponentId::from_u64(tag & FORCE_TAG_ID_MASK))
-            }
-            tag if tag & TIMER_FORCE_MERGE_BASE != 0 => {
-                self.force_merge(ctx, ComponentId::from_u64(tag & FORCE_TAG_ID_MASK))
-            }
-            _ => {}
+            _ => match decode_force_tag(tag) {
+                Some((FORCE_SPLIT, id)) => self.force_split(ctx, id),
+                Some((_, id)) => self.force_merge(ctx, id),
+                None => {}
+            },
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn force_tags_round_trip_up_to_the_deepest_level_they_hold() {
+        let deepest = ComponentId::from_path([5u8; FORCE_TAG_MAX_LEVEL]);
+        for id in [ComponentId::root(), ComponentId::from_path([0, 3, 5]), deepest] {
+            assert_eq!(decode_force_tag(force_split_tag(&id)), Some((FORCE_SPLIT, id)));
+            assert_eq!(decode_force_tag(force_merge_tag(&id)), Some((FORCE_MERGE, id)));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "FORCE_TAG_MAX_LEVEL = 17")]
+    fn force_tag_of_an_id_past_the_bound_panics_naming_it() {
+        let _ = force_split_tag(&ComponentId::from_path([5u8; FORCE_TAG_MAX_LEVEL + 1]));
+    }
+
+    #[test]
+    fn only_force_tags_decode_as_force_tags() {
+        for tag in [TIMER_LEVEL, TIMER_RETRY, TIMER_FD, 9, 3 << 48, 3 << 48 | 9, u64::MAX] {
+            assert_eq!(decode_force_tag(tag), None, "{tag:#x}");
         }
     }
 }

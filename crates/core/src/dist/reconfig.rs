@@ -78,6 +78,14 @@ pub(super) struct MigratingComponent {
     pub(super) sent_at: u64,
 }
 
+impl MigratingComponent {
+    /// The hand-off message (sent, and re-sent, from the retained copy).
+    fn msg(&self) -> Msg {
+        let (comp, seen, buffer) = (self.comp.clone(), self.seen.clone(), self.buffer.clone());
+        Msg::Migrate { comp: Box::new(comp), seen, buffer }
+    }
+}
+
 impl NodeProc {
     /// Installs a component with its travelling `(token, addr)` ledger:
     /// inherited on a split, unioned on a merge, carried by a migration,
@@ -267,10 +275,7 @@ impl NodeProc {
                 // We own the name but have nothing: transient window.
                 self.defer_collect(ctx, *child, *parent);
             } else {
-                ctx.send(
-                    ProcessId(host.0),
-                    Msg::FreezeCollect { id: *child, parent: *parent },
-                );
+                ctx.send(ProcessId(host.0), Msg::FreezeCollect { id: *child, parent: *parent });
             }
         }
     }
@@ -342,14 +347,8 @@ impl NodeProc {
                 let me = ctx.self_id();
                 self.record_collect(ctx, merged, merged_seen, &grandparent, me);
             } else {
-                ctx.send(
-                    req_pid,
-                    Msg::CollectReply {
-                        comp: Box::new(merged),
-                        seen: merged_seen,
-                        parent: grandparent,
-                    },
-                );
+                let (comp, seen) = (Box::new(merged), merged_seen);
+                ctx.send(req_pid, Msg::CollectReply { comp, seen, parent: grandparent });
             }
             return;
         }
@@ -360,14 +359,8 @@ impl NodeProc {
             self.install(merged, merged_seen);
             self.finish_merge(ctx, &parent);
         } else {
-            self.merges
-                .get_mut(&parent)
-                .expect("merge in progress")
-                .awaiting_install = true;
-            ctx.send(
-                ProcessId(host.0),
-                Msg::Install { comp: Box::new(merged), seen: merged_seen },
-            );
+            self.merges.get_mut(&parent).expect("merge in progress").awaiting_install = true;
+            ctx.send(ProcessId(host.0), Msg::Install { comp: Box::new(merged), seen: merged_seen });
         }
     }
 
@@ -377,13 +370,8 @@ impl NodeProc {
     pub(super) fn finish_merge(&mut self, ctx: &mut Context<'_, Msg>, parent: &ComponentId) {
         let op = self.merges.remove(parent).expect("merge in progress");
         for (index, reporter) in op.reporters.iter().enumerate() {
-            let child = parent.child(index as u8);
             let reporter = reporter.expect("all children reported");
-            if reporter == ctx.self_id() {
-                self.remove_frozen(ctx, &child);
-            } else {
-                ctx.send(reporter, Msg::RemoveFrozen { id: child });
-            }
+            self.dismiss_frozen(ctx, reporter, parent.child(index as u8));
         }
         self.split_list.remove(parent);
         let mut w = self.world.borrow_mut();
@@ -434,10 +422,7 @@ impl NodeProc {
             if req_pid == ctx.self_id() {
                 self.defer_collect(ctx, *parent, grandparent);
             } else {
-                ctx.send(
-                    req_pid,
-                    Msg::CollectMissing { id: *parent, parent: grandparent },
-                );
+                ctx.send(req_pid, Msg::CollectMissing { id: *parent, parent: grandparent });
             }
         }
     }
@@ -449,6 +434,20 @@ impl NodeProc {
             hosted.frozen_by = None;
             let buffered = std::mem::take(&mut hosted.buffer);
             self.drain(ctx, buffered);
+        }
+    }
+
+    /// Has `holder` — this node or a peer — drop frozen component `id`.
+    pub(super) fn dismiss_frozen(
+        &mut self,
+        ctx: &mut Context<'_, Msg>,
+        holder: ProcessId,
+        id: ComponentId,
+    ) {
+        if holder == ctx.self_id() {
+            self.remove_frozen(ctx, &id);
+        } else {
+            ctx.send(holder, Msg::RemoveFrozen { id });
         }
     }
 
@@ -582,6 +581,7 @@ impl NodeProc {
             }
             let Hosted { comp, buffer, seen, .. } =
                 self.components.remove(&id).expect("listed above");
+            let handoff = MigratingComponent { comp, seen, buffer, sent_at: ctx.now() };
             {
                 let m = self.metrics();
                 m.migrations.inc();
@@ -600,16 +600,8 @@ impl NodeProc {
                     .with("from", self.node.0)
                     .with("level", id.level() as u64),
             );
-            self.migrating.insert(
-                id,
-                MigratingComponent {
-                    comp: comp.clone(),
-                    seen: seen.clone(),
-                    buffer: buffer.clone(),
-                    sent_at: ctx.now(),
-                },
-            );
-            ctx.send(ProcessId(owner.0), Msg::Migrate { comp: Box::new(comp), seen, buffer });
+            ctx.send(ProcessId(owner.0), handoff.msg());
+            self.migrating.insert(id, handoff);
             self.arm_retry(ctx);
         }
     }
@@ -628,10 +620,7 @@ impl NodeProc {
                 // The parent is already live (the dead coordinator got
                 // its install out before crashing): the frozen child is
                 // a leftover duplicate of a region the parent covers.
-                match reporter {
-                    Some(pid) => ctx.send(pid, Msg::RemoveFrozen { id: child }),
-                    None => self.remove_frozen(ctx, &child),
-                }
+                self.dismiss_frozen(ctx, reporter.unwrap_or(ctx.self_id()), child);
             }
             return;
         }
@@ -780,9 +769,7 @@ impl NodeProc {
             } else {
                 let m = self.migrating.get_mut(&id).expect("listed above");
                 m.sent_at = now;
-                let (comp, seen, buffer) =
-                    (Box::new(m.comp.clone()), m.seen.clone(), m.buffer.clone());
-                ctx.send(ProcessId(owner.0), Msg::Migrate { comp, seen, buffer });
+                ctx.send(ProcessId(owner.0), m.msg());
             }
         }
     }

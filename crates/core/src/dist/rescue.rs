@@ -95,9 +95,7 @@ impl NodeProc {
         }
         self.world.borrow_mut().note_detection(dead, ctx.now());
         self.trace(
-            Span::new("fd.suspect", SYSTEM_TRACE)
-                .at(ctx.now())
-                .node(self.node.0)
+            self.span("fd.suspect", SYSTEM_TRACE, ctx.now())
                 .with("dead", dead.0)
                 .with("epoch", self.view.epoch()),
         );
@@ -175,10 +173,7 @@ impl NodeProc {
             m.registry.emit(TelemetryEvent::new("rescue.begin").at(ctx.now()).node(self.node.0));
         }
         self.trace(
-            Span::new("rescue.begin", SYSTEM_TRACE)
-                .at(ctx.now())
-                .node(self.node.0)
-                .with("peers", peers.len() as u64),
+            self.span("rescue.begin", SYSTEM_TRACE, ctx.now()).with("peers", peers.len() as u64),
         );
         // Make sure the sweep gets re-driven even if this node's FD
         // lease timer is the only thing keeping time.
@@ -243,11 +238,7 @@ impl NodeProc {
         let discards = rescue_discards(&op.covered);
         for (id, reporter) in discards {
             self.metrics().rescue_discards.inc();
-            if reporter == self.node {
-                self.remove_frozen(ctx, &id);
-            } else {
-                ctx.send(ProcessId(reporter.0), Msg::RemoveFrozen { id });
-            }
+            self.dismiss_frozen(ctx, ProcessId(reporter.0), id);
         }
         let to_install = uncovered_subtrees(&self.tree, &op.covered);
         for id in to_install {
@@ -342,14 +333,7 @@ impl NodeProc {
                 if !self.accepting_would_double_cover(&id) {
                     self.install(fresh, SeenTokens::new());
                 }
-                if let Some(op) = &mut self.rescue {
-                    op.installs.remove(&id);
-                    if op.pending.is_empty() && op.installs.is_empty() {
-                        let started_at = op.started_at;
-                        self.rescue = None;
-                        self.rescue_done(ctx, started_at);
-                    }
-                }
+                self.on_rescue_ack(ctx, id);
             } else {
                 if let Some(op) = &mut self.rescue {
                     op.installs.insert(id, owner);
@@ -376,7 +360,8 @@ impl NodeProc {
         ctx.send(from, Msg::RescueAck { id });
     }
 
-    /// A replacement install landed.
+    /// A replacement install landed — acked by its new host, or made
+    /// here by a re-drive.
     pub(super) fn on_rescue_ack(&mut self, ctx: &mut Context<'_, Msg>, id: ComponentId) {
         let Some(op) = &mut self.rescue else { return };
         op.installs.remove(&id);
@@ -386,5 +371,78 @@ impl NodeProc {
             self.rescue = None;
             self.rescue_done(ctx, started_at);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use acn_overlay::splitmix64;
+    use acn_topology::Cut;
+    use proptest::prelude::*;
+
+    /// What a sweep may have been told after a crash: a random cut of
+    /// `tree` in which some leaves died with the crashed node, some are
+    /// frozen mid-merge with nothing live above them, and some sibling
+    /// groups are merge debris — their parent was installed live before
+    /// the coordinator died. Returns the reports and the debris.
+    fn reported_cut(tree: &Tree, seed: u64) -> (Covered, BTreeSet<ComponentId>) {
+        let mut s = seed;
+        let mut unit = || (splitmix64(&mut s) >> 11) as f64 / (1u64 << 53) as f64;
+        let cut = Cut::random(tree, tree.max_level(), 0.6, &mut unit);
+        let mut covered = Covered::new();
+        for leaf in cut.leaves() {
+            match splitmix64(&mut s) % 4 {
+                0 => {}
+                r => drop(covered.insert(*leaf, (NodeId(r), r == 3))),
+            }
+        }
+        let merged: BTreeSet<ComponentId> = cut
+            .leaves()
+            .iter()
+            .filter_map(ComponentId::parent)
+            .filter(|p| tree.children(p).iter().all(|c| cut.leaves().contains(c)))
+            .filter(|_| splitmix64(&mut s).is_multiple_of(3))
+            .collect();
+        let mut debris = BTreeSet::new();
+        for parent in merged {
+            for child in tree.children(&parent) {
+                if let Some((_, frozen)) = covered.get_mut(&child) {
+                    *frozen = true;
+                    debris.insert(child);
+                }
+            }
+            covered.insert(parent, (NodeId(9), false));
+        }
+        (covered, debris)
+    }
+
+    proptest! {
+        #[test]
+        fn the_plan_discards_exactly_the_debris_and_heals_the_cut(seed in any::<u64>()) {
+            for width in [16, 64] {
+                let tree = Tree::new(width);
+                let (covered, debris) = reported_cut(&tree, seed);
+                let discards = rescue_discards(&covered);
+                for (id, reporter) in &discards {
+                    prop_assert_eq!(covered[id], (*reporter, true));
+                }
+                let discarded: BTreeSet<ComponentId> = discards.iter().map(|(id, _)| *id).collect();
+                prop_assert_eq!(&discarded, &debris);
+                let installs = uncovered_subtrees(&tree, &covered);
+                for id in &installs {
+                    prop_assert!(!covered.contains_key(id) && !overlaps(id, covered.keys()));
+                }
+                let survivors = covered.keys().filter(|id| !discarded.contains(id)).copied();
+                let healed = Cut::from_leaves(survivors.chain(installs));
+                prop_assert!(healed.is_valid(&tree), "w={}: {} from {:?}", width, healed, covered);
+            }
+        }
+    }
+
+    #[test]
+    fn an_empty_report_is_healed_by_one_root_install() {
+        let tree = Tree::new(16);
+        assert_eq!(uncovered_subtrees(&tree, &Covered::new()), vec![ComponentId::root()]);
     }
 }

@@ -196,3 +196,97 @@ impl Hash for View {
         (&self.known, &self.dead, &self.last_heard, self.fd_target, self.fd_strikes).hash(h);
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    const ME: NodeId = NodeId(1_000);
+
+    fn nodes(raw: &BTreeSet<u64>) -> BTreeSet<NodeId> {
+        raw.iter().map(|&n| NodeId(n)).collect()
+    }
+
+    fn state(v: &View) -> (BTreeSet<NodeId>, BTreeSet<NodeId>, BTreeSet<NodeId>) {
+        (v.known.clone(), v.dead.clone(), v.ring.nodes().collect())
+    }
+
+    proptest! {
+        #[test]
+        fn merge_is_commutative_idempotent_and_epoch_monotone(
+            a_known in proptest::collection::btree_set(0u64..24, 0..8),
+            a_dead in proptest::collection::btree_set(0u64..24, 0..4),
+            b_known in proptest::collection::btree_set(0u64..24, 0..8),
+            b_dead in proptest::collection::btree_set(0u64..24, 0..4),
+        ) {
+            let (a, b) = ((nodes(&a_known), nodes(&a_dead)), (nodes(&b_known), nodes(&b_dead)));
+            let (mut ab, mut ba) = (View::new(ME), View::new(ME));
+            let before = ab.epoch();
+            let changed = ab.merge(&a.0, &a.1);
+            let after_a = ab.epoch();
+            prop_assert!(after_a >= before);
+            prop_assert_eq!(changed, after_a > before);
+            ab.merge(&b.0, &b.1);
+            prop_assert!(ab.epoch() >= after_a);
+            ba.merge(&b.0, &b.1);
+            ba.merge(&a.0, &a.1);
+            prop_assert_eq!(state(&ab), state(&ba));
+            let merged = state(&ab);
+            prop_assert!(!ab.merge(&a.0, &a.1) && !ab.merge(&b.0, &b.1));
+            prop_assert_eq!(state(&ab), merged.clone());
+            let live: BTreeSet<NodeId> = merged.0.difference(&merged.1).copied().collect();
+            prop_assert_eq!(merged.2, live);
+            prop_assert!(merged.1.is_subset(&merged.0), "a tombstone names a known node");
+        }
+    }
+
+    #[test]
+    fn a_node_that_tombstones_itself_is_a_ghost_owning_what_nobody_else_can() {
+        let mut v = View::new(ME);
+        assert!(!v.is_ghost());
+        assert_eq!(v.owner_of_name(7), ME);
+        assert!(v.tombstone(ME));
+        assert!(v.is_ghost() && v.is_dead(ME) && v.ring().is_empty());
+        assert_eq!(v.owner_of_name(7), ME, "an empty ring falls back to the node itself");
+        assert!(!v.tombstone(ME), "a second tombstone changes nothing");
+        v.seed([NodeId(5)]);
+        assert_eq!(v.owner_of_name(7), NodeId(5), "a live peer owns everything a ghost does not");
+    }
+
+    #[test]
+    fn three_silent_ticks_suspect_the_predecessor_and_a_heartbeat_resets_them() {
+        let period = 100;
+        let mut v = View::new(ME);
+        assert_eq!(v.fd_tick(period, period), FdStep::Idle, "nobody to monitor");
+        v.seed([NodeId(10), NodeId(20)]);
+        let pred = v.ring().predecessor(ME);
+        assert_eq!(v.fd_tick(period, period), FdStep::Ping(pred));
+        assert_eq!(v.fd_tick(2 * period, period), FdStep::Ping(pred));
+        assert_eq!(v.fd_tick(3 * period, period), FdStep::Suspect(pred));
+        // The count starts over after a suspicion, and after a heartbeat.
+        assert_eq!(v.fd_tick(4 * period, period), FdStep::Ping(pred));
+        assert_eq!(v.fd_tick(5 * period, period), FdStep::Ping(pred));
+        v.heard(pred, 5 * period + 1);
+        assert_eq!(v.fd_tick(6 * period, period), FdStep::Idle);
+        assert_eq!(v.fd_tick(7 * period, period), FdStep::Ping(pred), "the lease ran out again");
+        assert_eq!(v.fd_tick(8 * period, period), FdStep::Ping(pred));
+        assert_eq!(v.fd_tick(9 * period, period), FdStep::Suspect(pred));
+    }
+
+    #[test]
+    fn a_new_predecessor_starts_with_no_strikes() {
+        let period = 100;
+        let mut v = View::new(ME);
+        v.seed([NodeId(10), NodeId(20)]);
+        let first = v.ring().predecessor(ME);
+        assert_eq!(v.fd_tick(period, period), FdStep::Ping(first));
+        assert_eq!(v.fd_tick(2 * period, period), FdStep::Ping(first));
+        assert!(v.tombstone(first));
+        let second = v.ring().predecessor(ME);
+        assert_ne!(second, first);
+        assert_eq!(v.fd_tick(3 * period, period), FdStep::Ping(second), "strikes are per target");
+        assert_eq!(v.fd_tick(4 * period, period), FdStep::Ping(second));
+        assert_eq!(v.fd_tick(5 * period, period), FdStep::Suspect(second));
+    }
+}

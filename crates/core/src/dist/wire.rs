@@ -452,3 +452,47 @@ impl NodeProc {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const PERIOD: u64 = 2_000;
+
+    #[test]
+    fn backoff_starts_at_a_quarter_period_doubles_and_caps_at_one_period() {
+        let mut b = Backoff::new(NodeId(7));
+        let base = PERIOD / 4 + 1;
+        assert_eq!(b.current(PERIOD), base);
+        assert!(!b.reset(), "nothing to reset at base");
+        b.escalate(PERIOD);
+        assert_eq!(b.current(PERIOD), 2 * base);
+        b.escalate(PERIOD);
+        assert_eq!(b.current(PERIOD), PERIOD, "4 * base is past the cap");
+        b.escalate(PERIOD);
+        assert_eq!(b.current(PERIOD), PERIOD);
+        assert!(b.reset());
+        assert_eq!(b.current(PERIOD), base);
+        assert!(!b.reset(), "reset reports a change only once");
+    }
+
+    #[test]
+    fn backoff_jitter_stays_below_a_quarter_interval_and_replays_from_the_node_id() {
+        let (mut a, mut twin, mut other) =
+            (Backoff::new(NodeId(42)), Backoff::new(NodeId(42)), Backoff::new(NodeId(43)));
+        let mut diverged = false;
+        for round in 0..64 {
+            let interval = a.current(PERIOD);
+            let delay = a.next_delay(PERIOD);
+            assert!(delay >= interval && delay - interval < interval / 4 + 1, "{delay} of {interval}");
+            assert_eq!(twin.next_delay(PERIOD), delay, "same node id, same jitter stream");
+            diverged |= other.next_delay(PERIOD) != delay;
+            if round % 16 == 15 {
+                for b in [&mut a, &mut twin, &mut other] {
+                    b.escalate(PERIOD);
+                }
+            }
+        }
+        assert!(diverged, "another node id draws another stream");
+    }
+}
