@@ -13,7 +13,7 @@
 //! # Rules
 //!
 //! - **`hash`** — `HashMap`/`HashSet` in the *deterministic
-//!   subsystems* (`crates/simnet/`, and `dist.rs`, `stabilize.rs`,
+//!   subsystems* (`crates/simnet/`, and `dist/`, `stabilize.rs`,
 //!   `local.rs`, `concurrent.rs` under `crates/core/src/`). Hash
 //!   iteration order leaks nondeterminism into seeded simulations and
 //!   replayable explorer schedules; PR 1 fixed exactly this bug in the
@@ -37,7 +37,10 @@
 //! - **`determinism-seam`** — an ambient nondeterminism source
 //!   (`SystemTime`, `Instant::now`, `thread_rng`/`rand::`,
 //!   `RandomState`, entropy-seeded RNG constructors) inside an
-//!   `impl Process for ...` block outside `crates/simnet/`. Protocol
+//!   `impl Process for ...` block outside `crates/simnet/`, or anywhere
+//!   in the dist protocol layers (`node.rs`, `wire.rs`, `reconfig.rs`,
+//!   `rescue.rs`, `view.rs` under `crates/core/src/dist/` — `NodeProc`'s
+//!   `Process` impl only dispatches into them). Protocol
 //!   handlers (`on_message`/`on_timer`) must be deterministic
 //!   functions of `(state, event, ctx)`: the simulator owns the clock
 //!   and the seeded RNG, and the distributed schedule explorer's
@@ -46,6 +49,13 @@
 //!   depends on wall time or on global draw order. Seeded state
 //!   carried *in* the process struct is fine — the rule flags the
 //!   ambient sources, not arithmetic on stored seeds.
+//! - **`ground-truth`** — in those same dist protocol layers, a line
+//!   that reaches through a `World` borrow for what only the harness
+//!   knows: `host_of(`, the `.crashed` log, or the authoritative `ring`.
+//!   A real node sees its local [`View`](acn_core::dist) and nothing
+//!   else; ownership on a protocol path resolves through
+//!   `View::owner_of_name`. `Deployment` (`deploy.rs`) and tests are the
+//!   harness and may read all of it.
 //! - **`trace-determinism`** — an ambient nondeterminism source on a
 //!   span-construction line (`Span::new` / `open_trace` /
 //!   `close_trace`), or anywhere inside the observability layer itself
@@ -99,14 +109,29 @@ const TRACE_TOKENS: [&str; 3] = [
 /// are forbidden.
 fn in_deterministic_subsystem(path: &str) -> bool {
     path.starts_with("crates/simnet/")
+        || path.starts_with("crates/core/src/dist/")
         || [
-            "crates/core/src/dist.rs",
             "crates/core/src/stabilize.rs",
             "crates/core/src/local.rs",
             "crates/core/src/concurrent.rs",
         ]
         .contains(&path)
 }
+
+/// The dist protocol layers: every line is handler code (the
+/// `determinism-seam` region) and sees the shared `World` only as
+/// write-only observation (the `ground-truth` rule).
+fn in_dist_protocol_layer(path: &str) -> bool {
+    path.strip_prefix("crates/core/src/dist/").is_some_and(|file| {
+        ["node.rs", "wire.rs", "reconfig.rs", "rescue.rs", "view.rs"].contains(&file)
+    })
+}
+
+/// Harness ground truth as protocol code would reach it: the two
+/// `World` names no node could know, and the authoritative ring off a
+/// borrow (`w.ring`, `borrow().ring`). `View`'s own `self.ring` and
+/// `view.ring()` are a node's *belief* and do not match.
+const GROUND_TRUTH: [&str; 4] = ["host_of(", ".crashed", "w.ring", "().ring"];
 
 /// The one place a snapshot cell may be implemented by hand: the
 /// `SyncApi` layer itself (`RealSnapshot` lives here).
@@ -124,7 +149,8 @@ fn in_observability_layer(path: &str) -> bool {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Rule id (`hash`, `relaxed`, `std-sync`, `snapshot`,
-    /// `determinism-seam`, `trace-determinism`, `unsafe-audit`).
+    /// `determinism-seam`, `ground-truth`, `trace-determinism`,
+    /// `unsafe-audit`).
     pub rule: &'static str,
     /// Workspace-relative path.
     pub path: String,
@@ -250,6 +276,7 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
     // opened (the determinism-seam region), if any.
     let mut proc_impl: Option<i64> = None;
     let sim_layer = path.starts_with("crates/simnet/");
+    let protocol = in_dist_protocol_layer(path);
 
     for (idx, &line) in lines.iter().enumerate() {
         let lineno = idx + 1;
@@ -267,7 +294,7 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
             proc_impl = Some(depth);
         }
 
-        if proc_impl.is_some() && !sim_layer {
+        if (proc_impl.is_some() || protocol) && !sim_layer {
             for src in NONDET_SOURCES {
                 if line.contains(src) && !annotated("determinism-seam", line, above) {
                     findings.push(Finding {
@@ -275,7 +302,7 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
                         path: path.to_string(),
                         line: lineno,
                         message: format!(
-                            "ambient nondeterminism ({src}) inside a Process impl: handlers \
+                            "ambient nondeterminism ({src}) in protocol handler code: handlers \
                              must be deterministic functions of (state, event, ctx) — take \
                              time and randomness from the simulator seam (ctx/now, stored \
                              seeds) or annotate `// lint: determinism-seam-ok(reason)`"
@@ -284,6 +311,26 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
                     });
                     break;
                 }
+            }
+        }
+
+        if protocol {
+            let hit = GROUND_TRUTH.iter().find(|t| match t.strip_prefix("w.") {
+                Some(_) => token_bounded(line, t),
+                None => line.contains(*t),
+            });
+            if let Some(token) = hit.filter(|_| !annotated("ground-truth", line, above)) {
+                findings.push(Finding {
+                    rule: "ground-truth",
+                    path: path.to_string(),
+                    line: lineno,
+                    message: format!(
+                        "harness ground truth (`{token}`) read in protocol code: a node knows \
+                         only its local view — resolve ownership through `View`, or annotate \
+                         `// lint: ground-truth-ok(reason)`"
+                    ),
+                    snippet: snippet.clone(),
+                });
             }
         }
 
@@ -494,7 +541,7 @@ mod tests {
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert_eq!(hits[0].rule, "hash");
         assert_eq!(hits[0].line, 1);
-        for file in ["dist.rs", "stabilize.rs", "local.rs", "concurrent.rs"] {
+        for file in ["dist/wire.rs", "dist/deploy.rs", "stabilize.rs", "local.rs", "concurrent.rs"] {
             assert_eq!(lint_source(&format!("crates/core/src/{file}"), &src).len(), 1, "{file}");
         }
         // The same code is fine elsewhere.
@@ -510,7 +557,7 @@ mod tests {
             "struct Structure {{\n    components: {}<ComponentId, Mutex<Component>>,\n}}\n",
             HASH_TYPES[0]
         );
-        let hits = lint_source("crates/core/src/dist.rs", &src);
+        let hits = lint_source("crates/core/src/dist/deploy.rs", &src);
         assert_eq!(hits.len(), 1);
         assert!(hits[0].message.contains("BTreeMap"), "{}", hits[0].message);
     }
@@ -586,7 +633,7 @@ mod tests {
     fn flags_ambient_nondeterminism_inside_process_impls() {
         for src in NONDET_SOURCES {
             let body = format!("        let t = {src}::anything();\n");
-            let hits = lint_source("crates/core/src/dist.rs", &process_impl(&body));
+            let hits = lint_source("crates/core/src/dist/deploy.rs", &process_impl(&body));
             assert_eq!(hits.len(), 1, "{src}: {hits:?}");
             assert_eq!(hits[0].rule, "determinism-seam");
             // The simulator layer owns the seam and is exempt.
@@ -599,7 +646,7 @@ mod tests {
                 "        // lint: determinism-seam-ok(test-only fault clock)\n{body}"
             );
             assert!(
-                lint_source("crates/core/src/dist.rs", &process_impl(&annotated)).is_empty(),
+                lint_source("crates/core/src/dist/deploy.rs", &process_impl(&annotated)).is_empty(),
                 "{src}"
             );
         }
@@ -617,7 +664,47 @@ mod tests {
             "impl Display for MyProcess {{\n    fn fmt(&self) {{ let t = {}::anything(); }}\n}}\n",
             NONDET_SOURCES[0]
         );
-        assert!(lint_source("crates/core/src/dist.rs", &other).is_empty());
+        assert!(lint_source("crates/core/src/dist/deploy.rs", &other).is_empty());
+    }
+
+    #[test]
+    fn dist_protocol_layers_are_handler_code_on_every_line() {
+        // `NodeProc`'s `Process` impl only dispatches; the handlers are
+        // inherent methods spread over these files.
+        let src = format!("fn level_tick() {{\n    let t = {}::anything();\n}}\n", NONDET_SOURCES[1]);
+        for file in ["node.rs", "wire.rs", "reconfig.rs", "rescue.rs", "view.rs"] {
+            let hits = lint_source(&format!("crates/core/src/dist/{file}"), &src);
+            assert_eq!(hits.len(), 1, "{file}: {hits:?}");
+            assert_eq!(hits[0].rule, "determinism-seam");
+        }
+        for file in ["deploy.rs", "digest.rs", "world.rs", "tests.rs"] {
+            assert!(lint_source(&format!("crates/core/src/dist/{file}"), &src).is_empty(), "{file}");
+        }
+    }
+
+    #[test]
+    fn protocol_code_may_not_read_harness_ground_truth() {
+        let reads = [
+            "        let owner = self.world.borrow_mut().host_of(&id);\n",
+            "        if self.world.borrow().crashed.contains_key(&n) {}\n",
+            "        let succ = self.world.borrow().ring.successor(n);\n",
+            "        let len = w.ring.len();\n",
+        ];
+        for line in reads {
+            let hits = lint_source("crates/core/src/dist/rescue.rs", line);
+            assert_eq!(hits.len(), 1, "{line}: {hits:?}");
+            assert_eq!(hits[0].rule, "ground-truth");
+            // The harness and its tests own the ground truth.
+            for file in ["deploy.rs", "tests.rs", "digest.rs"] {
+                assert!(lint_source(&format!("crates/core/src/dist/{file}"), line).is_empty());
+            }
+            let waived = format!("        // lint: ground-truth-ok(boot placement)\n{line}");
+            assert!(lint_source("crates/core/src/dist/rescue.rs", &waived).is_empty());
+        }
+        // A node's own belief is not ground truth.
+        let belief = "        let pred = self.ring.predecessor(self.me);\n        \
+                      let n = self.view.ring().len();\n        w.dht_lookups += 1;\n";
+        assert!(lint_source("crates/core/src/dist/view.rs", belief).is_empty());
     }
 
     #[test]
@@ -627,7 +714,7 @@ mod tests {
             process_impl("        let x = 1;\n"),
             NONDET_SOURCES[0]
         );
-        assert!(lint_source("crates/core/src/dist.rs", &src).is_empty());
+        assert!(lint_source("crates/core/src/dist/deploy.rs", &src).is_empty());
     }
 
     #[test]
@@ -635,7 +722,7 @@ mod tests {
         for token in TRACE_TOKENS {
             for src in NONDET_SOURCES {
                 let line = format!("    tracer.{token}(\"hop\", {src}::anything());\n");
-                let hits = lint_source("crates/core/src/dist.rs", &line);
+                let hits = lint_source("crates/core/src/dist/deploy.rs", &line);
                 assert_eq!(hits.len(), 1, "{token}+{src}: {hits:?}");
                 assert_eq!(hits[0].rule, "trace-determinism");
                 // The seam implementation is the one allowed place.
@@ -646,12 +733,12 @@ mod tests {
                 // Annotated use is accepted.
                 let annotated =
                     format!("    // lint: trace-determinism-ok(test-only fixture clock)\n{line}");
-                assert!(lint_source("crates/core/src/dist.rs", &annotated).is_empty());
+                assert!(lint_source("crates/core/src/dist/deploy.rs", &annotated).is_empty());
             }
         }
         // A span built from seam time is fine.
         let clean = format!("    tracer.record({}(\"hop\", 1).at(ctx.now()));\n", TRACE_TOKENS[0]);
-        assert!(lint_source("crates/core/src/dist.rs", &clean).is_empty());
+        assert!(lint_source("crates/core/src/dist/deploy.rs", &clean).is_empty());
     }
 
     #[test]

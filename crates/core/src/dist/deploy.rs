@@ -302,15 +302,16 @@ impl Deployment {
         }
     }
 
-    /// Disables **both** token-dedup layers — the receiver-side GUID
-    /// check and the collector's end-to-end identity check.
+    /// Disables **all three** token-dedup layers — the receiver-side
+    /// GUID check, the components' travelling `(token, wire)` ledgers
+    /// and the collector's end-to-end identity check.
     ///
     /// This is a **deliberately planted bug** for mutation-testing the
     /// distributed model checker (`acn-check`): with the defenses off,
     /// a retransmission racing its own ack is counted twice and the
     /// exactly-once oracle must catch it with a replayable schedule.
-    /// (Disabling only one layer is masked by the other — that is the
-    /// point of defense in depth.)
+    /// (Disabling the node-side layers alone is masked by the
+    /// collector — that is the point of defense in depth.)
     #[doc(hidden)]
     pub fn test_disable_token_dedup(&mut self) {
         self.world.borrow_mut().test_disable_ack_dedup();

@@ -101,115 +101,56 @@ impl Msg {
     /// different message kinds cannot collide.
     fn digest(&self, d: &mut StateDigest) {
         match self {
-            Msg::ClientInject { wire } => {
-                d.word(0);
-                d.word(*wire as u64);
-            }
+            Msg::ClientInject { wire } => d.item(&(0u8, wire)),
             Msg::Token { guid, token, addr, injected_at, attempt, hops } => {
-                d.word(1);
+                d.item(&(1u8, attempt));
                 d.guid(*guid);
-                d.token(*token);
-                d.item(addr);
-                d.word(*injected_at);
-                d.word(u64::from(*attempt));
-                d.word(*hops);
+                Token { id: *token, addr: *addr, injected_at: *injected_at, hops: *hops }.digest(d);
             }
             Msg::TokenAck { guid } => {
                 d.word(2);
                 d.guid(*guid);
             }
             Msg::TokenNack { guid, attempt } => {
-                d.word(3);
+                d.item(&(3u8, attempt));
                 d.guid(*guid);
-                d.word(u64::from(*attempt));
             }
             Msg::Exit { wire, token, injected_at, hops } => {
-                d.word(4);
-                d.word(*wire as u64);
+                d.item(&(4u8, wire, injected_at, hops));
                 d.token(*token);
-                d.word(*injected_at);
-                d.word(*hops);
             }
             Msg::Install { comp, seen } => {
-                d.word(5);
-                d.item(comp);
+                d.item(&(5u8, comp));
                 digest_seen(seen, d);
             }
-            Msg::InstallAck { id } => {
-                d.word(6);
-                d.item(id);
-            }
-            Msg::FreezeCollect { id, parent } => {
-                d.word(7);
-                d.item(id);
-                d.item(parent);
-            }
+            Msg::InstallAck { id } => d.item(&(6u8, id)),
+            Msg::FreezeCollect { id, parent } => d.item(&(7u8, id, parent)),
             Msg::CollectReply { comp, seen, parent } => {
-                d.word(8);
-                d.item(comp);
+                d.item(&(8u8, comp, parent));
                 digest_seen(seen, d);
-                d.item(parent);
             }
-            Msg::CollectMissing { id, parent } => {
-                d.word(9);
-                d.item(id);
-                d.item(parent);
-            }
-            Msg::RemoveFrozen { id } => {
-                d.word(10);
-                d.item(id);
-            }
-            Msg::AbortFreeze { id } => {
-                d.word(11);
-                d.item(id);
-            }
+            Msg::CollectMissing { id, parent } => d.item(&(9u8, id, parent)),
+            Msg::RemoveFrozen { id } => d.item(&(10u8, id)),
+            Msg::AbortFreeze { id } => d.item(&(11u8, id)),
             Msg::Ping => d.word(12),
             Msg::Pong => d.word(13),
-            Msg::ViewGossip { known, dead } => {
-                d.word(14);
-                d.item(known);
-                d.item(dead);
-            }
+            Msg::ViewGossip { known, dead } => d.item(&(14u8, known, dead)),
             Msg::RescueQuery => d.word(15),
-            Msg::RescueReport { covered } => {
-                d.word(16);
-                d.word(covered.len() as u64);
-                for (id, frozen) in covered {
-                    d.item(id);
-                    d.word(u64::from(*frozen));
-                }
-            }
-            Msg::RescueInstall { comp } => {
-                d.word(17);
-                d.item(comp);
-            }
-            Msg::RescueAck { id } => {
-                d.word(18);
-                d.item(id);
-            }
+            Msg::RescueReport { covered } => d.item(&(16u8, covered)),
+            Msg::RescueInstall { comp } => d.item(&(17u8, comp)),
+            Msg::RescueAck { id } => d.item(&(18u8, id)),
             Msg::TokenBusy { guid } => {
                 d.word(19);
                 d.guid(*guid);
             }
             Msg::Migrate { comp, seen, buffer } => {
-                d.word(20);
-                d.item(comp);
+                d.item(&(20u8, comp));
                 digest_seen(seen, d);
                 digest_tokens(buffer, d);
             }
-            Msg::MigrateAck { id } => {
-                d.word(21);
-                d.item(id);
-            }
-            Msg::MergeOrphan { child, parent } => {
-                d.word(22);
-                d.item(child);
-                d.item(parent);
-            }
-            Msg::SplitListHandoff { entries } => {
-                d.word(23);
-                d.item(entries);
-            }
+            Msg::MigrateAck { id } => d.item(&(21u8, id)),
+            Msg::MergeOrphan { child, parent } => d.item(&(22u8, child, parent)),
+            Msg::SplitListHandoff { entries } => d.item(&(23u8, entries)),
         }
     }
 }
@@ -218,84 +159,50 @@ impl World {
     /// Folds the protocol-relevant world state: topology, membership,
     /// and mutation switches — not the statistics counters or the
     /// GUID/token allocators (the renaming quotient exists precisely
-    /// to forget allocator positions).
+    /// to forget allocator positions). The crash and detection logs
+    /// fold in *with timestamps*: the recovery oracles' verdicts depend
+    /// on both, so two states that differ only in when a crash was
+    /// detected must not be memoized as one.
     fn digest(&self, d: &mut StateDigest) {
-        d.item(&self.tree);
-        d.item(&self.style);
-        d.word(self.ring.len() as u64);
-        for n in self.ring.nodes() {
-            d.word(n.0);
-        }
-        // Crash and detection logs fold in *with timestamps*: the
-        // recovery oracles' verdicts depend on both, so two states
-        // that differ only in when a crash was detected must not be
-        // memoized as one.
-        d.word(self.crashed.len() as u64);
-        for (n, t) in &self.crashed {
-            d.word(n.0);
-            d.word(*t);
-        }
-        d.word(self.detections.len() as u64);
-        for (n, t) in &self.detections {
-            d.word(n.0);
-            d.word(*t);
-        }
-        d.word(u64::from(self.mutation_no_ack_dedup));
+        d.item(&(self.tree, self.style, self.mutation_no_ack_dedup));
+        d.item(&self.ring.nodes().collect::<Vec<_>>());
+        d.item(&(&self.crashed, &self.detections));
     }
 }
 
 impl NodeProc {
     /// Folds every field that influences this node's future behaviour.
-    /// Excludes `world` (digested once by the deployment) and
-    /// `level_period` (a deployment constant).
+    /// Excludes `world` (digested once by the deployment), `tree`,
+    /// `style` and `level_period` (deployment constants), and the
+    /// `started_at` of splits and merges (it only dates a telemetry
+    /// record; folding it would split states that behave alike).
     fn digest(&self, d: &mut StateDigest) {
-        d.word(self.node.0);
-        d.word(self.level as u64);
-        d.word(u64::from(self.retry_armed));
+        d.item(&(self.node, self.level, self.retry_armed, self.rescue_again));
+        d.item(&(&self.split_list, &self.stuck_collects, &self.cache, self.frozen_buffer_cap));
+        // `last_heard` carries raw timestamps: freshness decisions
+        // depend on them, so they must split states that would behave
+        // differently — as a sweep's `started_at` does (it dates the
+        // `rescue.duration` record the recovery budget reads).
+        d.item(&(&self.view, &self.rescue, &self.backoff));
         d.word(self.components.len() as u64);
         for (id, hosted) in &self.components {
-            d.item(id);
-            d.item(&hosted.comp);
-            d.word(u64::from(hosted.frozen));
-            d.word(hosted.frozen_by.map_or(u64::MAX, |p| p.0));
+            d.item(&(id, &hosted.comp, hosted.frozen, hosted.frozen_by));
             digest_tokens(&hosted.buffer, d);
             digest_seen(&hosted.seen, d);
         }
-        d.item(&self.split_list);
         d.word(self.splits.len() as u64);
         for (id, op) in &self.splits {
-            d.item(id);
-            d.item(&op.pending);
+            d.item(&(id, &op.pending, op.stalled_rounds));
             digest_seen(&op.seen, d);
-            d.word(u64::from(op.stalled_rounds));
         }
         d.word(self.merges.len() as u64);
         for (id, op) in &self.merges {
-            d.item(id);
-            d.word(op.collected.len() as u64);
+            d.item(&(id, &op.reporters, op.stalled_rounds, op.awaiting_install, op.requester));
             for entry in &op.collected {
-                match entry {
-                    Some((comp, seen)) => {
-                        d.word(1);
-                        d.item(comp);
-                        digest_seen(seen, d);
-                    }
-                    None => d.word(0),
+                d.item(&entry.as_ref().map(|(comp, _)| comp));
+                if let Some((_, seen)) = entry {
+                    digest_seen(seen, d);
                 }
-            }
-            d.word(op.reporters.len() as u64);
-            for r in &op.reporters {
-                d.word(r.map_or(u64::MAX, |p| p.0));
-            }
-            d.word(u64::from(op.stalled_rounds));
-            d.word(u64::from(op.awaiting_install));
-            match &op.requester {
-                Some((pid, cid)) => {
-                    d.word(1);
-                    d.word(pid.0);
-                    d.item(cid);
-                }
-                None => d.word(0),
             }
         }
         d.word(self.unacked.len() as u64);
@@ -308,29 +215,12 @@ impl NodeProc {
         for g in &self.seen {
             d.guid(*g);
         }
-        d.word(self.stuck_collects.len() as u64);
-        for (id, parent) in &self.stuck_collects {
-            d.item(id);
-            d.item(parent);
-        }
-        d.item(&self.cache);
-        // Failure-detector and membership state. `last_heard` carries
-        // raw timestamps: freshness decisions depend on them, so they
-        // must split states that would behave differently — as does a
-        // sweep's `started_at` (it dates the `rescue.duration` record).
-        d.item(&self.view);
-        d.item(&self.rescue);
-        d.word(u64::from(self.rescue_again));
         d.word(self.migrating.len() as u64);
         for (id, m) in &self.migrating {
-            d.item(id);
-            d.item(&m.comp);
+            d.item(&(id, &m.comp, m.sent_at));
             digest_seen(&m.seen, d);
             digest_tokens(&m.buffer, d);
-            d.word(m.sent_at);
         }
-        d.item(&self.backoff);
-        d.word(self.frozen_buffer_cap as u64);
     }
 }
 
@@ -340,12 +230,7 @@ impl Collector {
     /// the mutation switch. Latency aggregates are telemetry-only and
     /// excluded.
     fn digest(&self, d: &mut StateDigest) {
-        d.word(self.counts.len() as u64);
-        for c in &self.counts {
-            d.word(*c);
-        }
-        d.word(self.duplicate_drops);
-        d.word(u64::from(self.mutation_no_dedup));
+        d.item(&(&self.counts, self.duplicate_drops, self.mutation_no_dedup));
         d.word(self.seen.len() as u64);
         for t in &self.seen {
             d.token(*t);
@@ -373,29 +258,14 @@ impl Deployment {
     pub fn canonical_fingerprint(&self) -> u64 {
         let mut d = StateDigest::new();
         self.world.borrow().digest(&mut d);
-        d.word(self.level_period);
-        d.word(self.sim.now());
-        let clocks: Vec<((ProcessId, ProcessId), u64)> = self.sim.link_clocks().collect();
-        d.word(clocks.len() as u64);
-        for ((a, b), t) in clocks {
-            d.word(a.0);
-            d.word(b.0);
-            d.word(t);
-        }
+        d.item(&(self.level_period, self.sim.now()));
+        d.item(&self.sim.link_clocks().collect::<Vec<_>>());
         let pending = self.sim.pending_snapshot();
         d.word(pending.len() as u64);
         for (ev, payload) in pending {
-            d.word(ev.time);
-            d.word(ev.to.0);
-            d.word(ev.from.map_or(u64::MAX, |f| f.0));
-            d.word(ev.timer_tag.map_or(u64::MAX, |t| t));
-            d.word(u64::from(ev.lossy));
-            match payload {
-                Some(m) => {
-                    d.word(1);
-                    m.digest(&mut d);
-                }
-                None => d.word(0),
+            d.item(&(ev.time, ev.to, ev.from, ev.timer_tag, ev.lossy, payload.is_some()));
+            if let Some(m) = payload {
+                m.digest(&mut d);
             }
         }
         let pids: Vec<ProcessId> = self.sim.process_ids().collect();

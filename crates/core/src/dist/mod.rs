@@ -35,11 +35,28 @@
 //!   the invariant "every component on `v` is at level `>= l_v`";
 //! - **churn** (Section 3.4): joins migrate components to their new hash
 //!   owners; graceful leaves hand components and pending merge
-//!   obligations to the successor; crashes lose state, and a repair
-//!   sweep re-covers the cut (the \[HT03\]-style stabilization hook).
+//!   obligations to the successor; crashes lose state, are detected by
+//!   the crashed node's ring successor, and a rescue sweep it
+//!   coordinates re-covers the cut.
 //!
 //! Exited tokens are reported to a collector process which serves as the
 //! measurement endpoint for the experiments.
+//!
+//! # Layers
+//!
+//! One file per layer; each owns the state it names and handles the
+//! messages and timers that touch it (DESIGN.md §13 has the full map):
+//! `msg` is the wire format and the [`Token`] value; `view` the
+//! membership CRDT, the hash ring materialized from it and the failure
+//! detector (pure state, no simulator); `wire` token routing, the lossy
+//! send with its ack/nack/busy replies and the retry timer's backoff;
+//! `reconfig` split, merge and migrate by freeze-drain-forward; `rescue`
+//! the crash-recovery sweep and its pure plan; `node` the [`NodeProc`]
+//! struct, the level and failure-detector ticks, and a `Process` impl
+//! that only dispatches. Around them: `world` (what a simulation shares:
+//! harness ground truth, counters, telemetry handles — protocol code
+//! only writes observations to it), `deploy` (the harness: collector and
+//! [`Deployment`]) and `digest` (the explorer's state fingerprint).
 
 mod deploy;
 mod digest;

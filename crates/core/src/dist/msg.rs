@@ -32,13 +32,10 @@ pub enum Msg {
     /// A token travelling towards the component owning `addr`. Tokens
     /// ride the **lossy** channel (an unreliable datagram fast path);
     /// delivery is guaranteed end to end by acknowledgement,
-    /// retransmission, and two dedup layers: a per-receiver GUID check
-    /// (suppresses a retransmission racing its own ack at the *same*
-    /// node) and a collector-side `token` check (suppresses the copy
-    /// that escapes to a *different* path when a timed-out obligation
-    /// is re-routed after reconfiguration while the original send is
-    /// still in flight — a race the schedule explorer found; see
-    /// `Collector`).
+    /// retransmission, and the three dedup layers of the module docs:
+    /// the receiver's `guid` check, the covering component's
+    /// `(token, addr)` ledger, and the collector's `token` check. The
+    /// payload is a [`Token`] carried flat (see there).
     Token {
         /// Per-send obligation identifier (receiver-side duplicate
         /// suppression and ack/nack correlation). Fresh per forward,
@@ -224,7 +221,7 @@ pub enum Msg {
 // per reconfiguration; `Token`/`TokenAck`/`Exit` are a dozen per token,
 // and every one of them is sifted through the event heap at the size of
 // the largest variant.
-const _: () = assert!(std::mem::size_of::<Msg>() <= 80);
+const _: () = assert!(std::mem::size_of::<Msg>() <= 64);
 
 /// A token as a node holds it — while routing it, buffered at a frozen
 /// component, riding a [`Msg::Migrate`], or awaiting an ack. On the

@@ -128,21 +128,15 @@ impl NodeProc {
             stalled_rounds: 0,
             started_at: ctx.now(),
         };
-        let mut local_installs = Vec::new();
         for child in children {
             let host = self.owner_of(child.id());
             if ProcessId(host.0) == ctx.self_id() {
-                local_installs.push(child);
+                self.install(child, parent_seen.clone());
             } else {
                 op.pending.insert(*child.id(), child.clone());
-                ctx.send(
-                    ProcessId(host.0),
-                    Msg::Install { comp: Box::new(child), seen: parent_seen.clone() },
-                );
+                let install = Msg::Install { comp: Box::new(child), seen: parent_seen.clone() };
+                ctx.send(ProcessId(host.0), install);
             }
-        }
-        for child in local_installs {
-            self.install(child, parent_seen.clone());
         }
         if op.pending.is_empty() {
             self.finish_split(ctx, *id, op.started_at);

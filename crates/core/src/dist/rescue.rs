@@ -110,24 +110,12 @@ impl NodeProc {
     /// rescue installs in flight, migrating hand-offs) — so a
     /// concurrent sweep never installs a duplicate over them.
     pub(super) fn covered_report(&self) -> Vec<(ComponentId, bool)> {
-        let mut covered: Vec<(ComponentId, bool)> = self
-            .components
-            .iter()
-            .map(|(id, h)| (*id, h.frozen))
-            .collect();
-        for op in self.splits.values() {
-            covered.extend(op.pending.keys().map(|id| (*id, false)));
-        }
-        for (parent, op) in &self.merges {
-            if op.awaiting_install {
-                covered.push((*parent, false));
-            }
-        }
-        if let Some(op) = &self.rescue {
-            covered.extend(op.installs.keys().map(|id| (*id, false)));
-        }
-        covered.extend(self.migrating.keys().map(|id| (*id, false)));
-        covered
+        let hosted = self.components.iter().map(|(id, h)| (*id, h.frozen));
+        let in_flight = (self.splits.values().flat_map(|op| op.pending.keys()))
+            .chain(self.merges.iter().filter(|(_, op)| op.awaiting_install).map(|(id, _)| id))
+            .chain(self.rescue.iter().flat_map(|op| op.installs.keys()))
+            .chain(self.migrating.keys());
+        hosted.chain(in_flight.map(|id| (*id, false))).collect()
     }
 
     /// Whether accepting a *fresh* copy of `id` would double-cover a
@@ -196,18 +184,13 @@ impl NodeProc {
         covered: Vec<(ComponentId, bool)>,
     ) {
         let reporter = NodeId(from.0);
-        let done = {
-            let Some(op) = &mut self.rescue else { return };
-            if !op.pending.remove(&reporter) {
-                return; // stale or duplicate report
-            }
-            for (id, frozen) in covered {
-                op.covered.insert(id, (reporter, frozen));
-            }
-            op.stalled_rounds = 0;
-            op.pending.is_empty()
-        };
-        if done {
+        let Some(op) = &mut self.rescue else { return };
+        if !op.pending.remove(&reporter) {
+            return; // stale or duplicate report
+        }
+        op.covered.extend(covered.into_iter().map(|(id, frozen)| (id, (reporter, frozen))));
+        op.stalled_rounds = 0;
+        if op.pending.is_empty() {
             self.finalize_rescue(ctx);
         }
     }

@@ -13,7 +13,7 @@ use acn_trace::Tracer;
 
 /// Pre-resolved telemetry handles for the distributed runtime
 /// (`acn.dist.*`). All handles are no-ops until
-/// [`Deployment::attach_telemetry`] wires in an enabled registry.
+/// [`Deployment::attach_telemetry`](super::Deployment::attach_telemetry) wires in an enabled registry.
 #[derive(Debug, Default)]
 pub(super) struct DistMetrics {
     /// Inter-node hops a token took before exiting (recorded at the
@@ -46,7 +46,6 @@ pub(super) struct DistMetrics {
     pub(super) migrations: Counter,
     /// Node crashes injected by the harness.
     pub(super) crashes: Counter,
-    /// Components re-installed by cut repair after crashes.
     /// Level-estimate changes observed at `level_tick` (the adaptivity
     /// signal of paper Section 3.2).
     pub(super) level_changes: Counter,
@@ -162,13 +161,14 @@ pub struct World {
     next_guid: u64,
     /// Next globally unique end-to-end token id.
     next_token_id: u64,
-    /// Test-only mutation switch: when set, receivers skip the
-    /// GUID-dedup branch of the token handler, so a retransmission that
+    /// Test-only mutation switch: when set, nodes skip both of their
+    /// dedup layers — the receiver's GUID check and the components'
+    /// travelling `(token, wire)` ledgers — so a retransmission that
     /// races its ack is processed twice. Exists solely so the
     /// distributed model checker can prove it would catch the bug
-    /// (mutation testing); never set in production paths. Disabling
-    /// this layer alone is masked by the collector's end-to-end dedup —
-    /// [`Deployment::test_disable_token_dedup`] removes both.
+    /// (mutation testing); never set in production paths. On its own
+    /// this is masked by the collector's end-to-end dedup —
+    /// [`Deployment::test_disable_token_dedup`](super::Deployment::test_disable_token_dedup) removes all three.
     pub(super) mutation_no_ack_dedup: bool,
     /// Pre-resolved `acn.dist.*` telemetry handles (no-ops by default).
     pub(super) metrics: DistMetrics,
@@ -202,7 +202,8 @@ impl World {
         }))
     }
 
-    /// Disables the receiver-side GUID dedup of the token channel.
+    /// Disables the node-side dedup of the token channel: the
+    /// receiver's GUID check and the travelling component ledgers.
     ///
     /// This is a **deliberately planted bug** for mutation-testing the
     /// distributed model checker (`acn-check`): with dedup off, a
@@ -229,7 +230,7 @@ impl World {
     /// The current hash owner of component `id` per the harness's
     /// ground-truth ring. Boot and harness paths only: protocol hot
     /// paths resolve ownership against each node's *local membership
-    /// view* ([`NodeProc::owner_of`]), which is all a real node can see.
+    /// view* (`NodeProc::owner_of`), which is all a real node can see.
     #[must_use]
     pub fn host_of(&mut self, id: &ComponentId) -> NodeId {
         self.dht_lookups += 1;
