@@ -139,7 +139,7 @@ pub struct DistScenario {
     /// How many lossy-channel messages may be dropped in flight.
     pub max_drops: u32,
     /// Mutation-testing hook: disable the receiver-side GUID dedup in
-    /// `dist.rs` (the exactly-once oracle must then fail).
+    /// `acn_core::dist` (the exactly-once oracle must then fail).
     pub disable_ack_dedup: bool,
     /// Which terminal oracles to assert.
     pub oracles: OracleConfig,

@@ -52,8 +52,7 @@
 //! - **`ground-truth`** — in those same dist protocol layers, a line
 //!   that reaches through a `World` borrow for what only the harness
 //!   knows: `host_of(`, the `.crashed` log, or the authoritative `ring`.
-//!   A real node sees its local [`View`](acn_core::dist) and nothing
-//!   else; ownership on a protocol path resolves through
+//!   A real node sees its local `View` and nothing else; ownership on a protocol path resolves through
 //!   `View::owner_of_name`. `Deployment` (`deploy.rs`) and tests are the
 //!   harness and may read all of it.
 //! - **`trace-determinism`** — an ambient nondeterminism source on a
@@ -796,6 +795,6 @@ mod tests {
     fn workspace_walk_excludes_vendor() {
         assert!(is_excluded(Path::new("vendor/parking_lot/src/lib.rs")));
         assert!(is_excluded(Path::new("target/debug/build/x.rs")));
-        assert!(!is_excluded(Path::new("crates/core/src/dist.rs")));
+        assert!(!is_excluded(Path::new("crates/core/src/dist/wire.rs")));
     }
 }

@@ -22,8 +22,10 @@
 //!   (Sections 3.2–3.3 of the paper) computing where components live and
 //!   what the converged network looks like for a given overlay;
 //! - [`dist`]: the full message-passing runtime on the deterministic
-//!   simulator of [`acn_simnet`], with token routing, name probing,
-//!   freeze-and-transfer split/merge protocols, and churn handling.
+//!   simulator of [`acn_simnet`], one module per protocol layer — token
+//!   routing and name probing (`wire`), freeze-and-transfer
+//!   split/merge/migrate (`reconfig`), membership and failure detection
+//!   (`view`), crash recovery (`rescue`).
 //!
 //! # Quick start
 //!

@@ -170,7 +170,7 @@ fn seeded_lossy_run_matches_pre_inline_id_capture() {
 }
 
 /// Join, crash a component host under traffic, then a graceful leave —
-/// with no `repair()`: the failure detector, the rescue sweep
+/// with no harness help: the failure detector, the rescue sweep
 /// (`covered_report` iteration order), view-driven migration and the
 /// split-list hand-off all run in protocol. Captured with the lossy
 /// golden above.
