@@ -128,9 +128,11 @@ fn in_dist_protocol_layer(path: &str) -> bool {
 
 /// Harness ground truth as protocol code would reach it: the two
 /// `World` names no node could know, and the authoritative ring off a
-/// borrow (`w.ring`, `borrow().ring`). `View`'s own `self.ring` and
+/// borrow (`borrow().ring`, or `w.ring` as a whole token — it is a
+/// substring of `view.ring`). `View`'s own `self.ring` and
 /// `view.ring()` are a node's *belief* and do not match.
-const GROUND_TRUTH: [&str; 4] = ["host_of(", ".crashed", "w.ring", "().ring"];
+const GROUND_TRUTH: [(&str, bool); 4] =
+    [("host_of(", false), (".crashed", false), ("().ring", false), ("w.ring", true)];
 
 /// The one place a snapshot cell may be implemented by hand: the
 /// `SyncApi` layer itself (`RealSnapshot` lives here).
@@ -314,11 +316,10 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
         }
 
         if protocol {
-            let hit = GROUND_TRUTH.iter().find(|t| match t.strip_prefix("w.") {
-                Some(_) => token_bounded(line, t),
-                None => line.contains(*t),
+            let hit = GROUND_TRUTH.iter().find(|(token, whole)| {
+                if *whole { token_bounded(line, token) } else { line.contains(token) }
             });
-            if let Some(token) = hit.filter(|_| !annotated("ground-truth", line, above)) {
+            if let Some((token, _)) = hit.filter(|_| !annotated("ground-truth", line, above)) {
                 findings.push(Finding {
                     rule: "ground-truth",
                     path: path.to_string(),

@@ -165,7 +165,10 @@ impl World {
     /// detected must not be memoized as one.
     fn digest(&self, d: &mut StateDigest) {
         d.item(&(self.tree, self.style, self.mutation_no_ack_dedup));
-        d.item(&self.ring.nodes().collect::<Vec<_>>());
+        d.word(self.ring.len() as u64);
+        for n in self.ring.nodes() {
+            d.word(n.0);
+        }
         d.item(&(&self.crashed, &self.detections));
     }
 }

@@ -548,10 +548,8 @@ impl NodeProc {
 
     /// Hands every unfrozen component whose view-owner is not this
     /// node to that owner. The component is retained in `migrating`
-    /// until acked, so a crash of the target cannot lose it. This is
-    /// the in-protocol replacement for the old harness
-    /// `migrate_components` sweep: it runs on every level tick and
-    /// after every view change.
+    /// until acked, so a crash of the target cannot lose it. Runs on
+    /// every level tick and after every view change.
     pub(super) fn migration_sweep(&mut self, ctx: &mut Context<'_, Msg>) {
         if self.view.ring().is_empty() {
             return; // no live peer to shed to; keep the state
