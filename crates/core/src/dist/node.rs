@@ -326,13 +326,15 @@ impl NodeProc {
     /// needs the tombstone to nudge the orphan back into the protocol.
     /// Sends to genuinely crashed processes are dropped by the plane.
     pub(super) fn broadcast_view(&self, ctx: &mut Context<'_, Msg>) {
+        // Collected up front: walking `known` lazily while cloning it for
+        // each peer costs `dist_churn` 8 % of its tokens/s (measured with
+        // `scripts/ab.sh`, PR 15).
+        let peers: Vec<NodeId> = self.view.peers().collect();
+        self.metrics().fd_gossip.add(peers.len() as u64);
         let (known, dead) = self.view.sets();
-        let mut sent = 0;
-        for peer in self.view.peers() {
+        for peer in peers {
             ctx.send(ProcessId(peer.0), Msg::ViewGossip { known: known.clone(), dead: dead.clone() });
-            sent += 1;
         }
-        self.metrics().fd_gossip.add(sent);
     }
 
     /// Adopts gossiped membership; re-gossips and reacts only on change.
