@@ -1,6 +1,7 @@
 use super::*;
 use acn_overlay::NodeId;
 use acn_simnet::ProcessId;
+use acn_topology::ComponentId;
 use acn_bitonic::step::is_step_sequence;
 
 #[test]
@@ -383,4 +384,62 @@ fn latency_accounting() {
     let c = d.collector();
     assert_eq!(c.total(), 50);
     assert!(c.max_latency >= c.total_latency / 50);
+}
+
+/// A merge whose parent hashes to a peer, and that peer crashes while
+/// the merged parent is in flight to it: the coordinator must still
+/// hold the parent and hand it to the next owner. Returns `None` when
+/// the seed never opens that window.
+fn merge_parent_target_crash(seed: u64) -> Option<()> {
+    let mut d = Deployment::new(16, 8, seed);
+    assert!(d.settle(100), "seed {seed}: boot did not settle");
+    for _ in 0..4 {
+        d.join_node();
+    }
+    assert!(d.settle(100), "seed {seed}: joins did not settle");
+    // A split-list entry whose parent now hashes to somebody else.
+    let (coordinator, id, owner) = d
+        .sim
+        .process_ids()
+        .filter_map(|pid| match d.sim.process(pid) {
+            Some(Proc::Node(np)) if !np.departed() => Some(np),
+            _ => None,
+        })
+        .find_map(|np| {
+            let remote = |id: &&ComponentId| np.owner_of(id) != np.node_id();
+            let id = *np.split_list().iter().find(remote)?;
+            Some((np.node_id(), id, np.owner_of(&id)))
+        })?;
+    d.sim.set_timer_external(ProcessId(coordinator.0), 0, force_merge_tag(&id));
+    let in_flight = |d: &Deployment| match d.sim.process(ProcessId(coordinator.0)) {
+        Some(Proc::Node(np)) => np.merges.get(&id).is_some_and(|op| op.awaiting_install),
+        _ => false,
+    };
+    for _ in 0..20 * d.level_period {
+        if in_flight(&d) {
+            break;
+        }
+        d.run_for(1);
+    }
+    if !in_flight(&d) {
+        return None;
+    }
+    d.crash_node(owner).expect("not the last node");
+    assert!(d.settle(300), "seed {seed}: the merge of {id} never finished");
+    let (cut, _) = d.live_cut();
+    assert!(cut.is_valid(&d.world.borrow().tree), "seed {seed}: invalid cut {cut}");
+    let before = d.collector().total();
+    for wire in 0..16 {
+        d.inject(wire);
+    }
+    d.run_for(200_000);
+    assert_eq!(d.collector().total(), before + 16, "seed {seed}: post-recovery tokens");
+    Some(())
+}
+
+#[test]
+fn merge_parent_hand_off_survives_a_crashed_target() {
+    for seed in [0, 3, 12] {
+        merge_parent_target_crash(seed).expect("the seed reaches the hand-off window");
+    }
 }
