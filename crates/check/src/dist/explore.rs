@@ -12,14 +12,14 @@
 //! distributed states (heaps of in-flight protocol messages plus
 //! per-node component maps) have no cheap canonical fingerprint — so
 //! sleep sets over the "same receiver" dependence relation
-//! ([`ChoiceId::dependent`]) carry the whole reduction. Between two
+//! (`ChoiceId::dependent`) carry the whole reduction. Between two
 //! deliveries to *different* processes the executions commute (see the
 //! module docs on [`super`]), so one interleaving per equivalence
 //! class suffices.
 //!
 //! # Randomized mode
 //!
-//! For scenarios too large to exhaust: each [`ChoiceId`] (link head,
+//! For scenarios too large to exhaust: each `ChoiceId` (link head,
 //! timer, drop, or fault action) gets a random priority at first
 //! sight, the highest-priority enabled choice runs, and the running
 //! choice is occasionally demoted — long runs with a few adversarial
@@ -67,7 +67,7 @@ pub struct DistCheckConfig {
     pub stop_on_failure: bool,
     /// Memoize canonically-fingerprinted states across executions
     /// (exhaustive mode): a fresh decision node whose
-    /// [`DistRun::fingerprint`] was already visited with a subset
+    /// `DistRun::fingerprint` was already visited with a subset
     /// sleep set and at least as much remaining step budget is pruned.
     /// Default on.
     pub memoize: bool,

@@ -6,7 +6,7 @@
 //! The shared-memory checker ([`crate::explore`]) explores thread
 //! interleavings; this module explores **message schedules**: which
 //! pending delivery, timer firing, in-flight drop, or fault action
-//! happens next. The real [`NodeProc`](acn_core::dist::NodeProc) and
+//! happens next. The real [`NodeProc`] and
 //! collector processes run unmodified — only the scheduler changes.
 //!
 //! # Choice-point model

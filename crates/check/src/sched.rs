@@ -5,7 +5,7 @@
 //! A *checked execution* runs the scenario on real OS threads, but the
 //! kernel lets **exactly one logical thread run at a time**. Before
 //! every visible operation (atomic load/store/RMW, lock acquisition,
-//! join) a worker parks in [`Kernel::decision`]; the controller (the
+//! join) a worker parks in `Kernel::decision`; the controller (the
 //! explorer in [`crate::explore`]) waits until every live thread is
 //! parked, picks one enabled pending operation, applies its semantics
 //! to the kernel's *virtual* object state, and grants that thread the
@@ -950,10 +950,10 @@ impl Kernel {
         hash_of(&(&st.objects, &st.threads))
     }
 
-    /// A *canonical* state fingerprint: like [`fingerprint`]
-    /// (`Self::fingerprint`), but quotiented by state differences no
-    /// future operation can observe, so more genuinely-equivalent
-    /// interleavings collapse to one memo entry.
+    /// A *canonical* state fingerprint: like
+    /// [`fingerprint`](Self::fingerprint), but quotiented by state
+    /// differences no future operation can observe, so more
+    /// genuinely-equivalent interleavings collapse to one memo entry.
     ///
     /// Two reductions apply:
     ///

@@ -683,7 +683,7 @@ impl<M, P: Process<M>> Simulator<M, P> {
 
     /// A deterministic snapshot of **every** pending event — not just
     /// the enabled FIFO heads — in the documented delivery order
-    /// ([`Event::key`]), paired with the message payload (`None` for
+    /// (`Event::key`), paired with the message payload (`None` for
     /// timers). External schedulers use this to fingerprint the whole
     /// transport state: in-flight messages behind their link heads and
     /// future-dated timers are state too.

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # The full local gate: release build, test suite, determinism lints,
-# the bounded model-check suite, and lint-clean clippy.
+# the bounded model-check suite, warning-free docs and lint-clean clippy.
 # Run from anywhere; operates on the workspace containing this script.
 set -euo pipefail
 
@@ -63,6 +63,12 @@ echo "==> benchmark smoke (acn-perf: all 7 workloads, tiny budgets) + its own te
 # end to end, and its tests hold the catalogue to BENCHMARK.json.
 cargo run --release --offline --manifest-path benchmark/Cargo.toml --bin acn-perf -- run --smoke
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
+echo "==> cargo doc (first-party crates, deny warnings)"
+# Intra-doc links rot silently when a type or variant is renamed; the
+# vendored stand-ins are not ours to lint.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace \
+    $(for v in vendor/*/; do printf -- '--exclude %s ' "$(basename "$v")"; done)
 
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
