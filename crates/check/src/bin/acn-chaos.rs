@@ -2,13 +2,13 @@
 //! runtime's in-protocol failure recovery.
 //!
 //! Generates a stream of randomized fault scenarios — crash-mid-split,
-//! crash-mid-merge, graceful leaves, joins, forced reconfigurations,
-//! and mid-run traffic — and runs each through the randomized dist
-//! explorer with **every recovery oracle armed**: crashes must be
-//! detected by the failure detector within the configured period
-//! budget, tombstones must reach every live view, the cut must
-//! re-cover without any harness `repair()` call, and no token may be
-//! duplicated across a rescue.
+//! crash-mid-merge, crashed hand-off targets, graceful leaves, joins,
+//! forced reconfigurations, and mid-run traffic — and runs each through
+//! the randomized dist explorer with **every recovery oracle armed**:
+//! crashes must be detected by the failure detector within the
+//! configured period budget, tombstones must reach every live view, the
+//! cut must re-cover without any harness `repair()` call, and no token
+//! may be duplicated across a rescue.
 //!
 //! ```text
 //! cargo run --release -p acn-check --bin acn-chaos
@@ -69,7 +69,14 @@ fn generate(seed: u64, rng: &mut SplitMix64) -> DistScenario {
             3 => DistAction::CrashMidSplit,
             4 => DistAction::CrashMidMerge,
             5 => DistAction::Join,
-            _ => DistAction::Inject(rng.below(width)),
+            6 => DistAction::Inject(rng.below(width)),
+            _ => {
+                // This draw used to pick an injection too. Its wire is
+                // still drawn, so every campaign seed generates the
+                // scenario it always did but for these actions.
+                let _wire = rng.below(width);
+                DistAction::CrashHandOffTarget
+            }
         });
     }
     s.actions = actions;

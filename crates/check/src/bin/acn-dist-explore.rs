@@ -59,6 +59,7 @@ fn random_scenario(seed: u64) -> DistScenario {
     s.actions = vec![
         DistAction::Split(root),
         DistAction::Inject(2),
+        DistAction::CrashHandOffTarget,
         DistAction::Join,
         DistAction::Merge(root),
     ];
@@ -162,7 +163,7 @@ fn main() {
     config.shrink_failures = shrink;
     let report = check_dist(&config, &scenario);
     report.emit(&registry);
-    summarize("3 nodes, split/inject/join/merge + drops", &report);
+    summarize("3 nodes, split/inject/crash a hand-off target/join/merge + drops", &report);
     if !report.ok() {
         bail(&scenario, &report, shrink);
     }

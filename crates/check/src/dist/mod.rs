@@ -101,6 +101,12 @@ pub enum DistAction {
     /// Crash whichever live node currently has a merge in flight:
     /// exercises the crash-mid-merge orphan-adoption path.
     CrashMidMerge,
+    /// Crash the node that a hand-off in flight from some live node was
+    /// sent to (a split child's, a merge parent's, a migrating
+    /// component's or a rescue replacement's new host; the first in id
+    /// order): the sender must still hold the component and place it at
+    /// the next owner.
+    CrashHandOffTarget,
 }
 
 impl fmt::Display for DistAction {
@@ -114,6 +120,7 @@ impl fmt::Display for DistAction {
             DistAction::Inject(w) => write!(f, "inject on wire {w}"),
             DistAction::CrashMidSplit => write!(f, "crash the split coordinator"),
             DistAction::CrashMidMerge => write!(f, "crash the merge coordinator"),
+            DistAction::CrashHandOffTarget => write!(f, "crash a hand-off target"),
         }
     }
 }
@@ -497,7 +504,8 @@ impl DistRun {
             DistAction::Join
             | DistAction::Inject(_)
             | DistAction::CrashMidSplit
-            | DistAction::CrashMidMerge => true,
+            | DistAction::CrashMidMerge
+            | DistAction::CrashHandOffTarget => true,
         }
     }
 
@@ -511,6 +519,27 @@ impl DistRun {
     /// victim for [`DistAction::CrashMidMerge`].
     fn merge_coordinator_node(&self) -> Option<NodeId> {
         self.mid_op_victim(|np| np.merges_in_flight() > 0)
+    }
+
+    /// The live in-ring node that the first hand-off (in id order) in
+    /// flight from a live node was sent to — the victim for
+    /// [`DistAction::CrashHandOffTarget`].
+    fn hand_off_target_node(&self) -> Option<NodeId> {
+        let w = self.d.world.borrow();
+        if w.ring.len() <= 1 {
+            return None;
+        }
+        self.d
+            .sim
+            .process_ids()
+            .filter_map(|pid| match self.d.sim.process(pid) {
+                Some(Proc::Node(np)) if !np.departed() => Some(np),
+                _ => None,
+            })
+            .flat_map(NodeProc::hand_offs_in_flight)
+            .filter(|(_, to)| w.ring.contains(*to))
+            .min_by_key(|(id, _)| **id)
+            .map(|(_, to)| to)
     }
 
     fn mid_op_victim(&self, busy: impl Fn(&NodeProc) -> bool) -> Option<NodeId> {
@@ -851,6 +880,11 @@ impl DistRun {
                     self.d.crash_node(victim).expect("victim search checked ring.len() > 1");
                 }
             }
+            DistAction::CrashHandOffTarget => {
+                if let Some(victim) = self.hand_off_target_node() {
+                    self.d.crash_node(victim).expect("victim search checked ring.len() > 1");
+                }
+            }
             DistAction::Leave(i) => self.d.leave_node(self.initial_nodes[*i]),
             DistAction::Join => {
                 let _ = self.d.join_node();
@@ -915,8 +949,10 @@ fn msg_name(m: &Msg) -> String {
         Msg::TokenAck { guid } => format!("TokenAck(guid={guid})"),
         Msg::TokenNack { guid, .. } => format!("TokenNack(guid={guid})"),
         Msg::Exit { wire, .. } => format!("Exit(wire={wire})"),
-        Msg::Install { comp, .. } => format!("Install({})", comp.id()),
-        Msg::InstallAck { id } => format!("InstallAck({id})"),
+        Msg::HandOff { comp, buffer, .. } => {
+            format!("HandOff({}, {} buffered)", comp.id(), buffer.len())
+        }
+        Msg::HandOffAck { id } => format!("HandOffAck({id})"),
         Msg::FreezeCollect { id, parent } => format!("FreezeCollect({id} for {parent})"),
         Msg::CollectReply { comp, parent, .. } => {
             format!("CollectReply({} for {parent})", comp.id())
@@ -931,13 +967,7 @@ fn msg_name(m: &Msg) -> String {
         }
         Msg::RescueQuery => "RescueQuery".to_string(),
         Msg::RescueReport { covered } => format!("RescueReport({} covered)", covered.len()),
-        Msg::RescueInstall { comp } => format!("RescueInstall({})", comp.id()),
-        Msg::RescueAck { id } => format!("RescueAck({id})"),
         Msg::TokenBusy { guid } => format!("TokenBusy(guid={guid})"),
-        Msg::Migrate { comp, buffer, .. } => {
-            format!("Migrate({}, {} buffered)", comp.id(), buffer.len())
-        }
-        Msg::MigrateAck { id } => format!("MigrateAck({id})"),
         Msg::MergeOrphan { child, parent } => format!("MergeOrphan({child} for {parent})"),
         Msg::SplitListHandoff { entries } => {
             format!("SplitListHandoff({} entries)", entries.len())

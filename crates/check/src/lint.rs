@@ -39,8 +39,9 @@
 //!   `RandomState`, entropy-seeded RNG constructors) inside an
 //!   `impl Process for ...` block outside `crates/simnet/`, or anywhere
 //!   in the dist protocol layers (`node.rs`, `wire.rs`, `reconfig.rs`,
-//!   `rescue.rs`, `view.rs` under `crates/core/src/dist/` — `NodeProc`'s
-//!   `Process` impl only dispatches into them). Protocol
+//!   `handoff.rs`, `rescue.rs`, `view.rs` under
+//!   `crates/core/src/dist/` — `NodeProc`'s `Process` impl only
+//!   dispatches into them). Protocol
 //!   handlers (`on_message`/`on_timer`) must be deterministic
 //!   functions of `(state, event, ctx)`: the simulator owns the clock
 //!   and the seeded RNG, and the distributed schedule explorer's
@@ -122,7 +123,7 @@ fn in_deterministic_subsystem(path: &str) -> bool {
 /// write-only observation (the `ground-truth` rule).
 fn in_dist_protocol_layer(path: &str) -> bool {
     path.strip_prefix("crates/core/src/dist/").is_some_and(|file| {
-        ["node.rs", "wire.rs", "reconfig.rs", "rescue.rs", "view.rs"].contains(&file)
+        ["node.rs", "wire.rs", "reconfig.rs", "handoff.rs", "rescue.rs", "view.rs"].contains(&file)
     })
 }
 
@@ -672,7 +673,7 @@ mod tests {
         // `NodeProc`'s `Process` impl only dispatches; the handlers are
         // inherent methods spread over these files.
         let src = format!("fn level_tick() {{\n    let t = {}::anything();\n}}\n", NONDET_SOURCES[1]);
-        for file in ["node.rs", "wire.rs", "reconfig.rs", "rescue.rs", "view.rs"] {
+        for file in ["node.rs", "wire.rs", "reconfig.rs", "handoff.rs", "rescue.rs", "view.rs"] {
             let hits = lint_source(&format!("crates/core/src/dist/{file}"), &src);
             assert_eq!(hits.len(), 1, "{file}: {hits:?}");
             assert_eq!(hits[0].rule, "determinism-seam");

@@ -256,17 +256,28 @@ fn found_estimator_automerge_iteration_is_clean_after_ensure_fix() {
 /// rescue sweep plus the split re-drive must re-cover the orphaned
 /// subtree through protocol messages alone. Exhaustive over a small
 /// space, so every interleaving of the crash against the in-flight
-/// `Install`/`InstallAck` traffic is covered; every terminal state
+/// `HandOff`/`HandOffAck` traffic is covered; every terminal state
 /// passes the conservation (<= under crashes, never more), cut, and
 /// recovery oracles.
+///
+/// Second input, the side of the same window nobody used to crash: on
+/// three nodes the node that a child was handed to dies instead — with
+/// that hand-off, or only a later one, still unacknowledged. The
+/// coordinator must place what it still holds at the next owner, and a
+/// sweep must re-cover a child that was acknowledged by the node that
+/// then died (the frozen parent does not stand in for it).
 #[test]
 fn crash_during_split_recovers_in_protocol() {
     let root = ComponentId::root();
-    let mut scenario = DistScenario::new(4, 2, 0xD15C7, vec![0, 3]);
-    scenario.actions = vec![DistAction::Split(root), DistAction::CrashMidSplit];
-    let report = check_dist(&DistCheckConfig::exhaustive(), &scenario);
-    report.assert_ok();
-    assert!(report.fault_actions > 0, "the crash was actually explored: {report:?}");
+    let mut coordinator = DistScenario::new(4, 2, 0xD15C7, vec![0, 3]);
+    coordinator.actions = vec![DistAction::Split(root), DistAction::CrashMidSplit];
+    let mut target = DistScenario::new(4, 3, 0xD15C02, vec![0, 3]);
+    target.actions = vec![DistAction::Split(root), DistAction::CrashHandOffTarget];
+    for scenario in [coordinator, target] {
+        let report = check_dist(&DistCheckConfig::exhaustive(), &scenario);
+        report.assert_ok();
+        assert!(report.fault_actions > 0, "the crash was actually explored: {report:?}");
+    }
 }
 
 /// Seed-pinned regression: crash the **merge coordinator mid-flight**.
@@ -275,15 +286,39 @@ fn crash_during_split_recovers_in_protocol() {
 /// which adopts the merge and collects the frozen children directly
 /// from their hosts — again with no harness help, and no token
 /// duplicated across the rescue.
+///
+/// Second input: a node joins after the split and takes over the
+/// root's name (and, with this seed, nothing else), so the merged
+/// parent is handed to it — and it dies with the parent in flight. The
+/// coordinator must still hold the parent, install it where the name
+/// hashes next (here: itself) and dismiss the frozen children.
 #[test]
 fn crash_during_merge_recovers_in_protocol() {
     let root = ComponentId::root();
-    let mut scenario = DistScenario::new(4, 2, 0xD15C8, vec![0, 3]);
-    scenario.actions = vec![
+    let mut coordinator = DistScenario::new(4, 2, 0xD15C8, vec![0, 3]);
+    coordinator.actions =
+        vec![DistAction::Split(root), DistAction::Merge(root), DistAction::CrashMidMerge];
+    let mut target = DistScenario::new(4, 1, 0xD15CDD, vec![0, 3]);
+    target.actions = vec![
         DistAction::Split(root),
+        DistAction::Join,
         DistAction::Merge(root),
-        DistAction::CrashMidMerge,
+        DistAction::CrashHandOffTarget,
     ];
+    for scenario in [coordinator, target] {
+        let report = check_dist(&DistCheckConfig::exhaustive(), &scenario);
+        report.assert_ok();
+        assert!(report.fault_actions > 0, "the crash was actually explored: {report:?}");
+    }
+}
+
+/// A joining node takes over the root's name and dies while the root is
+/// migrating to it: the old host still holds the component and takes it
+/// back once its view drops the newcomer.
+#[test]
+fn crash_of_a_migration_target_recovers_in_protocol() {
+    let mut scenario = DistScenario::new(2, 1, 0xD15C00, vec![0, 1]);
+    scenario.actions = vec![DistAction::Join, DistAction::CrashHandOffTarget];
     let report = check_dist(&DistCheckConfig::exhaustive(), &scenario);
     report.assert_ok();
     assert!(report.fault_actions > 0, "the crash was actually explored: {report:?}");

@@ -119,11 +119,12 @@ impl Msg {
                 d.item(&(4u8, wire, injected_at, hops));
                 d.token(*token);
             }
-            Msg::Install { comp, seen } => {
+            Msg::HandOff { comp, seen, buffer } => {
                 d.item(&(5u8, comp));
                 digest_seen(seen, d);
+                digest_tokens(buffer, d);
             }
-            Msg::InstallAck { id } => d.item(&(6u8, id)),
+            Msg::HandOffAck { id } => d.item(&(6u8, id)),
             Msg::FreezeCollect { id, parent } => d.item(&(7u8, id, parent)),
             Msg::CollectReply { comp, seen, parent } => {
                 d.item(&(8u8, comp, parent));
@@ -137,20 +138,12 @@ impl Msg {
             Msg::ViewGossip { known, dead } => d.item(&(14u8, known, dead)),
             Msg::RescueQuery => d.word(15),
             Msg::RescueReport { covered } => d.item(&(16u8, covered)),
-            Msg::RescueInstall { comp } => d.item(&(17u8, comp)),
-            Msg::RescueAck { id } => d.item(&(18u8, id)),
             Msg::TokenBusy { guid } => {
-                d.word(19);
+                d.word(17);
                 d.guid(*guid);
             }
-            Msg::Migrate { comp, seen, buffer } => {
-                d.item(&(20u8, comp));
-                digest_seen(seen, d);
-                digest_tokens(buffer, d);
-            }
-            Msg::MigrateAck { id } => d.item(&(21u8, id)),
-            Msg::MergeOrphan { child, parent } => d.item(&(22u8, child, parent)),
-            Msg::SplitListHandoff { entries } => d.item(&(23u8, entries)),
+            Msg::MergeOrphan { child, parent } => d.item(&(18u8, child, parent)),
+            Msg::SplitListHandoff { entries } => d.item(&(19u8, entries)),
         }
     }
 }
@@ -194,13 +187,12 @@ impl NodeProc {
             digest_seen(&hosted.seen, d);
         }
         d.word(self.splits.len() as u64);
-        for (id, op) in &self.splits {
-            d.item(&(id, &op.pending, op.stalled_rounds));
-            digest_seen(&op.seen, d);
+        for id in self.splits.keys() {
+            d.item(id);
         }
         d.word(self.merges.len() as u64);
         for (id, op) in &self.merges {
-            d.item(&(id, &op.reporters, op.stalled_rounds, op.awaiting_install, op.requester));
+            d.item(&(id, &op.reporters, op.stalled_rounds, op.requester));
             for entry in &op.collected {
                 d.item(&entry.as_ref().map(|(comp, _)| comp));
                 if let Some((_, seen)) = entry {
@@ -218,11 +210,11 @@ impl NodeProc {
         for g in &self.seen {
             d.guid(*g);
         }
-        d.word(self.migrating.len() as u64);
-        for (id, m) in &self.migrating {
-            d.item(&(id, &m.comp, m.sent_at));
-            digest_seen(&m.seen, d);
-            digest_tokens(&m.buffer, d);
+        d.word(self.handoffs.len() as u64);
+        for (id, h) in &self.handoffs {
+            d.item(&(id, &h.comp, h.sent_to, h.cause));
+            digest_seen(&h.seen, d);
+            digest_tokens(&h.buffer, d);
         }
     }
 }

@@ -50,8 +50,10 @@
 //! membership CRDT, the hash ring materialized from it and the failure
 //! detector (pure state, no simulator); `wire` token routing, the lossy
 //! send with its ack/nack/busy replies and the retry timer's backoff;
-//! `reconfig` split, merge and migrate by freeze-drain-forward; `rescue`
-//! the crash-recovery sweep and its pure plan; `node` the [`NodeProc`]
+//! `reconfig` split, merge and migrate by freeze-drain-forward;
+//! `handoff` the one way a component they (or a rescue) place reaches
+//! its hash owner: retained, acknowledged, re-driven; `rescue` the
+//! crash-recovery sweep and its pure plan; `node` the [`NodeProc`]
 //! struct, the level and failure-detector ticks, and a `Process` impl
 //! that only dispatches. Around them: `world` (what a simulation shares:
 //! harness ground truth, counters, telemetry handles — protocol code
@@ -60,6 +62,7 @@
 
 mod deploy;
 mod digest;
+mod handoff;
 mod msg;
 mod node;
 mod reconfig;

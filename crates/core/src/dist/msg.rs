@@ -19,8 +19,8 @@ pub const COLLECTOR: ProcessId = ProcessId(u64::MAX - 1);
 ///
 /// Every pending event carries one `Msg` through the simulator's heap,
 /// so the enum is kept small: ids and wire addresses are inline `Copy`
-/// values, and the four reconfiguration variants that move a whole
-/// [`Component`] box it (see the size guard below the enum).
+/// values, and the two variants that move a whole [`Component`] box it
+/// (see the size guard below the enum).
 #[derive(Debug, Clone)]
 pub enum Msg {
     /// A client asks the receiving node to inject a token on this input
@@ -84,19 +84,27 @@ pub enum Msg {
         /// Inter-node forwards the token took end to end.
         hops: u64,
     },
-    /// Install a component on the receiver (split child or merge
-    /// result).
-    Install {
-        /// The full component state to install.
+    /// Put a component at the receiver, its hash owner per the sender's
+    /// view: a split child, a merge result, a component re-homed by a
+    /// join or leave, or a rescue sweep's fresh replacement. The sender
+    /// keeps a copy until [`Msg::HandOffAck`], and sends it again — to
+    /// whoever owns the name by then — once its view has tombstoned the
+    /// receiver, so a crash of the receiver cannot lose the component.
+    HandOff {
+        /// The full component state.
         comp: Box<Component>,
         /// The travelling `(token, addr)` idempotency ledger: the
-        /// parent's ledger for split children, the union of the
-        /// children's for a merge result.
+        /// parent's for a split child, the union of the children's for
+        /// a merge result, the component's own on a migration, empty
+        /// for a replacement.
         seen: SeenTokens,
+        /// Tokens that were buffered at the component when it left.
+        buffer: Vec<Token>,
     },
-    /// Acknowledges an [`Msg::Install`].
-    InstallAck {
-        /// The installed component.
+    /// The receiver covers the region of the [`Msg::HandOff`] — by this
+    /// copy or by what it already had; the sender drops its copy.
+    HandOffAck {
+        /// The handed-off component.
         id: ComponentId,
     },
     /// Merge protocol: freeze `id` and report its state to the
@@ -155,24 +163,11 @@ pub enum Msg {
     /// peer for the slice of the cut it covers.
     RescueQuery,
     /// Reply to [`Msg::RescueQuery`]: components this node covers —
-    /// hosted ones plus in-flight obligations (pending split children,
-    /// merge parents awaiting install) — with their frozen flags.
+    /// hosted ones plus every hand-off still awaiting its ack — with
+    /// their frozen flags.
     RescueReport {
         /// `(component, frozen)` for everything this node covers.
         covered: Vec<(ComponentId, bool)>,
-    },
-    /// Install a freshly initialized replacement component for a
-    /// subtree orphaned by a crash. Token history of the lost component
-    /// is gone by definition; the receiver installs only if nothing it
-    /// hosts already overlaps the subtree, and acknowledges either way.
-    RescueInstall {
-        /// The replacement component (freshly initialized).
-        comp: Box<Component>,
-    },
-    /// Acknowledges a [`Msg::RescueInstall`].
-    RescueAck {
-        /// The replacement component's id.
-        id: ComponentId,
     },
     /// Backpressure NACK: the receiver's covering component is frozen
     /// and its buffer is full. The sender keeps the obligation and
@@ -180,23 +175,6 @@ pub enum Msg {
     TokenBusy {
         /// The shed token's obligation id.
         guid: u64,
-    },
-    /// Hand a component to its current hash owner (view-driven
-    /// migration). Carries the travelling idempotency ledger and the
-    /// frozen-buffer backlog; the sender keeps a copy until
-    /// [`Msg::MigrateAck`] so a crash of the target cannot lose it.
-    Migrate {
-        /// The migrating component.
-        comp: Box<Component>,
-        /// Its travelling `(token, addr)` idempotency ledger.
-        seen: SeenTokens,
-        /// Tokens that were buffered at the component.
-        buffer: Vec<Token>,
-    },
-    /// Acknowledges a [`Msg::Migrate`]; the sender drops its copy.
-    MigrateAck {
-        /// The migrated component.
-        id: ComponentId,
     },
     /// The sender hosts `child` frozen for a merge whose coordinator
     /// died. The receiver is the current hash owner of `parent`: it
@@ -216,15 +194,14 @@ pub enum Msg {
     },
 }
 
-// `Install`, `CollectReply`, `Migrate` and `RescueInstall` box their
-// `Component` (three `Vec`s and an id: 120 bytes). They are a handful
-// per reconfiguration; `Token`/`TokenAck`/`Exit` are a dozen per token,
-// and every one of them is sifted through the event heap at the size of
-// the largest variant.
+// `HandOff` and `CollectReply` box their `Component` (three `Vec`s and
+// an id: 120 bytes). They are a handful per reconfiguration;
+// `Token`/`TokenAck`/`Exit` are a dozen per token, and every one of them
+// is sifted through the event heap at the size of the largest variant.
 const _: () = assert!(std::mem::size_of::<Msg>() <= 64);
 
 /// A token as a node holds it — while routing it, buffered at a frozen
-/// component, riding a [`Msg::Migrate`], or awaiting an ack. On the
+/// component, riding a [`Msg::HandOff`], or awaiting an ack. On the
 /// wire [`Msg::Token`] carries the same four fields flat: nested, the
 /// 25-byte align-1 `WireAddress` would pad every `Msg` from 64 to 72
 /// bytes.

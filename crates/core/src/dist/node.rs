@@ -14,8 +14,9 @@ use acn_trace::Span;
 
 use crate::component::Component;
 
+use super::handoff::PendingHandOff;
 use super::msg::{Msg, Token, COLLECTOR};
-use super::reconfig::{Hosted, MergeOp, MigratingComponent, SplitOp};
+use super::reconfig::{Hosted, MergeOp};
 use super::rescue::RescueOp;
 use super::view::{FdStep, View};
 use super::wire::{Backoff, UnackedToken, DEFAULT_FROZEN_BUFFER_CAP};
@@ -96,7 +97,9 @@ pub struct NodeProc {
     /// Components this node split and has not merged back yet (the
     /// paper's per-node split list).
     pub(super) split_list: BTreeSet<ComponentId>,
-    pub(super) splits: BTreeMap<ComponentId, SplitOp>,
+    /// Splits this node coordinates: the frozen parent and when it was
+    /// frozen. It stays until the hand-off of every child is acked.
+    pub(super) splits: BTreeMap<ComponentId, u64>,
     pub(super) merges: BTreeMap<ComponentId, MergeOp>,
     /// Tokens this node is responsible for until acknowledged, by the
     /// guid of the outstanding (or exhausted) send.
@@ -120,8 +123,10 @@ pub struct NodeProc {
     /// A suspicion arrived while a sweep was running: run another
     /// sweep when the current one completes.
     pub(super) rescue_again: bool,
-    /// Components handed off and awaiting [`Msg::MigrateAck`].
-    pub(super) migrating: BTreeMap<ComponentId, MigratingComponent>,
+    /// Components on their way to their hash owner, each retained
+    /// until its [`Msg::HandOffAck`] — the one place this node keeps
+    /// what it covers but no longer (or not yet) hosts.
+    pub(super) handoffs: BTreeMap<ComponentId, PendingHandOff>,
     /// Backoff of the retry timer.
     pub(super) backoff: Backoff,
     /// Bound on remotely sent tokens parked in one frozen buffer.
@@ -155,7 +160,7 @@ impl NodeProc {
             view: View::new(node),
             rescue: None,
             rescue_again: false,
-            migrating: BTreeMap::new(),
+            handoffs: BTreeMap::new(),
             backoff: Backoff::new(node),
             frozen_buffer_cap: DEFAULT_FROZEN_BUFFER_CAP,
         }
@@ -224,6 +229,12 @@ impl NodeProc {
         &self.split_list
     }
 
+    /// The hand-offs awaiting their ack: each component with the node
+    /// it was last sent to.
+    pub fn hand_offs_in_flight(&self) -> impl Iterator<Item = (&ComponentId, NodeId)> {
+        self.handoffs.iter().map(|(id, h)| (id, h.sent_to))
+    }
+
     /// Whether a merge of `id` is currently coordinated by this node.
     #[must_use]
     pub fn has_merge_in_progress(&self, id: &ComponentId) -> bool {
@@ -265,19 +276,20 @@ impl NodeProc {
                     .map(|(i, _)| i)
                     .collect();
                 format!(
-                    "merge {id}: collected {collected:?} awaiting_install={} requester={:?}",
-                    op.awaiting_install,
+                    "merge {id}: collected {collected:?} requester={:?}",
                     op.requester.as_ref().map(|(p, g)| format!("{p}/{g}"))
                 )
             })
             .collect();
-        let splits: Vec<String> = self
-            .splits
+        let splits: Vec<String> = self.splits.keys().map(ToString::to_string).collect();
+        let hand_offs: Vec<String> = self
+            .handoffs
             .iter()
-            .map(|(id, op)| format!("split {id}: pending {:?}", op.pending.len()))
+            .map(|(id, h)| format!("{id} -> {} ({:?})", h.sent_to.0, h.cause))
             .collect();
         format!(
-            "retry_armed={} unacked={} stuck_collects={:?} splits={splits:?} merges={merges:?}",
+            "retry_armed={} unacked={} stuck_collects={:?} splits={splits:?} merges={merges:?} \
+             hand_offs={hand_offs:?}",
             self.retry_armed,
             self.unacked.len(),
             self.stuck_collects
@@ -295,7 +307,7 @@ impl NodeProc {
             && self.merges.is_empty()
             && self.unacked.is_empty()
             && self.stuck_collects.is_empty()
-            && self.migrating.is_empty()
+            && self.handoffs.is_empty()
             && self.rescue.is_none()
     }
 
@@ -387,13 +399,13 @@ impl NodeProc {
             // Ghost (departed or excommunicated): no adaptivity
             // decisions, but keep shedding state and finishing
             // in-flight obligations, re-arming only while any remain.
+            self.redrive_hand_offs(ctx);
             self.migration_sweep(ctx);
-            self.redrive_splits(ctx);
             self.redrive_merges(ctx);
             if !(self.components.is_empty()
                 && self.splits.is_empty()
                 && self.merges.is_empty()
-                && self.migrating.is_empty())
+                && self.handoffs.is_empty())
             {
                 ctx.set_timer(self.level_period, TIMER_LEVEL);
             }
@@ -453,8 +465,8 @@ impl NodeProc {
         for id in to_merge {
             self.start_merge(ctx, &id, None);
         }
-        self.redrive_splits(ctx);
         self.redrive_merges(ctx);
+        self.redrive_hand_offs(ctx);
         self.migration_sweep(ctx);
         ctx.set_timer(self.level_period, TIMER_LEVEL);
     }
@@ -503,8 +515,8 @@ impl Process<Msg> for NodeProc {
             Msg::TokenAck { guid } => self.on_token_ack(guid),
             Msg::TokenNack { guid, attempt } => self.on_token_nack(ctx, guid, attempt),
             Msg::TokenBusy { guid } => self.on_token_busy(ctx, guid),
-            Msg::Install { comp, seen } => self.on_install(ctx, from, *comp, seen),
-            Msg::InstallAck { id } => self.on_install_ack(ctx, id),
+            Msg::HandOff { comp, seen, buffer } => self.on_hand_off(ctx, from, *comp, seen, buffer),
+            Msg::HandOffAck { id } => self.on_hand_off_ack(ctx, id),
             Msg::FreezeCollect { id, parent } => self.on_freeze_collect(ctx, from, id, parent),
             Msg::CollectReply { comp, seen, parent } => {
                 self.record_collect(ctx, *comp, seen, &parent, from)
@@ -513,8 +525,6 @@ impl Process<Msg> for NodeProc {
             Msg::CollectMissing { id, parent } => self.defer_collect(ctx, id, parent),
             Msg::RemoveFrozen { id } => self.remove_frozen(ctx, &id),
             Msg::AbortFreeze { id } => self.release_frozen(ctx, &id),
-            Msg::Migrate { comp, seen, buffer } => self.on_migrate(ctx, from, *comp, seen, buffer),
-            Msg::MigrateAck { id } => self.on_migrate_ack(id),
             Msg::MergeOrphan { child, parent } => {
                 self.adopt_merge_orphan(ctx, Some(from), child, parent)
             }
@@ -525,8 +535,6 @@ impl Process<Msg> for NodeProc {
             Msg::ViewGossip { known, dead } => self.on_view_gossip(ctx, &known, &dead),
             Msg::RescueQuery => ctx.send(from, Msg::RescueReport { covered: self.covered_report() }),
             Msg::RescueReport { covered } => self.on_rescue_report(ctx, from, covered),
-            Msg::RescueInstall { comp } => self.on_rescue_install(ctx, from, *comp),
-            Msg::RescueAck { id } => self.on_rescue_ack(ctx, id),
             Msg::Exit { .. } => debug_assert!(false, "Exit delivered to a node"),
         }
     }

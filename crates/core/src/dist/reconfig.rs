@@ -1,8 +1,7 @@
 //! Reconfiguration: split, merge and migrate, each by
-//! freeze-drain-forward — their state, their handlers and the re-drives
-//! that finish them when a peer crashed mid-protocol.
-
-use std::collections::BTreeMap;
+//! freeze-drain-forward — their state, their handlers and the re-drive
+//! that finishes a merge when a peer crashed mid-protocol. What they
+//! place, they place through the common hand-off.
 
 use acn_simnet::{Context, ProcessId};
 use acn_telemetry::Event as TelemetryEvent;
@@ -11,6 +10,7 @@ use acn_trace::{Span, SYSTEM_TRACE};
 
 use crate::component::{merge_components, split_component, Component};
 
+use super::handoff::Cause;
 use super::msg::{Msg, SeenTokens, Token};
 use super::node::NodeProc;
 
@@ -32,22 +32,6 @@ pub(super) struct Hosted {
     pub(super) seen: SeenTokens,
 }
 
-/// An in-progress split at its coordinator.
-#[derive(Debug, Clone)]
-pub(super) struct SplitOp {
-    /// Children still awaiting install acks, with their full state so
-    /// a stalled install (target crashed) can be re-sent to the
-    /// child's *new* hash owner.
-    pub(super) pending: BTreeMap<ComponentId, Component>,
-    /// The parent's idempotency ledger (children inherit it), kept for
-    /// re-sent installs.
-    pub(super) seen: SeenTokens,
-    /// Ticks without an install ack (re-drive trigger).
-    pub(super) stalled_rounds: u32,
-    /// When the split froze the parent (telemetry: split duration).
-    pub(super) started_at: u64,
-}
-
 /// An in-progress merge at its coordinator.
 #[derive(Debug, Clone)]
 pub(super) struct MergeOp {
@@ -60,44 +44,11 @@ pub(super) struct MergeOp {
     pub(super) reporters: Vec<Option<ProcessId>>,
     /// Collection rounds that made no progress (stall detector).
     pub(super) stalled_rounds: u32,
-    /// Set while waiting for a remote install ack of the parent.
-    pub(super) awaiting_install: bool,
     /// For nested merges: reply to this coordinator when reconstructed.
     pub(super) requester: Option<(ProcessId, ComponentId)>,
 }
 
-/// A component handed off to its new owner, retained until the
-/// [`Msg::MigrateAck`] so a crash of the target cannot lose it.
-#[derive(Debug, Clone)]
-pub(super) struct MigratingComponent {
-    pub(super) comp: Component,
-    pub(super) seen: SeenTokens,
-    pub(super) buffer: Vec<Token>,
-    /// When the hand-off was (last) sent; stale entries are re-sent to
-    /// the *current* view owner by the retry timer.
-    pub(super) sent_at: u64,
-}
-
-impl MigratingComponent {
-    /// The hand-off message (sent, and re-sent, from the retained copy).
-    fn msg(&self) -> Msg {
-        let (comp, seen, buffer) = (self.comp.clone(), self.seen.clone(), self.buffer.clone());
-        Msg::Migrate { comp: Box::new(comp), seen, buffer }
-    }
-}
-
 impl NodeProc {
-    /// Installs a component with its travelling `(token, addr)` ledger:
-    /// inherited on a split, unioned on a merge, carried by a migration,
-    /// and empty at boot and after a rescue, where token history is gone
-    /// by definition.
-    pub(super) fn install(&mut self, comp: Component, seen: SeenTokens) {
-        self.components.insert(
-            *comp.id(),
-            Hosted { comp, frozen: false, frozen_by: None, buffer: Vec::new(), seen },
-        );
-    }
-
     /// Begins splitting hosted component `id`. Defers (no-op) if the
     /// component's traffic has not settled; the next level tick retries.
     pub(super) fn start_split(&mut self, ctx: &mut Context<'_, Msg>, id: &ComponentId) {
@@ -122,36 +73,21 @@ impl NodeProc {
                 .component(id.to_string())
                 .with("level", id.level() as u64),
         );
-        let mut op = SplitOp {
-            pending: BTreeMap::new(),
-            seen: parent_seen.clone(),
-            stalled_rounds: 0,
-            started_at: ctx.now(),
-        };
+        self.splits.insert(*id, ctx.now());
         for child in children {
-            let host = self.owner_of(child.id());
-            if ProcessId(host.0) == ctx.self_id() {
-                self.install(child, parent_seen.clone());
-            } else {
-                op.pending.insert(*child.id(), child.clone());
-                let install = Msg::Install { comp: Box::new(child), seen: parent_seen.clone() };
-                ctx.send(ProcessId(host.0), install);
-            }
+            let owner = self.owner_of(child.id());
+            self.hand_off(ctx, child, parent_seen.clone(), Vec::new(), owner, Cause::SplitChild);
         }
-        if op.pending.is_empty() {
-            self.finish_split(ctx, *id, op.started_at);
-        } else {
-            self.splits.insert(*id, op);
-        }
+        self.finish_split(ctx, *id);
     }
 
-    /// All children installed: drop the parent and re-route its buffer.
-    pub(super) fn finish_split(
-        &mut self,
-        ctx: &mut Context<'_, Msg>,
-        id: ComponentId,
-        started_at: u64,
-    ) {
+    /// A child of `id` is in place. Once none is left in flight all are
+    /// installed: drop the parent and re-route its buffer.
+    pub(super) fn finish_split(&mut self, ctx: &mut Context<'_, Msg>, id: ComponentId) {
+        if self.in_flight(Cause::SplitChild).any(|c| c.parent() == Some(id)) {
+            return;
+        }
+        let Some(started_at) = self.splits.remove(&id) else { return };
         let hosted = self.components.remove(&id).expect("split parent is hosted");
         let drained = hosted.buffer.len() as u64;
         {
@@ -205,7 +141,6 @@ impl NodeProc {
                 collected: vec![None; arity],
                 reporters: vec![None; arity],
                 stalled_rounds: 0,
-                awaiting_install: false,
                 requester,
             },
         );
@@ -285,8 +220,8 @@ impl NodeProc {
         reporter: ProcessId,
     ) {
         let Some(op) = self.merges.get_mut(parent) else { return };
-        if op.awaiting_install {
-            return;
+        if self.handoffs.contains_key(parent) {
+            return; // a late duplicate: the merged parent is on its way
         }
         let index = comp.id().child_index().expect("child has an index") as usize;
         op.collected[index] = Some((comp, seen));
@@ -348,13 +283,9 @@ impl NodeProc {
         }
         // Top-level merge: install the parent at its current hash owner
         // per the local view.
-        let host = self.owner_of(&parent);
-        if ProcessId(host.0) == ctx.self_id() {
-            self.install(merged, merged_seen);
+        let owner = self.owner_of(&parent);
+        if self.hand_off(ctx, merged, merged_seen, Vec::new(), owner, Cause::MergeParent) {
             self.finish_merge(ctx, &parent);
-        } else {
-            self.merges.get_mut(&parent).expect("merge in progress").awaiting_install = true;
-            ctx.send(ProcessId(host.0), Msg::Install { comp: Box::new(merged), seen: merged_seen });
         }
     }
 
@@ -454,47 +385,6 @@ impl NodeProc {
         }
     }
 
-    /// Re-sends `Install`s for split children whose ack is overdue
-    /// (the original target crashed): ownership is recomputed against
-    /// the current view, and a child we now own is installed locally.
-    pub(super) fn redrive_splits(&mut self, ctx: &mut Context<'_, Msg>) {
-        let stalled: Vec<ComponentId> = self
-            .splits
-            .iter_mut()
-            .filter_map(|(id, op)| {
-                op.stalled_rounds += 1;
-                (op.stalled_rounds > 2).then_some(*id)
-            })
-            .collect();
-        for parent in stalled {
-            let (children, seen) = {
-                let op = self.splits.get_mut(&parent).expect("listed above");
-                op.stalled_rounds = 0;
-                (op.pending.clone(), op.seen.clone())
-            };
-            for (cid, comp) in children {
-                let host = self.owner_of(&cid);
-                if ProcessId(host.0) == ctx.self_id() {
-                    self.install(comp, seen.clone());
-                    let op = self.splits.get_mut(&parent).expect("still present");
-                    op.pending.remove(&cid);
-                    if op.pending.is_empty() {
-                        let op = self.splits.remove(&parent).expect("present");
-                        self.finish_split(ctx, parent, op.started_at);
-                        break;
-                    }
-                } else {
-                    // Re-send; the receiver installs if absent and acks
-                    // either way, so a duplicate is harmless.
-                    ctx.send(
-                        ProcessId(host.0),
-                        Msg::Install { comp: Box::new(comp), seen: seen.clone() },
-                    );
-                }
-            }
-        }
-    }
-
     /// Re-drives stalled merges: children migrate under churn, so a
     /// FreezeCollect can land on a node that no longer (or does not
     /// yet) host the child. Re-request every still-missing child;
@@ -502,12 +392,7 @@ impl NodeProc {
     /// merged-away ("zombie") obligation is then dropped, while a
     /// real one is retried from scratch with fresh topology.
     pub(super) fn redrive_merges(&mut self, ctx: &mut Context<'_, Msg>) {
-        let in_progress: Vec<ComponentId> = self
-            .merges
-            .iter()
-            .filter(|(_, op)| !op.awaiting_install)
-            .map(|(id, _)| *id)
-            .collect();
+        let in_progress: Vec<ComponentId> = self.merges.keys().copied().collect();
         for parent in in_progress {
             let (missing, progressed): (Vec<ComponentId>, bool) = {
                 let op = self.merges.get_mut(&parent).expect("listed above");
@@ -547,9 +432,8 @@ impl NodeProc {
     }
 
     /// Hands every unfrozen component whose view-owner is not this
-    /// node to that owner. The component is retained in `migrating`
-    /// until acked, so a crash of the target cannot lose it. Runs on
-    /// every level tick and after every view change.
+    /// node to that owner. Runs on every level tick and after every
+    /// view change.
     pub(super) fn migration_sweep(&mut self, ctx: &mut Context<'_, Msg>) {
         if self.view.ring().is_empty() {
             return; // no live peer to shed to; keep the state
@@ -562,18 +446,14 @@ impl NodeProc {
             .collect();
         for id in ids {
             let owner = self.owner_of(&id);
-            if owner == self.node && !self.view.is_ghost() {
-                continue;
+            if owner == self.node {
+                continue; // it is home, or this is a ghost with nowhere to shed to
             }
-            if ProcessId(owner.0) == ctx.self_id() {
-                continue; // excommunicated with nowhere else to go
-            }
-            if self.migrating.contains_key(&id) {
-                continue; // already in flight; the retry timer re-sends
+            if self.handoffs.contains_key(&id) {
+                continue; // already in flight
             }
             let Hosted { comp, buffer, seen, .. } =
                 self.components.remove(&id).expect("listed above");
-            let handoff = MigratingComponent { comp, seen, buffer, sent_at: ctx.now() };
             {
                 let m = self.metrics();
                 m.migrations.inc();
@@ -592,9 +472,7 @@ impl NodeProc {
                     .with("from", self.node.0)
                     .with("level", id.level() as u64),
             );
-            ctx.send(ProcessId(owner.0), handoff.msg());
-            self.migrating.insert(id, handoff);
-            self.arm_retry(ctx);
+            self.hand_off(ctx, comp, seen, buffer, owner, Cause::Migration);
         }
     }
 
@@ -629,51 +507,6 @@ impl NodeProc {
         }
     }
 
-    /// Installs an arriving component unless it is resident already
-    /// or would double-cover. A re-driven install or hand-off can
-    /// duplicate one whose original (and its ack) were merely slow: the
-    /// resident copy may have processed tokens since and must not be
-    /// clobbered, and a stale duplicate must not resurrect a region
-    /// this node has split or re-covered in the meantime.
-    pub(super) fn install_if_uncovered(&mut self, comp: Component, seen: SeenTokens) {
-        let id = comp.id();
-        if !self.components.contains_key(id) && !self.accepting_would_double_cover(id) {
-            self.install(comp, seen);
-        }
-    }
-
-    /// A split child or a merge result arrives. Ack whether or not it
-    /// is installed — the sender's obligation is discharged by the
-    /// region being covered, not by this exact copy landing.
-    pub(super) fn on_install(
-        &mut self,
-        ctx: &mut Context<'_, Msg>,
-        from: ProcessId,
-        comp: Component,
-        seen: SeenTokens,
-    ) {
-        let id = *comp.id();
-        self.install_if_uncovered(comp, seen);
-        ctx.send(from, Msg::InstallAck { id });
-    }
-
-    /// An install landed: a split child's, or a merge parent's.
-    pub(super) fn on_install_ack(&mut self, ctx: &mut Context<'_, Msg>, id: ComponentId) {
-        if let Some(parent) = id.parent() {
-            if let Some(op) = self.splits.get_mut(&parent) {
-                op.pending.remove(&id);
-                if op.pending.is_empty() {
-                    let op = self.splits.remove(&parent).expect("present");
-                    self.finish_split(ctx, parent, op.started_at);
-                }
-                return;
-            }
-        }
-        if self.merges.get(&id).is_some_and(|op| op.awaiting_install) {
-            self.finish_merge(ctx, &id);
-        }
-    }
-
     /// A merge coordinator asks for child `id`: freeze and report it,
     /// merge it back together first, or say it is missing.
     pub(super) fn on_freeze_collect(
@@ -701,68 +534,6 @@ impl NodeProc {
             }
         } else {
             ctx.send(from, Msg::CollectMissing { id, parent });
-        }
-    }
-
-    /// A component is handed to this node as its hash owner. A ghost
-    /// cannot adopt and stays silent, so the sender's retry re-resolves
-    /// ownership against a fresher view.
-    pub(super) fn on_migrate(
-        &mut self,
-        ctx: &mut Context<'_, Msg>,
-        from: ProcessId,
-        comp: Component,
-        seen: SeenTokens,
-        buffer: Vec<Token>,
-    ) {
-        if self.view.is_ghost() {
-            return;
-        }
-        let id = *comp.id();
-        match self.components.get_mut(&id) {
-            // Double cover: a rescue installed a fresh replacement
-            // while the authentic copy was in flight. Keep the
-            // resident, union the ledgers (so delayed duplicates still
-            // drop), and re-route the travelling buffer.
-            Some(h) => h.seen.extend(seen),
-            None => self.install_if_uncovered(comp, seen),
-        }
-        ctx.send(from, Msg::MigrateAck { id });
-        self.drain(ctx, buffer);
-    }
-
-    /// The new owner has the component: drop the retained copy.
-    pub(super) fn on_migrate_ack(&mut self, id: ComponentId) {
-        if self.migrating.remove(&id).is_some() {
-            self.reset_backoff();
-        }
-    }
-
-    /// The retry pass over hand-offs whose ack is overdue (the target
-    /// may have crashed): re-resolve against the current view —
-    /// ownership may even have swung back to this node.
-    pub(super) fn retry_migrations(&mut self, ctx: &mut Context<'_, Msg>, timeout: u64) {
-        let now = ctx.now();
-        let stale: Vec<ComponentId> = self
-            .migrating
-            .iter()
-            .filter(|(_, m)| now.saturating_sub(m.sent_at) >= timeout)
-            .map(|(id, _)| *id)
-            .collect();
-        for id in stale {
-            let owner = self.owner_of(&id);
-            if ProcessId(owner.0) == ctx.self_id() {
-                if self.view.is_ghost() {
-                    continue; // nowhere to shed to yet; keep holding
-                }
-                let m = self.migrating.remove(&id).expect("listed above");
-                self.install(m.comp, m.seen);
-                self.drain(ctx, m.buffer);
-            } else {
-                let m = self.migrating.get_mut(&id).expect("listed above");
-                m.sent_at = now;
-                ctx.send(ProcessId(owner.0), m.msg());
-            }
         }
     }
 

@@ -1,7 +1,7 @@
 //! Crash recovery: the suspector of a crash collects every survivor's
 //! covered slice of the cut, plans what to discard and what to install
 //! afresh (pure functions, tested here without a simulator), and drives
-//! the installs to completion.
+//! the installs to completion through the common hand-off.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -13,6 +13,7 @@ use acn_trace::{Span, SYSTEM_TRACE};
 
 use crate::component::Component;
 
+use super::handoff::Cause;
 use super::msg::{Msg, SeenTokens};
 use super::node::{NodeProc, TIMER_FD};
 
@@ -30,9 +31,7 @@ pub(super) struct RescueOp {
     pub(super) pending: BTreeSet<NodeId>,
     /// Covered components reported so far: id -> (reporter, frozen).
     pub(super) covered: Covered,
-    /// Replacement installs awaiting acks: id -> last target.
-    pub(super) installs: BTreeMap<ComponentId, NodeId>,
-    /// Failure-detector ticks without progress (re-drive trigger).
+    /// Failure-detector ticks without a report (re-query trigger).
     pub(super) stalled_rounds: u32,
 }
 
@@ -105,34 +104,38 @@ impl NodeProc {
     }
 
     /// Everything this node *covers* for a rescue sweep: hosted
-    /// components plus invisible in-flight obligations (split children
-    /// whose installs are pending, merge parents awaiting install,
-    /// rescue installs in flight, migrating hand-offs) — so a
-    /// concurrent sweep never installs a duplicate over them.
+    /// components plus every hand-off still awaiting its ack (split
+    /// children, merge parents, migrations, replacements) — so a
+    /// concurrent sweep never installs a duplicate over them. A parent
+    /// frozen for its own split is left out: from the moment the split
+    /// starts its region is covered by the children (here, in flight,
+    /// or reported by the hosts that acknowledged them), and naming the
+    /// parent would hide a child that was acknowledged by a host that
+    /// then crashed.
     pub(super) fn covered_report(&self) -> Vec<(ComponentId, bool)> {
-        let hosted = self.components.iter().map(|(id, h)| (*id, h.frozen));
-        let in_flight = (self.splits.values().flat_map(|op| op.pending.keys()))
-            .chain(self.merges.iter().filter(|(_, op)| op.awaiting_install).map(|(id, _)| id))
-            .chain(self.rescue.iter().flat_map(|op| op.installs.keys()))
-            .chain(self.migrating.keys());
-        hosted.chain(in_flight.map(|id| (*id, false))).collect()
+        let hosted = self.components.iter().filter(|(id, _)| !self.splits.contains_key(id));
+        let in_flight = self.handoffs.keys().map(|id| (*id, false));
+        hosted.map(|(id, h)| (*id, h.frozen)).chain(in_flight).collect()
     }
 
     /// Whether accepting a *fresh* copy of `id` would double-cover a
     /// region this node already covers through something else: an
-    /// unfrozen resident, a pending split-child install, an in-flight
-    /// hand-off, or an active split of `id` itself. A positive answer
-    /// means the incoming copy is a stale duplicate of an obligation
-    /// already discharged (install/migrate retransmits race their
-    /// acks), and installing it would resurrect a component on top of
-    /// its own live descendants — an invalid cut. Frozen residents are
-    /// deliberately ignored: a merge-parent install legitimately lands
-    /// on a node still holding children it froze for that very merge.
+    /// unfrozen resident above or below it, a hand-off in flight
+    /// (whatever its cause) of `id` itself or of anything above or below
+    /// it, or an active split of `id`. A positive answer means the
+    /// incoming copy is a stale duplicate of an obligation already
+    /// discharged (re-sent hand-offs race their acks, and the first
+    /// copy may since have been split here or handed on), and
+    /// installing it would resurrect a component on top of its own live
+    /// descendants or beside its own travelling self — an invalid cut.
+    /// Frozen residents are deliberately ignored: a merge parent
+    /// legitimately lands on a node still holding children it froze for
+    /// that very merge.
     pub(super) fn accepting_would_double_cover(&self, id: &ComponentId) -> bool {
         let resident = self.components.iter().filter(|(_, h)| !h.frozen).map(|(c, _)| c);
-        let in_flight = self.splits.values().flat_map(|op| op.pending.keys());
         self.splits.contains_key(id)
-            || overlaps(id, resident.chain(in_flight).chain(self.migrating.keys()))
+            || self.handoffs.contains_key(id)
+            || overlaps(id, resident.chain(self.handoffs.keys()))
     }
 
     /// Starts (or queues) a global rescue sweep: collect every peer's
@@ -148,7 +151,6 @@ impl NodeProc {
             started_at: ctx.now(),
             pending: peers.clone(),
             covered: BTreeMap::new(),
-            installs: BTreeMap::new(),
             stalled_rounds: 0,
         };
         for (id, frozen) in self.covered_report() {
@@ -204,19 +206,11 @@ impl NodeProc {
         let Some(mut op) = self.rescue.take() else { return };
         // The sweep's self-coverage was snapshotted when it started;
         // components can land here while reports are in flight
-        // (migration shed from a departing peer, split-child installs).
+        // (migration shed from a departing peer, split children).
         // Refresh local coverage so the walk below doesn't resurrect an
-        // ancestor of something we now host.
-        for (id, h) in &self.components {
-            op.covered.insert(*id, (self.node, h.frozen));
-        }
-        for id in self
-            .splits
-            .values()
-            .flat_map(|s| s.pending.keys())
-            .chain(self.migrating.keys())
-        {
-            op.covered.insert(*id, (self.node, false));
+        // ancestor of something we now host or have in flight.
+        for (id, frozen) in self.covered_report() {
+            op.covered.insert(id, (self.node, frozen));
         }
         let discards = rescue_discards(&op.covered);
         for (id, reporter) in discards {
@@ -243,22 +237,22 @@ impl NodeProc {
                     .with("level", id.level() as u64),
             );
             let fresh = Component::new(&self.tree, &id);
-            if ProcessId(owner.0) == ctx.self_id() && !self.view.is_ghost() {
-                self.install(fresh, SeenTokens::new());
-            } else {
-                op.installs.insert(id, owner);
-                ctx.send(ProcessId(owner.0), Msg::RescueInstall { comp: Box::new(fresh) });
-            }
+            self.hand_off(ctx, fresh, SeenTokens::new(), Vec::new(), owner, Cause::Rescue);
         }
-        if op.installs.is_empty() {
-            self.rescue_done(ctx, op.started_at);
-        } else {
-            self.rescue = Some(op);
-        }
+        self.rescue = Some(op);
+        self.rescue_done(ctx);
     }
 
-    /// The sweep is complete (all replacement installs acked).
-    pub(super) fn rescue_done(&mut self, ctx: &mut Context<'_, Msg>, started_at: u64) {
+    /// A replacement is in place — acknowledged by its new host, or
+    /// installed here. Once every peer has reported and no replacement
+    /// is left in flight the sweep is complete.
+    pub(super) fn rescue_done(&mut self, ctx: &mut Context<'_, Msg>) {
+        let Some(op) = &self.rescue else { return };
+        if !op.pending.is_empty() || self.in_flight(Cause::Rescue).next().is_some() {
+            return;
+        }
+        let started_at = op.started_at;
+        self.rescue = None;
         {
             let m = self.metrics();
             let duration = ctx.now().saturating_sub(started_at);
@@ -280,87 +274,36 @@ impl NodeProc {
     }
 
     /// Re-drives a stalled rescue sweep from the FD tick: prune
-    /// reporters that died since, re-query the stragglers, and re-send
-    /// pending installs to their *current* view-owners.
+    /// reporters that died since and re-query the stragglers. (The
+    /// replacements a finalized sweep has in flight are re-driven with
+    /// every other hand-off, by the level tick.)
     pub(super) fn redrive_rescue(&mut self, ctx: &mut Context<'_, Msg>) {
-        let (requery, reinstall, finalize) = {
-            let Some(op) = &mut self.rescue else { return };
-            op.stalled_rounds += 1;
-            if op.stalled_rounds <= 2 {
-                return;
-            }
-            op.stalled_rounds = 0;
-            op.pending.retain(|n| !self.view.is_dead(*n));
-            let requery: Vec<NodeId> = op.pending.iter().copied().collect();
-            let reinstall: Vec<ComponentId> = if requery.is_empty() {
-                op.installs.keys().copied().collect()
-            } else {
-                Vec::new()
-            };
-            (requery, reinstall, op.pending.is_empty() && op.installs.is_empty())
-        };
-        if finalize {
+        let Some(op) = &mut self.rescue else { return };
+        if op.pending.is_empty() {
+            return;
+        }
+        op.stalled_rounds += 1;
+        if op.stalled_rounds <= 2 {
+            return;
+        }
+        op.stalled_rounds = 0;
+        op.pending.retain(|n| !self.view.is_dead(*n));
+        if op.pending.is_empty() {
             self.finalize_rescue(ctx);
             return;
         }
-        for p in requery {
+        for p in &op.pending {
             ctx.send(ProcessId(p.0), Msg::RescueQuery);
-        }
-        for id in reinstall {
-            let owner = self.owner_of(&id);
-            let fresh = Component::new(&self.tree, &id);
-            if ProcessId(owner.0) == ctx.self_id() && !self.view.is_ghost() {
-                // The install was computed at finalize time; state may
-                // have moved since (a migration landed, a split
-                // started). Same refusal the remote handler applies.
-                if !self.accepting_would_double_cover(&id) {
-                    self.install(fresh, SeenTokens::new());
-                }
-                self.on_rescue_ack(ctx, id);
-            } else {
-                if let Some(op) = &mut self.rescue {
-                    op.installs.insert(id, owner);
-                }
-                ctx.send(ProcessId(owner.0), Msg::RescueInstall { comp: Box::new(fresh) });
-            }
-        }
-    }
-
-    /// A sweep sends a fresh replacement. A ghost cannot host it and
-    /// stays silent: the coordinator's re-drive resolves the current
-    /// owner.
-    pub(super) fn on_rescue_install(
-        &mut self,
-        ctx: &mut Context<'_, Msg>,
-        from: ProcessId,
-        comp: Component,
-    ) {
-        if self.view.is_ghost() {
-            return;
-        }
-        let id = *comp.id();
-        self.install_if_uncovered(comp, SeenTokens::new());
-        ctx.send(from, Msg::RescueAck { id });
-    }
-
-    /// A replacement install landed — acked by its new host, or made
-    /// here by a re-drive.
-    pub(super) fn on_rescue_ack(&mut self, ctx: &mut Context<'_, Msg>, id: ComponentId) {
-        let Some(op) = &mut self.rescue else { return };
-        op.installs.remove(&id);
-        op.stalled_rounds = 0;
-        if op.pending.is_empty() && op.installs.is_empty() {
-            let started_at = op.started_at;
-            self.rescue = None;
-            self.rescue_done(ctx, started_at);
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::handoff::PendingHandOff;
+    use super::super::world::World;
     use super::*;
-    use acn_overlay::splitmix64;
+    use acn_overlay::{splitmix64, Ring};
     use acn_topology::Cut;
     use proptest::prelude::*;
 
@@ -427,5 +370,26 @@ mod tests {
     fn an_empty_report_is_healed_by_one_root_install() {
         let tree = Tree::new(16);
         assert_eq!(uncovered_subtrees(&tree, &Covered::new()), vec![ComponentId::root()]);
+    }
+
+    /// What a node is handing off it still covers, whatever the cause:
+    /// it is reported to a sweep, and a stale duplicate of the id or of
+    /// anything above or below it is refused. (Merge parents and rescue
+    /// replacements in flight used to be reported but not refused.)
+    #[test]
+    fn a_hand_off_in_flight_is_coverage_whatever_its_cause() {
+        let tree = Tree::new(16);
+        let mut np = NodeProc::new(World::new(16, Ring::new()), NodeId(1), 1000);
+        let id = ComponentId::root().child(2);
+        for cause in [Cause::SplitChild, Cause::MergeParent, Cause::Migration, Cause::Rescue] {
+            let (comp, seen) = (Component::new(&tree, &id), SeenTokens::new());
+            let entry = PendingHandOff { comp, seen, buffer: Vec::new(), sent_to: NodeId(2), cause };
+            np.handoffs.insert(id, entry);
+            assert_eq!(np.covered_report(), vec![(id, false)], "{cause:?}");
+            for stale in [id, id.child(0), ComponentId::root()] {
+                assert!(np.accepting_would_double_cover(&stale), "{cause:?}: {stale}");
+            }
+            assert!(!np.accepting_would_double_cover(&ComponentId::root().child(3)), "{cause:?}");
+        }
     }
 }

@@ -412,7 +412,7 @@ fn merge_parent_target_crash(seed: u64) -> Option<()> {
         })?;
     d.sim.set_timer_external(ProcessId(coordinator.0), 0, force_merge_tag(&id));
     let in_flight = |d: &Deployment| match d.sim.process(ProcessId(coordinator.0)) {
-        Some(Proc::Node(np)) => np.merges.get(&id).is_some_and(|op| op.awaiting_install),
+        Some(Proc::Node(np)) => np.hand_offs_in_flight().any(|(c, to)| *c == id && to == owner),
         _ => false,
     };
     for _ in 0..20 * d.level_period {

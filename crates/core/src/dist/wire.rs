@@ -403,7 +403,7 @@ impl NodeProc {
     /// has been silent for longer than the retry interval (lost
     /// message, or an exhausted probe chain waiting out a
     /// reconfiguration window), then re-drive deferred merge
-    /// collections and unacked hand-offs.
+    /// collections.
     pub(super) fn retry_tick(&mut self, ctx: &mut Context<'_, Msg>) {
         self.retry_armed = false;
         let timeout = self.level_period / 4;
@@ -443,11 +443,7 @@ impl NodeProc {
             self.route(ctx, Some(guid), t, start);
         }
         self.retry_collects(ctx);
-        self.retry_migrations(ctx, timeout);
-        if !self.unacked.is_empty()
-            || !self.stuck_collects.is_empty()
-            || !self.migrating.is_empty()
-        {
+        if !self.unacked.is_empty() || !self.stuck_collects.is_empty() {
             self.arm_retry(ctx);
         }
     }

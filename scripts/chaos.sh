@@ -3,14 +3,14 @@
 # failure recovery (DESIGN.md §13.5).
 #
 # Runs the acn-chaos binary: a stream of generated fault scenarios —
-# graceful leaves, joins, crash-mid-split, crash-mid-merge, forced
-# reconfigurations, mid-run traffic — each explored under randomized
-# adversarial schedules with every recovery oracle armed. The
-# recovery-time budget guard fails the campaign if any crash takes
-# longer than the configured number of level periods to be suspected
-# by the in-protocol failure detector; the remaining oracles assert
-# tombstone convergence, token conservation, and cut well-formedness
-# with **zero** harness repair calls.
+# graceful leaves, joins, crash-mid-split, crash-mid-merge, crashed
+# hand-off targets, forced reconfigurations, mid-run traffic — each
+# explored under randomized adversarial schedules with every recovery
+# oracle armed. The recovery-time budget guard fails the campaign if any
+# crash takes longer than the configured number of level periods to be
+# suspected by the in-protocol failure detector; the remaining oracles
+# assert tombstone convergence, token conservation, and cut
+# well-formedness with **zero** harness repair calls.
 #
 # Any violation prints the scenario seed, the shrunk
 # (delta-debugging-minimized) scenario and schedule, the flight
