@@ -284,3 +284,52 @@ fn seeded_backpressure_run_matches_pre_split_capture() {
     ];
     assert_eq!(fp, golden, "backpressure-run fingerprint drifted");
 }
+
+/// The shape of the membership flood itself: 8 nodes, then 6 joins, a
+/// crash under traffic with no `settle` before it (the join waves are
+/// still in flight when the failure detector starts counting), and 5
+/// leaves, a 50-token burst after each event. Twelve membership events
+/// over up to 14 nodes make `ViewGossip` a quarter of the deliveries
+/// (1,691 of 7,028), and the rescue sweep after the crash installs two
+/// replacements, so who
+/// re-gossips, to whom and when all land in `messages_delivered`,
+/// `timers_fired`, `acn.dist.fd.gossip`, the latencies, the rescue
+/// counters and the detection time. Captured at the commit before
+/// gossip began to carry only what changed (PR 24), while every
+/// message still held the sender's whole view.
+#[test]
+fn seeded_churn_run_matches_full_state_gossip_capture() {
+    let width = 16;
+    let registry = Registry::new();
+    let mut d = Deployment::new(width, 8, 0xF100D);
+    d.attach_telemetry(&registry);
+    let mut injected = 0u64;
+    let mut burst = |d: &mut Deployment| {
+        for i in 0..50usize {
+            d.inject((i * 3) % width);
+            injected += 1;
+            d.run_for(20);
+        }
+    };
+    for _ in 0..6 {
+        d.join_node();
+        burst(&mut d);
+    }
+    let victim = d.world.borrow().ring.nodes().nth(2).expect("14 nodes");
+    d.crash_node(victim).expect("not the last node");
+    burst(&mut d);
+    for _ in 0..5 {
+        let leaver = d.world.borrow().ring.nodes().next().expect("ring is not empty");
+        d.leave_node(leaver);
+        burst(&mut d);
+    }
+    assert!(d.settle(300), "churn did not settle");
+    d.run_for(100_000);
+    let fp = fault_digest(&d, &registry, injected);
+    let golden: Vec<u64> = vec![
+        600, 7028, 207, 0, 1403, 8641, 1, 0, 548, 140, 2448, 600, 240529, 6316, 7028, 1403, 1,
+        0, 548, 600, 38, 38, 38, 38, 38, 38, 38, 38, 37, 37, 37, 37, 37, 37, 37, 37, 0, 0, 140,
+        23, 17, 10, 1691, 1, 2, 0, 1550229966574830179, 6000, 11106,
+    ];
+    assert_eq!(fp, golden, "churn-run fingerprint drifted");
+}
