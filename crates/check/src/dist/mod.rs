@@ -145,6 +145,13 @@ pub struct DistScenario {
     pub timer_preemptions: u32,
     /// How many lossy-channel messages may be dropped in flight.
     pub max_drops: u32,
+    /// How many `ViewGossip` messages between nodes may be dropped in
+    /// flight. The control plane is reliable in every seeded run and in
+    /// every other exploration; this budget is how a test looks at what
+    /// DESIGN.md §13.2 states as the limit of gossiping only what
+    /// changed. The harness's own announcement of a join or leave is
+    /// never dropped: it is one message, with no wave behind it.
+    pub gossip_drops: u32,
     /// Mutation-testing hook: disable the receiver-side GUID dedup in
     /// `acn_core::dist` (the exactly-once oracle must then fail).
     pub disable_ack_dedup: bool,
@@ -165,6 +172,7 @@ impl DistScenario {
             actions: Vec::new(),
             timer_preemptions: 0,
             max_drops: 0,
+            gossip_drops: 0,
             disable_ack_dedup: false,
             oracles: OracleConfig::default(),
         }
@@ -179,7 +187,8 @@ impl DistScenario {
 pub enum DistChoice {
     /// Deliver (or fire) the `i`-th enabled event.
     Deliver(usize),
-    /// Drop the `i`-th enabled event in flight (lossy messages only).
+    /// Drop the `i`-th enabled event in flight (a lossy message, or a
+    /// `ViewGossip` under [`DistScenario::gossip_drops`]).
     Drop(usize),
     /// Apply the next scripted fault action.
     Action,
@@ -305,6 +314,7 @@ pub(crate) struct DistRun {
     pub(crate) next_action: usize,
     timer_budget: u32,
     drop_budget: u32,
+    gossip_drop_budget: u32,
     /// The boot-time overlay nodes (action indices refer to these).
     pub(crate) initial_nodes: Vec<NodeId>,
     steps: usize,
@@ -373,6 +383,7 @@ impl DistRun {
             next_action: 0,
             timer_budget: scenario.timer_preemptions,
             drop_budget: scenario.max_drops,
+            gossip_drop_budget: scenario.gossip_drops,
             initial_nodes,
             steps: 0,
             max_steps,
@@ -653,7 +664,7 @@ impl DistRun {
                 }
             } else {
                 out.push(DistChoice::Deliver(i));
-                if e.lossy && self.drop_budget > 0 {
+                if (e.lossy && self.drop_budget > 0) || self.droppable_gossip(e) {
                     out.push(DistChoice::Drop(i));
                 }
             }
@@ -662,6 +673,15 @@ impl DistRun {
             out.push(DistChoice::Action);
         }
         out
+    }
+
+    /// Whether `e` is a `ViewGossip` from one node to another that is
+    /// still there, with gossip-drop budget left.
+    fn droppable_gossip(&self, e: &PendingEvent) -> bool {
+        self.gossip_drop_budget > 0
+            && e.from.is_some_and(|from| from != ProcessId::EXTERNAL)
+            && self.d.sim.contains(e.to)
+            && matches!(self.d.sim.pending_payload(e.key), Some(Msg::ViewGossip { .. }))
     }
 
     /// The sleep-set identity of a choice in the current state.
@@ -748,6 +768,7 @@ impl DistRun {
         self.next_action.hash(&mut h);
         self.timer_budget.hash(&mut h);
         self.drop_budget.hash(&mut h);
+        self.gossip_drop_budget.hash(&mut h);
         self.injected.hash(&mut h);
         self.injected_per_wire.hash(&mut h);
         h.finish()
@@ -811,11 +832,11 @@ impl DistRun {
                 let dropable = evs
                     .get(i)
                     .copied()
-                    .filter(|e| e.lossy && e.timer_tag.is_none());
+                    .filter(|e| e.timer_tag.is_none() && (e.lossy || self.droppable_gossip(e)));
                 let Some(e) = dropable else {
                     return Err(self.failure(
                         DistFailureKind::ReplayDivergence,
-                        format!("Drop({i}) is not an enabled lossy message"),
+                        format!("Drop({i}) is not an enabled lossy message or droppable gossip"),
                     ));
                 };
                 self.trace.push(format!(
@@ -823,9 +844,19 @@ impl DistRun {
                     self.describe_event(&e)
                 ));
                 self.choices_taken.push(choice);
-                self.drop_budget = self.drop_budget.saturating_sub(1);
                 self.drops_done += 1;
-                assert!(self.d.sim.drop_pending(e.key), "dropped event must be pending+lossy");
+                if e.lossy {
+                    self.drop_budget = self.drop_budget.saturating_sub(1);
+                    assert!(self.d.sim.drop_pending(e.key), "dropped event must be pending+lossy");
+                } else {
+                    // The simulator never loses a reliable message, so
+                    // the receiver is out for this one delivery: the
+                    // plane drops it as it would for a crashed process.
+                    self.gossip_drop_budget -= 1;
+                    let receiver = self.d.sim.remove_process(e.to).expect("checked: present");
+                    assert!(self.d.sim.fire(e.key), "dropped event must be enabled");
+                    self.d.sim.add_process(e.to, receiver);
+                }
             }
             DistChoice::Action => {
                 let Some(action) = self.scenario.actions.get(self.next_action).cloned() else {

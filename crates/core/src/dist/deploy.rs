@@ -398,7 +398,7 @@ impl Deployment {
         self.sim.set_timer_external(ProcessId(node.0), 1, TIMER_LEVEL);
         self.sim.set_timer_external(ProcessId(node.0), 1 + self.level_period / 2, TIMER_FD);
         if succ != node {
-            let (known, dead) = (BTreeSet::from([node]), BTreeSet::new());
+            let (known, dead) = (Rc::new(BTreeSet::from([node])), Rc::default());
             self.sim.send_external(ProcessId(succ.0), Msg::ViewGossip { known, dead });
         }
         node
@@ -448,8 +448,11 @@ impl Deployment {
         // and gossip floods it; every node's next migration sweep then
         // routes around the leaver, and the ghost sheds its own
         // components to the new owners.
-        let (known, dead) = (BTreeSet::from([node]), BTreeSet::from([node]));
-        self.sim.send_external(ProcessId(succ.0), Msg::ViewGossip { known, dead });
+        let known = Rc::new(BTreeSet::from([node]));
+        self.sim.send_external(
+            ProcessId(succ.0),
+            Msg::ViewGossip { dead: Rc::clone(&known), known },
+        );
         self.run_for(2 * self.level_period);
     }
 

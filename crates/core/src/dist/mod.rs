@@ -47,8 +47,10 @@
 //! One file per layer; each owns the state it names and handles the
 //! messages and timers that touch it (DESIGN.md §13 has the full map):
 //! `msg` is the wire format and the [`Token`] value; `view` the
-//! membership CRDT, the hash ring materialized from it and the failure
-//! detector (pure state, no simulator); `wire` token routing, the lossy
+//! membership CRDT, the hash ring kept over it, what a merge found new
+//! and who is told how much of it (news to a known peer, the whole view
+//! on first contact), and the failure detector (pure state, no
+//! simulator); `wire` token routing, the lossy
 //! send with its ack/nack/busy replies and the retry timer's backoff;
 //! `reconfig` split, merge and migrate by freeze-drain-forward;
 //! `handoff` the one way a component they (or a rescue) place reaches

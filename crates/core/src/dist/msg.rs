@@ -2,6 +2,7 @@
 //! messages, and the travelling [`SeenTokens`] ledger.
 
 use std::collections::BTreeSet;
+use std::rc::Rc;
 
 use acn_overlay::NodeId;
 use acn_simnet::ProcessId;
@@ -149,15 +150,18 @@ pub enum Msg {
     Ping,
     /// Liveness reply to [`Msg::Ping`].
     Pong,
-    /// Epoch-stamped membership gossip. Both sets grow monotonically
-    /// (node ids are never reused), so merging is a plain set union and
-    /// every node's view epoch `|known| + |dead|` only moves forward —
-    /// a state-based CRDT that converges regardless of delivery order.
+    /// Membership gossip: what the sender has just learned — or, to a
+    /// receiver the sender has just learned *of*, everything it knows.
+    /// Both sets only grow at every node (ids are never reused), so the
+    /// receiver merges by plain union, in any order, and re-tells what
+    /// was new to it. One broadcast shares its payload between all the
+    /// messages that carry it.
     ViewGossip {
-        /// Every node the sender has ever known.
-        known: BTreeSet<NodeId>,
-        /// Tombstones: nodes the sender knows to be crashed or departed.
-        dead: BTreeSet<NodeId>,
+        /// Nodes the receiver may not know yet.
+        known: Rc<BTreeSet<NodeId>>,
+        /// Tombstones the receiver may not have yet: crashed or
+        /// departed nodes.
+        dead: Rc<BTreeSet<NodeId>>,
     },
     /// Rescue sweep: the coordinator (the suspector of a crash) asks a
     /// peer for the slice of the cut it covers.

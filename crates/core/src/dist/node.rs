@@ -18,7 +18,7 @@ use super::handoff::PendingHandOff;
 use super::msg::{Msg, Token, COLLECTOR};
 use super::reconfig::{Hosted, MergeOp};
 use super::rescue::RescueOp;
-use super::view::{FdStep, View};
+use super::view::{FdStep, News, View};
 use super::wire::{Backoff, UnackedToken, DEFAULT_FROZEN_BUFFER_CAP};
 use super::world::{DistMetrics, World};
 
@@ -330,23 +330,32 @@ impl NodeProc {
         self.world.borrow().tracer.record(span);
     }
 
-    /// Gossips the local view to every known peer. Sent only on change,
-    /// so each membership event costs O(N^2) messages before every
-    /// view converges and the wave dies out. Tombstoned peers are
-    /// included deliberately: a ghost (departed, or falsely suspected)
-    /// may still hold frozen state whose coordinator just died, and it
-    /// needs the tombstone to nudge the orphan back into the protocol.
-    /// Sends to genuinely crashed processes are dropped by the plane.
-    pub(super) fn broadcast_view(&self, ctx: &mut Context<'_, Msg>) {
-        // Collected up front: walking `known` lazily while cloning it for
-        // each peer costs `dist_churn` 8 % of its tokens/s (measured with
-        // `scripts/ab.sh`, PR 15).
-        let peers: Vec<NodeId> = self.view.peers().collect();
-        self.metrics().fd_gossip.add(peers.len() as u64);
-        let (known, dead) = self.view.sets();
-        for peer in peers {
-            ctx.send(ProcessId(peer.0), Msg::ViewGossip { known: known.clone(), dead: dead.clone() });
-        }
+    /// Tells every known peer what this node has just learned: `news`
+    /// to a peer it already knew, the whole view to one it learned of
+    /// in `news` (first contact). Sent only on change, so each
+    /// membership event costs O(N^2) messages before every view has
+    /// converged and the wave dies out — but a message holds what
+    /// changed, not the roster. Nothing is withheld by that: control
+    /// links are reliable and FIFO, and whatever else this node knows
+    /// it sent down each link when it learned it, or when it learned of
+    /// the peer (DESIGN.md §13.2). Tombstoned peers are included
+    /// deliberately: a ghost (departed, or falsely suspected) may still
+    /// hold frozen state whose coordinator just died, and it needs the
+    /// tombstone to nudge the orphan back into the protocol. Sends to
+    /// genuinely crashed processes are dropped by the plane.
+    pub(super) fn broadcast_view(&self, ctx: &mut Context<'_, Msg>, news: News) {
+        let (mut messages, mut ids) = (0, 0);
+        self.view.gossip(news, |peer, known, dead| {
+            messages += 1;
+            ids += (known.len() + dead.len()) as u64;
+            ctx.send(
+                ProcessId(peer.0),
+                Msg::ViewGossip { known: Rc::clone(known), dead: Rc::clone(dead) },
+            );
+        });
+        let m = self.metrics();
+        m.fd_gossip.add(messages);
+        m.fd_gossip_ids.add(ids);
     }
 
     /// Adopts gossiped membership; re-gossips and reacts only on change.
@@ -356,8 +365,9 @@ impl NodeProc {
         known: &BTreeSet<NodeId>,
         dead: &BTreeSet<NodeId>,
     ) {
-        if self.view.merge(known, dead) {
-            self.broadcast_view(ctx);
+        let news = self.view.merge(known, dead);
+        if !news.is_empty() {
+            self.broadcast_view(ctx, news);
             self.after_view_change(ctx);
         }
     }

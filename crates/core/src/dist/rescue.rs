@@ -82,14 +82,15 @@ fn overlaps<'a>(id: &ComponentId, mut covering: impl Iterator<Item = &'a Compone
 }
 
 impl NodeProc {
-    /// Declares `dead` crashed: tombstone it, gossip the new view, and
+    /// Declares `dead` crashed: tombstone it, gossip the tombstone, and
     /// coordinate a rescue sweep. Only the suspector coordinates —
     /// every node monitors exactly its predecessor, so each crash has
     /// exactly one rescue coordinator (its successor at detection
     /// time); if that coordinator dies mid-sweep, *its* suspector's
     /// sweep re-covers everything, because sweeps are global.
     pub(super) fn suspect(&mut self, ctx: &mut Context<'_, Msg>, dead: NodeId) {
-        if !self.view.tombstone(dead) {
+        let news = self.view.tombstone(dead);
+        if news.is_empty() {
             return;
         }
         self.world.borrow_mut().note_detection(dead, ctx.now());
@@ -98,7 +99,7 @@ impl NodeProc {
                 .with("dead", dead.0)
                 .with("epoch", self.view.epoch()),
         );
-        self.broadcast_view(ctx);
+        self.broadcast_view(ctx, news);
         self.after_view_change(ctx);
         self.start_rescue_sweep(ctx);
     }

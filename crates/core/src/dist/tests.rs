@@ -443,3 +443,44 @@ fn merge_parent_hand_off_survives_a_crashed_target() {
         merge_parent_target_crash(seed).expect("the seed reaches the hand-off window");
     }
 }
+
+/// The regression guard on what gossip carries, counted rather than
+/// timed: through 8 joins and 8 leaves every live view ends equal to
+/// the harness's ground truth, and a gossip message held under three
+/// ids on average — a joiner's first contacts are the only ones that
+/// hold the roster. (Every message held the sender's whole view once:
+/// 20 to 28 ids here, about a hundred on the `dist_churn` benchmark.)
+#[test]
+fn gossip_payload_does_not_grow_with_the_roster() {
+    let registry = acn_telemetry::Registry::new();
+    let mut d = Deployment::new(16, 12, 0x6055);
+    d.attach_telemetry(&registry);
+    assert!(d.settle(100), "boot did not settle");
+    let ground_truth = |d: &Deployment| d.world.borrow().ring.nodes().collect::<Vec<NodeId>>();
+    let mut roster = ground_truth(&d);
+    for _ in 0..8 {
+        roster.push(d.join_node());
+        assert!(d.settle(100), "join did not settle");
+    }
+    let leavers: Vec<NodeId> = ground_truth(&d).into_iter().step_by(2).take(8).collect();
+    for &leaver in &leavers {
+        d.leave_node(leaver);
+        assert!(d.settle(100), "leave did not settle");
+    }
+    let live = ground_truth(&d);
+    assert_eq!(live.len(), 12);
+    for &node in &live {
+        let Some(Proc::Node(np)) = d.sim.process(ProcessId(node.0)) else {
+            panic!("live node {node:?} has no process")
+        };
+        assert_eq!(np.view.ring().nodes().collect::<Vec<_>>(), live, "{node:?}: live members");
+        assert!(leavers.iter().all(|&l| np.view.is_dead(l)), "{node:?}: a leaver is not tombstoned");
+        // 20 known and 8 of them dead: the whole roster, joiners too.
+        assert_eq!(np.view.epoch(), (roster.len() + leavers.len()) as u64, "{node:?}: roster");
+    }
+    let snap = registry.snapshot();
+    let messages = snap.counter("acn.dist.fd.gossip").expect("gossip was sent");
+    let ids = snap.counter("acn.dist.fd.gossip_ids").expect("and it carried ids");
+    assert!(ids >= messages, "every message of a wave names someone");
+    assert!(ids <= 3 * messages, "{ids} ids in {messages} gossip messages");
+}

@@ -58,6 +58,10 @@ pub(super) struct DistMetrics {
     pub(super) fd_detection_latency: Histogram,
     /// Membership gossip messages sent (`acn.dist.fd.gossip`).
     pub(super) fd_gossip: Counter,
+    /// Node ids those messages carried, `known` and `dead` together
+    /// (`acn.dist.fd.gossip_ids`): over `fd_gossip`, the ids per
+    /// message, which must not grow with the roster.
+    pub(super) fd_gossip_ids: Counter,
     /// Rescue sweeps started (`acn.dist.rescue.sweeps`).
     pub(super) rescue_sweeps: Counter,
     /// Replacement components installed by rescue sweeps
@@ -109,6 +113,7 @@ impl DistMetrics {
             fd_suspects: registry.counter("acn.dist.fd.suspects"),
             fd_detection_latency: registry.histogram("acn.dist.fd.detection_latency"),
             fd_gossip: registry.counter("acn.dist.fd.gossip"),
+            fd_gossip_ids: registry.counter("acn.dist.fd.gossip_ids"),
             rescue_sweeps: registry.counter("acn.dist.rescue.sweeps"),
             rescue_installs: registry.counter("acn.dist.rescue.installs"),
             rescue_duration: registry.histogram("acn.dist.rescue.duration"),

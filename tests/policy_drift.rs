@@ -291,12 +291,11 @@ fn seeded_backpressure_run_matches_pre_split_capture() {
 /// leaves, a 50-token burst after each event. Twelve membership events
 /// over up to 14 nodes make `ViewGossip` a quarter of the deliveries
 /// (1,691 of 7,028), and the rescue sweep after the crash installs two
-/// replacements, so who
-/// re-gossips, to whom and when all land in `messages_delivered`,
-/// `timers_fired`, `acn.dist.fd.gossip`, the latencies, the rescue
-/// counters and the detection time. Captured at the commit before
-/// gossip began to carry only what changed (PR 24), while every
-/// message still held the sender's whole view.
+/// replacements, so who re-gossips, to whom and when all land in
+/// `messages_delivered`, `timers_fired`, `acn.dist.fd.gossip`, the
+/// latencies, the rescue counters and the detection time. Captured at
+/// the commit before gossip began to carry only what changed (PR 24),
+/// while every message still held the sender's whole view.
 #[test]
 fn seeded_churn_run_matches_full_state_gossip_capture() {
     let width = 16;
