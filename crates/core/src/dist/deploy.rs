@@ -449,10 +449,8 @@ impl Deployment {
         // routes around the leaver, and the ghost sheds its own
         // components to the new owners.
         let known = Rc::new(BTreeSet::from([node]));
-        self.sim.send_external(
-            ProcessId(succ.0),
-            Msg::ViewGossip { dead: Rc::clone(&known), known },
-        );
+        let dead = Rc::clone(&known);
+        self.sim.send_external(ProcessId(succ.0), Msg::ViewGossip { known, dead });
         self.run_for(2 * self.level_period);
     }
 

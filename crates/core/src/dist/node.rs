@@ -330,15 +330,12 @@ impl NodeProc {
         self.world.borrow().tracer.record(span);
     }
 
-    /// Tells every known peer what this node has just learned: `news`
-    /// to a peer it already knew, the whole view to one it learned of
-    /// in `news` (first contact). Sent only on change, so each
-    /// membership event costs O(N^2) messages before every view has
-    /// converged and the wave dies out — but a message holds what
-    /// changed, not the roster. Nothing is withheld by that: control
-    /// links are reliable and FIFO, and whatever else this node knows
-    /// it sent down each link when it learned it, or when it learned of
-    /// the peer (DESIGN.md §13.2). Tombstoned peers are included
+    /// Tells every known peer what this node has just learned, by the
+    /// rule of [`View::gossip`]: `news` to a peer it already knew, the
+    /// whole view to one it has just learned of (DESIGN.md §13.2). Sent
+    /// only on change, so each membership event costs O(N^2) messages
+    /// before every view has converged and the wave dies out — of a few
+    /// ids each, not the roster. Tombstoned peers are included
     /// deliberately: a ghost (departed, or falsely suspected) may still
     /// hold frozen state whose coordinator just died, and it needs the
     /// tombstone to nudge the orphan back into the protocol. Sends to

@@ -32,10 +32,10 @@ pub(super) enum FdStep {
 /// What a [`View::merge`] added: the ids it had not known, and the ones
 /// it had not tombstoned — which is all the node then has to tell the
 /// peers it already knew.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Default)]
 pub(super) struct News {
-    pub(super) known: BTreeSet<NodeId>,
-    pub(super) dead: BTreeSet<NodeId>,
+    known: BTreeSet<NodeId>,
+    dead: BTreeSet<NodeId>,
 }
 
 impl News {
@@ -334,6 +334,9 @@ mod tests {
         }
     }
 
+    /// What one gossip message holds: `known` and `dead`.
+    type Payload = (BTreeSet<NodeId>, BTreeSet<NodeId>);
+
     /// Pure views joined by reliable FIFO links, every broadcast counted.
     /// `whole_state` is the rule gossip had before it carried only news:
     /// every message holds the sender's whole view. It lives on here,
@@ -341,7 +344,7 @@ mod tests {
     struct Net {
         whole_state: bool,
         views: BTreeMap<NodeId, View>,
-        links: BTreeMap<(NodeId, NodeId), VecDeque<(BTreeSet<NodeId>, BTreeSet<NodeId>)>>,
+        links: BTreeMap<(NodeId, NodeId), VecDeque<Payload>>,
         broadcasts: usize,
     }
 

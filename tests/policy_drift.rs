@@ -16,16 +16,20 @@
 //! run and a crash-and-leave run, captured at the commit before either
 //! change, must reproduce to the last counter.
 //!
-//! All five had two entries re-captured since, in the commit that made
-//! every component hand-off (split child, merge parent, migration,
-//! rescue replacement) one retained entry that is sent again only once
-//! the sender's view has tombstoned its target (PR 16). A migration
+//! The five goldens of PRs 5, 14 and 15 had two entries re-captured
+//! since, in the commit that made every component hand-off (split
+//! child, merge parent, migration, rescue replacement) one retained
+//! entry that is sent again only once the sender's view has tombstoned
+//! its target (PR 16). A migration
 //! used to arm the retry timer, whose pass then found the ack already
 //! in: those firings are gone, so `timers_fired` (and with it
 //! `events_processed` and the mirrored `acn.sim.timers_fired`) fell by
 //! 2, 4, 3, 1 and 10. Every other entry — messages, latencies, nacks,
 //! retransmits, split/merge totals, the collector total and every
 //! per-wire count — is what it was.
+//!
+//! A sixth pins the shape of the membership flood under churn, captured
+//! before gossip stopped carrying the whole view (PR 24).
 
 use adaptive_counting_networks::core::dist::{Deployment, Proc};
 use adaptive_counting_networks::overlay::NodeId;
