@@ -49,6 +49,15 @@ fn exhaustive_cas_has_single_winner() {
     });
     report.assert_ok();
     assert!(report.completed, "the schedule space must be exhausted");
+    // (schedules, states_seen, sleep_prunes, memo_prunes, max_depth),
+    // pinned like every exhaustive suite in this file. Where a split or
+    // merge harvests leaves, its `debug_assert_eq!` on each leaf's hop
+    // count is one more atomic load, so release builds pin their own
+    // (smaller) values.
+    assert_eq!(
+        (report.schedules, report.states_seen, report.sleep_prunes, report.memo_prunes, report.max_depth),
+        (2, 10, 0, 1, 5)
+    );
 }
 
 /// A weight-2 batch racing a root split: whatever interleaving the
@@ -75,6 +84,10 @@ fn exhaustive_weighted_batch_races_split() {
     });
     report.assert_ok();
     assert!(report.completed, "the schedule space must be exhausted");
+    assert_eq!(
+        (report.schedules, report.states_seen, report.sleep_prunes, report.memo_prunes, report.max_depth),
+        if cfg!(debug_assertions) { (2, 65, 3, 6, 25) } else { (2, 61, 3, 5, 25) }
+    );
 }
 
 /// A weight-2 batch racing a merge back to the root, with a scalar
@@ -106,6 +119,10 @@ fn exhaustive_weighted_batch_races_merge_with_scalar_token() {
     });
     report.assert_ok();
     assert!(report.completed, "the schedule space must be exhausted");
+    assert_eq!(
+        (report.schedules, report.states_seen, report.sleep_prunes, report.memo_prunes, report.max_depth),
+        if cfg!(debug_assertions) { (7, 1086, 48, 237, 55) } else { (7, 880, 48, 175, 49) }
+    );
 }
 
 /// Exchange-slot pairing vs. timeout, exhaustively: an offerer with a
@@ -157,6 +174,10 @@ fn exhaustive_exchange_slot_pairing_and_timeout() {
     });
     report.assert_ok();
     assert!(report.completed, "the schedule space must be exhausted");
+    assert_eq!(
+        (report.schedules, report.states_seen, report.sleep_prunes, report.memo_prunes, report.max_depth),
+        (12, 81, 2, 7, 12)
+    );
     // lint: relaxed-ok(single-threaded read after exploration finished)
     assert!(paired_somewhere.load(Ordering::Relaxed), "some schedule must pair off");
     assert!(
@@ -205,6 +226,10 @@ fn exhaustive_batched_history_is_quiescently_consistent() {
     });
     report.assert_ok();
     assert!(report.completed, "the schedule space must be exhausted");
+    assert_eq!(
+        (report.schedules, report.states_seen, report.sleep_prunes, report.memo_prunes, report.max_depth),
+        (2, 76, 8, 10, 18)
+    );
 }
 
 /// The full sharded front-end under the checker: two shards, two
@@ -238,4 +263,8 @@ fn frontend_values_stay_dense_across_all_schedules() {
     });
     report.assert_ok();
     assert!(report.completed, "the schedule space must be exhausted");
+    assert_eq!(
+        (report.schedules, report.states_seen, report.sleep_prunes, report.memo_prunes, report.max_depth),
+        (12, 740, 60, 72, 38)
+    );
 }

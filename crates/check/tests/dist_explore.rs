@@ -19,8 +19,11 @@ fn exhausts_two_nodes_two_tokens() {
     scenario.timer_preemptions = 1;
     let report = check_dist(&DistCheckConfig::exhaustive(), &scenario);
     report.assert_ok();
-    assert!(report.schedules > 1, "more than one inequivalent schedule: {report:?}");
-    assert!(report.timer_preemptions > 0, "retry preemptions were explored");
+    // (schedules, states_seen, sleep_prunes, frontier_dedup_hits,
+    // max_depth): the explorer's exact statistics, pinned so that any
+    // change to the search itself shows here first.
+    assert_eq!((report.schedules, report.states_seen, report.sleep_prunes, report.frontier_dedup_hits, report.max_depth), (25, 370, 131, 28, 9));
+    assert_eq!(report.timer_preemptions, 182, "retry preemptions were explored");
 }
 
 /// The acceptance config: 2 nodes x 2 tokens with one split forced
@@ -39,9 +42,10 @@ fn exhausts_two_nodes_two_tokens_with_concurrent_split() {
         report.fault_actions > 0,
         "the split/merge actions were actually explored: {report:?}"
     );
-    assert!(
-        report.sleep_prunes > 0,
-        "the DPOR reduction actually pruned something: {report:?}"
+    assert_eq!(
+        (report.schedules, report.states_seen, report.sleep_prunes, report.frontier_dedup_hits, report.max_depth),
+        (234, 19972, 4374, 1624, 36),
+        "the DPOR reduction prunes"
     );
 }
 
@@ -59,6 +63,7 @@ fn exhausts_three_nodes_with_crash_and_in_protocol_recovery() {
     let report = check_dist(&DistCheckConfig::exhaustive(), &scenario);
     report.assert_ok();
     assert!(report.fault_actions > 0, "the crash was actually explored: {report:?}");
+    assert_eq!((report.schedules, report.states_seen, report.sleep_prunes, report.frontier_dedup_hits, report.max_depth), (10, 380, 96, 36, 19));
 }
 
 /// In-flight drops on the lossy token channel: the retransmit path
@@ -71,6 +76,7 @@ fn exhausts_token_drop_with_retransmit() {
     let report = check_dist(&DistCheckConfig::exhaustive(), &scenario);
     report.assert_ok();
     assert!(report.drops > 0, "a drop was actually explored: {report:?}");
+    assert_eq!((report.schedules, report.states_seen, report.sleep_prunes, report.frontier_dedup_hits, report.max_depth), (24, 162, 53, 10, 8));
 }
 
 /// Mutation test: disabling the receiver-side GUID dedup must be
@@ -273,10 +279,13 @@ fn crash_during_split_recovers_in_protocol() {
     coordinator.actions = vec![DistAction::Split(root), DistAction::CrashMidSplit];
     let mut target = DistScenario::new(4, 3, 0xD15C02, vec![0, 3]);
     target.actions = vec![DistAction::Split(root), DistAction::CrashHandOffTarget];
-    for scenario in [coordinator, target] {
+    for (scenario, pinned) in
+        [(coordinator, (98, 4151, 494, 1374, 24)), (target, (114, 4001, 755, 512, 49))]
+    {
         let report = check_dist(&DistCheckConfig::exhaustive(), &scenario);
         report.assert_ok();
         assert!(report.fault_actions > 0, "the crash was actually explored: {report:?}");
+        assert_eq!((report.schedules, report.states_seen, report.sleep_prunes, report.frontier_dedup_hits, report.max_depth), pinned);
     }
 }
 
@@ -305,10 +314,13 @@ fn crash_during_merge_recovers_in_protocol() {
         DistAction::Merge(root),
         DistAction::CrashHandOffTarget,
     ];
-    for scenario in [coordinator, target] {
+    for (scenario, pinned) in
+        [(coordinator, (20, 236, 0, 256, 11)), (target, (261, 3107, 358, 937, 16))]
+    {
         let report = check_dist(&DistCheckConfig::exhaustive(), &scenario);
         report.assert_ok();
         assert!(report.fault_actions > 0, "the crash was actually explored: {report:?}");
+        assert_eq!((report.schedules, report.states_seen, report.sleep_prunes, report.frontier_dedup_hits, report.max_depth), pinned);
     }
 }
 
@@ -322,6 +334,7 @@ fn crash_of_a_migration_target_recovers_in_protocol() {
     let report = check_dist(&DistCheckConfig::exhaustive(), &scenario);
     report.assert_ok();
     assert!(report.fault_actions > 0, "the crash was actually explored: {report:?}");
+    assert_eq!((report.schedules, report.states_seen, report.sleep_prunes, report.frontier_dedup_hits, report.max_depth), (45, 457, 60, 86, 14));
 }
 
 /// The stated limit of gossiping only what changed (DESIGN.md §13.2),
@@ -370,6 +383,9 @@ fn random_mode_is_seed_deterministic() {
     assert_eq!(a.timer_preemptions, b.timer_preemptions);
     assert_eq!(a.drops, b.drops);
     assert!(a.fault_actions > 0, "faults were exercised: {a:?}");
+    // (fault_actions, timer_preemptions, drops, max_depth), pinned: the
+    // random mode draws the same priorities from the same seed.
+    assert_eq!((a.fault_actions, a.timer_preemptions, a.drops, a.max_depth), (20, 10, 7, 23));
 }
 
 /// Cross-execution state memoization: canonically-fingerprinted
@@ -388,12 +404,26 @@ fn frontier_memoization_prunes_revisited_states() {
         "revisited canonical states must be deduplicated: {memoized:?}"
     );
     assert!(memoized.states_seen > 0);
+    assert_eq!(
+        (
+            memoized.schedules,
+            memoized.states_seen,
+            memoized.sleep_prunes,
+            memoized.frontier_dedup_hits,
+            memoized.max_depth
+        ),
+        (25, 370, 131, 28, 9)
+    );
 
     let mut plain_config = DistCheckConfig::exhaustive();
     plain_config.memoize = false;
     let plain = check_dist(&plain_config, &scenario);
     plain.assert_ok();
     assert_eq!(plain.frontier_dedup_hits, 0, "no dedup when memoization is off");
+    assert_eq!(
+        (plain.schedules, plain.states_seen, plain.sleep_prunes, plain.max_depth),
+        (33, 0, 160, 9)
+    );
     assert!(
         memoized.schedules < plain.schedules,
         "memoization must prune whole executions: {} vs plain {}",
@@ -409,6 +439,7 @@ fn report_emits_dist_metrics() {
     let scenario = DistScenario::new(2, 2, 0xD15C6, vec![0]);
     let report = check_dist(&DistCheckConfig::exhaustive(), &scenario);
     report.assert_ok();
+    assert_eq!((report.schedules, report.states_seen, report.sleep_prunes, report.frontier_dedup_hits, report.max_depth), (1, 5, 1, 0, 4));
     let registry = acn_telemetry::Registry::new();
     report.emit(&registry);
     let snap = registry.snapshot();

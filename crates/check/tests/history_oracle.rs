@@ -63,7 +63,9 @@ fn exhaustive_shared_fast_path_is_linearizable() {
     let report = check(CheckConfig::exhaustive(), || shared_linearizable_scenario(false));
     report.assert_ok();
     assert!(report.completed);
-    assert!(report.schedules > 1, "overlapping traversals were actually explored");
+    // (schedules, states_seen, sleep_prunes, memo_prunes, max_depth),
+    // pinned: overlapping traversals were actually explored.
+    assert_eq!((report.schedules, report.states_seen, report.sleep_prunes, report.memo_prunes, report.max_depth), (2, 48, 6, 8, 12));
 }
 
 #[test]
@@ -71,7 +73,7 @@ fn exhaustive_shared_locked_mode_is_linearizable() {
     let report = check(CheckConfig::exhaustive(), || shared_linearizable_scenario(true));
     report.assert_ok();
     assert!(report.completed);
-    assert!(report.schedules > 1);
+    assert_eq!((report.schedules, report.states_seen, report.sleep_prunes, report.memo_prunes, report.max_depth), (2, 26, 4, 4, 8));
 }
 
 /// The bitonic executor under the quiescent-consistency oracle: two
@@ -103,7 +105,7 @@ fn exhaustive_bitonic_is_quiescently_consistent() {
     });
     report.assert_ok();
     assert!(report.completed);
-    assert!(report.schedules > 1);
+    assert_eq!((report.schedules, report.states_seen, report.sleep_prunes, report.memo_prunes, report.max_depth), (8, 162, 19, 23, 14));
 }
 
 // ---------------------------------------------------------------------------

@@ -49,9 +49,16 @@ fn exhaustive_width4_two_tokens_with_concurrent_split() {
     let report = check(CheckConfig::exhaustive(), width4_concurrent_split_scenario);
     report.assert_ok();
     assert!(report.completed, "the schedule space must be exhausted, not budgeted out");
-    assert!(
-        report.schedules > 1,
-        "a concurrent split must yield multiple inequivalent schedules"
+    // (schedules, states_seen, sleep_prunes, memo_prunes, max_depth):
+    // the explorer's exact statistics, pinned so that any change to
+    // the search itself shows here first. The split's harvest checks
+    // each leaf's hop count with a `debug_assert_eq!`, one more atomic
+    // load per leaf, so a release build explores fewer states.
+    let pinned = if cfg!(debug_assertions) { (8, 462, 32, 85, 31) } else { (8, 438, 32, 77, 31) };
+    assert_eq!(
+        (report.schedules, report.states_seen, report.sleep_prunes, report.memo_prunes, report.max_depth),
+        pinned,
+        "a concurrent split yields multiple inequivalent schedules"
     );
 }
 
@@ -77,7 +84,7 @@ fn exhaustive_width8_three_tokens_static_cut() {
     let report = check(CheckConfig::exhaustive(), width8_static_scenario);
     report.assert_ok();
     assert!(report.completed);
-    assert!(report.schedules > 1);
+    assert_eq!((report.schedules, report.states_seen, report.sleep_prunes, report.memo_prunes, report.max_depth), (6, 452, 70, 118, 26));
 }
 
 // ---------------------------------------------------------------------------
@@ -107,8 +114,11 @@ fn exhaustive_width8_four_tokens_under_symmetry_reduction() {
     let report = check(config, width8_four_tokens_scenario);
     report.assert_ok();
     assert!(report.completed, "width-8 x 4 tokens must exhaust within the CI budget");
-    assert!(report.schedules > 1);
-    assert!(report.memo_prunes > 0, "the visited-state memo must carry the load: {report:?}");
+    assert_eq!(
+        (report.schedules, report.states_seen, report.sleep_prunes, report.memo_prunes, report.max_depth),
+        (24, 4168, 816, 1569, 32),
+        "the visited-state memo carries the load"
+    );
 }
 
 /// A scenario built to have dead divergence: once the reader thread
@@ -165,6 +175,14 @@ fn canonical_fingerprint_measurably_reduces_the_state_space() {
         plain.schedules
     );
     assert!(sym.memo_prunes > plain.memo_prunes, "the merges land as memo prunes");
+    assert_eq!(
+        (plain.schedules, plain.states_seen, plain.sleep_prunes, plain.memo_prunes, plain.max_depth),
+        (4, 31, 0, 1, 9)
+    );
+    assert_eq!(
+        (sym.schedules, sym.states_seen, sym.sleep_prunes, sym.memo_prunes, sym.max_depth),
+        (1, 22, 0, 4, 9)
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -273,7 +291,11 @@ fn release_acquire_publication_passes_exhaustively() {
         message_passing_scenario(Ordering::Release, Ordering::Acquire);
     });
     report.assert_ok();
-    assert!(report.schedules > 1, "stale-read candidates must actually be branched over");
+    assert_eq!(
+        (report.schedules, report.states_seen, report.sleep_prunes, report.memo_prunes, report.max_depth),
+        (3, 14, 1, 3, 6),
+        "stale-read candidates are branched over"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -318,14 +340,14 @@ fn bitonic_scenario(width: usize, tokens: usize) {
 fn exhaustive_bitonic_width4_two_tokens() {
     let report = check(CheckConfig::exhaustive(), || bitonic_scenario(4, 2));
     report.assert_ok();
-    assert!(report.schedules > 1);
+    assert_eq!((report.schedules, report.states_seen, report.sleep_prunes, report.memo_prunes, report.max_depth), (8, 194, 19, 23, 18));
 }
 
 #[test]
 fn random_bitonic_width8_three_tokens() {
     let report = check(CheckConfig::random(48, 7), || bitonic_scenario(8, 3));
     report.assert_ok();
-    assert_eq!(report.schedules, 48);
+    assert_eq!((report.schedules, report.max_depth), (48, 38));
 }
 
 // ---------------------------------------------------------------------------
@@ -359,7 +381,7 @@ fn exhaustive_locked_mode_width4_two_tokens_with_concurrent_split() {
     });
     report.assert_ok();
     assert!(report.completed);
-    assert!(report.schedules > 1);
+    assert_eq!((report.schedules, report.states_seen, report.sleep_prunes, report.memo_prunes, report.max_depth), (6, 236, 18, 49, 19));
 }
 
 #[test]
@@ -382,7 +404,11 @@ fn exhaustive_bitonic_replace_network_races_a_token() {
     });
     report.assert_ok();
     assert!(report.completed);
-    assert!(report.schedules > 1, "the swap must race the traversal in multiple ways");
+    assert_eq!(
+        (report.schedules, report.states_seen, report.sleep_prunes, report.memo_prunes, report.max_depth),
+        (2, 43, 1, 5, 18),
+        "the swap races the traversal in more than one way"
+    );
 }
 
 // ---------------------------------------------------------------------------

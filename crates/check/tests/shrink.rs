@@ -31,18 +31,17 @@ fn caught_dedup_mutation() -> (DistScenario, acn_check::DistReport) {
     panic!("the dedup mutation must be caught within the seed window");
 }
 
-/// The planted-mutation regression the issue pins: the dedup
-/// counterexample shrinks to at most 12 schedule choices and replays
-/// strictly to the same oracle failure.
+/// The planted-mutation regression: the dedup counterexample shrinks to
+/// 8 schedule choices and replays strictly to the same oracle failure.
 #[test]
 fn dedup_mutation_counterexample_shrinks_to_a_short_strict_replay() {
     let (scenario, report) = caught_dedup_mutation();
     let failure = &report.failures[0];
     assert_eq!(failure.kind, DistFailureKind::OracleViolation, "{failure}");
-    assert!(
-        failure.choices.len() <= 12,
-        "shrunk counterexample stays short, got {} choices: {failure}",
-        failure.choices.len()
+    assert_eq!(
+        failure.choices.len(),
+        8,
+        "the shrunk counterexample's length is pinned: {failure}"
     );
     assert!(report.shrink.failures_shrunk >= 1, "the failure went through the shrinker");
     assert!(report.shrink.attempts > 0, "shrinking actually replayed candidates");
@@ -153,12 +152,8 @@ fn thread_counterexample_is_shrunk_and_replays_strictly() {
     assert_eq!(failure.kind, FailureKind::Panic);
     // The 2-thread lost update needs few decisions once the spectator
     // scheduling is deleted (the main thread's spawns/joins still
-    // contribute forced decisions).
-    assert!(
-        failure.choices.len() <= 12,
-        "shrunk thread schedule stays short, got {}: {failure}",
-        failure.choices.len()
-    );
+    // contribute forced decisions). The length is pinned.
+    assert_eq!(failure.choices.len(), 10, "{failure}");
     let replayed = replay_schedule(noisy_lossy_counter_scenario, &failure.choices)
         .expect("the shrunk choices replay strictly");
     assert_eq!(replayed.kind, FailureKind::Panic);
