@@ -133,7 +133,7 @@ fn main() {
                 "CHAOS FAILURE at event {event} (scenario seed {scenario_seed:#x}):\n\
                  {failure}"
             );
-            let minimized = shrink_dist(&scenario, failure);
+            let minimized = shrink_dist(&config, &scenario, failure);
             eprintln!(
                 "minimized scenario: {} nodes, width {}, injections {:?}, actions [{}]",
                 minimized.scenario.nodes,

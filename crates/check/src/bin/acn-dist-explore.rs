@@ -99,16 +99,17 @@ fn summarize(name: &str, report: &DistReport) {
 }
 
 /// Prints the failure (scenario-minimized unless `ACN_SHRINK=0`),
-/// confirms it replays, and exits non-zero.
-fn bail(scenario: &DistScenario, report: &DistReport, shrink: bool) -> ! {
+/// confirms it replays under the budget it was found with, and exits
+/// non-zero.
+fn bail(config: &DistCheckConfig, scenario: &DistScenario, report: &DistReport) -> ! {
     let failure = report.failures.first().expect("bail needs a failure");
     eprintln!("FAILED after {} schedules:\n{failure}", report.schedules);
-    match replay_dist_schedule(scenario, &failure.choices) {
+    match replay_dist_schedule(config, scenario, &failure.choices) {
         Some(replayed) => eprintln!("replay reproduces: {:?}: {}", replayed.kind, replayed.message),
         None => eprintln!("WARNING: the recorded schedule did not reproduce the failure"),
     }
-    if shrink {
-        let minimized = shrink_dist(scenario, failure);
+    if config.shrink_failures {
+        let minimized = shrink_dist(config, scenario, failure);
         eprintln!(
             "minimized scenario ({} replays, {} accepted): {} nodes, width {}, \
              {} injections, {} actions, {} preemptions, {} drops",
@@ -122,7 +123,7 @@ fn bail(scenario: &DistScenario, report: &DistReport, shrink: bool) -> ! {
             minimized.scenario.max_drops,
         );
         eprintln!("minimized failure:\n{}", minimized.failure);
-        match replay_dist_schedule(&minimized.scenario, &minimized.failure.choices) {
+        match replay_dist_schedule(config, &minimized.scenario, &minimized.failure.choices) {
             Some(replayed) => {
                 eprintln!("minimized replay reproduces: {:?}: {}", replayed.kind, replayed.message);
             }
@@ -153,7 +154,7 @@ fn main() {
         report.emit(&registry);
         summarize(name, &report);
         if !report.ok() {
-            bail(&scenario, &report, shrink);
+            bail(&config, &scenario, &report);
         }
     }
 
@@ -165,7 +166,7 @@ fn main() {
     report.emit(&registry);
     summarize("3 nodes, split/inject/crash a hand-off target/join/merge + drops", &report);
     if !report.ok() {
-        bail(&scenario, &report, shrink);
+        bail(&config, &scenario, &report);
     }
 
     println!("randomized crash-mid-split exploration ({budget} schedules):");
@@ -176,7 +177,7 @@ fn main() {
     report.emit(&registry);
     summarize("3 nodes, crash the split coordinator mid-flight", &report);
     if !report.ok() {
-        bail(&scenario, &report, shrink);
+        bail(&config, &scenario, &report);
     }
 
     let snap = registry.snapshot();

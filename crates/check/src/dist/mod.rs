@@ -50,15 +50,15 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use acn_core::component::split_component;
-use acn_core::dist::{
-    force_merge_tag, force_split_tag, Deployment, Msg, NodeProc, Proc, COLLECTOR,
-};
+use acn_core::dist::{force_merge_tag, force_split_tag, Deployment, Msg, NodeProc, Proc};
 use acn_overlay::NodeId;
 use acn_simnet::{DeliveryPolicy, PendingEvent, ProcessId, SimConfig};
 use acn_topology::ComponentId;
 use acn_trace::{format_spans, Tracer};
 
-pub use explore::{check_dist, replay_dist_schedule, DistCheckConfig, DistMode, DistReport};
+use crate::engine::{Frontier, Run};
+
+pub use explore::{check_dist, replay_dist_schedule, DistCheckConfig, DistReport};
 pub use oracles::OracleConfig;
 
 /// One scripted fault action of a [`DistScenario`]. Actions are applied
@@ -319,6 +319,10 @@ pub(crate) struct DistRun {
     pub(crate) initial_nodes: Vec<NodeId>,
     steps: usize,
     max_steps: usize,
+    memoize: bool,
+    /// The identity of the last applied choice (the sleep-set wake
+    /// rule's "previous step").
+    last: Option<ChoiceId>,
     /// Human-readable schedule so far.
     pub(crate) trace: Vec<String>,
     /// Branching choices taken so far (the replay schedule).
@@ -335,7 +339,7 @@ pub(crate) struct DistRun {
 }
 
 impl DistRun {
-    pub(crate) fn new(scenario: &DistScenario, max_steps: usize) -> Self {
+    pub(crate) fn new(scenario: &DistScenario, check: &DistCheckConfig) -> Self {
         let config = SimConfig {
             base_latency: 5,
             jitter: 0,
@@ -386,7 +390,9 @@ impl DistRun {
             gossip_drop_budget: scenario.gossip_drops,
             initial_nodes,
             steps: 0,
-            max_steps,
+            max_steps: check.max_steps,
+            memoize: check.memoize,
+            last: None,
             trace: Vec::new(),
             choices_taken: Vec::new(),
             timer_preemptions_used: 0,
@@ -419,34 +425,31 @@ impl DistRun {
         self.d.sim.enabled_events().iter().any(|e| e.timer_tag.is_none())
     }
 
+    /// Every node process (departed ghosts included), in process order.
+    fn nodes(&self) -> impl Iterator<Item = (ProcessId, &NodeProc)> {
+        self.d.sim.process_ids().filter_map(|pid| match self.d.sim.process(pid) {
+            Some(Proc::Node(np)) => Some((pid, np)),
+            _ => None,
+        })
+    }
+
     /// Whether every node is quiet (no splits/merges/unacked
     /// obligations/stuck collects) and nothing is frozen.
     pub(crate) fn all_quiet(&self) -> bool {
-        for pid in self.d.sim.process_ids().collect::<Vec<_>>() {
-            if let Some(Proc::Node(np)) = self.d.sim.process(pid) {
-                if !np.is_quiet() {
-                    return false;
-                }
-                if np.components().any(|(_, frozen)| frozen) {
-                    return false;
-                }
-            }
-        }
-        true
+        self.nodes().all(|(_, np)| np.is_quiet() && !np.components().any(|(_, frozen)| frozen))
     }
 
     /// Debug rendering of every non-quiet node (stuck diagnostics).
     fn busy_debug(&self) -> String {
-        let mut out = Vec::new();
-        for pid in self.d.sim.process_ids().collect::<Vec<_>>() {
-            if let Some(Proc::Node(np)) = self.d.sim.process(pid) {
+        let busy: Vec<String> = self
+            .nodes()
+            .filter_map(|(pid, np)| {
                 let frozen = np.components().filter(|(_, f)| *f).count();
-                if !np.is_quiet() || frozen > 0 {
-                    out.push(format!("{pid}: frozen={frozen} {}", np.ops_debug()));
-                }
-            }
-        }
-        out.join("; ")
+                (!np.is_quiet() || frozen > 0)
+                    .then(|| format!("{pid}: frozen={frozen} {}", np.ops_debug()))
+            })
+            .collect();
+        busy.join("; ")
     }
 
     /// Terminal = no pending messages, every scripted action applied,
@@ -464,29 +467,17 @@ impl DistRun {
 
     /// Whether every crashed node has been tombstoned in the local
     /// view of every live (non-departed, still-in-ring) node. Until
-    /// this holds the run is not terminal, so `settle_frontier` keeps
+    /// this holds the run is not terminal, so the frontier drain keeps
     /// firing failure-detector ticks and the suspicion/rescue protocol
     /// runs to convergence without any harness help. (`all_quiet`
     /// already guarantees no rescue sweep or merge is mid-flight.)
     pub(crate) fn recovery_complete(&self) -> bool {
-        let crashed: Vec<_> = {
-            let w = self.d.world.borrow();
-            w.crashed.keys().copied().collect()
-        };
-        if crashed.is_empty() {
-            return true;
-        }
-        for pid in self.d.sim.process_ids().collect::<Vec<_>>() {
-            if let Some(Proc::Node(np)) = self.d.sim.process(pid) {
-                if np.departed() {
-                    continue;
-                }
-                if crashed.iter().any(|&c| !np.view_dead_contains(c)) {
-                    return false;
-                }
-            }
-        }
-        true
+        let w = self.d.world.borrow();
+        w.crashed.is_empty()
+            || self
+                .nodes()
+                .filter(|(_, np)| !np.departed())
+                .all(|(_, np)| w.crashed.keys().all(|&c| np.view_dead_contains(c)))
     }
 
     /// Whether the next scripted action can fire in the current state.
@@ -520,18 +511,6 @@ impl DistRun {
         }
     }
 
-    /// A live in-ring node with a split currently in flight (and a
-    /// peer to survive it) — the victim for [`DistAction::CrashMidSplit`].
-    fn split_coordinator_node(&self) -> Option<NodeId> {
-        self.mid_op_victim(|np| np.splits_in_flight() > 0)
-    }
-
-    /// A live in-ring node with a merge currently in flight — the
-    /// victim for [`DistAction::CrashMidMerge`].
-    fn merge_coordinator_node(&self) -> Option<NodeId> {
-        self.mid_op_victim(|np| np.merges_in_flight() > 0)
-    }
-
     /// The live in-ring node that the first hand-off (in id order) in
     /// flight from a live node was sent to — the victim for
     /// [`DistAction::CrashHandOffTarget`].
@@ -540,32 +519,26 @@ impl DistRun {
         if w.ring.len() <= 1 {
             return None;
         }
-        self.d
-            .sim
-            .process_ids()
-            .filter_map(|pid| match self.d.sim.process(pid) {
-                Some(Proc::Node(np)) if !np.departed() => Some(np),
-                _ => None,
-            })
-            .flat_map(NodeProc::hand_offs_in_flight)
+        self.nodes()
+            .filter(|(_, np)| !np.departed())
+            .flat_map(|(_, np)| np.hand_offs_in_flight())
             .filter(|(_, to)| w.ring.contains(*to))
             .min_by_key(|(id, _)| **id)
             .map(|(_, to)| to)
     }
 
+    /// A live in-ring node that is `busy` (a split or merge in flight)
+    /// and has a peer to survive it — the victim for
+    /// [`DistAction::CrashMidSplit`] / [`DistAction::CrashMidMerge`].
     fn mid_op_victim(&self, busy: impl Fn(&NodeProc) -> bool) -> Option<NodeId> {
         let w = self.d.world.borrow();
         if w.ring.len() <= 1 {
             return None;
         }
-        for pid in self.d.sim.process_ids().collect::<Vec<_>>() {
-            if let Some(Proc::Node(np)) = self.d.sim.process(pid) {
-                if !np.departed() && w.ring.contains(np.node_id()) && busy(np) {
-                    return Some(np.node_id());
-                }
-            }
-        }
-        None
+        self.nodes()
+            .map(|(_, np)| np)
+            .find(|np| !np.departed() && w.ring.contains(np.node_id()) && busy(np))
+            .map(NodeProc::node_id)
     }
 
     /// The process hosting `id` live, unfrozen, and splittable *right
@@ -579,98 +552,74 @@ impl DistRun {
             let w = self.d.world.borrow();
             (w.tree, w.style)
         };
-        for pid in self.d.sim.process_ids().collect::<Vec<_>>() {
-            if let Some(Proc::Node(np)) = self.d.sim.process(pid) {
-                if np.departed() {
-                    continue;
-                }
-                for (cid, comp, frozen, _) in np.hosted_components() {
-                    if cid == id
+        self.nodes()
+            .filter(|(_, np)| !np.departed())
+            .find(|(_, np)| {
+                np.hosted_components().any(|(cid, comp, frozen, _)| {
+                    cid == id
                         && !frozen
                         && comp.width() >= 4
                         && split_component(&tree, comp, style).is_ok()
-                    {
-                        return Some(pid);
-                    }
-                }
-            }
-        }
-        None
+                })
+            })
+            .map(|(pid, _)| pid)
     }
 
     /// Whether `id` is currently split (a split-list entry exists, or a
     /// proper descendant is hosted somewhere): the ensure-split no-op
     /// case.
     fn already_split(&self, id: &ComponentId) -> bool {
-        for pid in self.d.sim.process_ids().collect::<Vec<_>>() {
-            if let Some(Proc::Node(np)) = self.d.sim.process(pid) {
-                if np.split_list().contains(id) {
-                    return true;
-                }
-                for (cid, _, _, _) in np.hosted_components() {
-                    if cid != id && id.is_ancestor_of(cid) {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
+        self.nodes().any(|(_, np)| {
+            np.split_list().contains(id)
+                || np.components().any(|(cid, _)| cid != id && id.is_ancestor_of(cid))
+        })
     }
 
     /// Whether `id` is hosted whole and unfrozen (the ensure-merge
     /// no-op case: the estimator merged it back, or a split aborted).
     fn whole_and_unfrozen(&self, id: &ComponentId) -> bool {
-        for pid in self.d.sim.process_ids().collect::<Vec<_>>() {
-            if let Some(Proc::Node(np)) = self.d.sim.process(pid) {
-                for (cid, _, frozen, _) in np.hosted_components() {
-                    if cid == id && !frozen {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
+        self.nodes().any(|(_, np)| np.components().any(|(cid, frozen)| cid == id && !frozen))
     }
 
     /// The process holding `id` on its split list with no merge in
     /// flight.
     fn merge_coordinator(&self, id: &ComponentId) -> Option<ProcessId> {
-        for pid in self.d.sim.process_ids().collect::<Vec<_>>() {
-            if let Some(Proc::Node(np)) = self.d.sim.process(pid) {
-                if !np.departed()
-                    && np.split_list().contains(id)
-                    && !np.has_merge_in_progress(id)
-                {
-                    return Some(pid);
-                }
-            }
-        }
-        None
+        self.nodes()
+            .find(|(_, np)| {
+                !np.departed() && np.split_list().contains(id) && !np.has_merge_in_progress(id)
+            })
+            .map(|(pid, _)| pid)
     }
 
-    /// The branching choices available right now. Empty means either
-    /// terminal or "only deterministic drain work remains".
-    pub(crate) fn choices(&self) -> Vec<DistChoice> {
+    /// The branching choices available right now, each with its
+    /// sleep-set identity. Empty means either terminal or "only
+    /// deterministic drain work remains".
+    fn choices(&self) -> Vec<(DistChoice, ChoiceId)> {
         let evs = self.enabled();
         let msgs = evs.iter().any(|e| e.timer_tag.is_none());
         let mut out = Vec::new();
         for (i, e) in evs.iter().enumerate() {
-            if e.timer_tag.is_some() {
+            match e.timer_tag {
                 // Timers branch only as *preemptions* (ahead of pending
                 // messages, budget permitting). With no messages left
                 // the deterministic drain fires them.
-                if msgs && self.timer_budget > 0 {
-                    out.push(DistChoice::Deliver(i));
+                Some(tag) => {
+                    if msgs && self.timer_budget > 0 {
+                        let id = ChoiceId::Timer { to: e.to.0, tag, time: e.time };
+                        out.push((DistChoice::Deliver(i), id));
+                    }
                 }
-            } else {
-                out.push(DistChoice::Deliver(i));
-                if (e.lossy && self.drop_budget > 0) || self.droppable_gossip(e) {
-                    out.push(DistChoice::Drop(i));
+                None => {
+                    let (from, to) = (e.from.expect("messages have senders").0, e.to.0);
+                    out.push((DistChoice::Deliver(i), ChoiceId::Msg { from, to }));
+                    if (e.lossy && self.drop_budget > 0) || self.droppable_gossip(e) {
+                        out.push((DistChoice::Drop(i), ChoiceId::DropMsg { from, to }));
+                    }
                 }
             }
         }
         if self.action_enabled() {
-            out.push(DistChoice::Action);
+            out.push((DistChoice::Action, ChoiceId::Action(self.next_action)));
         }
         out
     }
@@ -682,30 +631,6 @@ impl DistRun {
             && e.from.is_some_and(|from| from != ProcessId::EXTERNAL)
             && self.d.sim.contains(e.to)
             && matches!(self.d.sim.pending_payload(e.key), Some(Msg::ViewGossip { .. }))
-    }
-
-    /// The sleep-set identity of a choice in the current state.
-    pub(crate) fn choice_id(&self, choice: &DistChoice) -> ChoiceId {
-        match choice {
-            DistChoice::Deliver(i) => {
-                let e = self.enabled()[*i];
-                match e.timer_tag {
-                    Some(tag) => ChoiceId::Timer { to: e.to.0, tag, time: e.time },
-                    None => ChoiceId::Msg {
-                        from: e.from.expect("messages have senders").0,
-                        to: e.to.0,
-                    },
-                }
-            }
-            DistChoice::Drop(i) => {
-                let e = self.enabled()[*i];
-                ChoiceId::DropMsg {
-                    from: e.from.expect("only messages drop").0,
-                    to: e.to.0,
-                }
-            }
-            DistChoice::Action => ChoiceId::Action(self.next_action),
-        }
     }
 
     fn describe_event(&self, e: &PendingEvent) -> String {
@@ -746,34 +671,6 @@ impl DistRun {
     /// tokens that terminated at the collector more than once (the
     /// exactly-once violations the explorer hunts) — falling back to
     /// the recorder's full ring when no token can be blamed.
-    /// Remaining step budget. Cross-execution memoization must only
-    /// prune when the recorded visit had at least as much budget left,
-    /// or a state that previously quiesced within budget could mask a
-    /// later visit that would have hit [`DistFailureKind::Stuck`].
-    pub(crate) fn remaining_steps(&self) -> usize {
-        self.max_steps - self.steps
-    }
-
-    /// Canonical fingerprint of the complete run state: the
-    /// deployment's id-symmetry-quotient fingerprint
-    /// ([`Deployment::canonical_fingerprint`]) combined with the
-    /// run-local scheduling state (scripted-action cursor, fault
-    /// budgets, and the client-side injection ledger). Two runs with
-    /// equal fingerprints and equal remaining budget have identical
-    /// continuations for every choice sequence.
-    pub(crate) fn fingerprint(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.d.canonical_fingerprint().hash(&mut h);
-        self.next_action.hash(&mut h);
-        self.timer_budget.hash(&mut h);
-        self.drop_budget.hash(&mut h);
-        self.gossip_drop_budget.hash(&mut h);
-        self.injected.hash(&mut h);
-        self.injected_per_wire.hash(&mut h);
-        h.finish()
-    }
-
     pub(crate) fn failure(&self, kind: DistFailureKind, message: String) -> DistFailure {
         let spans = self.tracer.spans();
         let mut terminations: BTreeMap<u64, usize> = BTreeMap::new();
@@ -808,73 +705,6 @@ impl DistRun {
         Ok(())
     }
 
-    /// Applies one branching choice.
-    pub(crate) fn apply(&mut self, choice: DistChoice) -> Result<(), DistFailure> {
-        match choice {
-            DistChoice::Deliver(i) => {
-                let evs = self.enabled();
-                let Some(e) = evs.get(i).copied() else {
-                    return Err(self.failure(
-                        DistFailureKind::ReplayDivergence,
-                        format!("Deliver({i}) out of range ({} enabled)", evs.len()),
-                    ));
-                };
-                if e.timer_tag.is_some() && self.has_pending_messages() {
-                    self.timer_budget = self.timer_budget.saturating_sub(1);
-                    self.timer_preemptions_used += 1;
-                }
-                self.trace.push(self.describe_event(&e));
-                self.choices_taken.push(choice);
-                self.fire_key(e.key)?;
-            }
-            DistChoice::Drop(i) => {
-                let evs = self.enabled();
-                let dropable = evs
-                    .get(i)
-                    .copied()
-                    .filter(|e| e.timer_tag.is_none() && (e.lossy || self.droppable_gossip(e)));
-                let Some(e) = dropable else {
-                    return Err(self.failure(
-                        DistFailureKind::ReplayDivergence,
-                        format!("Drop({i}) is not an enabled lossy message or droppable gossip"),
-                    ));
-                };
-                self.trace.push(format!(
-                    "DROP {} (in-flight loss)",
-                    self.describe_event(&e)
-                ));
-                self.choices_taken.push(choice);
-                self.drops_done += 1;
-                if e.lossy {
-                    self.drop_budget = self.drop_budget.saturating_sub(1);
-                    assert!(self.d.sim.drop_pending(e.key), "dropped event must be pending+lossy");
-                } else {
-                    // The simulator never loses a reliable message, so
-                    // the receiver is out for this one delivery: the
-                    // plane drops it as it would for a crashed process.
-                    self.gossip_drop_budget -= 1;
-                    let receiver = self.d.sim.remove_process(e.to).expect("checked: present");
-                    assert!(self.d.sim.fire(e.key), "dropped event must be enabled");
-                    self.d.sim.add_process(e.to, receiver);
-                }
-            }
-            DistChoice::Action => {
-                let Some(action) = self.scenario.actions.get(self.next_action).cloned() else {
-                    return Err(self.failure(
-                        DistFailureKind::ReplayDivergence,
-                        "Action chosen but the script is exhausted".to_string(),
-                    ));
-                };
-                self.trace.push(format!("ACTION {action}"));
-                self.choices_taken.push(choice);
-                self.next_action += 1;
-                self.fault_actions_done += 1;
-                self.apply_action(&action)?;
-            }
-        }
-        Ok(())
-    }
-
     fn apply_action(&mut self, action: &DistAction) -> Result<(), DistFailure> {
         match action {
             DistAction::Split(id) => {
@@ -902,12 +732,12 @@ impl DistRun {
             DistAction::CrashMidSplit => {
                 // Ensure semantics: no-op if the split already drained
                 // (or no crashable coordinator exists).
-                if let Some(victim) = self.split_coordinator_node() {
+                if let Some(victim) = self.mid_op_victim(|np| np.splits_in_flight() > 0) {
                     self.d.crash_node(victim).expect("victim search checked ring.len() > 1");
                 }
             }
             DistAction::CrashMidMerge => {
-                if let Some(victim) = self.merge_coordinator_node() {
+                if let Some(victim) = self.mid_op_victim(|np| np.merges_in_flight() > 0) {
                     self.d.crash_node(victim).expect("victim search checked ring.len() > 1");
                 }
             }
@@ -929,23 +759,36 @@ impl DistRun {
         Ok(())
     }
 
+    /// The collector's per-wire exit counts.
+    pub(crate) fn exit_counts(&self) -> Vec<u64> {
+        self.d.collector().counts.clone()
+    }
+
+    /// Sanity access for oracles: the collector process must exist.
+    pub(crate) fn collector_total(&self) -> u64 {
+        self.d.collector().total()
+    }
+}
+
+impl Run for DistRun {
+    type Choice = DistChoice;
+    type Id = ChoiceId;
+    type Failure = DistFailure;
+    const VARIANTS: bool = false;
+
     /// Advances the deterministic drain until a branching state or
-    /// quiescence, and returns the branching choices (empty =
-    /// terminal).
-    pub(crate) fn settle_frontier(&mut self) -> Result<Vec<DistChoice>, DistFailure> {
-        loop {
+    /// quiescence; a quiescent state is checked against the terminal
+    /// oracles.
+    fn frontier(&mut self) -> Result<Frontier<DistChoice, ChoiceId>, DistFailure> {
+        let choices = loop {
             let choices = self.choices();
-            if !choices.is_empty() {
-                return Ok(choices);
-            }
-            if self.terminal() {
-                return Ok(Vec::new());
+            if !choices.is_empty() || self.terminal() {
+                break choices;
             }
             // Only deterministic work remains (typically timers a quiet
             // protocol still needs, e.g. retries): fire the canonical
             // head.
-            let evs = self.enabled();
-            let Some(head) = evs.first().copied() else {
+            let Some(head) = self.enabled().first().copied() else {
                 return Err(self.failure(
                     DistFailureKind::Stuck,
                     format!(
@@ -956,17 +799,88 @@ impl DistRun {
             };
             self.trace.push(format!("(drain) {}", self.describe_event(&head)));
             self.fire_key(head.key)?;
+        };
+        if choices.is_empty() {
+            oracles::check_terminal(self, &self.scenario.oracles)
+                .map_err(|msg| self.failure(DistFailureKind::OracleViolation, msg))?;
         }
+        let ranked = choices.iter().map(|(_, id)| *id).collect();
+        Ok(Frontier { choices, ranked })
     }
 
-    /// The collector's per-wire exit counts.
-    pub(crate) fn exit_counts(&self) -> Vec<u64> {
-        self.d.collector().counts.clone()
+    fn wakes(&self, sleeper: ChoiceId) -> bool {
+        self.last.is_some_and(|last| sleeper.dependent(&last))
     }
 
-    /// Sanity access for oracles: the collector process must exist.
-    pub(crate) fn collector_total(&self) -> u64 {
-        self.d.collector().total()
+    /// The deployment's id-symmetry-quotient fingerprint
+    /// ([`Deployment::canonical_fingerprint`]) combined with the
+    /// run-local scheduling state (scripted-action cursor, fault
+    /// budgets, and the client-side injection ledger). Two runs with
+    /// equal fingerprints and equal remaining budget have identical
+    /// continuations for every choice sequence.
+    fn fingerprint(&self) -> Option<u64> {
+        use std::hash::{Hash, Hasher};
+        if !self.memoize {
+            return None;
+        }
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        self.d.canonical_fingerprint().hash(&mut h);
+        self.next_action.hash(&mut h);
+        self.timer_budget.hash(&mut h);
+        self.drop_budget.hash(&mut h);
+        self.gossip_drop_budget.hash(&mut h);
+        self.injected.hash(&mut h);
+        self.injected_per_wire.hash(&mut h);
+        Some(h.finish())
+    }
+
+    /// Memoization must only prune when the recorded visit had at
+    /// least as much budget left, or a state that previously quiesced
+    /// within budget could mask a later visit that would have hit
+    /// [`DistFailureKind::Stuck`].
+    fn remaining(&self) -> usize {
+        self.max_steps - self.steps
+    }
+
+    fn apply(&mut self, choice: DistChoice, id: ChoiceId) -> Result<(), DistFailure> {
+        self.last = Some(id);
+        self.choices_taken.push(choice);
+        match choice {
+            DistChoice::Deliver(i) => {
+                let e = self.enabled()[i];
+                if e.timer_tag.is_some() && self.has_pending_messages() {
+                    self.timer_budget = self.timer_budget.saturating_sub(1);
+                    self.timer_preemptions_used += 1;
+                }
+                self.trace.push(self.describe_event(&e));
+                self.fire_key(e.key)
+            }
+            DistChoice::Drop(i) => {
+                let e = self.enabled()[i];
+                self.trace.push(format!("DROP {} (in-flight loss)", self.describe_event(&e)));
+                self.drops_done += 1;
+                if e.lossy {
+                    self.drop_budget = self.drop_budget.saturating_sub(1);
+                    assert!(self.d.sim.drop_pending(e.key), "dropped event must be pending+lossy");
+                } else {
+                    // The simulator never loses a reliable message, so
+                    // the receiver is out for this one delivery: the
+                    // plane drops it as it would for a crashed process.
+                    self.gossip_drop_budget -= 1;
+                    let receiver = self.d.sim.remove_process(e.to).expect("checked: present");
+                    assert!(self.d.sim.fire(e.key), "dropped event must be enabled");
+                    self.d.sim.add_process(e.to, receiver);
+                }
+                Ok(())
+            }
+            DistChoice::Action => {
+                let action = self.scenario.actions[self.next_action].clone();
+                self.trace.push(format!("ACTION {action}"));
+                self.next_action += 1;
+                self.fault_actions_done += 1;
+                self.apply_action(&action)
+            }
+        }
     }
 }
 
@@ -1006,9 +920,6 @@ fn msg_name(m: &Msg) -> String {
     }
 }
 
-/// The collector's process id (re-exported for tests that address it).
-pub const DIST_COLLECTOR: ProcessId = COLLECTOR;
-
 #[cfg(test)]
 mod tests {
     use super::oracles::check_terminal;
@@ -1031,7 +942,11 @@ mod tests {
         let root = ComponentId::root();
         let mut s = DistScenario::new(4, 2, 0xA07031, vec![0, 3]);
         s.actions = vec![DistAction::Split(root), DistAction::Merge(root)];
-        let mut run = DistRun::new(&s, 200_000);
+        let config = DistCheckConfig { max_steps: 200_000, ..DistCheckConfig::default() };
+        let mut run = DistRun::new(&s, &config);
+        let action = |frontier: &[(DistChoice, ChoiceId)]| {
+            frontier.iter().copied().find(|(c, _)| *c == DistChoice::Action)
+        };
 
         // Apply the scripted split as soon as it is offered, then keep
         // delivering (never taking the merge action) until the split
@@ -1040,20 +955,20 @@ mod tests {
         loop {
             guard += 1;
             assert!(guard < 10_000, "split never completed");
-            let frontier = run.settle_frontier().expect("no stuck while splitting");
+            let frontier = run.frontier().expect("no stuck while splitting").choices;
             assert!(!frontier.is_empty(), "terminal before the split completed");
-            if run.next_action == 0 && frontier.contains(&DistChoice::Action) {
-                run.apply(DistChoice::Action).expect("apply split");
+            if let Some((c, id)) = action(&frontier).filter(|_| run.next_action == 0) {
+                run.apply(c, id).expect("apply split");
                 continue;
             }
-            let Some(&c) = frontier.iter().find(|c| **c != DistChoice::Action) else {
+            let Some(&(c, id)) = frontier.iter().find(|(c, _)| *c != DistChoice::Action) else {
                 // Only the merge action is on offer but the split has
                 // not completed yet: drain one canonical head by hand.
                 let head = run.enabled()[0];
                 run.fire_key(head.key).expect("drain");
                 continue;
             };
-            run.apply(c).expect("apply delivery");
+            run.apply(c, id).expect("apply delivery");
             if run.next_action == 1 && run.already_split(&ComponentId::root()) {
                 break;
             }
@@ -1076,21 +991,19 @@ mod tests {
         // before the fix the scripted merge was now permanently
         // disabled and the run could only end Stuck. With ensure
         // semantics it is an enabled no-op.
-        let frontier = run.settle_frontier().expect("no stuck after auto-merge");
-        assert!(
-            frontier.contains(&DistChoice::Action),
-            "ensure-merge must stay enabled after the estimator auto-merge: {frontier:?}"
-        );
-        run.apply(DistChoice::Action).expect("apply merge as no-op");
+        let frontier = run.frontier().expect("no stuck after auto-merge").choices;
+        let (c, id) = action(&frontier)
+            .expect("ensure-merge must stay enabled after the estimator auto-merge");
+        run.apply(c, id).expect("apply merge as no-op");
 
         // The run terminates cleanly and every oracle holds.
         let mut guard = 0usize;
         loop {
             guard += 1;
             assert!(guard < 10_000, "no quiescence after the no-op merge");
-            let frontier = run.settle_frontier().expect("no stuck finishing");
-            let Some(&c) = frontier.first() else { break };
-            run.apply(c).expect("apply tail choice");
+            let frontier = run.frontier().expect("no stuck finishing").choices;
+            let Some(&(c, id)) = frontier.first() else { break };
+            run.apply(c, id).expect("apply tail choice");
         }
         check_terminal(&run, &s.oracles).expect("oracles hold in the terminal state");
     }

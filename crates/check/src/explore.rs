@@ -1,64 +1,32 @@
-//! Schedule exploration: exhaustive DFS with sleep sets and
-//! state-hash memoization, plus a seeded randomized (PCT-style) mode.
+//! The thread checker: every `VirtualSync` operation of a scenario is a
+//! decision of the scheduler kernel ([`crate::sched`]), and the shared
+//! schedule explorer enumerates them — exhaustive DFS with sleep sets
+//! and state memoization, or a seeded randomized (PCT-style) search.
 //!
-//! # Exhaustive mode
+//! What is thread-specific is the run the explorer drives:
 //!
-//! Stateless replay DFS: every execution re-runs the scenario from
-//! scratch, replaying the choice prefix on the DFS stack and then
-//! extending it leftmost until the execution finishes or is pruned.
-//! Two prunings keep the space tractable:
+//! - a choice is a logical thread plus, for a weak load, which visible
+//!   store it reads; its sleep-set identity is the thread;
+//! - a sleeping thread wakes when its pending operation is dependent
+//!   with the one just executed (same object, at least one write), when
+//!   that step released an object it waits on (lock releases are
+//!   bundled into the preceding step), or when the thread it joins has
+//!   finished;
+//! - the visited-state memo keys on the kernel's canonical (or plain)
+//!   fingerprint and ignores the step budget, which counts decisions.
 //!
-//! - **Sleep sets**: after a subtree for thread `t`'s transition is
-//!   fully explored at a node, `t` sleeps in the sibling subtrees
-//!   until some dependent operation (same object, at least one write —
-//!   including lock releases bundled into the preceding step, and
-//!   thread terminations for pending joins) executes. A node whose
-//!   enabled transitions are all asleep is redundant and the branch is
-//!   dropped.
-//! - **State memoization**: at every fresh node the kernel fingerprint
-//!   (object states + per-thread clocks, observation hashes and
-//!   pending ops) is looked up in a visited table. A hit whose
-//!   recorded sleep set is a subset of the current one means every
-//!   continuation from here was already explored *with at least as
-//!   many scheduling options*, so the branch is dropped. (The subset
-//!   condition is what keeps combining the two prunings sound.)
-//!
-//! # Randomized mode
-//!
-//! For configurations too large to exhaust, a seeded priority
-//! scheduler in the PCT spirit: each logical thread gets a random
-//! priority at first sight, the highest-priority enabled thread runs,
-//! and at random points the running thread's priority is demoted —
-//! which is exactly the shape of schedule (long runs with a few
-//! adversarial preemptions) that exposes most ordering bugs. Failures
-//! report the iteration seed; re-running with the same seed reproduces
-//! the schedule, as does replaying the printed choice list.
+//! Failures report the iteration seed in random mode; re-running with it
+//! reproduces the schedule, as does replaying the printed choice list
+//! ([`replay_schedule`]).
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use crate::rng::SplitMix64;
+pub use crate::engine::Mode;
+use crate::engine::{self, Frontier, Run};
 use crate::sched::{
     Choice, Failure, FailureKind, Kernel, Op, Pending, ScheduleStep, Tid, WaitOutcome,
 };
 use crate::vthread::start_root;
-
-/// How schedules are generated.
-#[derive(Debug, Clone)]
-pub enum Mode {
-    /// Explore every inequivalent schedule (DFS + sleep sets + state
-    /// memoization). `Report::completed` says whether the space was
-    /// exhausted within the budget.
-    Exhaustive,
-    /// Seeded randomized priority (PCT-style) exploration.
-    Random {
-        /// Number of schedules to sample.
-        iterations: u64,
-        /// Base seed; iteration `i` uses a seed derived from it, and
-        /// failures report the exact iteration seed.
-        seed: u64,
-    },
-}
 
 /// Exploration budget and mode.
 #[derive(Debug, Clone)]
@@ -68,10 +36,9 @@ pub struct CheckConfig {
     /// Max executions (full or pruned) before giving up; exhaustive
     /// runs that hit this report `completed == false`.
     pub max_executions: u64,
-    /// Max granted steps in a single execution (runaway guard).
+    /// Max granted steps in a single execution (runaway guard). Replay
+    /// and shrinking run under the same bound.
     pub max_steps: usize,
-    /// Stop at the first failure (default) or keep exploring.
-    pub stop_on_failure: bool,
     /// Key the visited-state table on
     /// [`Kernel::canonical_fingerprint`] (dead-store truncation)
     /// instead of the raw [`Kernel::fingerprint`]. Default on; turn
@@ -81,8 +48,8 @@ pub struct CheckConfig {
     /// canonical fingerprint (see [`Kernel::canonical_fingerprint`]).
     /// Off by default.
     pub symmetric: bool,
-    /// Minimize every recorded failure with the delta-debugging
-    /// shrinker ([`crate::shrink`]) before reporting it. Default on.
+    /// Minimize the recorded failure with the delta-debugging shrinker
+    /// ([`crate::shrink`]) before reporting it. Default on.
     pub shrink_failures: bool,
 }
 
@@ -92,7 +59,6 @@ impl Default for CheckConfig {
             mode: Mode::Exhaustive,
             max_executions: 250_000,
             max_steps: 20_000,
-            stop_on_failure: true,
             canonical: true,
             symmetric: false,
             shrink_failures: true,
@@ -127,11 +93,16 @@ pub struct Report {
     pub states_seen: u64,
     /// Deepest decision stack reached.
     pub max_depth: usize,
+    /// Decisions re-taken off the DFS stack to reach a fresh node (the
+    /// price of stateless replay; zero in random mode).
+    pub replayed_steps: u64,
+    /// Decisions taken at fresh nodes.
+    pub new_steps: u64,
     /// Whether the space was exhausted (exhaustive) / all iterations
     /// ran (random) within the budget.
     pub completed: bool,
-    /// Recorded failures (at most one unless `stop_on_failure` is
-    /// off), pre-minimized when `CheckConfig::shrink_failures` is on.
+    /// The failure exploration stopped at (at most one), pre-minimized
+    /// when `CheckConfig::shrink_failures` is on.
     pub failures: Vec<Failure>,
     /// Shrinker statistics (all zero when no failure was shrunk).
     pub shrink: crate::shrink::ShrinkStats,
@@ -151,6 +122,8 @@ impl Report {
         registry.counter("acn.check.memo_prunes").add(self.memo_prunes);
         registry.counter("acn.check.sleep_prunes").add(self.sleep_prunes);
         registry.counter("acn.check.states_seen").add(self.states_seen);
+        registry.counter("acn.check.replayed_steps").add(self.replayed_steps);
+        registry.counter("acn.check.new_steps").add(self.new_steps);
         registry.counter("acn.check.failures").add(self.failures.len() as u64);
         registry.gauge("acn.check.max_depth").set(self.max_depth as f64);
         self.shrink.emit(registry);
@@ -169,37 +142,6 @@ impl Report {
     }
 }
 
-/// One node of the DFS stack.
-struct Node {
-    /// Choices taken at this node so far; the last one is on the
-    /// current path.
-    taken: Vec<Choice>,
-    /// Alternatives not yet explored.
-    todo: Vec<Choice>,
-    /// Sleep set when the node was first reached.
-    sleep_entry: BTreeSet<Tid>,
-}
-
-impl Node {
-    /// Tids whose transitions at this node are fully explored (they
-    /// sleep in the remaining subtrees).
-    fn exhausted(&self) -> BTreeSet<Tid> {
-        let current = self.taken.last().map(|c| c.tid);
-        let open: BTreeSet<Tid> = self.todo.iter().map(|c| c.tid).collect();
-        self.taken
-            .iter()
-            .map(|c| c.tid)
-            .filter(|t| Some(*t) != current && !open.contains(t))
-            .collect()
-    }
-}
-
-enum ExecEnd {
-    Finished,
-    Failed(Failure),
-    Pruned,
-}
-
 /// Runs `scenario` under the model checker per `config` and returns
 /// the exploration report. The scenario runs once per schedule on a
 /// controlled logical thread 0 and may [`crate::vthread::spawn`]
@@ -210,326 +152,179 @@ where
     F: Fn() + Send + Sync + 'static,
 {
     let scenario: Arc<dyn Fn() + Send + Sync> = Arc::new(scenario);
-    match config.mode.clone() {
-        Mode::Exhaustive => check_exhaustive(&config, &scenario),
-        Mode::Random { iterations, seed } => check_random(&config, &scenario, iterations, seed),
+    let (stats, found) = engine::explore(
+        &config.mode,
+        config.max_executions,
+        || ThreadRun::new(&scenario, &config),
+        |_| {},
+    );
+    let mut report = Report {
+        schedules: stats.schedules,
+        memo_prunes: stats.memo_prunes,
+        sleep_prunes: stats.sleep_prunes,
+        states_seen: stats.states_seen,
+        max_depth: stats.max_depth,
+        replayed_steps: stats.replayed_steps,
+        new_steps: stats.new_steps,
+        completed: stats.completed,
+        ..Report::default()
+    };
+    if let Some((mut failure, seed)) = found {
+        failure.seed = seed;
+        if config.shrink_failures {
+            let (shrunk, stats) =
+                crate::shrink::shrink_thread_choices(&config, move || scenario(), &failure);
+            report.shrink.fold(&stats);
+            failure = shrunk;
+        }
+        report.failures.push(failure);
     }
+    report
 }
 
 /// Replays one explicit choice sequence (as printed in a failure
-/// report) and returns the failure it reproduces, if any. After the
-/// given choices are exhausted the execution is completed
-/// deterministically (first enabled choice).
-pub fn replay_schedule<F>(scenario: F, choices: &[Choice]) -> Option<Failure>
+/// report) under `config`'s step bound and returns the failure it
+/// reproduces, if any. After the given choices are exhausted the
+/// execution is completed deterministically (first enabled choice).
+///
+/// # Panics
+///
+/// Panics if a recorded choice is not pending and enabled: the
+/// sequence does not belong to this scenario.
+pub fn replay_schedule<F>(config: &CheckConfig, scenario: F, choices: &[Choice]) -> Option<Failure>
 where
     F: Fn() + Send + Sync + 'static,
 {
     let scenario: Arc<dyn Fn() + Send + Sync> = Arc::new(scenario);
-    let kernel = start_execution(&scenario);
-    let mut at = 0usize;
-    let end = loop {
-        match kernel.wait_quiescent() {
-            WaitOutcome::Failed => break kernel.take_failure(),
-            WaitOutcome::AllFinished => break None,
-            WaitOutcome::Node(pending) => {
-                let _ = kernel.take_touched();
-                let choice = if at < choices.len() {
-                    let c = choices[at];
-                    assert!(
-                        pending.iter().any(|p| p.tid == c.tid && p.enabled),
-                        "replay diverged at step {at}: t{} not pending/enabled",
-                        c.tid
-                    );
-                    c
-                } else {
-                    match first_enabled(&pending) {
-                        Some(c) => c,
-                        None => break deadlock_failure(&kernel, &pending).into(),
-                    }
-                };
-                at += 1;
-                kernel.grant(choice);
-            }
+    let mut run = ThreadRun::new(&scenario, config);
+    engine::replay(&mut run, choices, true).unwrap_or_else(|d| {
+        panic!(
+            "replay diverged at step {}: t{} (variant {}) not pending/enabled",
+            d.at, d.choice.tid, d.choice.variant
+        )
+    })
+}
+
+/// One checked execution: the scenario's threads under one kernel. The
+/// threads are wound down when the run is dropped.
+pub(crate) struct ThreadRun {
+    kernel: Arc<Kernel>,
+    max_steps: usize,
+    /// `Some(symmetric)` keys the memo on the canonical fingerprint,
+    /// `None` on the plain one.
+    canonical: Option<bool>,
+    steps: usize,
+    /// The threads parked at the current decision.
+    pending: Vec<Pending>,
+    /// Objects released since the previous decision.
+    touched: Vec<u64>,
+    /// The operation the last granted step executed.
+    last_op: Option<Op>,
+}
+
+impl ThreadRun {
+    pub(crate) fn new(scenario: &Arc<dyn Fn() + Send + Sync>, config: &CheckConfig) -> Self {
+        let kernel = Arc::new(Kernel::new());
+        let body = Arc::clone(scenario);
+        start_root(&kernel, move || body());
+        ThreadRun {
+            kernel,
+            max_steps: config.max_steps,
+            canonical: config.canonical.then_some(config.symmetric),
+            steps: 0,
+            pending: Vec::new(),
+            touched: Vec::new(),
+            last_op: None,
         }
-    };
-    kernel.poison_and_join();
-    end
-}
+    }
 
-pub(crate) fn start_execution(scenario: &Arc<dyn Fn() + Send + Sync>) -> Arc<Kernel> {
-    let kernel = Arc::new(Kernel::new());
-    let body = Arc::clone(scenario);
-    start_root(&kernel, move || body());
-    kernel
-}
-
-pub(crate) fn first_enabled(pending: &[Pending]) -> Option<Choice> {
-    pending.iter().find(|p| p.enabled).map(|p| Choice { tid: p.tid, variant: 0 })
-}
-
-pub(crate) fn deadlock_failure(kernel: &Kernel, pending: &[Pending]) -> Failure {
-    let (mut schedule, choices) = kernel.schedule();
-    for p in pending {
-        schedule.push(ScheduleStep {
+    /// A failure carrying the schedule granted so far plus `blocked`.
+    fn failure(&self, kind: FailureKind, message: String, blocked: &[Pending]) -> Failure {
+        let (mut schedule, choices) = self.kernel.schedule();
+        schedule.extend(blocked.iter().map(|p| ScheduleStep {
             tid: p.tid,
             variant: 0,
             desc: format!("[blocked on {:?}]", p.op),
-        });
-    }
-    Failure {
-        kind: FailureKind::Deadlock,
-        message: format!("no pending operation is enabled ({} threads blocked)", pending.len()),
-        schedule,
-        choices,
-        seed: None,
+        }));
+        Failure { kind, message, schedule, choices, seed: None }
     }
 }
 
-pub(crate) fn depth_failure(kernel: &Kernel, max_steps: usize) -> Failure {
-    let (schedule, choices) = kernel.schedule();
-    Failure {
-        kind: FailureKind::DepthExceeded,
-        message: format!("execution exceeded {max_steps} steps (livelock or runaway scenario)"),
-        schedule,
-        choices,
-        seed: None,
+impl Drop for ThreadRun {
+    fn drop(&mut self) {
+        self.kernel.poison_and_join();
     }
 }
 
-/// Applies the sleep-set wake rule between two consecutive nodes.
-fn wake(
-    sleep: &mut BTreeSet<Tid>,
-    executed: Option<&Op>,
-    touched: &[u64],
-    pending: &[Pending],
-    kernel: &Kernel,
-) {
-    sleep.retain(|tid| {
-        let Some(p) = pending.iter().find(|p| p.tid == *tid) else {
-            // The sleeper somehow finished (can't happen: sleepers are
-            // never granted); drop it defensively.
-            return false;
+impl Run for ThreadRun {
+    type Choice = Choice;
+    type Id = Tid;
+    type Failure = Failure;
+    const VARIANTS: bool = true;
+
+    fn frontier(&mut self) -> Result<Frontier<Choice, Tid>, Failure> {
+        let pending = match self.kernel.wait_quiescent() {
+            WaitOutcome::Failed => {
+                return Err(self.kernel.take_failure().expect("failed => failure"));
+            }
+            WaitOutcome::AllFinished => {
+                return Ok(Frontier { choices: Vec::new(), ranked: Vec::new() });
+            }
+            WaitOutcome::Node(pending) => pending,
         };
-        if let Some(op) = executed {
-            if op.dependent(&p.op) {
-                return false;
-            }
+        if self.steps >= self.max_steps {
+            return Err(self.failure(
+                FailureKind::DepthExceeded,
+                format!(
+                    "execution exceeded {} steps (livelock or runaway scenario)",
+                    self.max_steps
+                ),
+                &[],
+            ));
         }
-        if p.op.obj().is_some_and(|obj| touched.contains(&obj)) {
-            return false;
+        self.touched = self.kernel.take_touched();
+        let choices: Vec<(Choice, Tid)> = pending
+            .iter()
+            .filter(|p| p.enabled)
+            .flat_map(|p| (0..p.variants).map(|variant| (Choice { tid: p.tid, variant }, p.tid)))
+            .collect();
+        if choices.is_empty() {
+            return Err(self.failure(
+                FailureKind::Deadlock,
+                format!("no pending operation is enabled ({} threads blocked)", pending.len()),
+                &pending,
+            ));
         }
-        if let Op::Join { target } = p.op {
-            if kernel.is_finished(target) {
-                return false;
-            }
-        }
-        true
-    });
-}
-
-/// Runs the shrinker over a fresh failure when the config asks for it,
-/// folding the attempt statistics into the report.
-fn maybe_shrink(
-    config: &CheckConfig,
-    scenario: &Arc<dyn Fn() + Send + Sync>,
-    failure: Failure,
-    report: &mut Report,
-) -> Failure {
-    if !config.shrink_failures {
-        return failure;
+        let ranked = pending.iter().map(|p| p.tid).collect();
+        self.pending = pending;
+        Ok(Frontier { choices, ranked })
     }
-    let (shrunk, stats) = crate::shrink::shrink_thread_arc(scenario, &failure, config.max_steps);
-    report.shrink.fold(&stats);
-    shrunk
-}
 
-fn check_exhaustive(config: &CheckConfig, scenario: &Arc<dyn Fn() + Send + Sync>) -> Report {
-    let mut report = Report::default();
-    let mut path: Vec<Node> = Vec::new();
-    // fingerprint -> sleep sets it was explored with.
-    let mut memo: BTreeMap<u64, Vec<BTreeSet<Tid>>> = BTreeMap::new();
-    let mut executions = 0u64;
-
-    'executions: loop {
-        if executions >= config.max_executions {
-            report.completed = false;
-            return report;
-        }
-        executions += 1;
-
-        let kernel = start_execution(scenario);
-        let mut depth = 0usize;
-        let mut sleep: BTreeSet<Tid> = BTreeSet::new();
-        let mut prev_op: Option<Op> = None;
-
-        let end = loop {
-            match kernel.wait_quiescent() {
-                WaitOutcome::Failed => {
-                    break ExecEnd::Failed(kernel.take_failure().expect("failed => failure"));
-                }
-                WaitOutcome::AllFinished => break ExecEnd::Finished,
-                WaitOutcome::Node(pending) => {
-                    if depth >= config.max_steps {
-                        break ExecEnd::Failed(depth_failure(&kernel, config.max_steps));
-                    }
-                    let touched = kernel.take_touched();
-                    wake(&mut sleep, prev_op.as_ref(), &touched, &pending, &kernel);
-
-                    let choice = if depth < path.len() {
-                        // Replay segment: take the recorded choice.
-                        let node = &path[depth];
-                        sleep = &node.sleep_entry | &node.exhausted();
-                        *node.taken.last().expect("replayed node has a choice")
-                    } else {
-                        // Fresh node.
-                        let fingerprint = if config.canonical {
-                            kernel.canonical_fingerprint(config.symmetric)
-                        } else {
-                            kernel.fingerprint()
-                        };
-                        match memo.get_mut(&fingerprint) {
-                            Some(seen) => {
-                                if seen.iter().any(|s| s.is_subset(&sleep)) {
-                                    report.memo_prunes += 1;
-                                    break ExecEnd::Pruned;
-                                }
-                                seen.push(sleep.clone());
-                            }
-                            None => {
-                                report.states_seen += 1;
-                                memo.insert(fingerprint, vec![sleep.clone()]);
-                            }
-                        }
-                        let mut choices: Vec<Choice> = Vec::new();
-                        for p in &pending {
-                            if p.enabled && !sleep.contains(&p.tid) {
-                                for variant in 0..p.variants {
-                                    choices.push(Choice { tid: p.tid, variant });
-                                }
-                            }
-                        }
-                        match choices.split_first() {
-                            None => {
-                                if pending.iter().any(|p| p.enabled) {
-                                    report.sleep_prunes += 1;
-                                    break ExecEnd::Pruned;
-                                }
-                                break ExecEnd::Failed(deadlock_failure(&kernel, &pending));
-                            }
-                            Some((first, rest)) => {
-                                path.push(Node {
-                                    taken: vec![*first],
-                                    todo: rest.to_vec(),
-                                    sleep_entry: sleep.clone(),
-                                });
-                                *first
-                            }
-                        }
-                    };
-
-                    prev_op = pending
-                        .iter()
-                        .find(|p| p.tid == choice.tid)
-                        .map(|p| p.op.clone());
-                    depth += 1;
-                    report.max_depth = report.max_depth.max(depth);
-                    kernel.grant(choice);
-                }
-            }
-        };
-        kernel.poison_and_join();
-
-        match end {
-            ExecEnd::Finished => report.schedules += 1,
-            ExecEnd::Pruned => {}
-            ExecEnd::Failed(failure) => {
-                report.schedules += 1;
-                let failure = maybe_shrink(config, scenario, failure, &mut report);
-                report.failures.push(failure);
-                if config.stop_on_failure {
-                    report.completed = false;
-                    return report;
-                }
-            }
-        }
-
-        // Backtrack to the deepest node with an untried alternative.
-        while let Some(top) = path.last_mut() {
-            if top.todo.is_empty() {
-                path.pop();
-            } else {
-                let next = top.todo.remove(0);
-                top.taken.push(next);
-                continue 'executions;
-            }
-        }
-        report.completed = true;
-        return report;
+    fn wakes(&self, sleeper: Tid) -> bool {
+        // A sleeper is always parked (sleepers are never granted); drop
+        // one that is not, defensively.
+        let Some(p) = self.pending.iter().find(|p| p.tid == sleeper) else { return true };
+        self.last_op.as_ref().is_some_and(|op| op.dependent(&p.op))
+            || p.op.obj().is_some_and(|obj| self.touched.contains(&obj))
+            || matches!(p.op, Op::Join { target } if self.kernel.is_finished(target))
     }
-}
 
-fn check_random(
-    config: &CheckConfig,
-    scenario: &Arc<dyn Fn() + Send + Sync>,
-    iterations: u64,
-    seed: u64,
-) -> Report {
-    let mut report = Report::default();
-    for iteration in 0..iterations {
-        let iter_seed = seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(iteration)
-            .rotate_left(17);
-        let mut rng = SplitMix64::new(iter_seed);
-        let mut priorities: BTreeMap<Tid, u64> = BTreeMap::new();
-        let kernel = start_execution(scenario);
-        let mut depth = 0usize;
-        let failure = loop {
-            match kernel.wait_quiescent() {
-                WaitOutcome::Failed => break kernel.take_failure(),
-                WaitOutcome::AllFinished => break None,
-                WaitOutcome::Node(pending) => {
-                    if depth >= config.max_steps {
-                        break Some(depth_failure(&kernel, config.max_steps));
-                    }
-                    let _ = kernel.take_touched();
-                    for p in &pending {
-                        let r = rng.next_u64();
-                        priorities.entry(p.tid).or_insert(r);
-                    }
-                    let Some(best) = pending
-                        .iter()
-                        .filter(|p| p.enabled)
-                        .max_by_key(|p| priorities[&p.tid])
-                    else {
-                        break Some(deadlock_failure(&kernel, &pending));
-                    };
-                    let variant =
-                        if best.variants > 1 { rng.below(best.variants as usize) as u32 } else { 0 };
-                    let choice = Choice { tid: best.tid, variant };
-                    // PCT-style preemption: occasionally demote the
-                    // scheduled thread so another one overtakes it.
-                    if rng.below(8) == 0 {
-                        priorities.insert(best.tid, rng.next_u64() >> 16);
-                    }
-                    depth += 1;
-                    report.max_depth = report.max_depth.max(depth);
-                    kernel.grant(choice);
-                }
-            }
-        };
-        kernel.poison_and_join();
-        report.schedules += 1;
-        if let Some(mut failure) = failure {
-            failure.seed = Some(iter_seed);
-            let failure = maybe_shrink(config, scenario, failure, &mut report);
-            report.failures.push(failure);
-            if config.stop_on_failure {
-                report.completed = false;
-                return report;
-            }
-        }
+    fn fingerprint(&self) -> Option<u64> {
+        Some(match self.canonical {
+            Some(symmetric) => self.kernel.canonical_fingerprint(symmetric),
+            None => self.kernel.fingerprint(),
+        })
     }
-    report.completed = true;
-    report
+
+    fn remaining(&self) -> usize {
+        // The thread memo ignores the step budget.
+        0
+    }
+
+    fn apply(&mut self, choice: Choice, _: Tid) -> Result<(), Failure> {
+        self.last_op = self.pending.iter().find(|p| p.tid == choice.tid).map(|p| p.op.clone());
+        self.steps += 1;
+        self.kernel.grant(choice);
+        Ok(())
+    }
 }

@@ -1,40 +1,45 @@
 //! `acn-check`: the workspace's verification toolbox.
 //!
 //! Three pillars, all dependency-free (the workspace is vendored and
-//! offline):
+//! offline). The first two are one schedule explorer — exhaustive DFS
+//! with sleep sets and state memoization, a seeded randomized
+//! PCT-style mode, and choice-list replay, written once — driving two
+//! kinds of run:
 //!
-//! 1. **A schedule-exploring model checker** for the `SyncApi`-generic
-//!    concurrent executors. [`VirtualSync`] routes every lock
-//!    acquisition, atomic access, and join through a cooperative
-//!    scheduler ([`sched`]); the explorer ([`explore`]) then drives
-//!    either an exhaustive DFS (sleep sets + state-hash memoization)
-//!    or a seeded randomized PCT-style search over interleavings,
-//!    asserting the shared quiescent oracles ([`oracles`]) in every
-//!    final state. Invariant violations print the full offending
-//!    schedule, replayable by choice list ([`replay_schedule`]) or by
-//!    seed.
+//! 1. **A model checker for the `SyncApi`-generic concurrent
+//!    executors.** [`VirtualSync`] routes every lock acquisition,
+//!    atomic access, and join through a cooperative scheduler
+//!    ([`sched`]); [`check`] explores the thread interleavings
+//!    ([`explore`]), asserting the shared quiescent oracles
+//!    ([`oracles`]) in every final state. Invariant violations print
+//!    the full offending schedule, replayable by choice list
+//!    ([`replay_schedule`]) or by seed.
 //!
-//! 2. **A schedule-exploring protocol checker** for the distributed
-//!    runtime ([`dist`], shipped as the `acn-dist-explore` binary):
-//!    the real `acn_core::dist` node/collector processes run under
-//!    `acn_simnet`'s external delivery policy while the explorer
-//!    ([`dist::explore`]) enumerates message schedules — exhaustive
-//!    DFS with sleep-set (DPOR) reduction, or seeded PCT-style random
-//!    search whose choice points include fault actions (drops,
-//!    crashes, leaves, joins, forced splits/merges, timer
-//!    preemptions). Every terminal state is checked against protocol
-//!    oracles ([`dist::oracles`]): exactly-once counting, the step
-//!    property, cut well-formedness, audit-clean snapshot import, and
-//!    stabilization recovery. Failures print numbered seed-replayable
-//!    schedules ([`replay_dist_schedule`]).
+//! 2. **A protocol checker for the distributed runtime** ([`dist`],
+//!    shipped as the `acn-dist-explore` and `acn-chaos` binaries): the
+//!    real `acn_core::dist` node/collector processes run under
+//!    `acn_simnet`'s external delivery policy while [`check_dist`]
+//!    explores message schedules whose choice points include fault
+//!    actions (drops, crashes, leaves, joins, forced splits/merges,
+//!    timer preemptions). Every terminal state is checked against
+//!    protocol oracles ([`dist::oracles`]): exactly-once counting, the
+//!    step property, cut well-formedness, audit-clean snapshot import,
+//!    and stabilization recovery. Failures print numbered
+//!    seed-replayable schedules ([`replay_dist_schedule`]), and
+//!    [`shrink`] minimizes them under the budget they were found with.
 //!
-//! 3. **Workspace determinism lints** ([`lint`], shipped as the
+//! 3. **Workspace discipline lints** ([`lint`], shipped as the
 //!    `acn-lint` binary): line-level checks that hash-ordered
-//!    collections stay out of the deterministic subsystems, that every
-//!    `Ordering::Relaxed` carries a justification, that raw
-//!    `std::sync` locks don't sneak past the `parking_lot` convention,
-//!    and that component locks are not visibly nested against the
-//!    declared `ComponentId` lock order.
+//!    collections stay out of the deterministic subsystems (`hash`),
+//!    that every `Ordering::Relaxed` carries a justification
+//!    (`relaxed`), that raw `std::sync` locks don't sneak past the
+//!    `parking_lot` convention (`std-sync`), that no hand-rolled
+//!    published-snapshot cell appears (`snapshot`), that protocol
+//!    handlers and span construction draw no ambient nondeterminism
+//!    (`determinism-seam`, `trace-determinism`), that the dist protocol
+//!    layers do not read the harness's ground truth (`ground-truth`),
+//!    and that every `unsafe` carries a safety argument
+//!    (`unsafe-audit`).
 //!
 //! # Checking an executor
 //!
@@ -62,6 +67,7 @@
 #![warn(missing_docs)]
 
 pub mod dist;
+mod engine;
 pub mod explore;
 pub mod history;
 pub mod lint;
@@ -74,7 +80,7 @@ pub mod vthread;
 
 pub use dist::{
     check_dist, replay_dist_schedule, DistAction, DistCheckConfig, DistChoice, DistFailure,
-    DistFailureKind, DistMode, DistReport, DistScenario, OracleConfig,
+    DistFailureKind, DistReport, DistScenario, OracleConfig,
 };
 pub use explore::{check, replay_schedule, CheckConfig, Mode, Report};
 pub use history::{CounterSpec, History, HistoryRecorder, OpRecord, SeqSpec};

@@ -19,16 +19,20 @@
 //!    preemption and drop budgets, remove overlay nodes — each with a
 //!    confirming replay.
 //!
+//! Every replay runs under the step budget of the configuration the
+//! failure was found with, so a budget failure (`Stuck`,
+//! `DepthExceeded`) can recur.
+//!
 //! # Lenient replay, strict result
 //!
-//! Deleting choices desynchronizes the positional indices the strict
-//! replayers demand, so candidates run under a *lenient* replayer:
-//! recorded choices that are not enabled at the current decision are
-//! skipped, and when the list runs dry the execution completes
-//! deterministically (canonical first enabled choice — exactly the
-//! strict replayers' extension rule). The kernel/run re-records every
-//! choice actually applied, and that **re-recorded** list becomes the
-//! new candidate, so the shrunk failure's `choices` always replay
+//! Deleting choices desynchronizes the positional indices a strict
+//! replay demands, so candidates replay *leniently*: recorded choices
+//! that are not on offer at the current decision are skipped, and when
+//! the list runs dry the execution completes deterministically
+//! (canonical first choice — exactly the strict replay's extension
+//! rule). Both are the explorer's one replay loop. The run re-records
+//! every choice actually applied, and that **re-recorded** list becomes
+//! the new candidate, so the shrunk failure's `choices` always replay
 //! strictly ([`crate::replay_schedule`] /
 //! [`crate::replay_dist_schedule`]) with zero divergence.
 //!
@@ -46,15 +50,13 @@
 //! shrinking terminates and is convergent: shrinking an already-shrunk
 //! failure is a fixpoint (asserted by a property test).
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
-use crate::dist::{
-    oracles as dist_oracles, DistAction, DistChoice, DistFailure, DistFailureKind, DistRun,
-    DistScenario,
-};
-use crate::explore::{deadlock_failure, depth_failure, first_enabled, start_execution};
-use crate::sched::{Choice, Failure, WaitOutcome};
+use crate::dist::{DistAction, DistChoice, DistFailure, DistRun, DistScenario};
+use crate::engine::{self, Run};
+use crate::explore::ThreadRun;
+use crate::sched::{Choice, Failure};
+use crate::{CheckConfig, DistCheckConfig};
 
 /// Hard cap on confirming replays per shrink, so a pathological
 /// counterexample can't stall a sweep (each replay is one bounded
@@ -102,320 +104,51 @@ fn message_class(message: &str) -> &str {
     message.split(':').next().unwrap_or("")
 }
 
-// ---------------------------------------------------------------------
-// Generic ddmin engine
-// ---------------------------------------------------------------------
-
-/// The per-domain replay hook ddmin drives. `replay` runs a candidate
-/// choice list and returns `Some((failure, applied))` iff the
-/// execution still fails in the original class, where `applied` is the
-/// re-recorded list of choices actually granted (always strictly
-/// replayable).
-/// A lenient replay: `None` if the candidate fails differently (or
-/// not at all), `Some((result, applied))` with the strictly-replayable
-/// applied choice list when it fails the same way.
-type ReplayFn<'a, C, R> = Box<dyn FnMut(&[C]) -> Option<(R, Vec<C>)> + 'a>;
-
-struct Minimizer<'a, C, R> {
-    replay: ReplayFn<'a, C, R>,
-    /// Canonical lowerings to try for one choice (most-canonical
-    /// first); empty if the choice is already canonical.
-    lowerings: fn(&C) -> Vec<C>,
-    stats: &'a mut ShrinkStats,
+/// What the minimizer needs of either checker's failure.
+trait Counterexample: Clone {
+    type Choice: Copy + PartialEq;
+    /// Same kind and same oracle class.
+    fn same_way(&self, other: &Self) -> bool;
+    /// The recorded (strictly replayable) choice list.
+    fn choices(&self) -> &[Self::Choice];
+    /// Canonical lowerings to try for one choice, most canonical
+    /// first; empty if the choice is already canonical.
+    fn lowerings(choice: &Self::Choice) -> Vec<Self::Choice>;
 }
 
-impl<C: Clone + PartialEq, R> Minimizer<'_, C, R> {
-    fn try_candidate(&mut self, candidate: &[C], best_len: usize) -> Option<(R, Vec<C>)> {
-        if self.stats.attempts >= MAX_ATTEMPTS {
-            return None;
-        }
-        self.stats.attempts += 1;
-        let (result, applied) = (self.replay)(candidate)?;
-        // Accept on the *re-recorded* length: lenient replay may have
-        // both skipped entries and auto-extended, and only the applied
-        // list is guaranteed to replay strictly.
-        if applied.len() < best_len {
-            self.stats.accepted += 1;
-            Some((result, applied))
+impl Counterexample for Failure {
+    type Choice = Choice;
+
+    fn same_way(&self, other: &Self) -> bool {
+        self.kind == other.kind && message_class(&self.message) == message_class(&other.message)
+    }
+
+    fn choices(&self) -> &[Choice] {
+        &self.choices
+    }
+
+    fn lowerings(c: &Choice) -> Vec<Choice> {
+        if c.variant == 0 {
+            Vec::new()
         } else {
-            None
-        }
-    }
-
-    /// Classic ddmin chunk removal followed by a point-lowering pass,
-    /// iterated to a fixpoint (or the attempt cap). Returns the final
-    /// choice list and the last accepted failure, if any reduction
-    /// succeeded.
-    fn minimize(&mut self, initial: Vec<C>) -> (Vec<C>, Option<R>) {
-        let mut best = initial;
-        let mut result = None;
-        loop {
-            let before = best.len();
-            self.chunk_pass(&mut best, &mut result);
-            self.lower_pass(&mut best, &mut result);
-            if best.len() >= before || best.is_empty() {
-                break;
-            }
-        }
-        (best, result)
-    }
-
-    fn chunk_pass(&mut self, best: &mut Vec<C>, result: &mut Option<R>) {
-        let mut n = 2usize;
-        while best.len() >= 2 {
-            let chunk = best.len().div_ceil(n);
-            let mut reduced = false;
-            let mut start = 0usize;
-            while start < best.len() {
-                let end = (start + chunk).min(best.len());
-                let mut candidate = Vec::with_capacity(best.len() - (end - start));
-                candidate.extend_from_slice(&best[..start]);
-                candidate.extend_from_slice(&best[end..]);
-                if let Some((r, applied)) = self.try_candidate(&candidate, best.len()) {
-                    *best = applied;
-                    *result = Some(r);
-                    reduced = true;
-                    break;
-                }
-                start = end;
-            }
-            if reduced {
-                n = n.saturating_sub(1).max(2);
-            } else if n >= best.len() || self.stats.attempts >= MAX_ATTEMPTS {
-                break;
-            } else {
-                n = (2 * n).min(best.len());
-            }
-        }
-    }
-
-    /// For each position, try the choice's canonical lowerings. A
-    /// lowering keeps the length, so acceptance here requires the
-    /// *replayed* list to be no longer and lexicographically "more
-    /// canonical" is approximated by simply requiring it to still fail
-    /// and not grow.
-    fn lower_pass(&mut self, best: &mut Vec<C>, result: &mut Option<R>) {
-        let mut i = 0usize;
-        while i < best.len() {
-            for lowered in (self.lowerings)(&best[i]) {
-                if lowered == best[i] || self.stats.attempts >= MAX_ATTEMPTS {
-                    continue;
-                }
-                let mut candidate = best.clone();
-                candidate[i] = lowered;
-                self.stats.attempts += 1;
-                if let Some((r, applied)) = (self.replay)(&candidate) {
-                    // A lowering is only useful if it does not lengthen
-                    // the schedule; shorter is a bonus.
-                    if applied.len() <= best.len() {
-                        if applied.len() < best.len() {
-                            self.stats.accepted += 1;
-                        }
-                        *best = applied;
-                        *result = Some(r);
-                        break;
-                    }
-                }
-            }
-            i += 1;
+            vec![Choice { tid: c.tid, variant: 0 }]
         }
     }
 }
 
-// ---------------------------------------------------------------------
-// Thread-schedule shrinking
-// ---------------------------------------------------------------------
+impl Counterexample for DistFailure {
+    type Choice = DistChoice;
 
-/// Lenient replay of a thread-schedule candidate: recorded choices
-/// that are not currently pending/enabled (or whose stale-load variant
-/// is out of range) are skipped; after the list runs dry the execution
-/// completes with the canonical first enabled choice. Returns the
-/// failure, if the execution still fails.
-pub(crate) fn replay_thread_lenient(
-    scenario: &Arc<dyn Fn() + Send + Sync>,
-    choices: &[Choice],
-    max_steps: usize,
-) -> Option<Failure> {
-    let kernel = start_execution(scenario);
-    let mut queue: VecDeque<Choice> = choices.iter().copied().collect();
-    let mut depth = 0usize;
-    let end = loop {
-        match kernel.wait_quiescent() {
-            WaitOutcome::Failed => break kernel.take_failure(),
-            WaitOutcome::AllFinished => break None,
-            WaitOutcome::Node(pending) => {
-                if depth >= max_steps {
-                    break Some(depth_failure(&kernel, max_steps));
-                }
-                let _ = kernel.take_touched();
-                let mut chosen = None;
-                while let Some(c) = queue.pop_front() {
-                    let valid = pending
-                        .iter()
-                        .any(|p| p.tid == c.tid && p.enabled && c.variant < p.variants);
-                    if valid {
-                        chosen = Some(c);
-                        break;
-                    }
-                }
-                let choice = match chosen.or_else(|| first_enabled(&pending)) {
-                    Some(c) => c,
-                    None => break Some(deadlock_failure(&kernel, &pending)),
-                };
-                depth += 1;
-                kernel.grant(choice);
-            }
-        }
-    };
-    kernel.poison_and_join();
-    end
-}
-
-/// Minimizes a failing thread schedule: ddmin over the choice list
-/// plus variant lowering, every candidate confirmed by lenient replay
-/// against the same scenario. The returned failure's `choices` replay
-/// strictly via [`crate::replay_schedule`] to the same failure kind
-/// and oracle class.
-pub fn shrink_thread_choices<F>(scenario: F, failure: &Failure) -> (Failure, ShrinkStats)
-where
-    F: Fn() + Send + Sync + 'static,
-{
-    let scenario: Arc<dyn Fn() + Send + Sync> = Arc::new(scenario);
-    shrink_thread_arc(&scenario, failure, crate::CheckConfig::default().max_steps)
-}
-
-/// [`shrink_thread_choices`] over an already-shared scenario (the
-/// explorer's internal entry point).
-pub(crate) fn shrink_thread_arc(
-    scenario: &Arc<dyn Fn() + Send + Sync>,
-    failure: &Failure,
-    max_steps: usize,
-) -> (Failure, ShrinkStats) {
-    let mut stats = ShrinkStats { failures_shrunk: 1, ..ShrinkStats::default() };
-    let kind = failure.kind.clone();
-    let class = message_class(&failure.message).to_string();
-    let original_len = failure.choices.len();
-    let (choices, shrunk) = {
-        let mut minimizer = Minimizer {
-            replay: Box::new(|candidate: &[Choice]| {
-                let f = replay_thread_lenient(scenario, candidate, max_steps)?;
-                (f.kind == kind && message_class(&f.message) == class).then(|| {
-                    let applied = f.choices.clone();
-                    (f, applied)
-                })
-            }),
-            lowerings: |c: &Choice| {
-                if c.variant == 0 {
-                    Vec::new()
-                } else {
-                    vec![Choice { tid: c.tid, variant: 0 }]
-                }
-            },
-            stats: &mut stats,
-        };
-        minimizer.minimize(failure.choices.clone())
-    };
-    stats.removed_choices += (original_len - choices.len().min(original_len)) as u64;
-    match shrunk {
-        Some(mut f) => {
-            f.seed = failure.seed;
-            (f, stats)
-        }
-        None => (failure.clone(), stats),
+    fn same_way(&self, other: &Self) -> bool {
+        self.kind == other.kind && message_class(&self.message) == message_class(&other.message)
     }
-}
 
-// ---------------------------------------------------------------------
-// Dist-schedule shrinking
-// ---------------------------------------------------------------------
-
-/// Lenient replay of a dist-schedule candidate: recorded choices not
-/// in the current branching frontier are skipped; after the list runs
-/// dry the canonical head choice extends the execution. Returns the
-/// failure, if the execution still fails.
-pub(crate) fn replay_dist_lenient(
-    scenario: &DistScenario,
-    choices: &[DistChoice],
-    max_steps: usize,
-) -> Option<DistFailure> {
-    let mut run = DistRun::new(scenario, max_steps);
-    let mut queue: VecDeque<DistChoice> = choices.iter().copied().collect();
-    loop {
-        let frontier = match run.settle_frontier() {
-            Ok(f) => f,
-            Err(failure) => return Some(failure),
-        };
-        if frontier.is_empty() {
-            return match dist_oracles::check_terminal(&run, &scenario.oracles) {
-                Ok(()) => None,
-                Err(msg) => Some(run.failure(DistFailureKind::OracleViolation, msg)),
-            };
-        }
-        let mut chosen = None;
-        while let Some(c) = queue.pop_front() {
-            if frontier.contains(&c) {
-                chosen = Some(c);
-                break;
-            }
-        }
-        let choice = chosen.unwrap_or(frontier[0]);
-        if let Err(failure) = run.apply(choice) {
-            return Some(failure);
-        }
+    fn choices(&self) -> &[DistChoice] {
+        &self.choices
     }
-}
 
-/// Minimizes a failing dist schedule's **choice list only** (the
-/// scenario is left untouched, so the result replays against the
-/// original scenario — this is what the explorer wires into its
-/// failure paths). The returned failure's `choices` replay strictly
-/// via [`crate::replay_dist_schedule`].
-pub fn shrink_dist_choices(
-    scenario: &DistScenario,
-    failure: &DistFailure,
-) -> (DistFailure, ShrinkStats) {
-    shrink_dist_choices_budget(scenario, failure, crate::DistCheckConfig::default().max_steps)
-}
-
-pub(crate) fn shrink_dist_choices_budget(
-    scenario: &DistScenario,
-    failure: &DistFailure,
-    max_steps: usize,
-) -> (DistFailure, ShrinkStats) {
-    let mut stats = ShrinkStats { failures_shrunk: 1, ..ShrinkStats::default() };
-    let original_len = failure.choices.len();
-    let (choices, shrunk) =
-        minimize_dist(scenario, failure, failure.choices.clone(), max_steps, &mut stats);
-    stats.removed_choices += (original_len - choices.len().min(original_len)) as u64;
-    match shrunk {
-        Some(mut f) => {
-            f.seed = failure.seed;
-            (f, stats)
-        }
-        None => (failure.clone(), stats),
-    }
-}
-
-/// One ddmin + lowering run of a dist choice list against a fixed
-/// scenario.
-fn minimize_dist(
-    scenario: &DistScenario,
-    failure: &DistFailure,
-    initial: Vec<DistChoice>,
-    max_steps: usize,
-    stats: &mut ShrinkStats,
-) -> (Vec<DistChoice>, Option<DistFailure>) {
-    let kind = failure.kind;
-    let class = message_class(&failure.message).to_string();
-    let mut minimizer = Minimizer {
-        replay: Box::new(move |candidate: &[DistChoice]| {
-            let f = replay_dist_lenient(scenario, candidate, max_steps)?;
-            (f.kind == kind && message_class(&f.message) == class).then(|| {
-                let applied = f.choices.clone();
-                (f, applied)
-            })
-        }),
-        lowerings: |c: &DistChoice| match c {
+    fn lowerings(c: &DistChoice) -> Vec<DistChoice> {
+        match c {
             DistChoice::Deliver(i) if *i > 0 => {
                 vec![DistChoice::Deliver(0), DistChoice::Deliver(i / 2)]
             }
@@ -423,10 +156,165 @@ fn minimize_dist(
                 vec![DistChoice::Drop(0), DistChoice::Drop(i / 2)]
             }
             _ => Vec::new(),
-        },
-        stats,
+        }
+    }
+}
+
+/// Lenient replay of a candidate on a fresh run: the failure it ends
+/// in, if any.
+fn lenient<R: Run>(mut run: R, choices: &[R::Choice]) -> Option<R::Failure> {
+    let Ok(end) = engine::replay(&mut run, choices, false) else {
+        unreachable!("a lenient replay skips what is not on offer")
     };
-    minimizer.minimize(initial)
+    end
+}
+
+/// The ddmin + lowering engine over one fixed scenario: `replay` runs a
+/// candidate choice list leniently, and a candidate counts only if it
+/// fails the same way as `target`.
+struct Minimizer<'a, F, P> {
+    target: &'a F,
+    replay: P,
+    stats: &'a mut ShrinkStats,
+}
+
+impl<F: Counterexample, P: FnMut(&[F::Choice]) -> Option<F>> Minimizer<'_, F, P> {
+    /// One confirming replay, within the attempt cap.
+    fn attempt(&mut self, candidate: &[F::Choice]) -> Option<F> {
+        if self.stats.attempts >= MAX_ATTEMPTS {
+            return None;
+        }
+        self.stats.attempts += 1;
+        (self.replay)(candidate).filter(|f| self.target.same_way(f))
+    }
+
+    /// Classic ddmin chunk removal followed by a point-lowering pass,
+    /// iterated to a fixpoint (or the attempt cap). Returns the last
+    /// accepted failure (the target itself if none was).
+    fn minimize(mut self) -> F {
+        let mut best = self.target.clone();
+        loop {
+            let before = best.choices().len();
+            self.chunk_pass(&mut best);
+            self.lower_pass(&mut best);
+            if best.choices().len() >= before || best.choices().is_empty() {
+                return best;
+            }
+        }
+    }
+
+    fn chunk_pass(&mut self, best: &mut F) {
+        let mut n = 2usize;
+        while best.choices().len() >= 2 {
+            let len = best.choices().len();
+            let chunk = len.div_ceil(n);
+            let mut reduced = false;
+            let mut start = 0usize;
+            while start < len {
+                let end = (start + chunk).min(len);
+                let candidate = [&best.choices()[..start], &best.choices()[end..]].concat();
+                // Accept on the *re-recorded* length: lenient replay may
+                // have both skipped entries and auto-extended, and only
+                // the applied list is guaranteed to replay strictly.
+                if let Some(f) = self.attempt(&candidate).filter(|f| f.choices().len() < len) {
+                    self.stats.accepted += 1;
+                    *best = f;
+                    reduced = true;
+                    break;
+                }
+                start = end;
+            }
+            if reduced {
+                n = n.saturating_sub(1).max(2);
+            } else if n >= len || self.stats.attempts >= MAX_ATTEMPTS {
+                break;
+            } else {
+                n = (2 * n).min(len);
+            }
+        }
+    }
+
+    /// For each position, try the choice's canonical lowerings. A
+    /// lowering is kept if the replayed list still fails the same way
+    /// and is no longer; shorter is a bonus.
+    fn lower_pass(&mut self, best: &mut F) {
+        let mut i = 0usize;
+        while i < best.choices().len() {
+            for lowered in F::lowerings(&best.choices()[i]) {
+                if lowered == best.choices()[i] {
+                    continue;
+                }
+                let mut candidate = best.choices().to_vec();
+                candidate[i] = lowered;
+                let len = best.choices().len();
+                if let Some(f) = self.attempt(&candidate).filter(|f| f.choices().len() <= len) {
+                    if f.choices().len() < len {
+                        self.stats.accepted += 1;
+                    }
+                    *best = f;
+                    break;
+                }
+            }
+            i += 1;
+        }
+    }
+}
+
+/// Choice-list minimization of `failure` against a fixed scenario.
+fn shrink_choices<F: Counterexample>(
+    failure: &F,
+    replay: impl FnMut(&[F::Choice]) -> Option<F>,
+) -> (F, ShrinkStats) {
+    let mut stats = ShrinkStats { failures_shrunk: 1, ..ShrinkStats::default() };
+    let shrunk = Minimizer { target: failure, replay, stats: &mut stats }.minimize();
+    stats.removed_choices += failure.choices().len().saturating_sub(shrunk.choices().len()) as u64;
+    (shrunk, stats)
+}
+
+// ---------------------------------------------------------------------
+// Thread-schedule shrinking
+// ---------------------------------------------------------------------
+
+/// Minimizes a failing thread schedule found under `config`: ddmin over
+/// the choice list plus variant lowering, every candidate confirmed by
+/// lenient replay against the same scenario under `config`'s step
+/// bound. The returned failure's `choices` replay strictly via
+/// [`crate::replay_schedule`] to the same failure kind and oracle
+/// class.
+pub fn shrink_thread_choices<F>(
+    config: &CheckConfig,
+    scenario: F,
+    failure: &Failure,
+) -> (Failure, ShrinkStats)
+where
+    F: Fn() + Send + Sync + 'static,
+{
+    let scenario: Arc<dyn Fn() + Send + Sync> = Arc::new(scenario);
+    let (mut shrunk, stats) =
+        shrink_choices(failure, |c: &[Choice]| lenient(ThreadRun::new(&scenario, config), c));
+    shrunk.seed = failure.seed;
+    (shrunk, stats)
+}
+
+// ---------------------------------------------------------------------
+// Dist-schedule shrinking
+// ---------------------------------------------------------------------
+
+/// Minimizes a failing dist schedule's **choice list only** (the
+/// scenario is left untouched, so the result replays against the
+/// original scenario — this is what the explorer wires into its
+/// failure paths), replaying under `config`'s step bound. The returned
+/// failure's `choices` replay strictly via
+/// [`crate::replay_dist_schedule`].
+pub fn shrink_dist_choices(
+    config: &DistCheckConfig,
+    scenario: &DistScenario,
+    failure: &DistFailure,
+) -> (DistFailure, ShrinkStats) {
+    let (mut shrunk, stats) =
+        shrink_choices(failure, |c: &[DistChoice]| lenient(DistRun::new(scenario, config), c));
+    shrunk.seed = failure.seed;
+    (shrunk, stats)
 }
 
 /// A fully minimized distributed counterexample: the (possibly
@@ -445,21 +333,21 @@ pub struct ShrunkDist {
     pub stats: ShrinkStats,
 }
 
-/// Full dist minimization: alternates scenario-level simplification
-/// (drop fault actions, drop boot injections, tighten timer/drop
-/// budgets, remove overlay nodes) with choice-list ddmin, until a
-/// fixpoint. Every candidate is confirmed by lenient replay; the
-/// result is a strictly-replayable counterexample against the
-/// *returned* scenario.
+/// Full dist minimization of a failure found under `config`: alternates
+/// scenario-level simplification (drop fault actions, drop boot
+/// injections, tighten timer/drop budgets, remove overlay nodes) with
+/// choice-list ddmin, until a fixpoint. Every candidate is confirmed by
+/// lenient replay under `config`'s step bound; the result is a
+/// strictly-replayable counterexample against the *returned* scenario.
 #[must_use]
-pub fn shrink_dist(scenario: &DistScenario, failure: &DistFailure) -> ShrunkDist {
-    let max_steps = crate::DistCheckConfig::default().max_steps;
-    let kind = failure.kind;
-    let class = message_class(&failure.message).to_string();
+pub fn shrink_dist(
+    config: &DistCheckConfig,
+    scenario: &DistScenario,
+    failure: &DistFailure,
+) -> ShrunkDist {
     let mut stats = ShrinkStats { failures_shrunk: 1, ..ShrinkStats::default() };
     let mut best_scenario = scenario.clone();
     let mut best_failure = failure.clone();
-    let original_len = failure.choices.len();
 
     loop {
         let mut changed = false;
@@ -472,31 +360,24 @@ pub fn shrink_dist(scenario: &DistScenario, failure: &DistFailure) -> ShrunkDist
                 break;
             }
             stats.attempts += 1;
-            if let Some(f) =
-                replay_dist_lenient(&candidate, &best_failure.choices, max_steps)
-            {
-                if f.kind == kind && message_class(&f.message) == class {
-                    stats.accepted += 1;
-                    best_scenario = candidate;
-                    best_failure = f;
-                    changed = true;
-                }
+            let replayed = lenient(DistRun::new(&candidate, config), &best_failure.choices);
+            if let Some(f) = replayed.filter(|f| failure.same_way(f)) {
+                stats.accepted += 1;
+                best_scenario = candidate;
+                best_failure = f;
+                changed = true;
             }
         }
 
         // Choice-level ddmin against the (possibly new) scenario.
         let before = best_failure.choices.len();
-        let (choices, shrunk) = minimize_dist(
-            &best_scenario,
-            &best_failure,
-            best_failure.choices.clone(),
-            max_steps,
-            &mut stats,
-        );
-        if let Some(f) = shrunk {
-            best_failure = f;
+        best_failure = Minimizer {
+            target: &best_failure,
+            replay: |c: &[DistChoice]| lenient(DistRun::new(&best_scenario, config), c),
+            stats: &mut stats,
         }
-        if choices.len() < before {
+        .minimize();
+        if best_failure.choices.len() < before {
             changed = true;
         }
 
@@ -506,7 +387,7 @@ pub fn shrink_dist(scenario: &DistScenario, failure: &DistFailure) -> ShrunkDist
     }
 
     stats.removed_choices +=
-        (original_len - best_failure.choices.len().min(original_len)) as u64;
+        failure.choices.len().saturating_sub(best_failure.choices.len()) as u64;
     best_failure.seed = failure.seed;
     ShrunkDist { scenario: best_scenario, failure: best_failure, stats }
 }

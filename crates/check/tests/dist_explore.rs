@@ -142,7 +142,7 @@ fn mutation_missing_ack_dedup_is_caught_with_replayable_counterexample() {
     );
 
     // The printed schedule replays to the same violation.
-    let replayed = replay_dist_schedule(&scenario, &failure.choices)
+    let replayed = replay_dist_schedule(&DistCheckConfig::exhaustive(), &scenario, &failure.choices)
         .expect("the recorded schedule reproduces the failure");
     assert_eq!(replayed.kind, DistFailureKind::OracleViolation, "{replayed}");
     assert_eq!(replayed.message, failure.message, "same violation on replay");
@@ -151,7 +151,7 @@ fn mutation_missing_ack_dedup_is_caught_with_replayable_counterexample() {
     let mut fixed = scenario.clone();
     fixed.disable_ack_dedup = false;
     assert!(
-        replay_dist_schedule(&fixed, &failure.choices).is_none(),
+        replay_dist_schedule(&DistCheckConfig::exhaustive(), &fixed, &failure.choices).is_none(),
         "with dedup enabled the same schedule is clean"
     );
 }
@@ -229,7 +229,7 @@ fn found_duplication_iteration_is_clean_after_ledger_fix() {
         DistChoice::Deliver(2),
         DistChoice::Deliver(0),
     ];
-    match replay_dist_schedule(&scenario, &choices) {
+    match replay_dist_schedule(&DistCheckConfig::default(), &scenario, &choices) {
         None => {}
         Some(failure) => assert_eq!(
             failure.kind,

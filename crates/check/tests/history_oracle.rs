@@ -153,7 +153,7 @@ fn seeded_lost_update_is_caught_by_the_history_oracle() {
         failure.message
     );
     // The (shrunk) counterexample replays strictly to the same verdict.
-    let replayed = replay_schedule(lost_update_history_scenario, &failure.choices)
+    let replayed = replay_schedule(&CheckConfig::exhaustive(), lost_update_history_scenario, &failure.choices)
         .expect("the recorded schedule reproduces the violation");
     assert_eq!(replayed.kind, FailureKind::Panic);
     assert!(replayed.message.contains("not linearizable"));

@@ -1,8 +1,8 @@
-//! The workspace itself must satisfy its own determinism lints: every
-//! hash-ordered collection is out of the deterministic subsystems,
-//! every `Ordering::Relaxed` carries a justification, raw `std::sync`
-//! locks are annotated exceptions, and no component-guard nesting
-//! contradicts the declared lock order.
+//! The workspace itself must satisfy its own lints: every hash-ordered
+//! collection is out of the deterministic subsystems, every
+//! `Ordering::Relaxed` carries a justification, raw `std::sync` locks
+//! are annotated exceptions, and so on for every rule `acn_check::lint`
+//! documents.
 //!
 //! This is the in-tree equivalent of running `acn-lint` (which
 //! `scripts/check.sh` also does); keeping it a test means `cargo test`

@@ -227,21 +227,23 @@ fn lossy_counter_failure_prints_replayable_schedule() {
     assert!(printed.contains("replay choices"), "failure must print replay choices:\n{printed}");
 
     // And the choice list really does reproduce the failure.
-    let replayed = replay_schedule(lossy_counter_scenario, &failure.choices)
-        .expect("replaying the printed choices reproduces the failure");
+    let replayed =
+        replay_schedule(&CheckConfig::exhaustive(), lossy_counter_scenario, &failure.choices)
+            .expect("replaying the printed choices reproduces the failure");
     assert_eq!(replayed.kind, FailureKind::Panic);
     assert!(replayed.message.contains("not dense"));
 }
 
 #[test]
 fn random_mode_finds_the_lossy_counter_and_reports_a_seed() {
-    let report = check(CheckConfig::random(64, 0xACDC), lossy_counter_scenario);
+    let config = CheckConfig::random(64, 0xACDC);
+    let report = check(config.clone(), lossy_counter_scenario);
     assert!(!report.failures.is_empty(), "64 random schedules must hit a 2-thread lost update");
     let failure = &report.failures[0];
     let seed = failure.seed.expect("random-mode failures carry their iteration seed");
     assert!(failure.to_string().contains("replay seed"), "printed report names the seed");
     // Replaying by choices (seed-derived) reproduces the same violation.
-    let replayed = replay_schedule(lossy_counter_scenario, &failure.choices)
+    let replayed = replay_schedule(&config, lossy_counter_scenario, &failure.choices)
         .expect("seeded schedule replays");
     assert!(replayed.message.contains("not dense"), "seed {seed:#x} reproduces the bug");
 }

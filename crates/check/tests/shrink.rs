@@ -8,8 +8,8 @@ use std::sync::Arc;
 
 use acn_check::{
     check, check_dist, oracles, replay_dist_schedule, replay_schedule, shrink_dist,
-    shrink_dist_choices, shrink_thread_choices, vthread, CheckConfig, DistCheckConfig,
-    DistFailure, DistFailureKind, DistScenario, FailureKind, VirtualSync,
+    shrink_dist_choices, shrink_thread_choices, vthread, CheckConfig, DistAction,
+    DistCheckConfig, DistFailure, DistFailureKind, DistScenario, FailureKind, VirtualSync,
 };
 use acn_sync::{SyncApi, SyncAtomicU64};
 
@@ -48,7 +48,7 @@ fn dedup_mutation_counterexample_shrinks_to_a_short_strict_replay() {
 
     // Strict replay of the shrunk schedule reproduces the same class
     // of violation — no divergence.
-    let replayed = replay_dist_schedule(&scenario, &failure.choices)
+    let replayed = replay_dist_schedule(&DistCheckConfig::exhaustive(), &scenario, &failure.choices)
         .expect("the shrunk schedule still fails");
     assert_eq!(replayed.kind, failure.kind, "{replayed}");
     assert_eq!(
@@ -73,7 +73,7 @@ fn dist_shrinking_is_a_fixpoint() {
         scenario.disable_ack_dedup = true;
         let report = check_dist(&DistCheckConfig::exhaustive(), &scenario);
         for failure in &report.failures {
-            let (again, stats) = shrink_dist_choices(&scenario, failure);
+            let (again, stats) = shrink_dist_choices(&DistCheckConfig::exhaustive(), &scenario, failure);
             assert_eq!(
                 again.choices, failure.choices,
                 "re-shrinking must not change a shrunk schedule (seed {seed})"
@@ -91,13 +91,13 @@ fn dist_shrinking_is_a_fixpoint() {
 #[test]
 fn scenario_level_shrinking_returns_a_replayable_counterexample() {
     let (scenario, report) = caught_dedup_mutation();
-    let shrunk = shrink_dist(&scenario, &report.failures[0]);
+    let shrunk = shrink_dist(&DistCheckConfig::exhaustive(), &scenario, &report.failures[0]);
     assert!(shrunk.stats.attempts > 0);
     assert!(
         shrunk.failure.choices.len() <= report.failures[0].choices.len(),
         "scenario minimization never lengthens the schedule"
     );
-    let replayed: DistFailure = replay_dist_schedule(&shrunk.scenario, &shrunk.failure.choices)
+    let replayed: DistFailure = replay_dist_schedule(&DistCheckConfig::exhaustive(), &shrunk.scenario, &shrunk.failure.choices)
         .expect("the minimized counterexample replays against the minimized scenario");
     assert_eq!(replayed.kind, DistFailureKind::OracleViolation);
     assert_eq!(
@@ -106,9 +106,61 @@ fn scenario_level_shrinking_returns_a_replayable_counterexample() {
     );
 }
 
+/// A `Stuck` failure is a property of the step budget it was found
+/// with: split the root on three nodes and crash the hand-off target,
+/// under 50 fired events. The same schedule quiesces within the default
+/// budget, so only a replay under the finding budget reproduces it —
+/// and only a shrink under that budget can accept a candidate.
+#[test]
+fn a_stuck_failure_replays_and_shrinks_under_the_budget_it_was_found_with() {
+    let root = acn_topology::ComponentId::root();
+    let mut scenario = DistScenario::new(4, 3, 0xD15C02, vec![0, 3]);
+    scenario.actions = vec![DistAction::Split(root), DistAction::CrashHandOffTarget];
+    let config = DistCheckConfig { max_steps: 50, ..DistCheckConfig::exhaustive() };
+    let report = check_dist(&config, &scenario);
+    let failure = report.failures.first().expect("50 events cannot quiesce this scenario");
+    assert_eq!(failure.kind, DistFailureKind::Stuck, "{failure}");
+    assert!(failure.message.starts_with("no quiescence within 50 steps"), "{failure}");
+    assert!(
+        replay_dist_schedule(&DistCheckConfig::exhaustive(), &scenario, &failure.choices)
+            .is_none(),
+        "under the default budget the same schedule quiesces"
+    );
+
+    let replayed = replay_dist_schedule(&config, &scenario, &failure.choices)
+        .expect("the schedule replays to its failure under its own budget");
+    assert_eq!(replayed.message, failure.message);
+
+    let shrunk = shrink_dist(&config, &scenario, failure);
+    assert!(shrunk.stats.accepted > 0, "candidates fail the same way: {:?}", shrunk.stats);
+    let replayed = replay_dist_schedule(&config, &shrunk.scenario, &shrunk.failure.choices)
+        .expect("the minimized counterexample replays under the same budget");
+    assert_eq!(replayed.kind, DistFailureKind::Stuck);
+    assert_eq!(replayed.message.split(':').next(), failure.message.split(':').next());
+}
+
 // ---------------------------------------------------------------------------
 // Thread-schedule shrinking through the thread explorer's failure path.
 // ---------------------------------------------------------------------------
+
+/// The thread checker's step budget binds replay and shrinking too: a
+/// `DepthExceeded` failure found under 4 steps replays, strictly, to
+/// the same failure, and shrinks to one that does.
+#[test]
+fn a_depth_failure_replays_and_shrinks_under_the_budget_it_was_found_with() {
+    let config = CheckConfig { max_steps: 4, ..CheckConfig::exhaustive() };
+    let report = check(config.clone(), noisy_lossy_counter_scenario);
+    let failure = report.failures.first().expect("4 steps cannot finish the scenario");
+    assert_eq!(failure.kind, FailureKind::DepthExceeded, "{failure}");
+    let replayed = replay_schedule(&config, noisy_lossy_counter_scenario, &failure.choices)
+        .expect("the schedule replays to its failure under its own budget");
+    assert_eq!((replayed.kind, replayed.message), (failure.kind.clone(), failure.message.clone()));
+
+    let (shrunk, _) = shrink_thread_choices(&config, noisy_lossy_counter_scenario, failure);
+    let replayed = replay_schedule(&config, noisy_lossy_counter_scenario, &shrunk.choices)
+        .expect("the shrunk schedule replays under the same budget");
+    assert_eq!(replayed.kind, FailureKind::DepthExceeded);
+}
 
 /// The classic lost update (load + store), plus two spectator threads
 /// touching an unrelated atomic: the raw counterexample wanders
@@ -154,7 +206,7 @@ fn thread_counterexample_is_shrunk_and_replays_strictly() {
     // scheduling is deleted (the main thread's spawns/joins still
     // contribute forced decisions). The length is pinned.
     assert_eq!(failure.choices.len(), 10, "{failure}");
-    let replayed = replay_schedule(noisy_lossy_counter_scenario, &failure.choices)
+    let replayed = replay_schedule(&CheckConfig::exhaustive(), noisy_lossy_counter_scenario, &failure.choices)
         .expect("the shrunk choices replay strictly");
     assert_eq!(replayed.kind, FailureKind::Panic);
     assert!(replayed.message.contains("not dense"), "{}", replayed.message);
@@ -165,7 +217,7 @@ fn thread_shrinking_is_a_fixpoint() {
     let report = check(CheckConfig::exhaustive(), noisy_lossy_counter_scenario);
     assert!(!report.ok());
     let failure = &report.failures[0];
-    let (again, stats) = shrink_thread_choices(noisy_lossy_counter_scenario, failure);
+    let (again, stats) = shrink_thread_choices(&CheckConfig::exhaustive(), noisy_lossy_counter_scenario, failure);
     assert_eq!(again.choices, failure.choices, "re-shrinking a shrunk failure is a no-op");
     assert_eq!(stats.accepted, 0);
 }
