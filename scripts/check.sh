@@ -9,32 +9,21 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release --workspace
 
-echo "==> cargo test"
-cargo test -q --workspace
+echo "==> cargo test (everything but the checker)"
+cargo test -q --workspace --exclude acn-check
 
 echo "==> acn-lint (workspace determinism lints)"
 cargo run -q -p acn-check --bin acn-lint
 
-echo "==> model checker (bounded exhaustive + seeded random suite)"
-# Re-runs the acn-check suite on its own so a red gate names the checker
-# directly; exploration statistics land in acn.check.* metrics
-# (Report::emit) and the suite is budgeted to stay well under a minute.
-# This includes the distributed protocol explorer's tier-1 scenarios
-# (tests/dist_explore.rs): bounded DFS exhaustion under the protocol
-# oracles plus the ack-dedup mutation catch.
+echo "==> model checker (acn-check: thread + message explorers, history oracle, shrinker)"
+# The checker's suite, run once and named so a red gate points at it:
+# the bounded exhaustive and seeded random suites of both explorers
+# with their pinned statistics (tests/{model,batch_model,dist_explore}.rs),
+# the linearizability / quiescent-consistency history oracle
+# (tests/history_oracle.rs), and the shrinker's planted-mutation and
+# budget regressions (tests/shrink.rs). Exploration statistics land in
+# acn.check.* metrics (Report::emit / DistReport::emit).
 cargo test -q -p acn-check
-
-echo "==> history oracle (linearizability / quiescent consistency)"
-# The bounded Wing-Gong suite: both executors' recorded histories
-# checked against the sequential counter spec on every explored
-# schedule, plus the seeded lost-update catch (tests/history_oracle.rs).
-cargo test -q -p acn-check --test history_oracle
-
-echo "==> counterexample shrinker (smoke: planted mutation -> minimal replay)"
-# Confirms the delta-debugging shrinker still reduces the planted
-# ack-dedup counterexample to a short, strictly-replayable schedule
-# and that shrinking is a fixpoint (tests/shrink.rs).
-cargo test -q -p acn-check --test shrink
 
 echo "==> dist schedule explorer (bounded suite, small random budget)"
 # The standalone explorer binary over the same oracles; deeper random
