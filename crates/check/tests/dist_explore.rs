@@ -454,3 +454,39 @@ fn report_emits_dist_metrics() {
     assert_eq!(snap.counter("acn.check.shrink.attempts"), Some(0), "clean run, no shrinking");
     assert_eq!(snap.counter("acn.check.shrink.failures_shrunk"), Some(0));
 }
+
+/// A reported failure is exactly what a strict replay of its choices
+/// renders: the same schedule, the same flight-recorder dump, the same
+/// choices. Checked for the planted ack-dedup mutation found by the
+/// exhaustive search, and for a failure of the random mode — a lost
+/// `ViewGossip` on three nodes, where the crash's wave has too few
+/// survivors to cover it and the run ends `Stuck`.
+#[test]
+fn reported_failures_render_like_their_strict_replay() {
+    let renders_like_replay = |config: &DistCheckConfig, scenario: &DistScenario| {
+        let report = check_dist(config, scenario);
+        let failure = report.failures.first().expect("the scenario fails");
+        let replayed = replay_dist_schedule(config, scenario, &failure.choices)
+            .expect("the reported choices reproduce the failure");
+        assert_eq!((replayed.kind, &replayed.message), (failure.kind, &failure.message));
+        assert_eq!(replayed.schedule, failure.schedule, "{failure}");
+        assert_eq!(replayed.flight_dump, failure.flight_dump, "{failure}");
+        assert_eq!(replayed.choices, failure.choices, "{failure}");
+        failure.kind
+    };
+
+    let exhaustive = DistCheckConfig::exhaustive();
+    let mutated = (0..16u64)
+        .map(|seed| {
+            let mut scenario = DistScenario::new(2, 2, seed, vec![0]);
+            scenario.timer_preemptions = 1;
+            scenario.disable_ack_dedup = true;
+            scenario
+        })
+        .find(|scenario| !check_dist(&exhaustive, scenario).failures.is_empty())
+        .expect("the dedup mutation is caught within the seed window");
+    assert_eq!(renders_like_replay(&exhaustive, &mutated), DistFailureKind::OracleViolation);
+
+    let random = DistCheckConfig::random(50, 0x5EED);
+    assert_eq!(renders_like_replay(&random, &mutated), DistFailureKind::OracleViolation);
+}
