@@ -25,17 +25,24 @@ echo "==> model checker (acn-check: thread + message explorers, history oracle, 
 # acn.check.* metrics (Report::emit / DistReport::emit).
 cargo test -q -p acn-check
 
-echo "==> dist schedule explorer (bounded suite, small random budget)"
+echo "==> dist schedule explorer (bounded suite + 50 random schedules, diffed)"
 # The standalone explorer binary over the same oracles; deeper random
 # exploration is scripts/explore.sh's job (ACN_EXPLORE_BUDGET knob).
-ACN_EXPLORE_BUDGET="${ACN_EXPLORE_BUDGET:-50}" \
-    cargo run -q --release -p acn-check --bin acn-dist-explore
+# Its output is deterministic and carries no timings, so it must match
+# the committed capture byte for byte: an explorer change that moves
+# any statistic shows up here as a diff.
+env -u ACN_SHRINK ACN_EXPLORE_BUDGET=50 \
+    cargo run -q --release -p acn-check --bin acn-dist-explore \
+    | diff -u docs/dist_explore_output.txt -
 
-echo "==> chaos smoke (seeded recovery campaign, budget-guarded)"
+echo "==> chaos smoke (seeded recovery campaign, budget-guarded, diffed)"
 # A tiny slice of the seeded chaos campaign (scripts/chaos.sh):
 # generated crash/leave/reconfigure scenarios explored under the full
 # recovery-oracle set, including the detection-latency budget guard.
-scripts/chaos.sh --smoke
+# Deterministic like the explorer's output, and diffed the same way.
+env -u ACN_CHAOS_SEED -u ACN_CHAOS_EVENTS -u ACN_CHAOS_SCHEDULES -u ACN_CHAOS_BUDGET_PERIODS \
+    scripts/chaos.sh --smoke \
+    | diff -u docs/chaos_smoke_output.txt -
 
 echo "==> trace artifact (schema-validated smoke trace)"
 # The schema test runs a seeded deployment with a tracer attached,
