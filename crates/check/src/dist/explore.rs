@@ -19,6 +19,11 @@
 //!   counts fired events, deterministic drain steps included);
 //! - every terminal state is checked against the protocol oracles.
 //!
+//! Explored runs record no diagnostics: no schedule strings and no
+//! flight recorder. The failure an exploration stops at (after the
+//! shrinker, whose candidate replays record nothing either) is rendered
+//! once, by a strict replay of its choices that records both.
+//!
 //! Failures carry the iteration seed in random mode; re-running with
 //! that seed reproduces the schedule, as does replaying the printed
 //! choice list through [`replay_dist_schedule`].
@@ -169,7 +174,7 @@ pub fn check_dist(config: &DistCheckConfig, scenario: &DistScenario) -> DistRepo
     let (stats, found) = engine::explore(
         &config.mode,
         config.max_schedules,
-        || DistRun::new(scenario, config),
+        || DistRun::new(scenario, config, false),
         |run| {
             report.fault_actions += run.fault_actions_done;
             report.timer_preemptions += run.timer_preemptions_used;
@@ -186,16 +191,45 @@ pub fn check_dist(config: &DistCheckConfig, scenario: &DistScenario) -> DistRepo
     report.completed = stats.completed;
     if let Some((mut failure, seed)) = found {
         failure.seed = seed;
-        if config.shrink_failures {
+        let failure = if config.shrink_failures {
             // Choices only: the reported failure replays against the
             // scenario the caller explored.
             let (shrunk, stats) = crate::shrink::shrink_dist_choices(config, scenario, &failure);
             report.shrink.fold(&stats);
-            failure = shrunk;
-        }
+            shrunk
+        } else {
+            render(config, scenario, &failure)
+        };
         report.failures.push(failure);
     }
     report
+}
+
+/// Renders a failure found by a run that recorded nothing: a strict
+/// replay of its choices with recording on supplies the schedule and
+/// the flight-recorder dump, and the failure keeps its seed.
+///
+/// # Panics
+///
+/// If the replay does not end in the same kind and message: recording
+/// is observation-only, so that would be a checker bug.
+pub(crate) fn render(
+    config: &DistCheckConfig,
+    scenario: &DistScenario,
+    failure: &DistFailure,
+) -> DistFailure {
+    let rendered = replay_dist_schedule(config, scenario, &failure.choices);
+    match rendered {
+        Some(r) if r.kind == failure.kind && r.message == failure.message => {
+            DistFailure { seed: failure.seed, ..r }
+        }
+        other => panic!(
+            "rendering diverged: {:?} ({}) replayed to {:?}",
+            failure.kind,
+            failure.message,
+            other.map(|r| (r.kind, r.message))
+        ),
+    }
 }
 
 /// Replays one recorded branching-choice sequence (as printed in a
@@ -210,7 +244,7 @@ pub fn replay_dist_schedule(
     scenario: &DistScenario,
     choices: &[DistChoice],
 ) -> Option<DistFailure> {
-    let mut run = DistRun::new(scenario, config);
+    let mut run = DistRun::new(scenario, config, true);
     engine::replay(&mut run, choices, true).unwrap_or_else(|d| {
         Some(run.failure(
             DistFailureKind::ReplayDivergence,

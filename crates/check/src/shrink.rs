@@ -34,7 +34,9 @@
 //! every choice actually applied, and that **re-recorded** list becomes
 //! the new candidate, so the shrunk failure's `choices` always replay
 //! strictly ([`crate::replay_schedule`] /
-//! [`crate::replay_dist_schedule`]) with zero divergence.
+//! [`crate::replay_dist_schedule`]) with zero divergence. A dist
+//! candidate records no diagnostics; the shrunk dist failure's schedule
+//! and flight-recorder dump come from that strict replay.
 //!
 //! # "Fails the same way"
 //!
@@ -52,6 +54,7 @@
 
 use std::sync::Arc;
 
+use crate::dist::explore::render;
 use crate::dist::{DistAction, DistChoice, DistFailure, DistRun, DistScenario};
 use crate::engine::{self, Run};
 use crate::explore::ThreadRun;
@@ -305,16 +308,18 @@ where
 /// original scenario — this is what the explorer wires into its
 /// failure paths), replaying under `config`'s step bound. The returned
 /// failure's `choices` replay strictly via
-/// [`crate::replay_dist_schedule`].
+/// [`crate::replay_dist_schedule`], which is also what renders its
+/// schedule and flight-recorder dump: the candidates record nothing.
 pub fn shrink_dist_choices(
     config: &DistCheckConfig,
     scenario: &DistScenario,
     failure: &DistFailure,
 ) -> (DistFailure, ShrinkStats) {
-    let (mut shrunk, stats) =
-        shrink_choices(failure, |c: &[DistChoice]| lenient(DistRun::new(scenario, config), c));
+    let (mut shrunk, stats) = shrink_choices(failure, |c: &[DistChoice]| {
+        lenient(DistRun::new(scenario, config, false), c)
+    });
     shrunk.seed = failure.seed;
-    (shrunk, stats)
+    (render(config, scenario, &shrunk), stats)
 }
 
 /// A fully minimized distributed counterexample: the (possibly
@@ -337,8 +342,9 @@ pub struct ShrunkDist {
 /// scenario-level simplification (drop fault actions, drop boot
 /// injections, tighten timer/drop budgets, remove overlay nodes) with
 /// choice-list ddmin, until a fixpoint. Every candidate is confirmed by
-/// lenient replay under `config`'s step bound; the result is a
-/// strictly-replayable counterexample against the *returned* scenario.
+/// lenient replay under `config`'s step bound, recording nothing; the
+/// result is a strictly-replayable counterexample against the
+/// *returned* scenario, rendered by that strict replay.
 #[must_use]
 pub fn shrink_dist(
     config: &DistCheckConfig,
@@ -360,7 +366,8 @@ pub fn shrink_dist(
                 break;
             }
             stats.attempts += 1;
-            let replayed = lenient(DistRun::new(&candidate, config), &best_failure.choices);
+            let replayed =
+                lenient(DistRun::new(&candidate, config, false), &best_failure.choices);
             if let Some(f) = replayed.filter(|f| failure.same_way(f)) {
                 stats.accepted += 1;
                 best_scenario = candidate;
@@ -373,7 +380,7 @@ pub fn shrink_dist(
         let before = best_failure.choices.len();
         best_failure = Minimizer {
             target: &best_failure,
-            replay: |c: &[DistChoice]| lenient(DistRun::new(&best_scenario, config), c),
+            replay: |c: &[DistChoice]| lenient(DistRun::new(&best_scenario, config, false), c),
             stats: &mut stats,
         }
         .minimize();
@@ -389,7 +396,8 @@ pub fn shrink_dist(
     stats.removed_choices +=
         failure.choices.len().saturating_sub(best_failure.choices.len()) as u64;
     best_failure.seed = failure.seed;
-    ShrunkDist { scenario: best_scenario, failure: best_failure, stats }
+    let failure = render(config, &best_scenario, &best_failure);
+    ShrunkDist { scenario: best_scenario, failure, stats }
 }
 
 /// Scenario simplification candidates: one structural reduction each.
