@@ -3,6 +3,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Bound::{Excluded, Unbounded};
 
 /// A node identifier: a point on the ring, stored as a `u64` whose value
 /// divided by `2^64` is the paper's position in `[0, 1)`.
@@ -199,11 +200,16 @@ impl Ring {
     /// Panics if the ring is empty.
     #[must_use]
     pub fn walk_distance(&self, node: NodeId, k: usize) -> f64 {
+        assert!(k == 0 || !self.nodes.is_empty(), "walk_distance on empty ring");
+        // One ordered pass: the nodes after `node`, then the rest up to
+        // and including it, repeated for as many revolutions as `k`
+        // asks — the successor chain, without a lookup per step.
+        let revolution =
+            self.nodes.range((Excluded(node.0), Unbounded)).chain(self.nodes.range(..=node.0));
         let mut total = 0.0;
-        let mut current = node;
-        for _ in 0..k {
-            let next = self.successor(current);
-            let step = next.0.wrapping_sub(current.0);
+        let mut current = node.0;
+        for (&next, ()) in revolution.cycle().take(k) {
+            let step = next.wrapping_sub(current);
             // A single-node ring steps the full circumference.
             total += if step == 0 { 1.0 } else { step as f64 / 2f64.powi(64) };
             current = next;
@@ -335,6 +341,43 @@ mod tests {
         assert!((d - 1.0).abs() < 1e-12, "full revolution, got {d}");
         let d = ring.walk_distance(NodeId(0), 6);
         assert!((d - 1.5).abs() < 1e-12, "one and a half revolutions, got {d}");
+    }
+
+    /// The successor walk `walk_distance` replaced: one ring lookup
+    /// per step.
+    fn walk_distance_by_lookups(ring: &Ring, node: NodeId, k: usize) -> f64 {
+        let mut total = 0.0;
+        let mut current = node;
+        for _ in 0..k {
+            let next = ring.successor(current);
+            let step = next.0.wrapping_sub(current.0);
+            total += if step == 0 { 1.0 } else { step as f64 / 2f64.powi(64) };
+            current = next;
+        }
+        total
+    }
+
+    #[test]
+    fn walk_distance_matches_the_lookup_walk_bit_for_bit() {
+        let mut seed = 0x5EED;
+        for n in 1..=40 {
+            let mut ring = Ring::new();
+            // The two ends of the id space, where the wrap happens.
+            if n >= 2 {
+                ring.add_node(NodeId(0));
+                ring.add_node(NodeId(u64::MAX));
+            }
+            while ring.len() < n {
+                ring.add_random_node(&mut seed);
+            }
+            for node in ring.nodes() {
+                for k in 0..=3 * n + 5 {
+                    let (fast, slow) =
+                        (ring.walk_distance(node, k), walk_distance_by_lookups(&ring, node, k));
+                    assert_eq!(fast.to_bits(), slow.to_bits(), "{n} nodes, from {node}, k = {k}");
+                }
+            }
+        }
     }
 
     #[test]
