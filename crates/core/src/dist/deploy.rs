@@ -14,7 +14,8 @@ use acn_trace::{Span, Tracer};
 
 use crate::component::Component;
 
-use super::msg::{Msg, SeenTokens, COLLECTOR};
+use super::dedup::{IdRuns, Ledger};
+use super::msg::{Msg, COLLECTOR};
 use super::node::{NodeProc, TIMER_FD, TIMER_LEVEL};
 use super::world::{DistMetrics, World};
 
@@ -41,8 +42,9 @@ pub struct Collector {
     /// Duplicate exits suppressed (same token identity seen twice: a
     /// re-routed retransmission raced the delayed original).
     pub duplicate_drops: u64,
-    /// End-to-end token identities already counted.
-    pub(super) seen: BTreeSet<u64>,
+    /// End-to-end token identities already counted, as runs of
+    /// consecutive ids: a handful, plus one per token lost for good.
+    pub(super) seen: IdRuns,
     /// Test-only mutation switch mirroring
     /// [`World::test_disable_ack_dedup`]: skip the end-to-end dedup so
     /// the model checker can prove it would catch its removal.
@@ -66,7 +68,7 @@ impl Collector {
             total_latency: 0,
             max_latency: 0,
             duplicate_drops: 0,
-            seen: BTreeSet::new(),
+            seen: IdRuns::default(),
             mutation_no_dedup: false,
             latency_hist: Histogram::default(),
             exits: Counter::default(),
@@ -263,7 +265,7 @@ impl Deployment {
             (w.host_of(&root), w.tree)
         };
         if let Some(Proc::Node(np)) = sim.process_mut(ProcessId(owner.0)) {
-            np.install(Component::new(&tree, &root), SeenTokens::new());
+            np.install(Component::new(&tree, &root), Ledger::default());
         }
         Deployment { sim, world, level_period, seed: s }
     }
@@ -351,6 +353,27 @@ impl Deployment {
             Some(Proc::Collector(c)) => c,
             _ => panic!("collector process missing"),
         }
+    }
+
+    /// Entries the token-dedup layers hold right now: the guids every
+    /// node has accepted and not yet forgotten, the ledger entries of
+    /// every hosted component, and the runs of ids the collector has
+    /// counted. With static membership this stays flat however many
+    /// tokens pass; what makes it grow is churn (scattered guids) and
+    /// tokens lost for good.
+    #[must_use]
+    pub fn dedup_entries(&self) -> usize {
+        let nodes: usize = self
+            .sim
+            .process_ids()
+            .filter_map(|pid| match self.sim.process(pid) {
+                Some(Proc::Node(np)) => Some(
+                    np.accepted.len() + np.components.values().map(|h| h.seen.len()).sum::<usize>(),
+                ),
+                _ => None,
+            })
+            .sum();
+        nodes + self.collector().seen.runs()
     }
 
     /// Runs the simulation for `duration` time units.

@@ -34,9 +34,11 @@ pub enum Msg {
     /// ride the **lossy** channel (an unreliable datagram fast path);
     /// delivery is guaranteed end to end by acknowledgement,
     /// retransmission, and the three dedup layers of the module docs:
-    /// the receiver's `guid` check, the covering component's
+    /// the receiver's per-sender `guid` check, the covering component's
     /// `(token, addr)` ledger, and the collector's `token` check. The
-    /// payload is a [`Token`] carried flat (see there).
+    /// payload is a [`Token`] carried flat (see there); `acked_below`
+    /// and `chained` tell the receiver what of the first two layers it
+    /// may forget.
     Token {
         /// Per-send obligation identifier (receiver-side duplicate
         /// suppression and ack/nack correlation). Fresh per forward,
@@ -56,7 +58,17 @@ pub enum Msg {
         attempt: u8,
         /// Inter-node forwards this token has taken so far (telemetry:
         /// the `acn.dist.routing_hops` histogram at network output).
-        hops: u64,
+        hops: u32,
+        /// The sender's ack watermark for this link: every guid below
+        /// it that had a copy sent to the receiver is acked and had no
+        /// copy sent anywhere else. The link is FIFO, so every such
+        /// copy has arrived; the receiver drops the sender's guids
+        /// below it, and the ledger entries they recorded.
+        acked_below: u64,
+        /// The token was drained from a frozen buffer: an earlier
+        /// obligation already delivered this `(token, addr)` somewhere,
+        /// so the receiver's ledger entry for it is kept for good.
+        chained: bool,
     },
     /// The receiver accepted (processed or buffered) the token; the
     /// sender releases its retransmission obligation. Reliable.
@@ -94,10 +106,11 @@ pub enum Msg {
     HandOff {
         /// The full component state.
         comp: Box<Component>,
-        /// The travelling `(token, addr)` idempotency ledger: the
-        /// parent's for a split child, the union of the children's for
-        /// a merge result, the component's own on a migration, empty
-        /// for a replacement.
+        /// The travelling `(token, addr)` idempotency ledger, every
+        /// entry kept for good: the parent's entries at the addresses a
+        /// split child covers, the union of the children's for a merge
+        /// result, the component's own on a migration, empty for a
+        /// replacement.
         seen: SeenTokens,
         /// Tokens that were buffered at the component when it left.
         buffer: Vec<Token>,
@@ -120,8 +133,8 @@ pub enum Msg {
     CollectReply {
         /// The frozen child's full state.
         comp: Box<Component>,
-        /// The frozen child's travelling idempotency ledger (unioned
-        /// into the merge result's).
+        /// The frozen child's travelling idempotency ledger, every
+        /// entry kept for good (unioned into the merge result's).
         seen: SeenTokens,
         /// The component being reconstructed.
         parent: ComponentId,
@@ -207,8 +220,7 @@ const _: () = assert!(std::mem::size_of::<Msg>() <= 64);
 /// A token as a node holds it — while routing it, buffered at a frozen
 /// component, riding a [`Msg::HandOff`], or awaiting an ack. On the
 /// wire [`Msg::Token`] carries the same four fields flat: nested, the
-/// 25-byte align-1 `WireAddress` would pad every `Msg` from 64 to 72
-/// bytes.
+/// 25-byte align-1 `WireAddress` would pad every `Msg` past 64 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Token {
     /// Stable end-to-end identity (see [`Msg::Token`]).
@@ -218,29 +230,46 @@ pub struct Token {
     /// Simulated time at which the token entered the network.
     pub injected_at: u64,
     /// Inter-node forwards taken so far.
-    pub hops: u64,
+    pub hops: u32,
+}
+
+/// What one send of a [`Token`] carries besides the token: the fields
+/// of [`Msg::Token`] that name the send.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Header {
+    pub(super) guid: u64,
+    pub(super) attempt: u8,
+    pub(super) acked_below: u64,
+    pub(super) chained: bool,
 }
 
 impl Token {
     /// The wire form of one send of this token.
-    pub(super) fn into_msg(self, guid: u64, attempt: u8) -> Msg {
+    pub(super) fn into_msg(self, h: Header) -> Msg {
         let Token { id, addr, injected_at, hops } = self;
-        Msg::Token { guid, token: id, addr, injected_at, attempt, hops }
+        let Header { guid, attempt, acked_below, chained } = h;
+        Msg::Token { guid, token: id, addr, injected_at, attempt, hops, acked_below, chained }
     }
 }
 
-/// Per-component idempotency ledger: `(token, addr)` pairs this
-/// component (or its decomposition-lineage ancestors) has already
-/// consumed. A feed-forward network processes each token at each wire
-/// address at most once, so a repeat is always a duplicate copy — the
-/// re-route of a timed-out retransmission racing its merely-delayed
-/// original. The ledger **travels with the component**: split children
-/// inherit the parent's ledger, a merge takes the union of the
-/// children's, and migration carries it — so whichever node ends up
-/// hosting the covering component can recognize the second copy, which
-/// per-node receiver state cannot (the copies may land on different
-/// nodes). Keying on `(token, addr)` rather than `token` alone keeps a
-/// merge from swallowing a token that legitimately passed one child's
-/// region and is still in flight towards a sibling's. (A real
-/// deployment would expire entries; the simulation keeps them all.)
+/// A component's `(token, addr)` ledger as it travels: the entries
+/// of a component handed to another node ([`Msg::HandOff`]) or
+/// reported to a merge ([`Msg::CollectReply`]). A feed-forward network
+/// processes each token at each wire address at most once, so a repeat
+/// is a duplicate copy — the re-route of a timed-out retransmission
+/// racing its merely-delayed original. The ledger **travels with the
+/// component**: split children inherit the entries at addresses they
+/// cover, a merge takes the union of the children's, and migration
+/// carries it — so whichever node ends up hosting the covering
+/// component can recognize the second copy, which per-node receiver
+/// state cannot (the copies may land on different nodes). Keying on
+/// `(token, addr)` rather than `token` alone keeps a merge from
+/// swallowing a token that legitimately passed one child's region and
+/// is still in flight towards a sibling's.
+///
+/// A hosted component also keeps entries *tagged* with the wire
+/// arrival that recorded them, which the node forgets once the
+/// sender's ack watermark shows no copy of that arrival can come back.
+/// No receiver elsewhere knows those arrivals, so a component that
+/// leaves its node carries every entry here, kept for good.
 pub type SeenTokens = BTreeSet<(u64, WireAddress)>;

@@ -14,8 +14,9 @@ use acn_trace::Span;
 
 use crate::component::Component;
 
+use super::dedup::{Accepted, Watermarks};
 use super::handoff::PendingHandOff;
-use super::msg::{Msg, Token, COLLECTOR};
+use super::msg::{Header, Msg, Token, COLLECTOR};
 use super::reconfig::{Hosted, MergeOp};
 use super::rescue::RescueOp;
 use super::view::{FdStep, News, View};
@@ -104,8 +105,12 @@ pub struct NodeProc {
     /// Tokens this node is responsible for until acknowledged, by the
     /// guid of the outstanding (or exhausted) send.
     pub(super) unacked: BTreeMap<u64, UnackedToken>,
-    /// GUIDs of tokens this node has accepted (duplicate suppression).
-    pub(super) seen: BTreeSet<u64>,
+    /// Per destination, what holds the ack watermark this node stamps
+    /// on its token sends back.
+    pub(super) watermarks: Watermarks,
+    /// GUIDs of tokens this node has accepted, per sender, until the
+    /// sender's watermark passes them (duplicate suppression).
+    pub(super) accepted: Accepted,
     /// Merge collections to retry (child is mid-reconfiguration).
     pub(super) stuck_collects: Vec<(ComponentId, ComponentId)>,
     /// Whether a retry timer is already armed.
@@ -151,7 +156,8 @@ impl NodeProc {
             splits: BTreeMap::new(),
             merges: BTreeMap::new(),
             unacked: BTreeMap::new(),
-            seen: BTreeSet::new(),
+            watermarks: Watermarks::default(),
+            accepted: Accepted::default(),
             stuck_collects: Vec::new(),
             retry_armed: false,
             cache: BTreeMap::new(),
@@ -516,8 +522,9 @@ impl Process<Msg> for NodeProc {
         }
         match msg {
             Msg::ClientInject { wire } => self.on_inject(ctx, wire),
-            Msg::Token { guid, token, addr, injected_at, attempt, hops } => {
-                self.on_token(ctx, from, guid, Token { id: token, addr, injected_at, hops }, attempt)
+            Msg::Token { guid, token, addr, injected_at, attempt, hops, acked_below, chained } => {
+                let t = Token { id: token, addr, injected_at, hops };
+                self.on_token(ctx, from, t, Header { guid, attempt, acked_below, chained })
             }
             Msg::TokenAck { guid } => self.on_token_ack(guid),
             Msg::TokenNack { guid, attempt } => self.on_token_nack(ctx, guid, attempt),

@@ -10,6 +10,7 @@ use acn_trace::{Span, SYSTEM_TRACE};
 
 use crate::component::{merge_components, split_component, Component};
 
+use super::dedup::Ledger;
 use super::handoff::Cause;
 use super::msg::{Msg, SeenTokens, Token};
 use super::node::NodeProc;
@@ -28,8 +29,8 @@ pub(super) struct Hosted {
     pub(super) frozen_by: Option<ProcessId>,
     /// Tokens buffered while frozen.
     pub(super) buffer: Vec<Token>,
-    /// The travelling `(token, addr)` idempotency ledger.
-    pub(super) seen: SeenTokens,
+    /// The `(token, addr)` idempotency ledger.
+    pub(super) seen: Ledger,
 }
 
 /// An in-progress merge at its coordinator.
@@ -37,8 +38,8 @@ pub(super) struct Hosted {
 pub(super) struct MergeOp {
     /// When the merge was started (telemetry: merge duration).
     pub(super) started_at: u64,
-    /// Collected child states (with their idempotency ledgers), by
-    /// child index.
+    /// Collected child states (with their idempotency ledgers, every
+    /// entry pinned), by child index.
     pub(super) collected: Vec<Option<(Component, SeenTokens)>>,
     /// The process that reported each child (for `RemoveFrozen`).
     pub(super) reporters: Vec<Option<ProcessId>>,
@@ -62,10 +63,11 @@ impl NodeProc {
         };
         let hosted = self.components.get_mut(id).expect("split target is hosted");
         hosted.frozen = true;
-        // Children inherit the parent's idempotency ledger: the parent
-        // covered their regions, so any token it consumed must not be
-        // consumed again by a child processing a delayed duplicate.
-        let parent_seen = hosted.seen.clone();
+        // Children inherit the parent's idempotency ledger at the
+        // addresses they cover: the parent covered their regions, so
+        // any token it consumed must not be consumed again by a child
+        // processing a delayed duplicate.
+        let ledgers: Vec<Ledger> = children.iter().map(|c| hosted.seen.for_child(c.id())).collect();
         self.metrics().registry.emit(
             TelemetryEvent::new("split.begin")
                 .at(ctx.now())
@@ -74,9 +76,9 @@ impl NodeProc {
                 .with("level", id.level() as u64),
         );
         self.splits.insert(*id, ctx.now());
-        for child in children {
+        for (child, seen) in children.into_iter().zip(ledgers) {
             let owner = self.owner_of(child.id());
-            self.hand_off(ctx, child, parent_seen.clone(), Vec::new(), owner, Cause::SplitChild);
+            self.hand_off(ctx, child, seen, Vec::new(), owner, Cause::SplitChild);
         }
         self.finish_split(ctx, *id);
     }
@@ -187,7 +189,7 @@ impl NodeProc {
             }
             hosted.frozen = true;
             let comp = hosted.comp.clone();
-            let seen = hosted.seen.clone();
+            let seen = hosted.seen.to_pinned();
             let me = ctx.self_id();
             self.record_collect(ctx, comp, seen, parent, me);
         } else if self.split_list.contains(child) {
@@ -268,7 +270,7 @@ impl NodeProc {
                     frozen: true,
                     frozen_by,
                     buffer: Vec::new(),
-                    seen: merged_seen.clone(),
+                    seen: Ledger::pinned(merged_seen.clone()),
                 },
             );
             self.finish_merge(ctx, &parent);
@@ -284,7 +286,8 @@ impl NodeProc {
         // Top-level merge: install the parent at its current hash owner
         // per the local view.
         let owner = self.owner_of(&parent);
-        if self.hand_off(ctx, merged, merged_seen, Vec::new(), owner, Cause::MergeParent) {
+        let seen = Ledger::pinned(merged_seen);
+        if self.hand_off(ctx, merged, seen, Vec::new(), owner, Cause::MergeParent) {
             self.finish_merge(ctx, &parent);
         }
     }
@@ -524,7 +527,7 @@ impl NodeProc {
             // nudges the parent's new owner to take over.
             hosted.frozen_by = (from != ctx.self_id()).then_some(from);
             let comp = Box::new(hosted.comp.clone());
-            let seen = hosted.seen.clone();
+            let seen = hosted.seen.to_pinned();
             ctx.send(from, Msg::CollectReply { comp, seen, parent });
         } else if self.split_list.contains(&id) {
             if let Some(op) = self.merges.get_mut(&id) {

@@ -13,8 +13,9 @@ use acn_trace::{Span, SYSTEM_TRACE};
 
 use crate::component::Component;
 
+use super::dedup::Ledger;
 use super::handoff::Cause;
-use super::msg::{Msg, SeenTokens};
+use super::msg::Msg;
 use super::node::{NodeProc, TIMER_FD};
 
 /// An in-progress rescue sweep at its coordinator (the node that
@@ -238,7 +239,7 @@ impl NodeProc {
                     .with("level", id.level() as u64),
             );
             let fresh = Component::new(&self.tree, &id);
-            self.hand_off(ctx, fresh, SeenTokens::new(), Vec::new(), owner, Cause::Rescue);
+            self.hand_off(ctx, fresh, Ledger::default(), Vec::new(), owner, Cause::Rescue);
         }
         self.rescue = Some(op);
         self.rescue_done(ctx);
@@ -302,6 +303,7 @@ impl NodeProc {
 #[cfg(test)]
 mod tests {
     use super::super::handoff::PendingHandOff;
+    use super::super::msg::SeenTokens;
     use super::super::world::World;
     use super::*;
     use acn_overlay::{splitmix64, Ring};

@@ -35,6 +35,8 @@ pub(super) struct DistMetrics {
     pub(super) retransmits: Counter,
     /// Mirrors `World::duplicate_traversal_drops`.
     pub(super) dup_traversals: Counter,
+    /// Mirrors `World::scattered_guids`.
+    pub(super) scattered_guids: Counter,
     /// Mirrors `World::dht_lookups`.
     pub(super) dht_lookups: Counter,
     /// Tokens drained from frozen buffers when a merge discards its
@@ -103,6 +105,7 @@ impl DistMetrics {
             nacks: registry.counter("acn.dist.token_nacks"),
             retransmits: registry.counter("acn.dist.token_retransmits"),
             dup_traversals: registry.counter("acn.dist.duplicate_traversal_drops"),
+            scattered_guids: registry.counter("acn.dist.scattered_guids"),
             dht_lookups: registry.counter("acn.dist.dht_lookups"),
             merge_drained: registry.counter("acn.dist.merge_drained_tokens"),
             split_drained: registry.counter("acn.dist.split_drained_tokens"),
@@ -154,6 +157,11 @@ pub struct World {
     /// `(token, addr)` ledger (a re-routed retransmission raced its
     /// merely-delayed original).
     pub duplicate_traversal_drops: u64,
+    /// Send obligations whose copies went to more than one node (or
+    /// that changed hands): each holds back the ack watermark of every
+    /// link it used, so the receivers there keep what they accepted
+    /// from that sender since.
+    pub scattered_guids: u64,
     /// Harness-stamped crash log: node -> virtual crash time. Ground
     /// truth for the detection-latency oracle and metric; no protocol
     /// path reads it.
@@ -197,6 +205,7 @@ impl World {
             token_nacks: 0,
             token_retransmits: 0,
             duplicate_traversal_drops: 0,
+            scattered_guids: 0,
             crashed: BTreeMap::new(),
             detections: BTreeMap::new(),
             next_guid: 0,
