@@ -22,8 +22,8 @@ fn exhausts_two_nodes_two_tokens() {
     // (schedules, states_seen, sleep_prunes, frontier_dedup_hits,
     // max_depth): the explorer's exact statistics, pinned so that any
     // change to the search itself shows here first.
-    assert_eq!((report.schedules, report.states_seen, report.sleep_prunes, report.frontier_dedup_hits, report.max_depth), (25, 370, 131, 28, 9));
-    assert_eq!(report.timer_preemptions, 182, "retry preemptions were explored");
+    assert_eq!((report.schedules, report.states_seen, report.sleep_prunes, report.frontier_dedup_hits, report.max_depth), (22, 343, 121, 34, 9));
+    assert_eq!(report.timer_preemptions, 175, "retry preemptions were explored");
 }
 
 /// The acceptance config: 2 nodes x 2 tokens with one split forced
@@ -44,7 +44,7 @@ fn exhausts_two_nodes_two_tokens_with_concurrent_split() {
     );
     assert_eq!(
         (report.schedules, report.states_seen, report.sleep_prunes, report.frontier_dedup_hits, report.max_depth),
-        (234, 19972, 4374, 1624, 36),
+        (231, 20902, 4605, 1650, 36),
         "the DPOR reduction prunes"
     );
 }
@@ -280,7 +280,7 @@ fn crash_during_split_recovers_in_protocol() {
     let mut target = DistScenario::new(4, 3, 0xD15C02, vec![0, 3]);
     target.actions = vec![DistAction::Split(root), DistAction::CrashHandOffTarget];
     for (scenario, pinned) in
-        [(coordinator, (98, 4151, 494, 1374, 24)), (target, (114, 4001, 755, 512, 49))]
+        [(coordinator, (102, 4179, 494, 1386, 24)), (target, (117, 4007, 755, 510, 49))]
     {
         let report = check_dist(&DistCheckConfig::exhaustive(), &scenario);
         report.assert_ok();
@@ -315,7 +315,7 @@ fn crash_during_merge_recovers_in_protocol() {
         DistAction::CrashHandOffTarget,
     ];
     for (scenario, pinned) in
-        [(coordinator, (20, 236, 0, 256, 11)), (target, (261, 3107, 358, 937, 16))]
+        [(coordinator, (5, 108, 0, 136, 11)), (target, (113, 1288, 158, 371, 16))]
     {
         let report = check_dist(&DistCheckConfig::exhaustive(), &scenario);
         report.assert_ok();
@@ -412,7 +412,7 @@ fn frontier_memoization_prunes_revisited_states() {
             memoized.frontier_dedup_hits,
             memoized.max_depth
         ),
-        (25, 370, 131, 28, 9)
+        (22, 343, 121, 34, 9)
     );
 
     let mut plain_config = DistCheckConfig::exhaustive();
