@@ -484,3 +484,82 @@ fn gossip_payload_does_not_grow_with_the_roster() {
     assert!(ids >= messages, "every message of a wave names someone");
     assert!(ids <= 3 * messages, "{ids} ids in {messages} gossip messages");
 }
+
+/// Fires the first enabled event `pick` accepts.
+fn fire_where(d: &mut Deployment, what: &str, pick: impl Fn(&Msg) -> bool) {
+    let key = d
+        .sim
+        .enabled_events()
+        .into_iter()
+        .find(|e| e.from.is_some() && d.sim.pending_payload(e.key).is_some_and(&pick))
+        .unwrap_or_else(|| panic!("no enabled {what}"))
+        .key;
+    assert!(d.sim.fire(key));
+}
+
+/// Delivers every message in flight, oldest link head first, until
+/// none is left; timers stay pending.
+fn deliver_messages(d: &mut Deployment) {
+    while let Some(e) = d.sim.enabled_events().into_iter().find(|e| e.from.is_some()) {
+        assert!(d.sim.fire(e.key));
+    }
+}
+
+/// A token drained from a frozen buffer is sent on *chained*: an
+/// earlier obligation already delivered that `(token, addr)` somewhere,
+/// and a copy of it may still turn up. The receiver's ledger entry for
+/// the chained arrival must survive the sender's watermark passing its
+/// guid — here a second copy, re-injected from outside after the
+/// watermark moved on, still meets the entry and is dropped.
+#[test]
+fn chained_arrival_entry_outlives_its_watermark() {
+    let config = acn_simnet::SimConfig { base_latency: 5, jitter: 0, loss_per_mille: 0, seed: 3 };
+    let mut d = Deployment::with_sim(4, 2, 3, config, acn_simnet::DeliveryPolicy::External);
+    let (tree, root) = (d.world.borrow().tree, ComponentId::root());
+    let holder = d.world.borrow_mut().host_of(&root);
+    let children = tree.children(&root);
+    let away = children
+        .iter()
+        .map(|c| (*c, d.world.borrow_mut().host_of(c)))
+        .find(|(_, owner)| *owner != holder)
+        .expect("this ring puts a child of the root on the other node");
+    let wire = (0..4)
+        .find(|&w| {
+            let addr = acn_topology::network_input_address(&tree, w, acn_topology::WiringStyle::Ahs);
+            addr.candidates().any(|c| c == away.0)
+        })
+        .expect("the child away covers an input wire");
+    let (b, c) = (ProcessId(holder.0), ProcessId(away.1 .0));
+
+    // The holder freezes the root to split it, and a token arriving
+    // meanwhile is buffered there.
+    d.sim.set_timer_external(b, 0, force_split_tag(&root));
+    let split = d.sim.enabled_events().into_iter().find(|e| e.timer_tag.is_some_and(|t| t > 3));
+    assert!(d.sim.fire(split.expect("the force-split timer").key));
+    d.sim.send_external(b, Msg::ClientInject { wire });
+    fire_where(&mut d, "inject", |m| matches!(m, Msg::ClientInject { .. }));
+    // The children land; the split finishes and drains the buffer: the
+    // token goes to the child away, chained, and is processed there.
+    deliver_messages(&mut d);
+    let addr = acn_topology::network_input_address(&tree, wire, acn_topology::WiringStyle::Ahs);
+    assert_eq!(d.collector().total(), 1);
+    // A second token from the holder to the same node carries a
+    // watermark past the chained guid (it was acked).
+    d.sim.send_external(b, Msg::ClientInject { wire });
+    deliver_messages(&mut d);
+    assert_eq!(d.collector().total(), 2);
+    // A second copy of the first token at the same wire reaches the
+    // child away under a guid never seen there.
+    let copy = Token { id: 1, addr, injected_at: 0, hops: 1 };
+    let h = super::msg::Header {
+        guid: u64::MAX,
+        attempt: super::msg::ATTEMPT_CACHED,
+        acked_below: 0,
+        chained: false,
+    };
+    d.sim.send_external(c, copy.into_msg(h));
+    deliver_messages(&mut d);
+    assert_eq!(d.world.borrow().duplicate_traversal_drops, 1, "the ledger dropped the copy");
+    let collector = d.collector();
+    assert_eq!((collector.total(), collector.duplicate_drops), (2, 0));
+}
