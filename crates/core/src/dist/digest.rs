@@ -228,7 +228,7 @@ impl NodeProc {
         // `rescue.duration` record the recovery budget reads).
         d.item(&(&self.view, &self.rescue, &self.backoff));
         d.word(self.components.len() as u64);
-        for (id, hosted) in &self.components {
+        for (id, hosted) in self.components.iter() {
             d.item(&(id, &hosted.comp, hosted.frozen, hosted.frozen_by));
             digest_tokens(&hosted.buffer, d);
             digest_ledger(&hosted.seen, reachable, d);

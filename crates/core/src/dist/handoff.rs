@@ -50,10 +50,7 @@ impl NodeProc {
     /// at boot and after a rescue, where token history is gone by
     /// definition.
     pub(super) fn install(&mut self, comp: Component, seen: Ledger) {
-        self.components.insert(
-            *comp.id(),
-            Hosted { comp, frozen: false, frozen_by: None, buffer: Vec::new(), seen },
-        );
+        self.components.insert(*comp.id(), Hosted::new(comp, seen));
     }
 
     /// Places an arriving component: installed, unless that would

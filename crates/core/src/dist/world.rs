@@ -37,7 +37,8 @@ pub(super) struct DistMetrics {
     pub(super) dup_traversals: Counter,
     /// Mirrors `World::scattered_guids`.
     pub(super) scattered_guids: Counter,
-    /// Mirrors `World::dht_lookups`.
+    /// Mirrors `World::dht_lookups`: one per lookup made, i.e. per
+    /// route-cache miss on the token path.
     pub(super) dht_lookups: Counter,
     /// Tokens drained from frozen buffers when a merge discards its
     /// children.
@@ -143,7 +144,9 @@ pub struct World {
     /// The overlay ring.
     pub ring: Ring,
     /// DHT ownership queries performed (each is `O(log N)` routing hops
-    /// in a real deployment).
+    /// in a real deployment). A token hop over a component's memoised
+    /// route makes none: on the token path this counts the misses of
+    /// the out-neighbour cache (and every NACK probe), not the sends.
     pub dht_lookups: u64,
     /// Split operations completed.
     pub splits_done: u64,
