@@ -8,21 +8,29 @@
 
 use acn_bitonic::step::is_step_sequence;
 use acn_core::dist::Deployment;
+use acn_telemetry::Registry;
+use acn_trace::Tracer;
 
-use crate::util::{section, telemetry_registry, Lcg, Table};
+use crate::util::{section, Lcg, Table};
+
+/// Spans the run's tracer retains: room for every span it records, so
+/// the artifact is the whole run.
+const TRACE_CAPACITY: usize = 1 << 16;
 
 /// Runs the experiment and returns the rendered report.
 ///
-/// Besides the printed table, the run streams its full telemetry (one
-/// JSON object per event: splits, merges, crashes, level changes, …) to
-/// `target/telemetry/exp10_adaptivity.jsonl` (override the directory
-/// with `ACN_TELEMETRY_DIR`).
+/// Besides the printed table, the run writes every span it recorded
+/// (token hops, splits, merges, migrations, level changes, …) as a
+/// Chrome `trace_event` artifact, `exp10_adaptivity.trace.json` under
+/// `$ACN_TRACE_DIR` (default `target/trace/`).
 #[must_use]
 pub fn run() -> String {
     let w = 64;
-    let (registry, artifact) = telemetry_registry("exp10_adaptivity");
+    let registry = Registry::new();
+    let tracer = Tracer::new(TRACE_CAPACITY);
     let mut d = Deployment::new(w, 4, 0xAB5);
     d.attach_telemetry(&registry);
+    d.attach_tracer(&tracer);
     let mut rng = Lcg(17);
     let mut injected = 0u64;
     let mut table = Table::new(&[
@@ -84,16 +92,20 @@ pub fn run() -> String {
     let step = is_step_sequence(&c.counts);
     let mean_latency = if c.total() > 0 { c.total_latency / c.total() } else { 0 };
 
-    registry.flush();
     let snap = registry.snapshot();
     let hops = snap.histogram("acn.dist.routing_hops");
+    let spans = tracer.spans();
+    let artifact = acn_trace::chrome::write_artifact("exp10_adaptivity", &spans);
     let telemetry = format!(
-        "telemetry: splits={} merges={} dht_lookups={} mean routing hops={:.2}\ntelemetry artifact: {}",
+        "telemetry: splits={} merges={} dht_lookups={} mean routing hops={:.2}\n\
+         trace: {} spans, {} dropped\ntrace artifact: {}",
         snap.counter("acn.dist.splits").unwrap_or(0),
         snap.counter("acn.dist.merges").unwrap_or(0),
         snap.counter("acn.dist.dht_lookups").unwrap_or(0),
         hops.and_then(|h| h.mean()).unwrap_or(0.0),
-        artifact.as_deref().map_or_else(|| "(unavailable)".into(), |p| p.display().to_string()),
+        spans.len(),
+        tracer.dropped(),
+        artifact.map_or_else(|e| format!("(unavailable: {e})"), |p| p.display().to_string()),
     );
 
     section(
@@ -109,20 +121,20 @@ pub fn run() -> String {
 #[cfg(test)]
 mod tests {
     #[test]
-    fn churn_run_is_correct_and_emits_telemetry_artifact() {
+    fn churn_run_is_correct_and_writes_its_trace_artifact() {
         // One run() call for both checks: parallel runs would race on the
-        // shared target/telemetry/exp10_adaptivity.jsonl artifact.
+        // shared exp10_adaptivity.trace.json artifact.
         let report = super::run();
         assert!(report.contains("token conservation: true"), "{report}");
         assert!(report.contains("step property: true"), "{report}");
+        assert!(report.contains(" spans, 0 dropped"), "{report}");
         let path = report
             .lines()
-            .find_map(|l| l.strip_prefix("telemetry artifact: "))
+            .find_map(|l| l.strip_prefix("trace artifact: "))
             .expect("artifact line in report");
-        assert_ne!(path, "(unavailable)");
         let text = std::fs::read_to_string(path).expect("artifact readable");
-        assert!(text.lines().count() > 10, "artifact suspiciously small");
-        assert!(text.contains("\"kind\":\"split.begin\""), "split events present");
-        assert!(text.contains("\"kind\":\"estimator.estimate\""), "estimator events present");
+        for kind in ["split.begin", "net.split", "dist.level_change"] {
+            assert!(text.contains(&format!("\"name\":\"{kind}\"")), "no {kind} span in {path}");
+        }
     }
 }

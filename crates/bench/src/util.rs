@@ -1,36 +1,6 @@
 //! Shared helpers for the experiment harnesses.
 
-use std::path::PathBuf;
-
 use acn_overlay::Ring;
-use acn_telemetry::{JsonlSink, Registry};
-
-/// An enabled telemetry registry streaming events to a JSONL artifact
-/// named after `experiment`.
-///
-/// The artifact lands in `$ACN_TELEMETRY_DIR` (default
-/// `target/telemetry/`) as `<experiment>.jsonl`, one JSON object per
-/// event. Returns the registry plus the artifact path; if the file
-/// cannot be created the registry still works (metrics, no event file)
-/// and the path is `None` — telemetry must never fail an experiment.
-#[must_use]
-pub fn telemetry_registry(experiment: &str) -> (Registry, Option<PathBuf>) {
-    let registry = Registry::new();
-    let dir = std::env::var_os("ACN_TELEMETRY_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target").join("telemetry"));
-    if std::fs::create_dir_all(&dir).is_err() {
-        return (registry, None);
-    }
-    let path = dir.join(format!("{experiment}.jsonl"));
-    match JsonlSink::create(&path) {
-        Ok(sink) => {
-            registry.add_sink(sink);
-            (registry, Some(path))
-        }
-        Err(_) => (registry, None),
-    }
-}
 
 /// A deterministic ring with `n` random-id nodes.
 #[must_use]
@@ -161,15 +131,5 @@ mod tests {
     #[test]
     fn seeded_ring_size() {
         assert_eq!(seeded_ring(17, 3).len(), 17);
-    }
-
-    #[test]
-    fn telemetry_registry_writes_jsonl_artifact() {
-        let (registry, path) = telemetry_registry("util-selftest");
-        let path = path.expect("artifact path under target/");
-        registry.emit(acn_telemetry::Event::new("test.ping").at(1));
-        registry.flush();
-        let text = std::fs::read_to_string(&path).expect("artifact readable");
-        assert!(text.contains("\"kind\":\"test.ping\""), "{text}");
     }
 }

@@ -745,7 +745,7 @@ mod tests {
     #[test]
     fn observability_crates_are_trace_path_everywhere() {
         let src = format!("    let t = {}::anything();\n", NONDET_SOURCES[1]);
-        for path in ["crates/trace/src/lib.rs", "crates/telemetry/src/sink.rs"] {
+        for path in ["crates/trace/src/lib.rs", "crates/telemetry/src/metrics.rs"] {
             let hits = lint_source(path, &src);
             assert_eq!(hits.len(), 1, "{path}: {hits:?}");
             assert_eq!(hits[0].rule, "trace-determinism");

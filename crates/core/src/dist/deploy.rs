@@ -8,9 +8,9 @@ use std::rc::Rc;
 
 use acn_overlay::{NodeId, Ring};
 use acn_simnet::{Context, DeliveryPolicy, Process, ProcessId, SimConfig, Simulator};
-use acn_telemetry::{Counter, Event as TelemetryEvent, Histogram, Registry};
+use acn_telemetry::{Counter, Histogram, Registry};
 use acn_topology::{ComponentId, Cut};
-use acn_trace::{Span, Tracer};
+use acn_trace::{Span, Tracer, SYSTEM_TRACE};
 
 use crate::component::Component;
 
@@ -270,10 +270,11 @@ impl Deployment {
         Deployment { sim, world, level_period, seed: s }
     }
 
-    /// Routes the whole deployment's telemetry into `registry`: the
-    /// simulator's `acn.sim.*` metrics, the runtime's `acn.dist.*`
-    /// metrics and `split.*`/`merge.*`/`dist.*` events, and the
-    /// collector's token measurements.
+    /// Routes the whole deployment's metrics into `registry`: the
+    /// simulator's `acn.sim.*`, the runtime's `acn.dist.*` and
+    /// `acn.estimator.*`, and the collector's token measurements. What
+    /// happened when (a split, a merge, a level change, a crash) is a
+    /// span, recorded by [`attach_tracer`](Self::attach_tracer).
     ///
     /// Telemetry is observation-only: an attached deployment produces
     /// bit-identical [`SimStats`](acn_simnet::SimStats), counters, and
@@ -289,9 +290,10 @@ impl Deployment {
 
     /// Routes the whole deployment's causal spans into `tracer`: every
     /// token hop (inject, route, buffer, send, deliver, nack, retry,
-    /// exit, count) plus the `net.split`/`net.merge`/`net.migrate`
-    /// system spans, all timestamped with the simulator's virtual
-    /// clock, and the simulator's own wire-level spans.
+    /// exit, count) plus the runtime's system spans (splits, merges,
+    /// migrations, level changes, crashes, suspicions and rescues;
+    /// DESIGN.md §10 lists them), all timestamped with the simulator's
+    /// virtual clock, and the simulator's own wire-level spans.
     ///
     /// Like [`attach_telemetry`](Self::attach_telemetry), tracing is
     /// observation-only: an attached deployment produces bit-identical
@@ -504,8 +506,8 @@ impl Deployment {
             w.metrics.crashes.inc();
             let now = self.sim.now();
             w.crashed.insert(node, now);
-            w.metrics.registry.emit(
-                TelemetryEvent::new("dist.crash")
+            w.tracer.record(
+                Span::new("dist.crash", SYSTEM_TRACE)
                     .at(now)
                     .node(node.0)
                     .with("lost_components", lost_components),

@@ -8,9 +8,8 @@ use std::rc::Rc;
 
 use acn_overlay::NodeId;
 use acn_simnet::{Context, Process, ProcessId};
-use acn_telemetry::Event as TelemetryEvent;
 use acn_topology::{ComponentId, Tree, WireAddress, WiringStyle};
-use acn_trace::Span;
+use acn_trace::{Span, SYSTEM_TRACE};
 
 use crate::component::Component;
 
@@ -428,15 +427,12 @@ impl NodeProc {
         let level = self
             .metrics()
             .estimator
-            .node_level_at(self.view.ring(), self.node, ctx.now())
+            .node_level(self.view.ring(), self.node)
             .min(self.tree.max_level());
         if level != self.level {
-            let m = self.metrics();
-            m.level_changes.inc();
-            m.registry.emit(
-                TelemetryEvent::new("dist.level_change")
-                    .at(ctx.now())
-                    .node(self.node.0)
+            self.metrics().level_changes.inc();
+            self.trace(
+                self.span("dist.level_change", SYSTEM_TRACE, ctx.now())
                     .with("from", self.level as u64)
                     .with("to", level as u64),
             );

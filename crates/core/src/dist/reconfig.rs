@@ -7,7 +7,6 @@ use std::collections::BTreeMap;
 use std::ops::Deref;
 
 use acn_simnet::{Context, ProcessId};
-use acn_telemetry::Event as TelemetryEvent;
 use acn_topology::ComponentId;
 use acn_trace::{Span, SYSTEM_TRACE};
 
@@ -137,11 +136,9 @@ impl NodeProc {
         // any token it consumed must not be consumed again by a child
         // processing a delayed duplicate.
         let ledgers: Vec<Ledger> = children.iter().map(|c| hosted.seen.for_child(c.id())).collect();
-        self.metrics().registry.emit(
-            TelemetryEvent::new("split.begin")
-                .at(ctx.now())
-                .node(self.node.0)
-                .component(id.to_string())
+        self.trace(
+            self.span("split.begin", SYSTEM_TRACE, ctx.now())
+                .with("component", id.to_u64())
                 .with("level", id.level() as u64),
         );
         self.splits.insert(*id, ctx.now());
@@ -168,14 +165,6 @@ impl NodeProc {
             w.metrics.split_drained.add(drained);
             let duration = ctx.now().saturating_sub(started_at);
             w.metrics.split_duration.record(duration);
-            w.metrics.registry.emit(
-                TelemetryEvent::new("split.end")
-                    .at(ctx.now())
-                    .node(self.node.0)
-                    .component(id.to_string())
-                    .with("duration", duration)
-                    .with("drained", drained),
-            );
             w.tracer.record(
                 Span::new("net.split", SYSTEM_TRACE)
                     .between(started_at, ctx.now())
@@ -197,13 +186,11 @@ impl NodeProc {
     ) {
         let children = self.tree.children(id);
         let arity = children.len();
-        self.metrics().registry.emit(
-            TelemetryEvent::new("merge.begin")
-                .at(ctx.now())
-                .node(self.node.0)
-                .component(id.to_string())
+        self.trace(
+            self.span("merge.begin", SYSTEM_TRACE, ctx.now())
+                .with("component", id.to_u64())
                 .with("level", id.level() as u64)
-                .with("nested", requester.is_some()),
+                .with("nested", u64::from(requester.is_some())),
         );
         self.merges.insert(
             *id,
@@ -358,7 +345,7 @@ impl NodeProc {
 
     /// The merge result is in place: dismiss the frozen children, drop
     /// the split-list obligation, and record the completed merge
-    /// (counters, duration histogram, `merge.end`, `net.merge`).
+    /// (counters, duration histogram, `net.merge`).
     pub(super) fn finish_merge(&mut self, ctx: &mut Context<'_, Msg>, parent: &ComponentId) {
         let op = self.merges.remove(parent).expect("merge in progress");
         for (index, reporter) in op.reporters.iter().enumerate() {
@@ -371,13 +358,6 @@ impl NodeProc {
         w.metrics.merges.inc();
         let duration = ctx.now().saturating_sub(op.started_at);
         w.metrics.merge_duration.record(duration);
-        w.metrics.registry.emit(
-            TelemetryEvent::new("merge.end")
-                .at(ctx.now())
-                .node(self.node.0)
-                .component(parent.to_string())
-                .with("duration", duration),
-        );
         w.tracer.record(
             Span::new("net.merge", SYSTEM_TRACE)
                 .between(op.started_at, ctx.now())
@@ -391,16 +371,10 @@ impl NodeProc {
     /// retry.
     pub(super) fn abort_merge(&mut self, ctx: &mut Context<'_, Msg>, parent: &ComponentId) {
         let op = self.merges.remove(parent).expect("merge in progress");
-        {
-            let m = self.metrics();
-            m.merge_aborts.inc();
-            m.registry.emit(
-                TelemetryEvent::new("merge.abort")
-                    .at(ctx.now())
-                    .node(self.node.0)
-                    .component(parent.to_string()),
-            );
-        }
+        self.metrics().merge_aborts.inc();
+        self.trace(
+            self.span("merge.abort", SYSTEM_TRACE, ctx.now()).with("component", parent.to_u64()),
+        );
         for (index, reporter) in op.reporters.iter().enumerate() {
             let child = parent.child(index as u8);
             let Some(reporter) = *reporter else { continue };
@@ -521,17 +495,7 @@ impl NodeProc {
             }
             let Hosted { comp, buffer, seen, .. } =
                 self.components.remove(&id).expect("listed above");
-            {
-                let m = self.metrics();
-                m.migrations.inc();
-                m.registry.emit(
-                    TelemetryEvent::new("dist.migrate")
-                        .at(ctx.now())
-                        .node(owner.0)
-                        .component(id.to_string())
-                        .with("from", self.node.0),
-                );
-            }
+            self.metrics().migrations.inc();
             self.trace(
                 Span::new("net.migrate", SYSTEM_TRACE)
                     .at(ctx.now())

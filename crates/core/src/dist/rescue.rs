@@ -7,7 +7,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use acn_overlay::NodeId;
 use acn_simnet::{Context, ProcessId};
-use acn_telemetry::Event as TelemetryEvent;
 use acn_topology::{ComponentId, Tree};
 use acn_trace::{Span, SYSTEM_TRACE};
 
@@ -159,11 +158,7 @@ impl NodeProc {
             op.covered.insert(id, (self.node, frozen));
         }
         self.rescue = Some(op);
-        {
-            let m = self.metrics();
-            m.rescue_sweeps.inc();
-            m.registry.emit(TelemetryEvent::new("rescue.begin").at(ctx.now()).node(self.node.0));
-        }
+        self.metrics().rescue_sweeps.inc();
         self.trace(
             self.span("rescue.begin", SYSTEM_TRACE, ctx.now()).with("peers", peers.len() as u64),
         );
@@ -222,16 +217,7 @@ impl NodeProc {
         let to_install = uncovered_subtrees(&self.tree, &op.covered);
         for id in to_install {
             let owner = self.owner_of(&id);
-            {
-                let m = self.metrics();
-                m.rescue_installs.inc();
-                m.registry.emit(
-                    TelemetryEvent::new("rescue.install")
-                        .at(ctx.now())
-                        .node(owner.0)
-                        .component(id.to_string()),
-                );
-            }
+            self.metrics().rescue_installs.inc();
             self.trace(
                 Span::new("rescue.install", SYSTEM_TRACE)
                     .at(ctx.now())
@@ -255,17 +241,7 @@ impl NodeProc {
         }
         let started_at = op.started_at;
         self.rescue = None;
-        {
-            let m = self.metrics();
-            let duration = ctx.now().saturating_sub(started_at);
-            m.rescue_duration.record(duration);
-            m.registry.emit(
-                TelemetryEvent::new("rescue.end")
-                    .at(ctx.now())
-                    .node(self.node.0)
-                    .with("duration", duration),
-            );
-        }
+        self.metrics().rescue_duration.record(ctx.now().saturating_sub(started_at));
         self.trace(
             Span::new("rescue.end", SYSTEM_TRACE).between(started_at, ctx.now()).node(self.node.0),
         );

@@ -151,11 +151,9 @@ impl Backoff {
 }
 
 impl NodeProc {
-    /// Whether the dedup layers are on (off only under the planted
-    /// checker mutation), and whether `token`'s spans are sampled.
+    /// [`World::token_flags`](super::world::World::token_flags) of `token`.
     pub(super) fn token_flags(&self, token: u64) -> (bool, bool) {
-        let w = self.world.borrow();
-        (!w.mutation_no_ack_dedup, w.tracer.should_sample(token))
+        self.world.borrow().token_flags(token)
     }
 
     /// The hash owner of component `id` per this node's *local view*:
@@ -261,7 +259,8 @@ impl NodeProc {
     pub(super) fn drain(&mut self, ctx: &mut Context<'_, Msg>, buffer: Vec<Token>) {
         for t in buffer {
             let start = self.hosted_candidate(&t.addr);
-            self.route(ctx, Arrival::Drained, t, start);
+            let flags = self.token_flags(t.id);
+            self.route(ctx, Arrival::Drained, t, start, flags);
         }
     }
 
@@ -272,7 +271,9 @@ impl NodeProc {
     /// pass's obligation names the onward send only if no component
     /// here took the token; once one did, the obligation is discharged
     /// and the send past it is a new one with a fresh guid. A drained
-    /// token that goes straight to the wire is sent chained.
+    /// token that goes straight to the wire is sent chained. `flags`
+    /// are the token's [`token_flags`](Self::token_flags), which the
+    /// caller has read already.
     ///
     /// Only the first component records a ledger entry, as
     /// [`Arrival`] says: a ledger hit can only happen there, since an
@@ -288,9 +289,9 @@ impl NodeProc {
         arrival: Arrival,
         t: Token,
         start: Option<ComponentId>,
+        (dedup, traced): (bool, bool),
     ) {
         let Token { id: token, mut addr, injected_at, hops } = t;
-        let (dedup, traced) = self.token_flags(token);
         let now = ctx.now();
         let onward = match arrival {
             Arrival::Retry(ob) if start.is_none() => Some(ob),
@@ -533,17 +534,19 @@ impl NodeProc {
     pub(super) fn on_inject(&mut self, ctx: &mut Context<'_, Msg>, wire: usize) {
         let addr = network_input_address(&self.tree, wire, self.style);
         let now = ctx.now();
-        let id = {
+        let (id, flags) = {
             let mut w = self.world.borrow_mut();
             let id = w.fresh_token_id();
-            if w.tracer.should_sample(id) {
+            let flags = w.token_flags(id);
+            if flags.1 {
                 w.tracer.open_trace(id, now);
                 w.tracer.record(self.span("token.inject", id, now).with("wire", wire as u64));
             }
-            id
+            (id, flags)
         };
         let start = self.entry_point(&addr);
-        self.route(ctx, Arrival::Injected, Token { id, addr, injected_at: now, hops: 0 }, start);
+        let t = Token { id, addr, injected_at: now, hops: 0 };
+        self.route(ctx, Arrival::Injected, t, start, flags);
     }
 
     /// A peer forwards a token: forget what the sender's watermark
@@ -558,7 +561,8 @@ impl NodeProc {
         h: Header,
     ) {
         let Header { guid, attempt, acked_below, chained } = h;
-        let (dedup, traced) = self.token_flags(t.id);
+        let flags = self.token_flags(t.id);
+        let (dedup, traced) = flags;
         let now = ctx.now();
         let span = |node: &Self, kind| node.span(kind, t.id, now).with("guid", guid);
         // First, whatever becomes of this copy: the sender has sent no
@@ -642,7 +646,7 @@ impl NodeProc {
             );
         }
         ctx.send(from, Msg::TokenAck { guid });
-        self.route(ctx, Arrival::Wire { from, guid, chained }, t, candidate);
+        self.route(ctx, Arrival::Wire { from, guid, chained }, t, candidate, flags);
     }
 
     /// A guid became scattered: counted, since each one holds back the
@@ -705,18 +709,20 @@ impl NodeProc {
         }
         for guid in stale {
             let UnackedToken { t, sent_at, ob } = self.unacked.remove(&guid).expect("listed above");
-            {
+            let flags = {
                 let mut w = self.world.borrow_mut();
                 w.token_retransmits += 1;
                 w.metrics.retransmits.inc();
-                if w.tracer.should_sample(t.id) {
+                let flags = w.token_flags(t.id);
+                if flags.1 {
                     w.tracer.record(
                         self.span("token.retry", t.id, now)
                             .with("guid", guid)
                             .with("silent_for", now.saturating_sub(sent_at)),
                     );
                 }
-            }
+                flags
+            };
             // Re-route: we may host the owner by now. The timed-out
             // send may *still* arrive (silence is not loss): this copy
             // and the in-flight one then race on *different* paths,
@@ -724,7 +730,7 @@ impl NodeProc {
             // stable `t.id` travels with both, and the component
             // ledgers and the collector count it once.
             let start = self.entry_point(&t.addr);
-            self.route(ctx, Arrival::Retry(ob), t, start);
+            self.route(ctx, Arrival::Retry(ob), t, start, flags);
         }
         self.retry_collects(ctx);
         if !self.unacked.is_empty() || !self.stuck_collects.is_empty() {

@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use acn_overlay::{NodeId, Ring};
-use acn_telemetry::{Counter, Event as TelemetryEvent, Histogram, Registry};
+use acn_telemetry::{Counter, Histogram, Registry};
 use acn_topology::{ComponentId, Tree, WiringStyle};
 use acn_trace::Tracer;
 
@@ -90,8 +90,6 @@ pub(super) struct DistMetrics {
     pub(super) busy_sheds: Counter,
     /// Instrumented size/level estimation (`acn.estimator.*`).
     pub(super) estimator: acn_estimator::InstrumentedEstimator,
-    /// Event stream for `split.*` / `merge.*` / `dist.*` events.
-    pub(super) registry: Registry,
 }
 
 impl DistMetrics {
@@ -127,7 +125,6 @@ impl DistMetrics {
             backoff_resets: registry.counter("acn.dist.backoff.resets"),
             busy_sheds: registry.counter("acn.dist.backoff.sheds"),
             estimator: acn_estimator::InstrumentedEstimator::attach(registry),
-            registry: registry.clone(),
         }
     }
 }
@@ -244,6 +241,12 @@ impl World {
         self.next_token_id
     }
 
+    /// Whether the dedup layers are on (off only under the planted
+    /// checker mutation), and whether `token`'s spans are sampled.
+    pub(super) fn token_flags(&self, token: u64) -> (bool, bool) {
+        (!self.mutation_no_ack_dedup, self.tracer.should_sample(token))
+    }
+
     /// The current hash owner of component `id` per the harness's
     /// ground-truth ring. Boot and harness paths only: protocol hot
     /// paths resolve ownership against each node's *local membership
@@ -268,9 +271,6 @@ impl World {
             if let Some(&crashed_at) = self.crashed.get(&node) {
                 self.metrics.fd_detection_latency.record(at.saturating_sub(crashed_at));
             }
-            self.metrics.registry.emit(
-                TelemetryEvent::new("fd.suspect").at(at).node(node.0),
-            );
         }
     }
 }

@@ -27,10 +27,7 @@
 //! rewrites the output ledger so that application-level counter values
 //! resume consistently.
 
-use acn_sync::{RealSync, SyncApi};
-use acn_telemetry::{Event as TelemetryEvent, Registry};
 use acn_topology::{resolve_output, ComponentDag, ComponentId, OutputDestination};
-use acn_trace::{Span, Tracer, SYSTEM_TRACE};
 
 use crate::component::{port_emissions, Component};
 use crate::local::LocalAdaptiveNetwork;
@@ -212,63 +209,6 @@ pub fn stabilize(net: &mut LocalAdaptiveNetwork) -> usize {
     corrected
 }
 
-/// Like [`audit`], but also records the fault count in `registry`
-/// (`acn.dist.audit_faults` gauge) and emits a `stabilize.audit` event.
-#[must_use]
-pub fn audit_with_telemetry(net: &LocalAdaptiveNetwork, registry: &Registry) -> Vec<Fault> {
-    let faults = audit(net);
-    registry.gauge("acn.dist.audit_faults").set(faults.len() as f64);
-    registry.emit(TelemetryEvent::new("stabilize.audit").with("faults", faults.len()));
-    faults
-}
-
-/// Like [`stabilize`], but also counts corrected components in
-/// `registry` (`acn.dist.stabilize_corrected` counter) and emits a
-/// `stabilize.pass` event.
-pub fn stabilize_with_telemetry(net: &mut LocalAdaptiveNetwork, registry: &Registry) -> usize {
-    let corrected = stabilize(net);
-    registry.counter("acn.dist.stabilize_corrected").add(corrected as u64);
-    registry.emit(TelemetryEvent::new("stabilize.pass").with("corrected", corrected));
-    corrected
-}
-
-/// Like [`audit_with_telemetry`], but additionally records a
-/// `stabilize.audit` system span (monotonic timestamps from the
-/// `acn-sync` clock seam, fault count as a field) in `tracer`.
-#[must_use]
-pub fn audit_traced(
-    net: &LocalAdaptiveNetwork,
-    registry: &Registry,
-    tracer: &Tracer,
-) -> Vec<Fault> {
-    let start = RealSync::monotonic_now();
-    let faults = audit_with_telemetry(net, registry);
-    tracer.record(
-        Span::new("stabilize.audit", SYSTEM_TRACE)
-            .between(start, RealSync::monotonic_now())
-            .with("faults", faults.len() as u64),
-    );
-    faults
-}
-
-/// Like [`stabilize_with_telemetry`], but additionally records a
-/// `stabilize.pass` system span (monotonic timestamps, corrected
-/// component count as a field) in `tracer`.
-pub fn stabilize_traced(
-    net: &mut LocalAdaptiveNetwork,
-    registry: &Registry,
-    tracer: &Tracer,
-) -> usize {
-    let start = RealSync::monotonic_now();
-    let corrected = stabilize_with_telemetry(net, registry);
-    tracer.record(
-        Span::new("stabilize.pass", SYSTEM_TRACE)
-            .between(start, RealSync::monotonic_now())
-            .with("corrected", corrected as u64),
-    );
-    corrected
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,48 +293,6 @@ mod tests {
                 assert!(audit(&net).is_empty());
             }
         }
-    }
-
-    #[test]
-    fn telemetry_wrappers_record_faults_and_corrections() {
-        let registry = Registry::new();
-        let mut seed = 17u64;
-        let mut net = warmed_network(16, 21, &mut seed);
-        assert!(audit_with_telemetry(&net, &registry).is_empty());
-        assert_eq!(registry.snapshot().gauge("acn.dist.audit_faults"), Some(0.0));
-        let victim = *net.cut().leaves().iter().next().expect("non-empty cut");
-        net.component_mut(&victim).expect("live").set_tokens(4242);
-        assert!(!audit_with_telemetry(&net, &registry).is_empty());
-        let snap = registry.snapshot();
-        assert!(snap.gauge("acn.dist.audit_faults").expect("gauge present") >= 1.0);
-        let corrected = stabilize_with_telemetry(&mut net, &registry);
-        assert!(corrected >= 1);
-        assert_eq!(
-            registry.snapshot().counter("acn.dist.stabilize_corrected"),
-            Some(corrected as u64)
-        );
-        assert!(audit(&net).is_empty());
-    }
-
-    #[test]
-    fn traced_wrappers_record_stabilization_spans() {
-        let registry = Registry::new();
-        let tracer = Tracer::new(64);
-        let mut seed = 13u64;
-        let mut net = warmed_network(16, 19, &mut seed);
-        assert!(audit_traced(&net, &registry, &tracer).is_empty());
-        let victim = *net.cut().leaves().iter().next().expect("non-empty cut");
-        net.component_mut(&victim).expect("live").set_tokens(777);
-        let corrected = stabilize_traced(&mut net, &registry, &tracer);
-        assert!(corrected >= 1);
-        let spans = tracer.spans();
-        let audit_span =
-            spans.iter().find(|s| s.kind == "stabilize.audit").expect("audit span recorded");
-        assert_eq!(audit_span.field("faults"), Some(0));
-        let pass_span =
-            spans.iter().find(|s| s.kind == "stabilize.pass").expect("pass span recorded");
-        assert_eq!(pass_span.field("corrected"), Some(corrected as u64));
-        assert!(audit(&net).is_empty());
     }
 
     #[test]

@@ -160,9 +160,6 @@ pub fn node_level(ring: &Ring, node: NodeId) -> usize {
 /// - `level` (gauge) — the latest derived level estimate `l_v`.
 /// - `walk_length` (histogram) — successors walked per estimate.
 /// - `estimates` (counter) — estimates performed.
-///
-/// Each estimate also emits an `estimator.estimate` event carrying the
-/// node, estimate, ground truth, relative error, and level.
 #[derive(Debug, Default, Clone)]
 pub struct InstrumentedEstimator {
     size: acn_telemetry::Gauge,
@@ -170,7 +167,6 @@ pub struct InstrumentedEstimator {
     level: acn_telemetry::Gauge,
     walk_length: acn_telemetry::Histogram,
     estimates: acn_telemetry::Counter,
-    registry: acn_telemetry::Registry,
 }
 
 impl InstrumentedEstimator {
@@ -183,7 +179,6 @@ impl InstrumentedEstimator {
             level: registry.gauge("acn.estimator.level"),
             walk_length: registry.histogram("acn.estimator.walk_length"),
             estimates: registry.counter("acn.estimator.estimates"),
-            registry: registry.clone(),
         }
     }
 
@@ -193,34 +188,13 @@ impl InstrumentedEstimator {
     ///
     /// Panics if the ring is empty or does not contain `node`.
     pub fn estimate(&self, ring: &Ring, node: NodeId) -> SizeEstimate {
-        self.estimate_at(ring, node, 0)
-    }
-
-    /// [`estimate`](Self::estimate) with an explicit event timestamp
-    /// (e.g. the simulation clock).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ring is empty or does not contain `node`.
-    pub fn estimate_at(&self, ring: &Ring, node: NodeId, t: u64) -> SizeEstimate {
         let est = estimate_size(ring, node);
         let truth = ring.len() as f64;
-        let error = (est.size - truth).abs() / truth;
-        let level = level_estimate(est.size);
         self.estimates.inc();
         self.size.set(est.size);
-        self.error.set(error);
-        self.level.set(level as f64);
+        self.error.set((est.size - truth).abs() / truth);
+        self.level.set(level_estimate(est.size) as f64);
         self.walk_length.record(est.walk_length as u64);
-        self.registry.emit(
-            acn_telemetry::Event::new("estimator.estimate")
-                .at(t)
-                .node(node.0)
-                .with("size", est.size)
-                .with("truth", truth)
-                .with("error", error)
-                .with("level", level as u64),
-        );
         est
     }
 
@@ -230,17 +204,7 @@ impl InstrumentedEstimator {
     ///
     /// Panics if the ring is empty or does not contain `node`.
     pub fn node_level(&self, ring: &Ring, node: NodeId) -> usize {
-        self.node_level_at(ring, node, 0)
-    }
-
-    /// [`node_level`](Self::node_level) with an explicit event
-    /// timestamp (e.g. the simulation clock).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ring is empty or does not contain `node`.
-    pub fn node_level_at(&self, ring: &Ring, node: NodeId, t: u64) -> usize {
-        level_estimate(self.estimate_at(ring, node, t).size)
+        level_estimate(self.estimate(ring, node).size)
     }
 }
 

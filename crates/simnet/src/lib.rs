@@ -77,7 +77,7 @@ use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::fmt;
 
 use acn_sync::{RealSync, SyncApi};
-use acn_telemetry::{Counter, Event as TelemetryEvent, Gauge, Histogram, Registry};
+use acn_telemetry::{Counter, Gauge, Histogram, Registry};
 use acn_trace::{Span, Tracer, SYSTEM_TRACE};
 
 /// Identifier of a process (the counting layer uses the overlay node id).
@@ -187,8 +187,6 @@ struct SimMetrics {
     drops_absent: Counter,
     /// Loss-model drops (mirrors `SimStats::messages_lost`).
     drops_loss: Counter,
-    /// Event stream for per-drop `sim.drop` events.
-    registry: Registry,
 }
 
 impl SimMetrics {
@@ -200,7 +198,6 @@ impl SimMetrics {
             timers_fired: registry.counter("acn.sim.timers_fired"),
             drops_absent: registry.counter("acn.sim.drops_absent"),
             drops_loss: registry.counter("acn.sim.drops_loss"),
-            registry: registry.clone(),
         }
     }
 }
@@ -484,8 +481,8 @@ impl<M, P: Process<M>> Simulator<M, P> {
     /// `acn.sim.latency` histogram (per-message delivery latency in
     /// ticks), the `acn.sim.queue_depth` gauge (event-queue depth after
     /// each event), the `acn.sim.delivered` / `acn.sim.timers_fired` /
-    /// `acn.sim.drops_absent` / `acn.sim.drops_loss` counters, and a
-    /// `sim.drop` event per dropped or lost message.
+    /// `acn.sim.drops_absent` / `acn.sim.drops_loss` counters. Each
+    /// drop itself is a span (see [`attach_tracer`](Self::attach_tracer)).
     ///
     /// Telemetry is strictly observation-only: attaching it changes no
     /// delivery order, consumes no randomness, and leaves
@@ -670,23 +667,7 @@ impl<M, P: Process<M>> Simulator<M, P> {
             && self.config.loss_per_mille > 0
             && splitmix(&mut self.rng) % 1000 < u64::from(self.config.loss_per_mille)
         {
-            self.stats.messages_lost += 1;
-            self.metrics.drops_loss.inc();
-            self.metrics.registry.emit(
-                TelemetryEvent::new("sim.drop")
-                    .at(self.time)
-                    .node(to.0)
-                    .with("cause", "loss")
-                    .with("from", from.0),
-            );
-            if self.tracer.is_enabled() {
-                self.tracer.record(
-                    Span::new("sim.loss", SYSTEM_TRACE)
-                        .at(self.time)
-                        .node(to.0)
-                        .with("from", from.0),
-                );
-            }
+            self.count_loss(from, to);
             return;
         }
         let latency = self.config.base_latency
@@ -795,23 +776,7 @@ impl<M, P: Process<M>> Simulator<M, P> {
         }
         let event = self.take_open(key);
         let Payload::Message { from, .. } = &event.payload else { unreachable!() };
-        self.stats.messages_lost += 1;
-        self.metrics.drops_loss.inc();
-        self.metrics.registry.emit(
-            TelemetryEvent::new("sim.drop")
-                .at(self.time)
-                .node(event.to.0)
-                .with("cause", "loss")
-                .with("from", from.0),
-        );
-        if self.tracer.is_enabled() {
-            self.tracer.record(
-                Span::new("sim.loss", SYSTEM_TRACE)
-                    .at(self.time)
-                    .node(event.to.0)
-                    .with("from", from.0),
-            );
-        }
+        self.count_loss(*from, event.to);
         true
     }
 
@@ -821,7 +786,7 @@ impl<M, P: Process<M>> Simulator<M, P> {
     /// loses on its own. It is accounted exactly like a delivery to an
     /// absent process — time advances to the message's timestamp, it
     /// counts as a processed event and as [`SimStats::messages_dropped`],
-    /// with a `sim.drop` event and a `sim.drop_absent` span — but the
+    /// with a `sim.drop_absent` span — but the
     /// receiver stays registered and every link clock is kept, so later
     /// sends into it still queue behind the messages already in
     /// flight. Returns `false` for unknown keys, timers, lossy messages
@@ -845,18 +810,22 @@ impl<M, P: Process<M>> Simulator<M, P> {
         true
     }
 
+    /// The accounting of a lossy message the channel lost.
+    fn count_loss(&mut self, from: ProcessId, to: ProcessId) {
+        self.stats.messages_lost += 1;
+        self.metrics.drops_loss.inc();
+        if self.tracer.is_enabled() {
+            self.tracer.record(
+                Span::new("sim.loss", SYSTEM_TRACE).at(self.time).node(to.0).with("from", from.0),
+            );
+        }
+    }
+
     /// The accounting of a message that reached no handler at delivery
     /// time.
     fn count_absent_drop(&mut self, from: ProcessId, to: ProcessId) {
         self.stats.messages_dropped += 1;
         self.metrics.drops_absent.inc();
-        self.metrics.registry.emit(
-            TelemetryEvent::new("sim.drop")
-                .at(self.time)
-                .node(to.0)
-                .with("cause", "absent")
-                .with("from", from.0),
-        );
         if self.tracer.is_enabled() {
             self.tracer.record(
                 Span::new("sim.drop_absent", SYSTEM_TRACE)
@@ -1307,11 +1276,8 @@ mod tests {
 
     #[test]
     fn telemetry_mirrors_stats_and_tags_drop_causes() {
-        use acn_telemetry::{RingBufferSink, Value};
-
         let registry = Registry::new();
-        let sink = RingBufferSink::with_capacity(128);
-        registry.add_sink(sink.clone());
+        let tracer = Tracer::new(128);
 
         struct LossyForwarder;
         impl Process<u32> for LossyForwarder {
@@ -1329,6 +1295,7 @@ mod tests {
             seed: 11,
         });
         sim.attach_telemetry(&registry);
+        sim.attach_tracer(&tracer);
         sim.add_process(ProcessId(1), LossyForwarder);
         sim.send_external(ProcessId(1), 5); // delivered; lossy resend lost
         sim.send_external(ProcessId(3), 1); // absent: dropped
@@ -1346,10 +1313,11 @@ mod tests {
         assert!(latency.sum >= 3 * stats.messages_delivered, "latency >= base");
         assert_eq!(snap.gauge("acn.sim.queue_depth"), Some(0.0), "idle queue is empty");
 
-        let drops = sink.events_of_kind("sim.drop");
-        assert_eq!(drops.len() as u64, stats.messages_dropped + stats.messages_lost);
-        assert!(drops.iter().any(|e| e.field("cause") == Some(&Value::Str("absent".into()))));
-        assert!(drops.iter().any(|e| e.field("cause") == Some(&Value::Str("loss".into()))));
+        let count = |kind| tracer.spans().iter().filter(|s| s.kind == kind).count() as u64;
+        assert_eq!(count("sim.loss"), stats.messages_lost);
+        assert_eq!(count("sim.drop_absent"), stats.messages_dropped);
+        assert!(stats.messages_lost > 0 && stats.messages_dropped > 0, "{stats:?}");
+        assert_eq!(tracer.dropped(), 0);
     }
 
     #[test]

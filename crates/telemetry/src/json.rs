@@ -1,6 +1,6 @@
-//! Tiny hand-rolled JSON emission helpers shared by events and
-//! snapshots. Only what this crate needs: string escaping and finite
-//! float rendering (non-finite floats become `null`).
+//! Tiny hand-rolled JSON emission helpers for snapshots. Only what
+//! this crate needs: string escaping and finite float rendering
+//! (non-finite floats become `null`).
 
 use std::fmt::Write as _;
 

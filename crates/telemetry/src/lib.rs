@@ -1,13 +1,14 @@
-//! Zero-dependency observability for the adaptive counting network.
+//! Zero-dependency metrics for the adaptive counting network.
 //!
 //! Every layer of this workspace — the discrete-event simulator, the
 //! distributed and concurrent runtimes, the estimator, and the bench
-//! harness — reports into one [`Registry`] of named metrics plus a
-//! structured [`Event`] stream with pluggable [`EventSink`]s. The layer
-//! is strictly **observation-only**: recording a metric or emitting an
-//! event never changes control flow, consumes randomness, or otherwise
-//! perturbs the system under measurement (the determinism regression
-//! tests in the root crate pin this).
+//! harness — reports into one [`Registry`] of named metrics. The layer
+//! keeps aggregates only; what happened when (a split, a merge, a level
+//! change, a crash) is recorded once, as a span, by `acn-trace`. It is
+//! strictly **observation-only**: recording a metric never changes
+//! control flow, consumes randomness, or otherwise perturbs the system
+//! under measurement (the determinism regression tests in the root
+//! crate pin this).
 //!
 //! # Design
 //!
@@ -16,9 +17,8 @@
 //!   [`Histogram`]); recording is a single `fetch_add`/`store`. Keys
 //!   are `&'static str` under the `acn.<layer>.<name>` convention.
 //! - **Disabled is free-ish.** [`Registry::disabled`] yields a handle
-//!   whose metric operations are a `None` branch and whose event
-//!   emission drops immediately, so instrumented code needs no `cfg`s
-//!   or `Option` plumbing.
+//!   whose metric operations are a `None` branch, so instrumented code
+//!   needs no `cfg`s or `Option` plumbing.
 //! - **Log₂ histograms.** [`Histogram`] buckets samples by
 //!   `floor(log2(v)) + 1` (bucket 0 holds zeros), giving 65 fixed
 //!   buckets that cover all of `u64` — cheap, allocation-free, and
@@ -27,14 +27,11 @@
 //!   metric into an ordered [`Snapshot`]; [`Snapshot::diff`] isolates a
 //!   measurement window; both render human-readable (`Display`) and
 //!   machine-readable ([`Snapshot::to_json`]).
-//! - **Events.** [`Event`] is `{t, node, component, kind, fields}`;
-//!   sinks include an in-memory [`RingBufferSink`] for tests and a
-//!   [`JsonlSink`] for harness artifacts.
 //!
 //! # Example
 //!
 //! ```
-//! use acn_telemetry::{Event, Registry, RingBufferSink};
+//! use acn_telemetry::Registry;
 //!
 //! let registry = Registry::new();
 //!
@@ -44,12 +41,6 @@
 //! tokens.inc();
 //! tokens.add(2);
 //! latency.record(37);
-//!
-//! // Structured events flow to every installed sink.
-//! let sink = RingBufferSink::with_capacity(64);
-//! registry.add_sink(sink.clone());
-//! registry.emit(Event::new("split.begin").at(10).node(3).with("level", 1u64));
-//! assert_eq!(sink.count_kind("split.begin"), 1);
 //!
 //! // Snapshots capture, diff, and render the whole registry.
 //! let before = registry.snapshot();
@@ -62,15 +53,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod event;
 mod json;
 mod metrics;
-mod sink;
 mod snapshot;
 
-pub use event::{Event, Value};
 pub use metrics::{bucket_bounds, bucket_of, Counter, Gauge, Histogram, BUCKET_COUNT};
-pub use sink::{EventSink, JsonlSink, RingBufferSink};
 pub use snapshot::{HistogramSnapshot, MetricValue, Snapshot};
 
 use std::collections::HashMap;
@@ -85,19 +72,14 @@ enum Handle {
     Histogram(Arc<HistogramCell>),
 }
 
-struct Inner {
-    metrics: Mutex<HashMap<&'static str, Handle>>,
-    sinks: Mutex<Vec<Arc<dyn EventSink>>>,
-}
-
-/// A registry of named metrics and an event bus, shared by `Clone`.
+/// A registry of named metrics, shared by `Clone`.
 ///
 /// See the [crate docs](crate) for the full tour. A
 /// [disabled](Registry::disabled) registry accepts every call as a
 /// no-op, so instrumented code never branches on "is telemetry on".
 #[derive(Clone)]
 pub struct Registry {
-    inner: Option<Arc<Inner>>,
+    inner: Option<Arc<Mutex<HashMap<&'static str, Handle>>>>,
 }
 
 impl Registry {
@@ -105,15 +87,12 @@ impl Registry {
     #[must_use]
     pub fn new() -> Self {
         Registry {
-            inner: Some(Arc::new(Inner {
-                metrics: Mutex::new(HashMap::new()),
-                sinks: Mutex::new(Vec::new()),
-            })),
+            inner: Some(Arc::new(Mutex::new(HashMap::new()))),
         }
     }
 
-    /// A no-op registry: metric handles do nothing, events are dropped,
-    /// snapshots are empty. This is the [`Default`].
+    /// A no-op registry: metric handles do nothing, snapshots are
+    /// empty. This is the [`Default`].
     #[must_use]
     pub fn disabled() -> Self {
         Registry { inner: None }
@@ -129,7 +108,7 @@ impl Registry {
     fn lock_metrics(&self) -> Option<std::sync::MutexGuard<'_, HashMap<&'static str, Handle>>> {
         self.inner
             .as_ref()
-            .map(|i| i.metrics.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
+            .map(|i| i.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
     }
 
     /// The counter registered under `name` (created on first use).
@@ -184,39 +163,6 @@ impl Registry {
         match handle {
             Handle::Histogram(cell) => Histogram::active(Arc::clone(cell)),
             _ => panic!("metric '{name}' is registered with a different kind"),
-        }
-    }
-
-    /// Installs an event sink; every subsequent [`emit`](Registry::emit)
-    /// reaches it.
-    pub fn add_sink(&self, sink: Arc<dyn EventSink>) {
-        if let Some(inner) = &self.inner {
-            inner
-                .sinks
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .push(sink);
-        }
-    }
-
-    /// Broadcasts `event` to every installed sink (dropped when the
-    /// registry is disabled or has no sinks).
-    pub fn emit(&self, event: Event) {
-        if let Some(inner) = &self.inner {
-            let sinks = inner.sinks.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            for sink in sinks.iter() {
-                sink.emit(&event);
-            }
-        }
-    }
-
-    /// Flushes every installed sink (e.g. the JSONL writer's buffer).
-    pub fn flush(&self) {
-        if let Some(inner) = &self.inner {
-            let sinks = inner.sinks.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            for sink in sinks.iter() {
-                sink.flush();
-            }
         }
     }
 
@@ -317,10 +263,6 @@ mod tests {
         let h = reg.histogram("acn.test.noop_h");
         h.record(3);
         assert_eq!(h.count(), 0);
-        let sink = RingBufferSink::with_capacity(4);
-        reg.add_sink(sink.clone());
-        reg.emit(Event::new("ignored"));
-        assert_eq!(sink.len(), 0);
         assert!(reg.snapshot().is_empty());
     }
 
@@ -340,23 +282,6 @@ mod tests {
         let hd = delta.histogram("acn.test.window_h").expect("present");
         assert_eq!(hd.count, 2);
         assert_eq!(hd.sum, 22);
-    }
-
-    #[test]
-    fn events_reach_all_sinks_in_order() {
-        let reg = Registry::new();
-        let a = RingBufferSink::with_capacity(8);
-        let b = RingBufferSink::with_capacity(8);
-        reg.add_sink(a.clone());
-        reg.add_sink(b.clone());
-        reg.emit(Event::new("x").at(1));
-        reg.emit(Event::new("y").at(2).with("n", 3u64));
-        for sink in [a, b] {
-            let events = sink.events();
-            assert_eq!(events.len(), 2);
-            assert_eq!(events[0].kind, "x");
-            assert_eq!(events[1].field("n"), Some(&Value::U64(3)));
-        }
     }
 
     #[test]

@@ -15,8 +15,7 @@
 //!   one microsecond", which keeps relative layout exact.
 //!
 //! The export location honours the `ACN_TRACE_DIR` environment
-//! variable (falling back to `target/trace/` in the workspace), the
-//! same convention `ACN_TELEMETRY_DIR` uses for JSONL artifacts.
+//! variable (falling back to `target/trace/` in the workspace).
 
 use std::fs;
 use std::io;

@@ -7,8 +7,10 @@
 //! carries a stable end-to-end id through the distributed runtime;
 //! that id doubles as the **trace id**, and every hop the token takes
 //! — balancer traversal, leaf `fetch_add`, wire send / deliver /
-//! drop / retry, split/merge migration, stabilization step — records
-//! a [`Span`] against it.
+//! drop / retry — records a [`Span`] against it. The runtime's own
+//! occurrences — a split, a merge, a migration, a level change, a
+//! crash, a rescue — are recorded once each, as spans on
+//! [`SYSTEM_TRACE`]; `acn-telemetry` keeps only their counts.
 //!
 //! Three consumers:
 //!
@@ -59,8 +61,8 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use acn_telemetry::{bucket_of, HistogramSnapshot, BUCKET_COUNT};
 
 /// The reserved trace id for spans that belong to the runtime itself
-/// rather than to one token: split/merge migration, stabilization
-/// steps, simulator self-profiling. `u64::MAX` so it can never
+/// rather than to one token: splits, merges, migrations, level
+/// changes, crashes, rescues, simulator drops and self-profiling. `u64::MAX` so it can never
 /// collide with a token id (tokens are numbered from zero).
 pub const SYSTEM_TRACE: u64 = u64::MAX;
 

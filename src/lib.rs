@@ -13,8 +13,9 @@
 //!   distributed runtimes, split/merge protocols, routing).
 //! - [`periodic`] — the adaptive *periodic* network: the paper's
 //!   generality claim transferred to a second recursive decomposition.
-//! - [`telemetry`] — metrics registry and structured event tracing used
-//!   to observe all of the above (see `DESIGN.md` §"Telemetry").
+//! - [`telemetry`] — the metrics registry (counters, gauges, log₂
+//!   histograms, snapshots) used to observe all of the above (see
+//!   `DESIGN.md` §6).
 //! - [`trace`] — causal per-token span tracing, the flight recorder,
 //!   and the Chrome `trace_event` exporter (see `DESIGN.md` §10).
 

@@ -4,8 +4,9 @@
 //!    bit-identical results with and without a registry attached
 //!    (regression guard: instrumentation must never consume RNG draws
 //!    or change control flow).
-//! 2. A churn scenario populates the full metric and event surface —
-//!    every layer's instruments are asserted in one place.
+//! 2. A churn scenario populates the full metric surface — every
+//!    layer's instruments are asserted in one place — and records one
+//!    span per occurrence its counters count.
 //! 3. The shared-memory front-end's batch sizing reads no telemetry —
 //!    a lone shard stays at batch 1 beside a reconfiguring writer even
 //!    with a registry attached.
@@ -18,7 +19,7 @@ use adaptive_counting_networks::core::dist::Deployment;
 use adaptive_counting_networks::core::{ShardedFrontEnd, SharedAdaptiveNetwork};
 use adaptive_counting_networks::overlay::NodeId;
 use adaptive_counting_networks::simnet::SimStats;
-use adaptive_counting_networks::telemetry::{Registry, RingBufferSink, Snapshot, Value};
+use adaptive_counting_networks::telemetry::{Registry, Snapshot};
 use adaptive_counting_networks::topology::{ComponentId, Cut};
 use adaptive_counting_networks::trace::Tracer;
 
@@ -72,10 +73,8 @@ fn run_scenario_traced(
 fn telemetry_is_observation_only() {
     let baseline = run_scenario(None);
 
-    // Attached registry with an event sink: same seed, same behaviour.
+    // Attached registry: same seed, same behaviour.
     let registry = Registry::new();
-    let sink = RingBufferSink::with_capacity(1 << 20);
-    registry.add_sink(sink);
     let observed = run_scenario(Some(&registry));
     assert_eq!(baseline, observed, "telemetry changed deployment behaviour");
 
@@ -131,9 +130,9 @@ fn tracing_is_observation_only_and_span_deterministic() {
 #[test]
 fn churn_scenario_populates_the_full_metric_surface() {
     let registry = Registry::new();
-    let sink = RingBufferSink::with_capacity(1 << 20);
-    registry.add_sink(sink.clone());
-    let (stats, counts, splits_done, merges_done, _cut) = run_scenario(Some(&registry));
+    let tracer = Tracer::new(1 << 16);
+    let (stats, counts, splits_done, merges_done, _cut) =
+        run_scenario_traced(Some(&registry), Some(&tracer));
     let injected: u64 = counts.iter().sum();
     assert!(injected > 0 && splits_done > 0 && merges_done > 0, "scenario too quiet");
     let snap = registry.snapshot();
@@ -173,22 +172,21 @@ fn churn_scenario_populates_the_full_metric_surface() {
     assert!(err.is_finite() && err >= 0.0);
     assert!(snap.histogram("acn.estimator.walk_length").expect("walks").count > 0); // 17
 
-    // --- event stream ---
-    let begins = sink.count_kind("split.begin");
-    let ends = sink.count_kind("split.end");
-    assert_eq!(ends as u64, splits_done);
-    assert!(begins >= ends, "every completed split began");
+    // --- system spans: one per occurrence a counter counts ---
+    let spans = tracer.spans();
+    let count = |kind| spans.iter().filter(|s| s.kind == kind).count() as u64;
+    let counter = |name| snap.counter(name).unwrap_or(0);
+    assert_eq!(tracer.dropped(), 0, "the ring holds the whole run");
+    assert_eq!(count("net.split"), splits_done);
+    assert_eq!(count("net.merge"), merges_done);
+    assert_eq!(count("net.migrate"), counter("acn.dist.component_migrations"));
+    assert_eq!(count("dist.level_change"), counter("acn.dist.level_changes"));
+    assert_eq!(count("merge.abort"), counter("acn.dist.merge_aborts"));
+    assert!(count("split.begin") >= count("net.split"), "every completed split began");
     assert!(
-        sink.events_of_kind("split.end").iter().any(|e| {
-            matches!(e.field("duration"), Some(&Value::U64(d)) if d > 0)
-        }),
-        "at least one split.end must carry a positive duration"
+        spans.iter().any(|s| s.kind == "net.split" && s.end > s.start),
+        "at least one split must take positive time"
     );
-    assert_eq!(sink.count_kind("merge.end") as u64, merges_done);
-    assert!(sink.count_kind("merge.begin") >= sink.count_kind("merge.end"));
-    assert!(sink.count_kind("estimator.estimate") > 0);
-    assert!(sink.count_kind("dist.level_change") > 0);
-    assert!(sink.count_kind("dist.migrate") > 0);
 }
 
 /// Benchmark finding 3 (`benchmark/README.md`): with a registry
