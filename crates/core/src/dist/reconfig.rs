@@ -169,6 +169,7 @@ impl NodeProc {
                 Span::new("net.split", SYSTEM_TRACE)
                     .between(started_at, ctx.now())
                     .node(self.node.0)
+                    .with("component", id.to_u64())
                     .with("level", id.level() as u64)
                     .with("drained", drained),
             );
@@ -362,6 +363,7 @@ impl NodeProc {
             Span::new("net.merge", SYSTEM_TRACE)
                 .between(op.started_at, ctx.now())
                 .node(self.node.0)
+                .with("component", parent.to_u64())
                 .with("level", parent.level() as u64),
         );
     }
@@ -500,6 +502,7 @@ impl NodeProc {
                 Span::new("net.migrate", SYSTEM_TRACE)
                     .at(ctx.now())
                     .node(owner.0)
+                    .with("component", id.to_u64())
                     .with("from", self.node.0)
                     .with("level", id.level() as u64),
             );

@@ -222,6 +222,7 @@ impl NodeProc {
                 Span::new("rescue.install", SYSTEM_TRACE)
                     .at(ctx.now())
                     .node(owner.0)
+                    .with("component", id.to_u64())
                     .with("level", id.level() as u64),
             );
             let fresh = Component::new(&self.tree, &id);

@@ -183,6 +183,7 @@ fn churn_scenario_populates_the_full_metric_surface() {
     assert_eq!(count("dist.level_change"), counter("acn.dist.level_changes"));
     assert_eq!(count("merge.abort"), counter("acn.dist.merge_aborts"));
     assert!(count("split.begin") >= count("net.split"), "every completed split began");
+    assert!(count("merge.begin") >= count("net.merge"), "every completed merge began");
     assert!(
         spans.iter().any(|s| s.kind == "net.split" && s.end > s.start),
         "at least one split must take positive time"
