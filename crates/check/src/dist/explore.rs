@@ -100,10 +100,15 @@ pub struct DistReport {
     /// Deepest branching-decision stack reached.
     pub max_depth: usize,
     /// Branching decisions re-taken off the DFS stack to reach a fresh
-    /// node (the price of stateless replay; zero in random mode).
+    /// node, by an execution that could not resume from a fork (zero in
+    /// random mode).
     pub replayed_steps: u64,
     /// Branching decisions taken at fresh nodes.
     pub new_steps: u64,
+    /// Executions resumed from a fork of the run kept at a DFS node,
+    /// instead of booting afresh and replaying the prefix (exhaustive
+    /// mode; what makes `replayed_steps` zero there).
+    pub forks: u64,
     /// Fault actions applied, summed over all executions.
     pub fault_actions: u64,
     /// Timer-ahead-of-messages preemptions taken, summed over all
@@ -145,6 +150,7 @@ impl DistReport {
         registry.counter("acn.check.dist.states_seen").add(self.states_seen);
         registry.counter("acn.check.dist.replayed_steps").add(self.replayed_steps);
         registry.counter("acn.check.dist.new_steps").add(self.new_steps);
+        registry.counter("acn.check.dist.forks").add(self.forks);
         registry.gauge("acn.check.dist.max_depth").set(self.max_depth as f64);
         self.shrink.emit(registry);
     }
@@ -188,6 +194,7 @@ pub fn check_dist(config: &DistCheckConfig, scenario: &DistScenario) -> DistRepo
     report.max_depth = stats.max_depth;
     report.replayed_steps = stats.replayed_steps;
     report.new_steps = stats.new_steps;
+    report.forks = stats.forks;
     report.completed = stats.completed;
     if let Some((mut failure, seed)) = found {
         failure.seed = seed;

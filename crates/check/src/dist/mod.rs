@@ -911,6 +911,35 @@ impl Run for DistRun {
             }
         }
     }
+
+    /// Forks the deployment ([`Deployment::fork`]); everything else the
+    /// run holds is plain data. A recording run cannot fork: its flight
+    /// recorder is attached.
+    fn fork(&self) -> Option<Self> {
+        Some(DistRun {
+            d: self.d.fork(),
+            scenario: self.scenario.clone(),
+            injected: self.injected,
+            injected_per_wire: self.injected_per_wire.clone(),
+            next_action: self.next_action,
+            timer_budget: self.timer_budget,
+            drop_budget: self.drop_budget,
+            gossip_drop_budget: self.gossip_drop_budget,
+            initial_nodes: self.initial_nodes.clone(),
+            steps: self.steps,
+            max_steps: self.max_steps,
+            memoize: self.memoize,
+            last: self.last,
+            events: self.events.clone(),
+            record: self.record,
+            trace: self.trace.clone(),
+            choices_taken: self.choices_taken.clone(),
+            timer_preemptions_used: self.timer_preemptions_used,
+            drops_done: self.drops_done,
+            fault_actions_done: self.fault_actions_done,
+            tracer: self.tracer.clone(),
+        })
+    }
 }
 
 /// Short display name of a protocol message (schedule rendering).
@@ -953,6 +982,7 @@ fn msg_name(m: &Msg) -> String {
 mod tests {
     use super::oracles::check_terminal;
     use super::*;
+    use crate::engine::Mode;
 
     /// Regression test for a real finding of the deep random explorer
     /// (iteration seed `0x8e9d1fe37a19ad1` on the fault-injection
@@ -1035,5 +1065,147 @@ mod tests {
             run.apply(c, id).expect("apply tail choice");
         }
         check_terminal(&run, &s.oracles).expect("oracles hold in the terminal state");
+    }
+
+    /// The scenarios the exhaustive suites of `tests/dist_explore.rs`
+    /// explore (the planted mutation aside).
+    fn explored_suites() -> Vec<DistScenario> {
+        use DistAction::{
+            Crash, CrashHandOffTarget, CrashMidMerge, CrashMidSplit, Join, Merge, Split,
+        };
+        let root = ComponentId::root();
+        let suite = |(width, nodes, seed, injections, actions): (_, _, _, &[usize], Vec<_>)| {
+            let mut s = DistScenario::new(width, nodes, seed, injections.to_vec());
+            s.actions = actions;
+            s
+        };
+        let mut suites: Vec<DistScenario> = [
+            (2, 2, 0xD15C0, &[0, 1][..], vec![]),
+            (2, 2, 0xD15C3, &[0], vec![]),
+            (4, 2, 0xD15C1, &[0, 3], vec![Split(root), Merge(root)]),
+            (2, 3, 0xD15C2, &[0, 1], vec![Crash(1)]),
+            (2, 2, 0xD15C6, &[0], vec![]),
+            (4, 2, 0xD15C7, &[0, 3], vec![Split(root), CrashMidSplit]),
+            (4, 3, 0xD15C02, &[0, 3], vec![Split(root), CrashHandOffTarget]),
+            (4, 2, 0xD15C8, &[0, 3], vec![Split(root), Merge(root), CrashMidMerge]),
+            (4, 1, 0xD15CDD, &[0, 3], vec![Split(root), Join, Merge(root), CrashHandOffTarget]),
+            (2, 1, 0xD15C00, &[0, 1], vec![Join, CrashHandOffTarget]),
+        ]
+        .into_iter()
+        .map(suite)
+        .collect();
+        suites[0].timer_preemptions = 1;
+        suites[1].timer_preemptions = 1;
+        suites[1].max_drops = 1;
+        suites
+    }
+
+    /// Takes the recorded `choice` at the run's current decision.
+    fn step(run: &mut DistRun, choice: DistChoice) {
+        let frontier = run.frontier().expect("the recorded schedule runs clean").choices;
+        let (choice, id) = frontier
+            .into_iter()
+            .find(|(c, _)| *c == choice)
+            .expect("the recorded choice is on offer");
+        run.apply(choice, id).expect("the recorded schedule runs clean");
+    }
+
+    /// Everything a fork must agree with a replay on.
+    fn observed(run: &DistRun) -> impl PartialEq + std::fmt::Debug {
+        let c = run.d.collector();
+        (
+            run.d.canonical_fingerprint(),
+            run.fingerprint(),
+            format!("{:?}", run.d.sim.pending_snapshot()),
+            run.d.sim.link_clocks().collect::<Vec<_>>(),
+            (c.counts.clone(), c.total_latency, c.max_latency, c.duplicate_drops),
+            run.choices_taken.clone(),
+        )
+    }
+
+    /// A fork taken at any decision of a recorded schedule, and driven
+    /// through the rest of it, ends where a replay of the whole
+    /// schedule from a fresh boot ends; stepping it leaves the run it
+    /// was taken from as it was. The fork is taken where the explorer
+    /// takes it: after the decision's frontier, before its choice.
+    #[test]
+    fn a_fork_finishes_a_schedule_like_a_replay_from_scratch() {
+        let config = DistCheckConfig::exhaustive();
+        for (n, scenario) in explored_suites().iter().enumerate() {
+            let mut schedule = Vec::new();
+            let (_, found) = crate::engine::explore(
+                &Mode::Random { iterations: 1, seed: 0xF0 + n as u64 },
+                1,
+                || DistRun::new(scenario, &config, false),
+                |run| schedule = run.choices_taken.clone(),
+            );
+            assert!(found.is_none(), "suite {n} runs clean");
+            let mut replayed = DistRun::new(scenario, &config, false);
+            let end = crate::engine::replay(&mut replayed, &schedule, true);
+            assert!(matches!(end, Ok(None)), "suite {n} replays clean");
+            let replayed = observed(&replayed);
+            for k in 0..=schedule.len() {
+                let mut original = DistRun::new(scenario, &config, false);
+                for &choice in &schedule[..k] {
+                    step(&mut original, choice);
+                }
+                let frontier = original.frontier().expect("the prefix runs clean").choices;
+                let before = observed(&original);
+                let mut fork = original.fork().expect("an unrecorded run forks");
+                if let Some(&choice) = schedule.get(k) {
+                    let (choice, id) =
+                        frontier.into_iter().find(|(c, _)| *c == choice).expect("on offer");
+                    fork.apply(choice, id).expect("the recorded schedule runs clean");
+                }
+                let rest = schedule.get(k + 1..).unwrap_or_default();
+                let end = crate::engine::replay(&mut fork, rest, true);
+                assert!(matches!(end, Ok(None)), "suite {n}, fork at {k} runs clean");
+                assert_eq!(observed(&fork), replayed, "suite {n}, fork at {k}");
+                assert_eq!(observed(&original), before, "suite {n}: stepping the fork at {k}");
+            }
+        }
+    }
+
+    /// Exhausts `scenario` from runs `start` makes: the search's
+    /// statistics, and the fault actions, timer preemptions and drops
+    /// its executions took.
+    fn exhaust<R: Run<Failure = DistFailure>>(
+        start: impl FnMut() -> R,
+        inner: impl Fn(&R) -> &DistRun,
+    ) -> (crate::engine::Stats, [u64; 3]) {
+        let mut taken = [0; 3];
+        let (stats, found) = crate::engine::explore(
+            &Mode::Exhaustive,
+            DistCheckConfig::default().max_schedules,
+            start,
+            |run| {
+                let run = inner(run);
+                taken[0] += run.fault_actions_done;
+                taken[1] += run.timer_preemptions_used;
+                taken[2] += run.drops_done;
+            },
+        );
+        assert!(found.is_none() && stats.completed, "the suite exhausts clean");
+        (stats, taken)
+    }
+
+    /// The exhaustive search decides the same with and without forking:
+    /// every statistic but how nodes were reached is equal, and a run
+    /// that can fork replays nothing.
+    #[test]
+    fn forking_changes_no_statistic_of_the_search() {
+        let config = DistCheckConfig::exhaustive();
+        let decided = |(s, taken): &(crate::engine::Stats, [u64; 3])| {
+            let pruned = (s.sleep_prunes, s.memo_prunes, s.states_seen);
+            (s.schedules, pruned, s.max_depth, s.new_steps, *taken)
+        };
+        for (n, scenario) in explored_suites().iter().enumerate() {
+            let start = || DistRun::new(scenario, &config, false);
+            let forked = exhaust(start, |run| run);
+            let replayed = exhaust(|| crate::engine::Replayed(start()), |run| &run.0);
+            assert_eq!(decided(&forked), decided(&replayed), "suite {n}");
+            assert_eq!((forked.0.replayed_steps, replayed.0.forks), (0, 0), "suite {n}");
+            assert!(forked.0.forks > 0 && replayed.0.replayed_steps > 0, "suite {n}");
+        }
     }
 }

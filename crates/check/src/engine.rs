@@ -12,9 +12,14 @@
 //!
 //! # Exhaustive mode
 //!
-//! Stateless replay DFS: every execution re-runs the scenario from
-//! scratch, replays the choice prefix on the DFS stack, then extends it
-//! leftmost until the execution finishes or is pruned. Two prunings
+//! DFS that resumes from a fork where the run can fork and replays
+//! where it cannot. A fresh node with untried alternatives keeps a
+//! [`fork`](Run::fork) of the run from just before its first choice;
+//! backtracking to it resumes a copy of that fork (the node's last
+//! alternative takes the fork itself). A run that cannot fork re-runs
+//! the scenario from scratch and replays the choice prefix on the DFS
+//! stack. Either way the execution then extends leftmost until it
+//! finishes or is pruned, and every decision is the same. Two prunings
 //! keep the space tractable:
 //!
 //! - **Sleep sets**: after the subtree for choice id `t` is fully
@@ -98,6 +103,12 @@ pub(crate) trait Run {
     fn remaining(&self) -> usize;
     /// Applies one choice from the current frontier.
     fn apply(&mut self, choice: Self::Choice, id: Self::Id) -> Result<(), Self::Failure>;
+    /// An independent copy of the run at its current decision, which
+    /// continues exactly as this run would; `None` if the run cannot be
+    /// copied (it is then reached again by replay).
+    fn fork(&self) -> Option<Self>
+    where
+        Self: Sized;
 }
 
 /// What an exploration counted; each checker's report copies it.
@@ -110,6 +121,7 @@ pub(crate) struct Stats {
     pub(crate) max_depth: usize,
     pub(crate) replayed_steps: u64,
     pub(crate) new_steps: u64,
+    pub(crate) forks: u64,
     pub(crate) completed: bool,
 }
 
@@ -139,28 +151,41 @@ pub(crate) fn explore<R: Run>(
     (stats, failure)
 }
 
+/// A choice with its id.
+type Step<R> = (<R as Run>::Choice, <R as Run>::Id);
+
 /// One node of the DFS stack.
-struct Node<C, I> {
+struct Node<R: Run> {
     /// Choices taken at this node so far; the last one is on the
     /// current path.
-    taken: Vec<(C, I)>,
+    taken: Vec<Step<R>>,
     /// Alternatives not yet explored.
-    todo: Vec<(C, I)>,
+    todo: Vec<Step<R>>,
     /// Sleep set when the node was first reached.
-    sleep_entry: BTreeSet<I>,
+    sleep_entry: BTreeSet<R::Id>,
+    /// The run from just before this node's first choice, while
+    /// alternatives remain and the run can fork.
+    fork: Option<R>,
 }
 
-impl<C, I: Ord + Copy> Node<C, I> {
+impl<R: Run> Node<R> {
     /// Ids whose subtrees at this node are fully explored (they sleep
     /// in the remaining subtrees).
-    fn exhausted(&self) -> BTreeSet<I> {
+    fn exhausted(&self) -> BTreeSet<R::Id> {
         let current = self.taken.last().map(|(_, id)| *id);
-        let open: BTreeSet<I> = self.todo.iter().map(|(_, id)| *id).collect();
+        let open: BTreeSet<R::Id> = self.todo.iter().map(|(_, id)| *id).collect();
         self.taken
             .iter()
             .map(|(_, id)| *id)
             .filter(|id| Some(*id) != current && !open.contains(id))
             .collect()
+    }
+
+    /// The choice on the current path and the sleep set its subtree
+    /// must respect, for an execution that reaches this node again.
+    fn revisit(&self) -> (Step<R>, BTreeSet<R::Id>) {
+        let step = *self.taken.last().expect("a node has a choice");
+        (step, &self.sleep_entry | &self.exhausted())
     }
 }
 
@@ -180,11 +205,19 @@ fn exhaustive<R: Run>(
     start: &mut impl FnMut() -> R,
     end: &mut impl FnMut(&R),
 ) -> Option<R::Failure> {
-    let mut path: Vec<Node<R::Choice, R::Id>> = Vec::new();
+    let mut path: Vec<Node<R>> = Vec::new();
     let mut memo: Memo<R::Id> = Memo::new();
+    // A fork of the run at the node to resume next, and its depth.
+    let mut resume: Option<(R, usize)> = None;
     for _ in 0..max_executions {
-        let mut run = start();
-        let outcome = run_to_end(&mut run, &mut path, &mut memo, stats);
+        let (mut run, at) = match resume.take() {
+            Some((run, at)) => {
+                stats.forks += 1;
+                (run, Some(at))
+            }
+            None => (start(), None),
+        };
+        let outcome = run_to_end(&mut run, at, &mut path, &mut memo, stats);
         end(&run);
         match outcome {
             End::Finished => stats.schedules += 1,
@@ -196,6 +229,7 @@ fn exhaustive<R: Run>(
         }
         // Backtrack to the deepest node with an untried alternative.
         loop {
+            let depth = path.len();
             let Some(top) = path.last_mut() else {
                 stats.completed = true;
                 return None;
@@ -205,6 +239,13 @@ fn exhaustive<R: Run>(
             } else {
                 let next = top.todo.remove(0);
                 top.taken.push(next);
+                // The last alternative takes the fork itself.
+                let fork = if top.todo.is_empty() {
+                    top.fork.take()
+                } else {
+                    top.fork.as_ref().and_then(R::fork)
+                };
+                resume = fork.map(|run| (run, depth - 1));
                 break;
             }
         }
@@ -212,16 +253,28 @@ fn exhaustive<R: Run>(
     None
 }
 
-/// Runs one execution to its end, replaying `path` and extending it at
-/// the first fresh node.
+/// Runs one execution to its end, extending `path` at the first fresh
+/// node. A run resumed from the fork kept at depth `at` starts with
+/// that node's current choice; a fresh run replays `path` up to there.
 fn run_to_end<R: Run>(
     run: &mut R,
-    path: &mut Vec<Node<R::Choice, R::Id>>,
+    at: Option<usize>,
+    path: &mut Vec<Node<R>>,
     memo: &mut Memo<R::Id>,
     stats: &mut Stats,
 ) -> End<R::Failure> {
     let mut sleep: BTreeSet<R::Id> = BTreeSet::new();
     let mut depth = 0usize;
+    if let Some(at) = at {
+        // The fork is at this node's decision, its frontier taken (the
+        // path already reached this depth once).
+        let ((choice, id), restored) = path[at].revisit();
+        sleep = restored;
+        depth = at + 1;
+        if let Err(failure) = run.apply(choice, id) {
+            return End::Failed(failure);
+        }
+    }
     loop {
         let frontier = match run.frontier() {
             Ok(frontier) if frontier.choices.is_empty() => return End::Finished,
@@ -232,9 +285,10 @@ fn run_to_end<R: Run>(
         let (choice, id) = if let Some(node) = path.get(depth) {
             // Replay segment: take the recorded choice and restore the
             // sleep set this node's remaining subtrees must respect.
-            sleep = &node.sleep_entry | &node.exhausted();
+            let (step, restored) = node.revisit();
+            sleep = restored;
             stats.replayed_steps += 1;
-            *node.taken.last().expect("replayed node has a choice")
+            step
         } else {
             if let Some(fingerprint) = run.fingerprint() {
                 let remaining = run.remaining();
@@ -255,11 +309,9 @@ fn run_to_end<R: Run>(
                 stats.sleep_prunes += 1;
                 return End::Pruned;
             };
-            path.push(Node {
-                taken: vec![first],
-                todo: awake.collect(),
-                sleep_entry: sleep.clone(),
-            });
+            let todo: Vec<_> = awake.collect();
+            let fork = if todo.is_empty() { None } else { run.fork() };
+            path.push(Node { taken: vec![first], todo, sleep_entry: sleep.clone(), fork });
             stats.new_steps += 1;
             first
         };
@@ -372,5 +424,38 @@ pub(crate) fn replay<R: Run>(
         if let Err(failure) = run.apply(choice, id) {
             return Ok(Some(failure));
         }
+    }
+}
+
+/// A run that never forks, so the explorer reaches every node by
+/// replay: what the exhaustive search did before runs could fork, kept
+/// to show forking changes no decision.
+#[cfg(test)]
+pub(crate) struct Replayed<R>(pub(crate) R);
+
+#[cfg(test)]
+impl<R: Run> Run for Replayed<R> {
+    type Choice = R::Choice;
+    type Id = R::Id;
+    type Failure = R::Failure;
+    const VARIANTS: bool = R::VARIANTS;
+
+    fn frontier(&mut self) -> Result<Frontier<Self::Choice, Self::Id>, Self::Failure> {
+        self.0.frontier()
+    }
+    fn wakes(&self, sleeper: Self::Id) -> bool {
+        self.0.wakes(sleeper)
+    }
+    fn fingerprint(&self) -> Option<u64> {
+        self.0.fingerprint()
+    }
+    fn remaining(&self) -> usize {
+        self.0.remaining()
+    }
+    fn apply(&mut self, choice: Self::Choice, id: Self::Id) -> Result<(), Self::Failure> {
+        self.0.apply(choice, id)
+    }
+    fn fork(&self) -> Option<Self> {
+        None
     }
 }

@@ -98,6 +98,9 @@ pub struct Report {
     pub replayed_steps: u64,
     /// Decisions taken at fresh nodes.
     pub new_steps: u64,
+    /// Executions resumed from a fork of the run instead of replayed.
+    /// Always zero: a run owns OS threads and cannot fork.
+    pub forks: u64,
     /// Whether the space was exhausted (exhaustive) / all iterations
     /// ran (random) within the budget.
     pub completed: bool,
@@ -124,6 +127,7 @@ impl Report {
         registry.counter("acn.check.states_seen").add(self.states_seen);
         registry.counter("acn.check.replayed_steps").add(self.replayed_steps);
         registry.counter("acn.check.new_steps").add(self.new_steps);
+        registry.counter("acn.check.forks").add(self.forks);
         registry.counter("acn.check.failures").add(self.failures.len() as u64);
         registry.gauge("acn.check.max_depth").set(self.max_depth as f64);
         self.shrink.emit(registry);
@@ -166,6 +170,7 @@ where
         max_depth: stats.max_depth,
         replayed_steps: stats.replayed_steps,
         new_steps: stats.new_steps,
+        forks: stats.forks,
         completed: stats.completed,
         ..Report::default()
     };
@@ -326,5 +331,11 @@ impl Run for ThreadRun {
         self.steps += 1;
         self.kernel.grant(choice);
         Ok(())
+    }
+
+    /// A run owns the OS threads of its scenario, which cannot be
+    /// copied: the explorer reaches its nodes by replay.
+    fn fork(&self) -> Option<Self> {
+        None
     }
 }

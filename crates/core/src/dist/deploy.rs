@@ -31,7 +31,7 @@ use super::world::{DistMetrics, World};
 /// schedule explorer found exactly this interleaving (a retry timer
 /// preempting a pending delivery), so exactly-once counting is
 /// enforced end to end here, where every copy of a token converges.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Collector {
     /// Exits per output wire.
     pub counts: Vec<u64>,
@@ -138,7 +138,7 @@ impl Process<Msg> for Collector {
 /// per-variant waste is bounded and boxing would only add an
 /// indirection on every message dispatch.
 #[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum Proc {
     /// An overlay node.
     Node(NodeProc),
@@ -304,6 +304,47 @@ impl Deployment {
         if let Some(Proc::Collector(c)) = self.sim.process_mut(COLLECTOR) {
             c.tracer = tracer.clone();
         }
+    }
+
+    /// Whether a registry, tracer or self-profiler is attached anywhere
+    /// in the deployment: the simulator, the world or the collector (a
+    /// registry attaches all of the world's handles at once, so one
+    /// stands for them).
+    fn is_observed(&self) -> bool {
+        let w = self.world.borrow();
+        self.sim.is_observed()
+            || w.metrics.splits.is_enabled()
+            || w.tracer.is_enabled()
+            || matches!(self.sim.process(COLLECTOR),
+                Some(Proc::Collector(c)) if c.exits.is_enabled() || c.tracer.is_enabled())
+    }
+
+    /// An independent copy of the deployment in its current state: the
+    /// simulator with every process, pending event, clock and RNG, and
+    /// a `World` of its own that every copied node points at. Stepping
+    /// one leaves the other as it was, and each continues exactly as
+    /// the original would have.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a registry, tracer or self-profiler is attached: those
+    /// handles are shared, so the copy would report into the
+    /// original's.
+    #[must_use]
+    pub fn fork(&self) -> Deployment {
+        assert!(
+            !self.is_observed(),
+            "cannot fork a deployment with a registry, tracer or self-profiler attached: \
+             the copy would share it with the original"
+        );
+        let world = Rc::new(RefCell::new(self.world.borrow().clone()));
+        let mut sim = self.sim.clone();
+        for proc in sim.processes_mut() {
+            if let Proc::Node(np) = proc {
+                np.world = Rc::clone(&world);
+            }
+        }
+        Deployment { sim, world, level_period: self.level_period, seed: self.seed }
     }
 
     /// Disables **all three** token-dedup layers — the receiver-side

@@ -85,7 +85,7 @@ pub fn force_merge_tag(id: &ComponentId) -> u64 {
 }
 
 /// One overlay node of the distributed adaptive counting network.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct NodeProc {
     pub(super) world: Rc<RefCell<World>>,
     pub(super) node: NodeId,
@@ -119,6 +119,11 @@ pub struct NodeProc {
     pub(super) cache: BTreeMap<WireAddress, usize>,
     /// Current level estimate `l_v`.
     pub(super) level: usize,
+    /// The estimator's last answer and the view epoch it was taken at:
+    /// the estimate reads only the view's ring, which cannot change
+    /// while the epoch stands. Derived state, so no fingerprint covers
+    /// it.
+    pub(super) estimate: Option<(u64, usize)>,
     /// Period of the level-maintenance timer.
     pub(super) level_period: u64,
     /// Local membership view and failure detector.
@@ -162,6 +167,7 @@ impl NodeProc {
             retry_armed: false,
             cache: BTreeMap::new(),
             level: 0,
+            estimate: None,
             level_period,
             view: View::new(node),
             rescue: None,
@@ -424,11 +430,16 @@ impl NodeProc {
             }
             return;
         }
-        let level = self
-            .metrics()
-            .estimator
-            .node_level(self.view.ring(), self.node)
-            .min(self.tree.max_level());
+        let epoch = self.view.epoch();
+        let estimate = match self.estimate {
+            Some((at, estimate)) if at == epoch => estimate,
+            _ => {
+                let estimate = self.metrics().estimator.node_level(self.view.ring(), self.node);
+                self.estimate = Some((epoch, estimate));
+                estimate
+            }
+        };
+        let level = estimate.min(self.tree.max_level());
         if level != self.level {
             self.metrics().level_changes.inc();
             self.trace(

@@ -61,7 +61,7 @@ impl Hosted {
 /// themselves; a send that changes the owner a Section 3.5 cache entry
 /// guesses moves it through [`touch`](Self::touch). Read access is the
 /// map's own.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub(super) struct Hosting {
     map: BTreeMap<ComponentId, Hosted>,
     epoch: u64,

@@ -1,4 +1,6 @@
 use super::*;
+use std::cell::RefCell;
+use std::rc::Rc;
 use acn_overlay::NodeId;
 use acn_simnet::ProcessId;
 use acn_topology::ComponentId;
@@ -562,4 +564,63 @@ fn chained_arrival_entry_outlives_its_watermark() {
     assert_eq!(d.world.borrow().duplicate_traversal_drops, 1, "the ledger dropped the copy");
     let collector = d.collector();
     assert_eq!((collector.total(), collector.duplicate_drops), (2, 0));
+}
+
+/// A fork is a deployment of its own: every node of it points at the
+/// fork's world, running it leaves the original where it was, and the
+/// two then run alike (the seeded policy's latency draws included).
+#[test]
+fn a_fork_runs_like_the_original_and_apart_from_it() {
+    let mut d = Deployment::new(32, 8, 0xF0);
+    let mut seed = 3u64;
+    for _ in 0..40 {
+        d.inject((acn_overlay::splitmix64(&mut seed) as usize) % 32);
+    }
+    d.run_for(3_000);
+    let mut fork = d.fork();
+    let worlds = |d: &Deployment| -> Vec<Rc<RefCell<World>>> {
+        d.sim
+            .process_ids()
+            .filter_map(|pid| match d.sim.process(pid) {
+                Some(Proc::Node(np)) => Some(Rc::clone(&np.world)),
+                _ => None,
+            })
+            .collect()
+    };
+    assert_eq!(worlds(&fork).len(), 8);
+    assert!(worlds(&fork).iter().all(|w| Rc::ptr_eq(w, &fork.world)));
+    assert!(!Rc::ptr_eq(&fork.world, &d.world));
+    let before = (d.canonical_fingerprint(), d.sim.stats(), d.collector().total());
+    fork.run_for(100_000);
+    assert_eq!((d.canonical_fingerprint(), d.sim.stats(), d.collector().total()), before);
+    d.run_for(100_000);
+    assert_eq!(fork.canonical_fingerprint(), d.canonical_fingerprint());
+    assert_eq!(fork.sim.stats(), d.sim.stats());
+    assert_eq!(fork.collector().counts, d.collector().counts);
+    assert_eq!(fork.world.borrow().splits_done, d.world.borrow().splits_done);
+    assert_eq!(fork.collector().total(), 40);
+}
+
+#[test]
+#[should_panic(expected = "cannot fork a deployment with a registry, tracer or self-profiler")]
+fn forking_a_deployment_with_a_tracer_panics() {
+    let mut d = Deployment::new(8, 2, 1);
+    d.attach_tracer(&acn_trace::Tracer::new(16));
+    let _ = d.fork();
+}
+
+#[test]
+#[should_panic(expected = "cannot fork a deployment with a registry, tracer or self-profiler")]
+fn forking_a_deployment_with_a_registry_panics() {
+    let mut d = Deployment::new(8, 2, 1);
+    d.attach_telemetry(&acn_telemetry::Registry::new());
+    let _ = d.fork();
+}
+
+#[test]
+#[should_panic(expected = "cannot fork a deployment with a registry, tracer or self-profiler")]
+fn forking_a_deployment_with_a_self_profiler_panics() {
+    let mut d = Deployment::new(8, 2, 1);
+    d.sim.attach_self_profiler(&acn_trace::Tracer::new(16));
+    let _ = d.fork();
 }

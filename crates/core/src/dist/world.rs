@@ -14,7 +14,7 @@ use acn_trace::Tracer;
 /// Pre-resolved telemetry handles for the distributed runtime
 /// (`acn.dist.*`). All handles are no-ops until
 /// [`Deployment::attach_telemetry`](super::Deployment::attach_telemetry) wires in an enabled registry.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub(super) struct DistMetrics {
     /// Inter-node hops a token took before exiting (recorded at the
     /// network output).
@@ -132,7 +132,7 @@ impl DistMetrics {
 /// Global state shared by all processes of one simulation: the overlay
 /// ring (authoritative membership), the decomposition tree, and
 /// aggregate statistics.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct World {
     /// The decomposition tree of the network.
     pub tree: Tree,

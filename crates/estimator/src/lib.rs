@@ -159,7 +159,9 @@ pub fn node_level(ring: &Ring, node: NodeId) -> usize {
 ///   real deployment would leave this gauge untouched).
 /// - `level` (gauge) — the latest derived level estimate `l_v`.
 /// - `walk_length` (histogram) — successors walked per estimate.
-/// - `estimates` (counter) — estimates performed.
+/// - `estimates` (counter) — estimates computed. A caller that reuses
+///   an earlier answer (the dist runtime's level tick does while its
+///   node's view stands) computes, and counts, none.
 #[derive(Debug, Default, Clone)]
 pub struct InstrumentedEstimator {
     size: acn_telemetry::Gauge,

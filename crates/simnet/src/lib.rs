@@ -173,7 +173,7 @@ pub struct SimStats {
 /// Pre-resolved telemetry handles for the simulator's hot path
 /// (`acn.sim.*`). All handles are no-ops until
 /// [`Simulator::attach_telemetry`] is called with an enabled registry.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct SimMetrics {
     /// Per-message delivery latency (delivery time − send time), ticks.
     latency: Histogram,
@@ -299,11 +299,13 @@ pub struct PendingEvent {
     pub lossy: bool,
 }
 
+#[derive(Clone)]
 enum Payload<M> {
     Message { from: ProcessId, msg: M },
     Timer { tag: u64 },
 }
 
+#[derive(Clone)]
 struct Event<M> {
     time: u64,
     seq: u64,
@@ -391,6 +393,13 @@ impl<M> Ord for Event<M> {
 }
 
 /// The discrete-event simulator.
+///
+/// A clone (where messages and processes clone) is an independent
+/// simulator in the same state: the same pending events, clocks and
+/// RNG, so it continues exactly as the original would. Attached
+/// telemetry and tracers are shared handles, and a clone shares them
+/// ([`is_observed`](Self::is_observed)).
+#[derive(Clone)]
 pub struct Simulator<M, P> {
     /// Registered processes. A `BTreeMap` so that `process_ids()` has a
     /// deterministic (sorted) order: harnesses iterate it for sweeps
@@ -511,6 +520,15 @@ impl<M, P: Process<M>> Simulator<M, P> {
         self.self_profiler = tracer.clone();
     }
 
+    /// Whether a registry, tracer or self-profiler is attached: a clone
+    /// would report into the same handles as the original.
+    #[must_use]
+    pub fn is_observed(&self) -> bool {
+        self.metrics.delivered.is_enabled()
+            || self.tracer.is_enabled()
+            || self.self_profiler.is_enabled()
+    }
+
     /// The current simulated time.
     #[must_use]
     pub fn now(&self) -> u64 {
@@ -561,6 +579,11 @@ impl<M, P: Process<M>> Simulator<M, P> {
     #[must_use]
     pub fn process_mut(&mut self, id: ProcessId) -> Option<&mut P> {
         self.processes.get_mut(&id)
+    }
+
+    /// Exclusive access to every process, in ascending id order.
+    pub fn processes_mut(&mut self) -> impl Iterator<Item = &mut P> + '_ {
+        self.processes.values_mut()
     }
 
     /// Iterates over the registered process ids in ascending order

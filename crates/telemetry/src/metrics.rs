@@ -165,6 +165,12 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.cell.as_ref().map_or(0, |c| c.get())
     }
+
+    /// Whether updates land in a registry (clones share that cell).
+    #[must_use]
+    pub fn is_enabled(&self) -> bool {
+        self.cell.is_some()
+    }
 }
 
 /// A last-value-wins metric handle holding an `f64`.

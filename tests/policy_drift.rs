@@ -43,6 +43,7 @@
 use adaptive_counting_networks::core::dist::{Deployment, Proc};
 use adaptive_counting_networks::overlay::NodeId;
 use adaptive_counting_networks::telemetry::Registry;
+use adaptive_counting_networks::trace::Tracer;
 
 /// Deterministic mixed workload in the shape of the E10 adaptivity
 /// harness: growth, traffic, shrink, all seeded.
@@ -253,13 +254,19 @@ fn seeded_crash_and_leave_run_matches_pre_inline_id_capture() {
 /// escalate their backoff and retry, and a merge is aborted over
 /// unsettled traffic — paths none of the goldens above reach. Captured
 /// at the commit before `dist.rs` was cut into `dist/` (PR 15).
+///
+/// The only golden run that aborts a merge, so it also holds the
+/// `merge.abort` span count to `acn.dist.merge_aborts` (tracing is
+/// observation-only: the golden is the untraced capture).
 #[test]
 fn seeded_backpressure_run_matches_pre_split_capture() {
     use adaptive_counting_networks::overlay::splitmix64;
     let width = 32;
     let registry = Registry::new();
+    let tracer = Tracer::new(1 << 17);
     let mut d = Deployment::new(width, 6, 0x77);
     d.attach_telemetry(&registry);
+    d.attach_tracer(&tracer);
     d.set_frozen_buffer_cap(1);
     let mut seed = 1u64;
     let mut injected = 0u64;
@@ -288,6 +295,9 @@ fn seeded_backpressure_run_matches_pre_split_capture() {
     let sheds = snap.counter("acn.dist.backoff.sheds").unwrap_or(0);
     let merge_aborts = snap.counter("acn.dist.merge_aborts").unwrap_or(0);
     assert!(sheds > 0 && merge_aborts > 0, "the run no longer reaches the paths it pins");
+    assert_eq!(tracer.dropped(), 0, "the ring holds the whole run");
+    let abort_spans = tracer.spans().iter().filter(|s| s.kind == "merge.abort").count() as u64;
+    assert_eq!((abort_spans, merge_aborts), (1, 1), "one merge.abort span per aborted merge");
     fp.extend([sheds, merge_aborts]);
     let golden: Vec<u64> = vec![
         640, 23106, 0, 0, 6327, 29433, 7, 6, 1533, 60, 4985, 640, 110804, 2417, 23106, 6327,
