@@ -17,10 +17,7 @@ use std::collections::{BinaryHeap, HashMap};
 use acn_core::component::Component;
 use acn_core::ConvergedNetwork;
 use acn_overlay::Ring;
-use acn_topology::{
-    input_port_of, network_input_address, resolve_output, ComponentId, Cut, OutputDestination,
-    Tree, WireAddress, WiringStyle,
-};
+use acn_topology::{Cut, CutWiring, Route, Tree};
 
 use crate::util::{section, seeded_ring, Table};
 
@@ -30,40 +27,35 @@ const HOP_LATENCY: u64 = 4;
 /// Runs a batch of `tokens` through the cut's component network with
 /// per-node FIFO service (1 token/tick/node) and returns the makespan.
 fn timed_makespan(tree: &Tree, cut: &Cut, ring: &Ring, tokens: u64) -> u64 {
-    let style = WiringStyle::Ahs;
-    let mut components: HashMap<ComponentId, Component> = cut
-        .leaves()
-        .iter()
-        .map(|id| (*id, Component::new(tree, id)))
-        .collect();
-    // Node service availability.
+    let wiring = CutWiring::new(tree, cut);
+    let mut components: Vec<Component> =
+        wiring.leaves().map(|id| Component::new(tree, id)).collect();
+    // Each leaf's host, and node service availability.
+    let hosts: Vec<u64> =
+        wiring.leaves().map(|id| ring.owner_of_name(tree.preorder_index(id)).0).collect();
     let mut node_free: HashMap<u64, u64> = HashMap::new();
-    // Event queue: (arrival time, sequence, wire address).
-    let mut heap: BinaryHeap<Reverse<(u64, u64, WireAddress)>> = BinaryHeap::new();
+    // Event queue: (arrival time, sequence, leaf, input port).
+    let mut heap: BinaryHeap<Reverse<(u64, u64, usize, usize)>> = BinaryHeap::new();
     let w = tree.width();
     for t in 0..tokens {
         let wire = (t % w as u64) as usize;
-        let addr = network_input_address(tree, wire, style);
-        heap.push(Reverse((0, t, addr)));
+        let (leaf, port) = wiring.input(wire);
+        heap.push(Reverse((0, t, leaf, port)));
     }
     let mut seq = tokens;
     let mut makespan = 0u64;
-    while let Some(Reverse((time, _, addr))) = heap.pop() {
-        let owner = addr.owner_under(cut).expect("valid cut");
-        let node = ring.owner_of_name(tree.preorder_index(&owner));
-        let free = node_free.entry(node.0).or_insert(0);
+    while let Some(Reverse((time, _, leaf, port))) = heap.pop() {
+        let free = node_free.entry(hosts[leaf]).or_insert(0);
         let start = time.max(*free);
         *free = start + 1; // one token per tick per node
-        let comp = components.get_mut(&owner).expect("live component");
-        let port = input_port_of(tree, &owner, &addr, style);
-        let out = comp.process_token(port);
+        let out = components[leaf].process_token(Some(port));
         let done = start + 1;
-        match resolve_output(tree, &owner, out, style) {
-            OutputDestination::Wire(next) => {
+        match wiring.routes(leaf)[out] {
+            Route::Leaf { leaf, port } => {
                 seq += 1;
-                heap.push(Reverse((done + HOP_LATENCY, seq, next)));
+                heap.push(Reverse((done + HOP_LATENCY, seq, leaf, port)));
             }
-            OutputDestination::NetworkOutput(_) => makespan = makespan.max(done),
+            Route::Exit(_) => makespan = makespan.max(done),
         }
     }
     makespan

@@ -213,36 +213,21 @@ pub fn periodic_network(w: usize) -> BalancingNetwork {
 /// (every leaf must have width 2).
 #[must_use]
 pub fn from_cut_wiring(wiring: &acn_topology::CutWiring) -> BalancingNetwork {
-    use acn_topology::ComponentId;
-    use std::collections::HashMap;
+    use acn_topology::Route;
 
-    let tree = wiring.tree();
-    let leaves: Vec<ComponentId> = {
-        let mut v: Vec<ComponentId> = wiring.leaves().cloned().collect();
-        v.sort();
-        v
+    let dest = |route: &Route| match *route {
+        Route::Leaf { leaf, .. } => Dest::Balancer(leaf),
+        Route::Exit(wire) => Dest::Output(wire),
     };
-    let index: HashMap<&ComponentId, usize> =
-        leaves.iter().enumerate().map(|(i, l)| (l, i)).collect();
-    let mut balancers = Vec::with_capacity(leaves.len());
-    for leaf in &leaves {
-        let info = tree.info(leaf).expect("valid leaf");
-        assert_eq!(info.width, 2, "from_cut_wiring requires the balancer cut");
-        let mut dests = [Dest::Output(usize::MAX); 2];
-        for (port, dest) in dests.iter_mut().enumerate() {
-            *dest = match wiring.out_neighbor(leaf, port) {
-                Some(n) => Dest::Balancer(index[n]),
-                None => Dest::Output(
-                    wiring.network_output(leaf, port).expect("port is output"),
-                ),
-            };
-        }
-        balancers.push(dests);
-    }
-    let inputs = (0..tree.width())
-        .map(|wire| Dest::Balancer(index[&wiring.input_owner(wire).id]))
+    let balancers = (0..wiring.len())
+        .map(|leaf| match wiring.routes(leaf) {
+            [top, bottom] => [dest(top), dest(bottom)],
+            _ => panic!("from_cut_wiring requires the balancer cut"),
+        })
         .collect();
-    BalancingNetwork::new(tree.width(), inputs, balancers)
+    let width = wiring.tree().width();
+    let inputs = (0..width).map(|wire| Dest::Balancer(wiring.input(wire).0)).collect();
+    BalancingNetwork::new(width, inputs, balancers)
 }
 
 #[cfg(test)]

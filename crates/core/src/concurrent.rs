@@ -55,32 +55,21 @@
 //! assert_eq!(net.total_exited(), 400);
 //! ```
 
-use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 
 use acn_sync::{CachePadded, Ordering, RealSync, SyncApi, SyncAtomicU64, SyncRwLock};
 use acn_telemetry::{Counter, Histogram, Registry};
 use acn_trace::{Span, Tracer};
 
-use acn_topology::{
-    input_port_of, network_input_address, resolve_output, ComponentId, Cut, OutputDestination,
-};
+use acn_topology::{ComponentId, Cut, CutWiring, Route};
 
 use crate::component::port_emissions;
 use crate::local::{AdaptError, LocalAdaptiveNetwork};
 
-/// Where a leaf's output port sends a token, precomputed at compile
-/// time so the hot path does no topology resolution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum FastRoute {
-    /// An internal wire into another leaf of the same compilation.
-    Leaf { leaf: usize, port: usize },
-    /// A network output wire.
-    Exit(usize),
-}
-
 /// One live leaf component, reduced to its fast-path essentials: an
-/// atomic round-robin counter plus an atomic arrival profile.
+/// atomic round-robin counter plus an atomic arrival profile, next to
+/// its output routes (copied out of the [`CutWiring`], so a hop reads
+/// them from the leaf it is at).
 ///
 /// `base_tokens` is the model component's counter at compile time; the
 /// j-th token through this leaf (j = `hops.fetch_add(1)`) leaves on
@@ -102,7 +91,7 @@ struct FastLeaf<S: SyncApi> {
     base_tokens: u64,
     hops: CachePadded<S::AtomicU64>,
     arrivals: Vec<CachePadded<S::AtomicU64>>,
-    routes: Vec<FastRoute>,
+    routes: Vec<Route>,
 }
 
 /// The routes compiled from one state of the model: immutable apart
@@ -134,16 +123,14 @@ impl<S: SyncApi> Hash for FastSnapshot<S> {
 }
 
 impl<S: SyncApi> FastSnapshot<S> {
-    /// Reduces the model's cut to its fast-path form: per-leaf atomic
-    /// round-robin counters with fully precomputed routing.
+    /// Reduces the model's cut to its fast-path form: the cut's
+    /// [`CutWiring`] plus per-leaf atomic round-robin counters.
     fn compile(model: &LocalAdaptiveNetwork) -> Self {
-        let (tree, style, cut) = (model.tree(), model.style(), model.cut());
-        let index: BTreeMap<&ComponentId, usize> =
-            cut.leaves().iter().enumerate().map(|(i, id)| (id, i)).collect();
-        let leaves: Vec<FastLeaf<S>> = cut
+        let wiring = CutWiring::with_style(model.tree(), model.cut(), model.style());
+        let leaves = wiring
             .leaves()
-            .iter()
-            .map(|id| {
+            .enumerate()
+            .map(|(i, id)| {
                 let comp = model.component(id).expect("cut leaf has a live component");
                 assert_eq!(
                     comp.floating(),
@@ -152,17 +139,6 @@ impl<S: SyncApi> FastSnapshot<S> {
                      never owe in-flight tokens"
                 );
                 let width = comp.width();
-                let routes = (0..width)
-                    .map(|out_port| match resolve_output(tree, id, out_port, style) {
-                        OutputDestination::Wire(next) => {
-                            let owner = next.owner_under(cut).expect("valid cut");
-                            let port = input_port_of(tree, &owner, &next, style)
-                                .expect("cut-boundary wire maps to an input port");
-                            FastRoute::Leaf { leaf: index[&owner], port }
-                        }
-                        OutputDestination::NetworkOutput(out) => FastRoute::Exit(out),
-                    })
-                    .collect();
                 FastLeaf {
                     id: *id,
                     width,
@@ -171,30 +147,11 @@ impl<S: SyncApi> FastSnapshot<S> {
                     arrivals: (0..width)
                         .map(|_| CachePadded::new(S::AtomicU64::new(0)))
                         .collect(),
-                    routes,
+                    routes: wiring.routes(i).to_vec(),
                 }
             })
             .collect();
-        // The batched traversal settles pending weights in one
-        // in-order sweep, which is sound because internal wires only
-        // ever point at strictly later leaves (leaves are in
-        // `ComponentId` pre-order — topological for every wiring).
-        for (i, leaf) in leaves.iter().enumerate() {
-            for route in &leaf.routes {
-                if let FastRoute::Leaf { leaf: next, .. } = route {
-                    assert!(*next > i, "compiled routes must flow forward: {i} -> {next}");
-                }
-            }
-        }
-        let entries = (0..tree.width())
-            .map(|wire| {
-                let addr = network_input_address(tree, wire, style);
-                let owner = addr.owner_under(cut).expect("valid cut");
-                let port = input_port_of(tree, &owner, &addr, style)
-                    .expect("network input maps to an input port");
-                (index[&owner], port)
-            })
-            .collect();
+        let entries = (0..model.width()).map(|wire| wiring.input(wire)).collect();
         FastSnapshot { entries, leaves }
     }
 
@@ -226,11 +183,11 @@ impl<S: SyncApi> FastSnapshot<S> {
             let out_port = ((leaf.base_tokens + hop) % leaf.width as u64) as usize;
             depth += 1;
             match leaf.routes[out_port] {
-                FastRoute::Leaf { leaf: next, port: next_port } => {
+                Route::Leaf { leaf: next, port: next_port } => {
                     leaf_idx = next;
                     port = next_port;
                 }
-                FastRoute::Exit(out) => {
+                Route::Exit(out) => {
                     metrics.traversal_depth.record(depth);
                     return out;
                 }
@@ -255,8 +212,8 @@ impl<S: SyncApi> FastSnapshot<S> {
     ///
     /// Downstream weights are accumulated per (leaf, port) and
     /// processed in increasing leaf index: routes only ever point at
-    /// strictly higher leaf indices ([`compile`](Self::compile)
-    /// asserts it), so a single in-order sweep settles the whole batch.
+    /// strictly higher leaf indices ([`CutWiring`] asserts it), so a
+    /// single in-order sweep settles the whole batch.
     fn walk_batch(
         &self,
         wire: usize,
@@ -292,8 +249,8 @@ impl<S: SyncApi> FastSnapshot<S> {
                     continue;
                 }
                 match *route {
-                    FastRoute::Leaf { leaf: next, port } => pending[next][port] += emitted,
-                    FastRoute::Exit(out) => exit(out, emitted),
+                    Route::Leaf { leaf: next, port } => pending[next][port] += emitted,
+                    Route::Exit(out) => exit(out, emitted),
                 }
             }
         }

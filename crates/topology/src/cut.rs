@@ -176,13 +176,18 @@ impl Cut {
         if !self.leaves.iter().all(|l| tree.info(l).is_some()) {
             return false;
         }
-        // Walk the tree from the root; each branch must hit exactly one
-        // leaf before (or at) the balancer level and none after.
+        // No leaf may be an ancestor of another. Ids order by path, so
+        // a leaf's descendants are the ids right after it: checking each
+        // leaf against the next one is enough.
+        let next = self.leaves.iter().skip(1);
+        if self.leaves.iter().zip(next).any(|(a, b)| a.is_ancestor_of(b)) {
+            return false;
+        }
+        // Walk the tree from the root; each branch must hit a leaf
+        // before (or at) the balancer level.
         fn walk(tree: &Tree, cut: &BTreeSet<ComponentId>, id: &ComponentId) -> bool {
-            let in_cut = cut.contains(id);
-            if in_cut {
-                // Nothing below may be in the cut.
-                return !cut.iter().any(|l| id.is_ancestor_of(l));
+            if cut.contains(id) {
+                return true;
             }
             let info = tree.info(id).expect("validated above");
             if info.is_balancer() {

@@ -1,11 +1,11 @@
 //! The component-level directed acyclic graph induced by a cut.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::cut::Cut;
 use crate::id::ComponentId;
 use crate::tree::Tree;
-use crate::wiring::{CutWiring, WiringStyle};
+use crate::wiring::{CutWiring, Route, WiringStyle};
 
 /// A directed edge between two components of a cut (deduplicated; a pair
 /// of components may be joined by several wires).
@@ -21,7 +21,9 @@ pub struct DagEdge {
 
 /// The component graph of a cut: vertices are the cut's leaf components,
 /// edges follow the wires (Section 1.4 of the paper models the adaptive
-/// network exactly like this).
+/// network exactly like this). Vertices are in [`CutWiring`] leaf order,
+/// so every edge leads to a higher vertex index: the vertex order is a
+/// topological order.
 ///
 /// # Example
 ///
@@ -38,8 +40,8 @@ pub struct DagEdge {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ComponentDag {
+    /// The cut's leaves in `ComponentId` order, as in the wiring.
     vertices: Vec<ComponentId>,
-    index: HashMap<ComponentId, usize>,
     edges: Vec<DagEdge>,
     adjacency: Vec<Vec<usize>>, // vertex -> outgoing edge indices
     input_layer: Vec<usize>,
@@ -54,7 +56,7 @@ impl ComponentDag {
     /// Panics if the cut is invalid.
     #[must_use]
     pub fn new(tree: &Tree, cut: &Cut) -> Self {
-        Self::from_wiring(&CutWiring::new(tree, cut), cut)
+        Self::from_wiring(&CutWiring::new(tree, cut))
     }
 
     /// Builds the DAG for `cut` with an explicit wiring style.
@@ -64,38 +66,32 @@ impl ComponentDag {
     /// Panics if the cut is invalid.
     #[must_use]
     pub fn with_style(tree: &Tree, cut: &Cut, style: WiringStyle) -> Self {
-        Self::from_wiring(&CutWiring::with_style(tree, cut, style), cut)
+        Self::from_wiring(&CutWiring::with_style(tree, cut, style))
     }
 
-    /// Builds the DAG from an already-resolved wiring.
+    /// Builds the DAG from an already-resolved wiring; vertex indices
+    /// are the wiring's leaf indices.
     #[must_use]
-    pub fn from_wiring(wiring: &CutWiring, cut: &Cut) -> Self {
-        let vertices: Vec<ComponentId> = cut.leaves().iter().cloned().collect();
-        let index: HashMap<ComponentId, usize> =
-            vertices.iter().cloned().enumerate().map(|(i, v)| (v, i)).collect();
-        let tree = wiring.tree();
-        let mut edge_wires: HashMap<(usize, usize), usize> = HashMap::new();
+    pub fn from_wiring(wiring: &CutWiring) -> Self {
+        let vertices: Vec<ComponentId> = wiring.leaves().copied().collect();
+        let mut edge_wires: BTreeMap<(usize, usize), usize> = BTreeMap::new();
         let mut output_layer_set = vec![false; vertices.len()];
-        for (vi, v) in vertices.iter().enumerate() {
-            let width = tree.info(v).expect("valid leaf").width;
-            for port in 0..width {
-                if let Some(dest) = wiring.out_neighbor(v, port) {
-                    let di = index[dest];
-                    *edge_wires.entry((vi, di)).or_insert(0) += 1;
-                } else {
-                    output_layer_set[vi] = true;
+        for (vi, is_output) in output_layer_set.iter_mut().enumerate() {
+            for route in wiring.routes(vi) {
+                match *route {
+                    Route::Leaf { leaf, .. } => *edge_wires.entry((vi, leaf)).or_insert(0) += 1,
+                    Route::Exit(_) => *is_output = true,
                 }
             }
         }
         let mut input_layer_set = vec![false; vertices.len()];
-        for wire in 0..tree.width() {
-            input_layer_set[index[&wiring.input_owner(wire).id]] = true;
+        for wire in 0..wiring.tree().width() {
+            input_layer_set[wiring.input(wire).0] = true;
         }
-        let mut edges: Vec<DagEdge> = edge_wires
+        let edges: Vec<DagEdge> = edge_wires
             .into_iter()
             .map(|((from, to), wires)| DagEdge { from, to, wires })
             .collect();
-        edges.sort_by_key(|e| (e.from, e.to));
         let mut adjacency = vec![Vec::new(); vertices.len()];
         for (ei, e) in edges.iter().enumerate() {
             adjacency[e.from].push(ei);
@@ -104,7 +100,7 @@ impl ComponentDag {
             (0..vertices.len()).filter(|&i| input_layer_set[i]).collect();
         let output_layer =
             (0..vertices.len()).filter(|&i| output_layer_set[i]).collect();
-        ComponentDag { vertices, index, edges, adjacency, input_layer, output_layer }
+        ComponentDag { vertices, edges, adjacency, input_layer, output_layer }
     }
 
     /// The components, in the order used by vertex indices.
@@ -116,7 +112,7 @@ impl ComponentDag {
     /// The vertex index of a component, if present.
     #[must_use]
     pub fn vertex_index(&self, id: &ComponentId) -> Option<usize> {
-        self.index.get(id).copied()
+        self.vertices.binary_search(id).ok()
     }
 
     /// The deduplicated edges.
@@ -141,35 +137,6 @@ impl ComponentDag {
     #[must_use]
     pub fn output_layer(&self) -> &[usize] {
         &self.output_layer
-    }
-
-    /// A topological order of the vertices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph contains a cycle (impossible for wirings
-    /// produced by this crate; balancing networks are acyclic).
-    #[must_use]
-    pub fn topological_order(&self) -> Vec<usize> {
-        let n = self.vertices.len();
-        let mut indegree = vec![0usize; n];
-        for e in &self.edges {
-            indegree[e.to] += 1;
-        }
-        let mut queue: Vec<usize> = (0..n).filter(|&v| indegree[v] == 0).collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(v) = queue.pop() {
-            order.push(v);
-            for &ei in &self.adjacency[v] {
-                let to = self.edges[ei].to;
-                indegree[to] -= 1;
-                if indegree[to] == 0 {
-                    queue.push(to);
-                }
-            }
-        }
-        assert_eq!(order.len(), n, "component graph contains a cycle");
-        order
     }
 }
 
@@ -208,8 +175,7 @@ mod tests {
         for w in [4usize, 8, 16] {
             let tree = Tree::new(w);
             let dag = ComponentDag::new(&tree, &Cut::balancers(&tree));
-            let order = dag.topological_order();
-            assert_eq!(order.len(), dag.vertices().len());
+            assert!(dag.edges().iter().all(|e| e.from < e.to), "w={w}");
             // Input layer of the balancer cut has w/2 balancers.
             assert_eq!(dag.input_layer().len(), w / 2, "w={w}");
             assert_eq!(dag.output_layer().len(), w / 2, "w={w}");
@@ -225,7 +191,7 @@ mod tests {
         cut.split(&tree, &root.child(0)).unwrap();
         cut.split(&tree, &root.child(3)).unwrap();
         let dag = ComponentDag::new(&tree, &cut);
-        let _ = dag.topological_order(); // must not panic
+        assert!(dag.edges().iter().all(|e| e.from < e.to));
         // Vertex count: 6 - 2 + 6 + 4 = 14.
         assert_eq!(dag.vertices().len(), 14);
     }

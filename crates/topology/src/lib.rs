@@ -62,5 +62,5 @@ pub use tree::{NodeInfo, Tree};
 pub use wiring::{
     child_input_to_parent, input_port_of,
     child_output_destination, network_input_address, parent_input_to_child, resolve_output,
-    ChildOutput, CutWiring, OutputDestination, PortRef, WireAddress, WiringStyle,
+    ChildOutput, CutWiring, OutputDestination, PortRef, Route, WireAddress, WiringStyle,
 };

@@ -26,10 +26,10 @@ pub fn effective_depth(dag: &ComponentDag) -> usize {
     if n == 0 {
         return 0;
     }
-    let order = dag.topological_order();
-    // Longest path ending at each vertex, counted in vertices.
+    // Longest path ending at each vertex, counted in vertices; edges
+    // only lead to higher vertex indices.
     let mut longest = vec![1usize; n];
-    for &v in &order {
+    for v in 0..n {
         for &ei in dag.outgoing(v) {
             let to = dag.edges()[ei].to;
             longest[to] = longest[to].max(longest[v] + 1);

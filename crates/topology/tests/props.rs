@@ -1,8 +1,9 @@
 //! Property tests for the decomposition topology.
 
 use acn_topology::{
-    child_output_destination, network_input_address, parent_input_to_child, phi, ChildOutput,
-    ComponentId, ComponentKind, Cut, Tree, WiringStyle,
+    child_output_destination, input_port_of, network_input_address, parent_input_to_child, phi,
+    resolve_output, ChildOutput, ComponentId, ComponentKind, Cut, CutWiring, OutputDestination,
+    Route, Tree, WiringStyle,
 };
 use proptest::prelude::*;
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -13,7 +14,132 @@ fn hash_of<T: Hash>(value: &T) -> u64 {
     hasher.finish()
 }
 
+/// A random valid cut of `tree`: each node above the balancers is split
+/// with probability `split`.
+fn random_cut(tree: &Tree, seed: u64, split: f64) -> Cut {
+    let mut state = seed;
+    let mut next = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    Cut::random(tree, tree.max_level(), split, &mut next)
+}
+
+/// The antichain-cover definition by brute force: every leaf is a node
+/// of the tree, no leaf descends from another, and every balancer has
+/// a leaf on its root path.
+fn is_valid_by_definition(cut: &Cut, tree: &Tree) -> bool {
+    let leaves = cut.leaves();
+    leaves.iter().all(|l| tree.info(l).is_some())
+        && !leaves.iter().any(|a| leaves.iter().any(|b| a.is_ancestor_of(b)))
+        && Cut::balancers(tree).leaves().iter().all(|b| {
+            std::iter::once(*b).chain(b.ancestors()).any(|a| leaves.contains(&a))
+        })
+}
+
+/// Checks `wiring` against the per-port definition of where a wire goes
+/// under `cut`: [`resolve_output`], then the wire's owner under the cut,
+/// then the owner's input port; network inputs likewise from
+/// [`network_input_address`]. Also checks that internal routes flow
+/// forward.
+fn check_wiring(tree: &Tree, cut: &Cut, style: WiringStyle) -> Result<(), TestCaseError> {
+    let wiring = CutWiring::with_style(tree, cut, style);
+    let leaves: Vec<ComponentId> = cut.leaves().iter().copied().collect();
+    prop_assert!(wiring.leaves().eq(leaves.iter()));
+    let index = |id: &ComponentId| leaves.binary_search(id).expect("owner is a cut leaf");
+    let enter = |addr| {
+        let owner = acn_topology::WireAddress::owner_under(&addr, cut).expect("valid cut");
+        let port = input_port_of(tree, &owner, &addr, style).expect("boundary wire");
+        (index(&owner), port)
+    };
+    for (i, leaf) in leaves.iter().enumerate() {
+        let width = tree.info(leaf).expect("cut leaf").width;
+        prop_assert_eq!(wiring.routes(i).len(), width);
+        for port in 0..width {
+            let expected = match resolve_output(tree, leaf, port, style) {
+                OutputDestination::Wire(addr) => {
+                    let (leaf, port) = enter(addr);
+                    Route::Leaf { leaf, port }
+                }
+                OutputDestination::NetworkOutput(wire) => Route::Exit(wire),
+            };
+            let route = wiring.routes(i)[port];
+            prop_assert_eq!(route, expected, "{} port {} under {}", leaf, port, cut);
+            if let Route::Leaf { leaf: next, .. } = route {
+                prop_assert!(next > i, "{} port {} flows back to leaf {}", leaf, port, next);
+            }
+        }
+    }
+    for wire in 0..tree.width() {
+        let (leaf, port) = enter(network_input_address(tree, wire, style));
+        prop_assert_eq!(wiring.input(wire), (leaf, port), "input wire {}", wire);
+        prop_assert_eq!(wiring.input_owner(wire).id, leaves[leaf]);
+        prop_assert_eq!(wiring.input_owner(wire).port, port);
+    }
+    Ok(())
+}
+
+/// The wiring matches its definition on the root, every uniform cut
+/// and (as the deepest uniform cut) the balancer cut, at widths 4–128
+/// in both styles.
+#[test]
+fn wiring_of_fixed_cuts_matches_its_definition() {
+    for logw in 2..=7 {
+        let tree = Tree::new(1 << logw);
+        for style in [WiringStyle::Ahs, WiringStyle::PaperLiteral] {
+            check_wiring(&tree, &Cut::root(), style).unwrap();
+            for level in 1..=tree.max_level() {
+                check_wiring(&tree, &Cut::uniform(&tree, level), style).unwrap();
+            }
+        }
+    }
+}
+
 proptest! {
+    /// The wiring of a random cut matches its definition.
+    #[test]
+    fn wiring_of_random_cuts_matches_its_definition(
+        logw in 2u32..8,
+        seed in any::<u64>(),
+        split in 0u32..100,
+        style in proptest::sample::select(vec![WiringStyle::Ahs, WiringStyle::PaperLiteral]),
+    ) {
+        let tree = Tree::new(1 << logw);
+        check_wiring(&tree, &random_cut(&tree, seed, f64::from(split) / 100.0), style)?;
+    }
+
+    /// `Cut::is_valid` agrees with the brute-force definition on valid
+    /// cuts and on cuts broken by dropping a leaf, adding a leaf's
+    /// parent or child, or adding an arbitrary (possibly foreign) id.
+    #[test]
+    fn is_valid_matches_its_definition(
+        logw in 1u32..7,
+        seed in any::<u64>(),
+        split in 0u32..100,
+        edit in 0usize..5,
+        pick in any::<usize>(),
+        path in proptest::collection::vec(0u8..6, 0..8),
+    ) {
+        let tree = Tree::new(1 << logw);
+        let mut leaves: Vec<ComponentId> =
+            random_cut(&tree, seed, f64::from(split) / 100.0).leaves().iter().copied().collect();
+        let chosen = leaves[pick % leaves.len()];
+        match edit {
+            1 => {
+                leaves.remove(pick % leaves.len());
+            }
+            2 => leaves.extend(chosen.parent()),
+            3 => leaves.extend(tree.children(&chosen).first().copied()),
+            4 => leaves.push(ComponentId::from_path(path)),
+            _ => {}
+        }
+        let cut = Cut::from_leaves(leaves);
+        prop_assert_eq!(cut.is_valid(&tree), is_valid_by_definition(&cut, &tree), "{}", cut);
+        if edit == 0 {
+            prop_assert!(cut.is_valid(&tree));
+        }
+    }
+
     /// Pre-order naming round-trips for every node of every tree.
     #[test]
     fn preorder_roundtrip(logw in 1u32..7, index_seed in any::<u64>()) {
