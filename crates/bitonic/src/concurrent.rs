@@ -1,25 +1,15 @@
 //! Lock-free concurrent execution of balancing networks.
 //!
-//! [`AtomicNetworkCounter`] is lock-free per token (each balancer
-//! toggle is one `fetch_add`) and shares the adaptive runtime's
-//! one-lock discipline (`DESIGN.md` §8): the network description and
-//! its toggle bank live behind one reader–writer lock; a token holds
-//! **one shared read pin** for its traversal, and
-//! [`AtomicNetworkCounter::replace_network`] can swap in a different
-//! (same-width) counting network *live* — the writer takes the write
-//! side, which drains pinned tokens, seeds the replacement's toggles
-//! from the quiescent output counts so the value stream stays dense,
-//! and installs it before releasing.
+//! [`AtomicNetworkCounter`] is lock-free per token: each balancer
+//! toggle is one `fetch_add`, and the network it walks never changes,
+//! so a token takes no lock at all (`DESIGN.md` §8).
 
-use std::hash::{Hash, Hasher};
-
-use acn_sync::{Ordering, RealSync, SyncApi, SyncAtomicU64, SyncRwLock};
+use acn_sync::{Ordering, RealSync, SyncApi, SyncAtomicU64};
 use acn_telemetry::{Counter as TelemetryCounter, Histogram, Registry};
 use acn_trace::{Span, Tracer};
 
 use crate::baselines::Counter;
 use crate::network::{BalancingNetwork, Dest};
-use crate::step::is_step_sequence;
 
 /// Telemetry handles for the lock-free counter (no-ops by default).
 #[derive(Debug, Default)]
@@ -40,81 +30,6 @@ impl BitonicMetrics {
             tokens: registry.counter("acn.bitonic.tokens"),
         }
     }
-}
-
-/// The unit a token traverses: a network description plus its toggle
-/// bank, replaced wholesale by [`AtomicNetworkCounter::replace_network`].
-struct ToggleSnapshot<S: SyncApi> {
-    net: BalancingNetwork,
-    toggles: Vec<S::AtomicU64>,
-}
-
-impl<S: SyncApi> Hash for ToggleSnapshot<S> {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.net.hash(state);
-        self.toggles.hash(state);
-    }
-}
-
-/// Tokens of `total` round-robin arrivals that land on wire `i` of `w`:
-/// `ceil((total - i) / w)`, clamped at zero — the step profile.
-fn round_robin_profile(total: u64, w: usize, i: usize) -> u64 {
-    (total + w as u64 - 1 - i as u64) / w as u64
-}
-
-/// The quiescent toggle state of `net` after `total` round-robin
-/// arrivals, computed by flowing the arrival profile through the
-/// balancers (Kahn-style, so balancer indices need not be topologically
-/// ordered): `t` tokens through a balancer leave its toggle at `t`,
-/// having sent `ceil(t/2)` up and `floor(t/2)` down regardless of
-/// interleaving. Returns `(toggles, outputs)`.
-fn quiescent_flow(net: &BalancingNetwork, total: u64) -> (Vec<u64>, Vec<u64>) {
-    let w = net.width();
-    let bcount = net.balancer_count();
-    let mut pending = vec![0usize; bcount];
-    for wire in 0..w {
-        if let Dest::Balancer(b) = net.input(wire) {
-            pending[b] += 1;
-        }
-    }
-    for b in 0..bcount {
-        for d in net.balancer_outputs(b) {
-            if let Dest::Balancer(t) = d {
-                pending[t] += 1;
-            }
-        }
-    }
-    let mut incoming = vec![0u64; bcount];
-    let mut outputs = vec![0u64; w];
-    let mut ready: Vec<usize> = Vec::new();
-    let feed = |dest: Dest,
-                    tokens: u64,
-                    incoming: &mut Vec<u64>,
-                    outputs: &mut Vec<u64>,
-                    pending: &mut Vec<usize>,
-                    ready: &mut Vec<usize>| match dest {
-        Dest::Balancer(b) => {
-            incoming[b] += tokens;
-            pending[b] -= 1;
-            if pending[b] == 0 {
-                ready.push(b);
-            }
-        }
-        Dest::Output(o) => outputs[o] += tokens,
-    };
-    for wire in 0..w {
-        let tokens = round_robin_profile(total, w, wire);
-        feed(net.input(wire), tokens, &mut incoming, &mut outputs, &mut pending, &mut ready);
-    }
-    let mut toggles = vec![0u64; bcount];
-    while let Some(b) = ready.pop() {
-        let t = incoming[b];
-        toggles[b] = t;
-        let [top, bottom] = net.balancer_outputs(b);
-        feed(top, t.div_ceil(2), &mut incoming, &mut outputs, &mut pending, &mut ready);
-        feed(bottom, t / 2, &mut incoming, &mut outputs, &mut pending, &mut ready);
-    }
-    (toggles, outputs)
 }
 
 /// A lock-free concurrent counter built from a counting network: each
@@ -142,11 +57,9 @@ fn quiescent_flow(net: &BalancingNetwork, total: u64) -> (Vec<u64>, Vec<u64>) {
 /// ```
 pub struct AtomicNetworkCounter<S: SyncApi = RealSync> {
     width: usize,
-    /// The network + toggle bank. Tokens pin the read side for their
-    /// whole traversal *including* the output-wire round claim; a
-    /// replacement writer takes the write side, which is the quiescent
-    /// point.
-    gate: S::RwLock<ToggleSnapshot<S>>,
+    net: BalancingNetwork,
+    /// One toggle per balancer of `net`.
+    toggles: Vec<S::AtomicU64>,
     wire_counts: Vec<S::AtomicU64>,
     arrivals: S::AtomicU64,
     metrics: BitonicMetrics,
@@ -180,7 +93,8 @@ impl<S: SyncApi> AtomicNetworkCounter<S> {
         let toggles = (0..net.balancer_count()).map(|_| S::AtomicU64::new(0)).collect();
         AtomicNetworkCounter {
             width,
-            gate: S::RwLock::new(ToggleSnapshot { net, toggles }),
+            net,
+            toggles,
             wire_counts: (0..width).map(|_| S::AtomicU64::new(0)).collect(),
             arrivals: S::AtomicU64::new(0),
             metrics: BitonicMetrics::default(),
@@ -213,23 +127,23 @@ impl<S: SyncApi> AtomicNetworkCounter<S> {
         self.width
     }
 
-    /// A clone of the currently installed network description.
+    /// The network description.
     #[must_use]
-    pub fn network(&self) -> BalancingNetwork {
-        self.gate.read().net.clone()
+    pub fn network(&self) -> &BalancingNetwork {
+        &self.net
     }
 
-    /// Walks `snap` from `input_wire` to an output wire.
-    fn walk(&self, snap: &ToggleSnapshot<S>, input_wire: usize) -> usize {
-        let mut dest = snap.net.input(input_wire);
+    /// Walks the network from `input_wire` to an output wire.
+    fn walk(&self, input_wire: usize) -> usize {
+        let mut dest = self.net.input(input_wire);
         let mut depth = 0u64;
         loop {
             match dest {
                 Dest::Balancer(b) => {
                     // lint: relaxed-ok(the toggle's own RMW modification order alternates ports regardless of cross-balancer visibility; the step property is only claimed at quiescence)
-                    let port = (snap.toggles[b].fetch_add(1, Ordering::Relaxed) % 2) as usize;
+                    let port = (self.toggles[b].fetch_add(1, Ordering::Relaxed) % 2) as usize;
                     depth += 1;
-                    dest = snap.net.balancer_outputs(b)[port];
+                    dest = self.net.balancer_outputs(b)[port];
                 }
                 Dest::Output(o) => {
                     self.metrics.balancer_passes.add(depth);
@@ -248,7 +162,7 @@ impl<S: SyncApi> AtomicNetworkCounter<S> {
     /// Panics if `input_wire >= width`.
     pub fn traverse(&self, input_wire: usize) -> usize {
         assert!(input_wire < self.width, "input wire out of range");
-        self.walk(&self.gate.read(), input_wire)
+        self.walk(input_wire)
     }
 
     /// Tokens that have exited on each wire so far (a quiescent snapshot
@@ -272,15 +186,10 @@ impl<S: SyncApi> AtomicNetworkCounter<S> {
         self.metrics.tokens.inc();
         let start =
             if self.tracer.should_sample(arrival) { Some(S::monotonic_now()) } else { None };
-        // The round claim happens under the pin so a replacement's
-        // quiescent point never misses an exited-but-uncounted token.
-        let value = {
-            let pin = self.gate.read();
-            let out = self.walk(&pin, wire);
-            // lint: relaxed-ok(the round comes from this wire's own RMW modification order, which alone determines the handed-out value; replacement reads under the gate edge)
-            let round = self.wire_counts[out].fetch_add(1, Ordering::Relaxed);
-            out as u64 + round * w as u64
-        };
+        let out = self.walk(wire);
+        // lint: relaxed-ok(the round comes from this wire's own RMW modification order, which alone determines the handed-out value)
+        let round = self.wire_counts[out].fetch_add(1, Ordering::Relaxed);
+        let value = out as u64 + round * w as u64;
         if let Some(start) = start {
             self.tracer.record(
                 Span::new("exec.bitonic", arrival)
@@ -292,43 +201,6 @@ impl<S: SyncApi> AtomicNetworkCounter<S> {
         value
     }
 
-    /// Replaces the network with a different counting network of the
-    /// same width, *live*: drains pinned tokens at the gate, seeds the
-    /// replacement's toggles to the quiescent state implied by the
-    /// values already handed out, and installs it before releasing.
-    /// The value stream stays dense across the swap (no value
-    /// duplicated or skipped once quiescent).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `net`'s width differs, or if `net` is not a counting
-    /// network for the already-handed-out total (its quiescent output
-    /// flow must reproduce the current step-property counts — true for
-    /// any counting network, e.g. `bitonic_network` /
-    /// `periodic_network`).
-    pub fn replace_network(&self, net: BalancingNetwork) {
-        assert_eq!(net.width(), self.width, "replacement must preserve the width");
-        let mut installed = self.gate.write();
-        // Under the drain, every token has completed both its walk and
-        // its round claim (the pin covers both), so the counts are a
-        // quiescent step-property snapshot. The gate write acquisition
-        // happens-after the drained pins, so these loads read exactly.
-        let counts: Vec<u64> =
-            self.wire_counts.iter().map(|c| c.load(Ordering::Acquire)).collect();
-        debug_assert!(is_step_sequence(&counts), "quiescent counts must be a step");
-        let total: u64 = counts.iter().sum();
-        let (toggle_values, outputs) = quiescent_flow(&net, total);
-        for (o, &flow) in outputs.iter().enumerate() {
-            assert_eq!(
-                flow, counts[o],
-                "replacement network's quiescent flow must reproduce the \
-                 handed-out counts (wire {o}: flow {flow} vs counted {})",
-                counts[o]
-            );
-        }
-        let toggles = toggle_values.into_iter().map(S::AtomicU64::new).collect();
-        *installed = ToggleSnapshot { net, toggles };
-    }
 }
 
 impl<S: SyncApi> Counter for AtomicNetworkCounter<S> {
@@ -414,67 +286,6 @@ mod tests {
         // The first real value is the exit wire with round 0.
         let v = counter.next();
         assert!(v < 4, "first value must be in round 0, got {v}");
-    }
-
-    #[test]
-    fn replace_network_keeps_values_dense() {
-        // Sequentially: bitonic -> periodic swaps at awkward offsets
-        // must never duplicate or skip a value.
-        let counter = AtomicNetworkCounter::new(bitonic_network(8));
-        let mut seen: Vec<u64> = (0..13).map(|_| counter.next()).collect();
-        counter.replace_network(periodic_network(8));
-        seen.extend((0..9).map(|_| counter.next()));
-        counter.replace_network(bitonic_network(8));
-        seen.extend((0..10).map(|_| counter.next()));
-        seen.sort_unstable();
-        assert_eq!(seen, (0..32u64).collect::<Vec<u64>>());
-        assert!(is_step_sequence(&counter.output_counts()));
-    }
-
-    #[test]
-    fn replace_network_under_concurrent_traffic() {
-        let counter = Arc::new(AtomicNetworkCounter::new(bitonic_network(8)));
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let c = Arc::clone(&counter);
-            handles.push(std::thread::spawn(move || {
-                (0..200).map(|_| c.next()).collect::<Vec<u64>>()
-            }));
-        }
-        // Swap back and forth while traffic flows.
-        for _ in 0..10 {
-            counter.replace_network(periodic_network(8));
-            counter.replace_network(bitonic_network(8));
-        }
-        let mut all: Vec<u64> = handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("worker panicked"))
-            .collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..800u64).collect::<Vec<u64>>());
-        assert!(is_step_sequence(&counter.output_counts()));
-    }
-
-    #[test]
-    fn quiescent_flow_matches_simulation() {
-        // Flow-seeding must agree with actually pushing T round-robin
-        // tokens through a fresh counter.
-        for total in [0u64, 1, 5, 8, 13, 24] {
-            let net = bitonic_network(8);
-            let fresh = AtomicNetworkCounter::new(net.clone());
-            for _ in 0..total {
-                let _ = fresh.next();
-            }
-            let (_, outputs) = quiescent_flow(&net, total);
-            assert_eq!(outputs, fresh.output_counts(), "total={total}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "replacement must preserve the width")]
-    fn replace_network_rejects_width_change() {
-        let counter = AtomicNetworkCounter::new(bitonic_network(8));
-        counter.replace_network(bitonic_network(4));
     }
 
     #[test]

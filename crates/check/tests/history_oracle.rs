@@ -105,7 +105,7 @@ fn exhaustive_bitonic_is_quiescently_consistent() {
     });
     report.assert_ok();
     assert!(report.completed);
-    assert_eq!((report.schedules, report.states_seen, report.sleep_prunes, report.memo_prunes, report.max_depth), (8, 162, 19, 23, 14));
+    assert_eq!((report.schedules, report.states_seen, report.sleep_prunes, report.memo_prunes, report.max_depth), (8, 136, 19, 19, 12));
 }
 
 // ---------------------------------------------------------------------------

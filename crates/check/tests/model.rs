@@ -10,7 +10,7 @@
 use std::sync::Arc;
 use std::sync::atomic::Ordering;
 
-use acn_bitonic::{bitonic_network, periodic_network, AtomicNetworkCounter};
+use acn_bitonic::{bitonic_network, AtomicNetworkCounter};
 use acn_check::{check, oracles, replay_schedule, vthread, CheckConfig, FailureKind, VirtualSync};
 use acn_core::SharedAdaptiveNetwork;
 use acn_sync::{SyncApi, SyncAtomicU64, SyncMutex};
@@ -342,20 +342,20 @@ fn bitonic_scenario(width: usize, tokens: usize) {
 fn exhaustive_bitonic_width4_two_tokens() {
     let report = check(CheckConfig::exhaustive(), || bitonic_scenario(4, 2));
     report.assert_ok();
-    assert_eq!((report.schedules, report.states_seen, report.sleep_prunes, report.memo_prunes, report.max_depth), (8, 194, 19, 23, 18));
+    assert!(report.completed);
+    assert_eq!((report.schedules, report.states_seen, report.sleep_prunes, report.memo_prunes, report.max_depth), (8, 168, 19, 19, 16));
 }
 
 #[test]
 fn random_bitonic_width8_three_tokens() {
     let report = check(CheckConfig::random(48, 7), || bitonic_scenario(8, 3));
     report.assert_ok();
-    assert_eq!((report.schedules, report.max_depth), (48, 38));
+    assert_eq!((report.schedules, report.max_depth), (48, 35));
 }
 
 // ---------------------------------------------------------------------------
 // The reference network must verify under the same scenario as the
-// compiled routes, and the bitonic executor's live network replacement
-// must preserve density.
+// compiled routes.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -384,33 +384,6 @@ fn exhaustive_locked_mode_width4_two_tokens_with_concurrent_split() {
     report.assert_ok();
     assert!(report.completed);
     assert_eq!((report.schedules, report.states_seen, report.sleep_prunes, report.memo_prunes, report.max_depth), (6, 236, 18, 49, 19));
-}
-
-#[test]
-fn exhaustive_bitonic_replace_network_races_a_token() {
-    let report = check(CheckConfig::exhaustive(), || {
-        let counter =
-            Arc::new(AtomicNetworkCounter::<VirtualSync>::new_in(bitonic_network(4)));
-        let token = {
-            let counter = Arc::clone(&counter);
-            vthread::spawn(move || counter.next_value())
-        };
-        let swapper = {
-            let counter = Arc::clone(&counter);
-            vthread::spawn(move || counter.replace_network(periodic_network(4)))
-        };
-        let value = token.join();
-        swapper.join();
-        assert_eq!(value, 0, "a lone token always takes value 0 across the swap");
-        oracles::assert_network_quiescent(&counter.output_counts(), 1);
-    });
-    report.assert_ok();
-    assert!(report.completed);
-    assert_eq!(
-        (report.schedules, report.states_seen, report.sleep_prunes, report.memo_prunes, report.max_depth),
-        (2, 43, 1, 5, 18),
-        "the swap races the traversal in more than one way"
-    );
 }
 
 // ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 //! The concurrent executors ([`SharedAdaptiveNetwork`] in `acn-core`,
 //! [`AtomicNetworkCounter`] in `acn-bitonic`) are generic over a
 //! [`SyncApi`]: the small set of primitives they actually use — a
-//! mutex, a reader–writer lock, and a 64-bit atomic with explicit
-//! memory orderings. ([`SyncSnapshot`] and [`ExchangeSlot`] are no
+//! mutex, a reader–writer lock (the adaptive network's; the bitonic
+//! counter's network never changes, so it needs only the atomics), and
+//! a 64-bit atomic with explicit memory orderings. ([`SyncSnapshot`] and [`ExchangeSlot`] are no
 //! longer used by any executor; they remain only because the frozen
 //! benchmark probes them, see ROADMAP.md open item 2.)
 //!
