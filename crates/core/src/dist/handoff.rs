@@ -140,6 +140,7 @@ impl NodeProc {
     /// was waiting for it.
     pub(super) fn on_hand_off_ack(&mut self, ctx: &mut Context<'_, Msg>, id: ComponentId) {
         if let Some(h) = self.handoffs.remove(&id) {
+            self.components.release();
             self.landed(ctx, id, h.cause);
         }
     }
@@ -177,6 +178,7 @@ impl NodeProc {
             .collect();
         for id in orphaned {
             let h = self.handoffs.remove(&id).expect("listed above");
+            self.components.release();
             let owner = self.owner_of(&id);
             if self.hand_off(ctx, h.comp, Ledger::pinned(h.seen), h.buffer, owner, h.cause) {
                 self.landed(ctx, id, h.cause);

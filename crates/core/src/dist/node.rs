@@ -124,6 +124,11 @@ pub struct NodeProc {
     /// while the epoch stands. Derived state, so no fingerprint covers
     /// it.
     pub(super) estimate: Option<(u64, usize)>,
+    /// The view epoch and hosting sweep stamp of the last migration
+    /// sweep that migrated nothing: while both hold, a sweep would
+    /// migrate nothing again. Derived state, so no fingerprint covers
+    /// it.
+    pub(super) settled: Option<(u64, (u64, u64))>,
     /// Period of the level-maintenance timer.
     pub(super) level_period: u64,
     /// Local membership view and failure detector.
@@ -168,6 +173,7 @@ impl NodeProc {
             cache: BTreeMap::new(),
             level: 0,
             estimate: None,
+            settled: None,
             level_period,
             view: View::new(node),
             rescue: None,

@@ -61,10 +61,16 @@ impl Hosted {
 /// themselves; a send that changes the owner a Section 3.5 cache entry
 /// guesses moves it through [`touch`](Self::touch). Read access is the
 /// map's own.
+///
+/// A second counter, the releases, moves whenever a hosted component
+/// may have become something a migration sweep can shed again: it was
+/// thawed, or the hand-off that kept it in flight was dropped
+/// ([`release`](Self::release)).
 #[derive(Debug, Default, Clone)]
 pub(super) struct Hosting {
     map: BTreeMap<ComponentId, Hosted>,
     epoch: u64,
+    releases: u64,
 }
 
 impl Hosting {
@@ -90,6 +96,17 @@ impl Hosting {
 
     pub(super) fn epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// A hosted component was thawed, or a hand-off was dropped.
+    pub(super) fn release(&mut self) {
+        self.releases += 1;
+    }
+
+    /// What a migration sweep's outcome is derived from, besides the
+    /// view: the hosting epoch and the releases.
+    pub(super) fn sweep_stamp(&self) -> (u64, u64) {
+        (self.epoch, self.releases)
     }
 }
 
@@ -401,6 +418,7 @@ impl NodeProc {
             hosted.frozen = false;
             hosted.frozen_by = None;
             let buffered = std::mem::take(&mut hosted.buffer);
+            self.components.release();
             self.drain(ctx, buffered);
         }
     }
@@ -476,10 +494,25 @@ impl NodeProc {
 
     /// Hands every unfrozen component whose view-owner is not this
     /// node to that owner. Runs on every level tick and after every
-    /// view change.
+    /// view change, and is skipped while nothing it reads has moved
+    /// since a sweep that migrated nothing: the view, the hosted set,
+    /// and any thaw or dropped hand-off. (Freezing a component or
+    /// handing one off only takes candidates away.)
     pub(super) fn migration_sweep(&mut self, ctx: &mut Context<'_, Msg>) {
         if self.view.ring().is_empty() {
             return; // no live peer to shed to; keep the state
+        }
+        let stamp = (self.view.epoch(), self.components.sweep_stamp());
+        if self.settled == Some(stamp) {
+            debug_assert!(
+                self.components.iter().all(|(id, h)| {
+                    h.frozen
+                        || self.handoffs.contains_key(id)
+                        || self.view.owner_of_name(self.tree.preorder_index(id)) == self.node
+                }),
+                "a skipped migration sweep would have migrated"
+            );
+            return;
         }
         let ids: Vec<ComponentId> = self
             .components
@@ -487,6 +520,7 @@ impl NodeProc {
             .filter(|(_, h)| !h.frozen)
             .map(|(id, _)| *id)
             .collect();
+        let mut migrated = false;
         for id in ids {
             let owner = self.owner_of(&id);
             if owner == self.node {
@@ -507,6 +541,10 @@ impl NodeProc {
                     .with("level", id.level() as u64),
             );
             self.hand_off(ctx, comp, seen, buffer, owner, Cause::Migration);
+            migrated = true;
+        }
+        if !migrated {
+            self.settled = Some(stamp);
         }
     }
 
