@@ -13,8 +13,10 @@
 //! # Rules
 //!
 //! - **`hash`** — `HashMap`/`HashSet` in the *deterministic
-//!   subsystems* (`crates/simnet/`, and `dist/`, `stabilize.rs`,
-//!   `local.rs`, `concurrent.rs` under `crates/core/src/`). Hash
+//!   subsystems* (`crates/simnet/`; `dist/`, `stabilize.rs`,
+//!   `local.rs`, `concurrent.rs` under `crates/core/src/`; and the cut
+//!   wiring they consume, `wiring.rs` and `dag.rs` under
+//!   `crates/topology/src/`). Hash
 //!   iteration order leaks nondeterminism into seeded simulations and
 //!   replayable explorer schedules; PR 1 fixed exactly this bug in the
 //!   simulator's process table. Use `BTreeMap`/`BTreeSet`.
@@ -114,6 +116,8 @@ fn in_deterministic_subsystem(path: &str) -> bool {
             "crates/core/src/stabilize.rs",
             "crates/core/src/local.rs",
             "crates/core/src/concurrent.rs",
+            "crates/topology/src/wiring.rs",
+            "crates/topology/src/dag.rs",
         ]
         .contains(&path)
 }
@@ -544,6 +548,9 @@ mod tests {
         assert_eq!(hits[0].line, 1);
         for file in ["dist/wire.rs", "dist/deploy.rs", "stabilize.rs", "local.rs", "concurrent.rs"] {
             assert_eq!(lint_source(&format!("crates/core/src/{file}"), &src).len(), 1, "{file}");
+        }
+        for file in ["wiring.rs", "dag.rs"] {
+            assert_eq!(lint_source(&format!("crates/topology/src/{file}"), &src).len(), 1, "{file}");
         }
         // The same code is fine elsewhere.
         assert!(lint_source("crates/bench/src/lib.rs", &src).is_empty());
