@@ -10,13 +10,110 @@
 //! arrived, and an acked guid is never sent again, so the receiver may
 //! drop the guids it accepted from that sender below the watermark —
 //! and the ledger entries those arrivals recorded with them.
+//!
+//! The per-guid tables — a sender's unacked guids per link, the guids a
+//! receiver accepted per sender, and the node's unacked obligations —
+//! are [`GuidDeque`]s: guid-sorted deques, not trees. Guids come from
+//! one global counter, so a sender's sends, and a receiver's arrivals
+//! from one sender, come mostly in ascending guid order, and acks and
+//! watermarks retire them mostly oldest first: an insert is a push at
+//! the back, a retirement a pop at the front, and only an out-of-order
+//! guid (a retransmission, an adopted guid, an obligation first sent
+//! after its probe chain ran out) pays a binary search and a shift.
 
-use std::collections::{btree_map, BTreeMap, BTreeSet};
+use std::collections::{btree_map, BTreeMap, VecDeque};
 
 use acn_simnet::ProcessId;
 use acn_topology::{ComponentId, WireAddress};
 
 use super::msg::SeenTokens;
+
+/// A table keyed by guid, kept as a deque sorted by guid: ascending
+/// inserts push at the back, retiring the oldest pops at the front,
+/// and every other access binary-searches. Iteration is in guid order,
+/// as a `BTreeMap`'s would be (the state digest reads that order).
+#[derive(Debug, Clone)]
+pub(super) struct GuidDeque<V> {
+    entries: VecDeque<(u64, V)>,
+}
+
+impl<V> Default for GuidDeque<V> {
+    fn default() -> Self {
+        GuidDeque { entries: VecDeque::new() }
+    }
+}
+
+impl<V> GuidDeque<V> {
+    fn search(&self, guid: u64) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&guid, |&(g, _)| g)
+    }
+
+    /// Inserts `guid` with `value`, returning the value it replaced.
+    pub(super) fn insert(&mut self, guid: u64, value: V) -> Option<V> {
+        match self.entries.back() {
+            Some(&(last, _)) if last >= guid => match self.search(guid) {
+                Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, value)),
+                Err(i) => {
+                    self.entries.insert(i, (guid, value));
+                    None
+                }
+            },
+            _ => {
+                self.entries.push_back((guid, value));
+                None
+            }
+        }
+    }
+
+    /// Removes `guid`, returning its value.
+    pub(super) fn remove(&mut self, guid: u64) -> Option<V> {
+        let i = self.search(guid).ok()?;
+        self.entries.remove(i).map(|(_, value)| value)
+    }
+
+    /// The value of `guid`.
+    pub(super) fn get_mut(&mut self, guid: u64) -> Option<&mut V> {
+        let i = self.search(guid).ok()?;
+        Some(&mut self.entries[i].1)
+    }
+
+    /// Whether `guid` is in the table.
+    pub(super) fn contains(&self, guid: u64) -> bool {
+        self.search(guid).is_ok()
+    }
+
+    /// The smallest guid held.
+    pub(super) fn first(&self) -> Option<u64> {
+        self.entries.front().map(|&(g, _)| g)
+    }
+
+    /// Removes and returns the smallest guid, if it is below `mark`.
+    pub(super) fn pop_below(&mut self, mark: u64) -> Option<(u64, V)> {
+        if self.first()? < mark {
+            self.entries.pop_front()
+        } else {
+            None
+        }
+    }
+
+    /// Every guid with its value, ascending.
+    pub(super) fn iter(&self) -> impl Iterator<Item = (u64, &V)> + '_ {
+        self.entries.iter().map(|(g, v)| (*g, v))
+    }
+
+    /// Every guid, ascending.
+    pub(super) fn guids(&self) -> impl Iterator<Item = u64> + '_ {
+        self.entries.iter().map(|&(g, _)| g)
+    }
+
+    pub(super) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    pub(super) fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+}
 
 /// Where the copies of one send obligation went: what the sender's
 /// watermark needs to know of it.
@@ -35,7 +132,7 @@ pub(super) enum Copies {
 #[derive(Debug, Clone, Default)]
 struct Link {
     /// Unacked guids all of whose copies went down this link.
-    unacked: BTreeSet<u64>,
+    unacked: GuidDeque<()>,
     /// The smallest scattered guid that used this link.
     scattered: Option<u64>,
 }
@@ -43,7 +140,7 @@ struct Link {
 impl Link {
     /// The link's watermark.
     fn floor(&self) -> u64 {
-        let unacked = self.unacked.first().copied().unwrap_or(u64::MAX);
+        let unacked = self.unacked.first().unwrap_or(u64::MAX);
         unacked.min(self.scattered.unwrap_or(u64::MAX))
     }
 }
@@ -64,13 +161,13 @@ impl Watermarks {
             Copies::Unsent => {
                 *copies = Copies::One(to);
                 let link = self.links.entry(to).or_default();
-                link.unacked.insert(guid);
+                link.unacked.insert(guid, ());
                 return link.floor();
             }
             Copies::One(earlier) if earlier == to => {}
             Copies::One(earlier) => {
                 let link = self.links.get_mut(&earlier).expect("an earlier copy used the link");
-                link.unacked.remove(&guid);
+                link.unacked.remove(guid);
                 self.scatter(earlier, guid);
                 self.scatter(to, guid);
                 *copies = Copies::Scattered;
@@ -90,7 +187,7 @@ impl Watermarks {
     pub(super) fn discharge(&mut self, guid: u64, copies: Copies) {
         if let Copies::One(to) = copies {
             if let Some(link) = self.links.get_mut(&to) {
-                link.unacked.remove(&guid);
+                link.unacked.remove(guid);
             }
         }
     }
@@ -122,7 +219,7 @@ pub(super) type Twin = (Entry, u8);
 /// arrival's tag and forgetting the twin is a no-op.
 #[derive(Debug, Clone, Default)]
 pub(super) struct Accepted {
-    by_sender: BTreeMap<ProcessId, BTreeMap<u64, Option<Twin>>>,
+    by_sender: BTreeMap<ProcessId, GuidDeque<Option<Twin>>>,
 }
 
 impl Accepted {
@@ -135,11 +232,7 @@ impl Accepted {
         mut forget: impl FnMut(Twin, Tag),
     ) {
         let Some(guids) = self.by_sender.get_mut(&from) else { return };
-        while let Some(oldest) = guids.first_entry() {
-            if *oldest.key() >= acked_below {
-                break;
-            }
-            let (guid, twin) = oldest.remove_entry();
+        while let Some((guid, twin)) = guids.pop_below(acked_below) {
             if let Some(twin) = twin {
                 forget(twin, (from, guid));
             }
@@ -148,7 +241,7 @@ impl Accepted {
 
     /// Whether `guid` from `from` was accepted and not yet forgotten.
     pub(super) fn contains(&self, from: ProcessId, guid: u64) -> bool {
-        self.by_sender.get(&from).is_some_and(|guids| guids.contains_key(&guid))
+        self.by_sender.get(&from).is_some_and(|guids| guids.contains(guid))
     }
 
     /// Accepts `guid` from `from`, with the ledger entry it will tag.
@@ -158,12 +251,12 @@ impl Accepted {
 
     /// Every accepted guid, by sender then guid.
     pub(super) fn iter(&self) -> impl Iterator<Item = Tag> + '_ {
-        self.by_sender.iter().flat_map(|(&from, guids)| guids.keys().map(move |&g| (from, g)))
+        self.by_sender.iter().flat_map(|(&from, guids)| guids.guids().map(move |g| (from, g)))
     }
 
     /// Accepted guids held, over all senders.
     pub(super) fn len(&self) -> usize {
-        self.by_sender.values().map(BTreeMap::len).sum()
+        self.by_sender.values().map(GuidDeque::len).sum()
     }
 }
 
@@ -216,11 +309,12 @@ impl Ledger {
     /// Drops `entry` if it is still tagged `tag`; reports whether it
     /// did.
     pub(super) fn forget(&mut self, entry: &Entry, tag: Tag) -> bool {
-        if self.tagged.get(entry) == Some(&tag) {
-            self.tagged.remove(entry);
-            true
-        } else {
-            false
+        match self.tagged.entry(*entry) {
+            btree_map::Entry::Occupied(slot) if *slot.get() == tag => {
+                slot.remove();
+                true
+            }
+            _ => false,
         }
     }
 
@@ -364,6 +458,63 @@ mod tests {
     }
 
     proptest! {
+        /// Against a `BTreeMap`, a guid deque holds the same guids and
+        /// values in the same order after every step: inserts mostly at
+        /// the back and some out of order (re-inserts of a held guid
+        /// included), removes, prunes below a mark, and lookups.
+        #[test]
+        fn a_guid_deque_keeps_the_contents_and_order_of_a_tree(
+            ops in proptest::collection::vec((0u8..6, 0u64..48), 1..160),
+        ) {
+            let mut deque = GuidDeque::default();
+            let mut tree: BTreeMap<u64, u64> = BTreeMap::new();
+            let mut next = 100;
+            for (step, (kind, pick)) in ops.into_iter().enumerate() {
+                let value = step as u64;
+                match kind {
+                    // The next guid of the counter, or a few past it.
+                    0 | 1 => {
+                        next += 1 + pick % 3;
+                        prop_assert_eq!(deque.insert(next, value), tree.insert(next, value));
+                    }
+                    // Out of order: a guid below the counter.
+                    2 => {
+                        let guid = next.saturating_sub(pick);
+                        prop_assert_eq!(deque.insert(guid, value), tree.insert(guid, value));
+                    }
+                    3 => {
+                        let guid = next.saturating_sub(pick);
+                        prop_assert_eq!(deque.remove(guid), tree.remove(&guid));
+                    }
+                    4 => {
+                        let mark = next.saturating_sub(pick);
+                        let mut popped = Vec::new();
+                        while let Some(entry) = deque.pop_below(mark) {
+                            popped.push(entry);
+                        }
+                        let mut expected = Vec::new();
+                        while let Some(oldest) = tree.first_entry() {
+                            if *oldest.key() >= mark {
+                                break;
+                            }
+                            expected.push(oldest.remove_entry());
+                        }
+                        prop_assert_eq!(popped, expected);
+                    }
+                    _ => {
+                        let guid = next.saturating_sub(pick);
+                        prop_assert_eq!(deque.contains(guid), tree.contains_key(&guid));
+                        prop_assert_eq!(deque.get_mut(guid).copied(), tree.get(&guid).copied());
+                    }
+                }
+                let held: Vec<(u64, u64)> = deque.iter().map(|(g, &v)| (g, v)).collect();
+                let expected: Vec<(u64, u64)> = tree.iter().map(|(&g, &v)| (g, v)).collect();
+                prop_assert_eq!(held, expected);
+                prop_assert_eq!(deque.first(), tree.keys().next().copied());
+                prop_assert_eq!((deque.len(), deque.is_empty()), (tree.len(), tree.is_empty()));
+            }
+        }
+
         /// Against a reference that remembers every copy ever sent, the
         /// watermark for a node never passes a guid that had a copy
         /// sent there and is unacked or scattered — and passes every

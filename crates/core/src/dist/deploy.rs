@@ -561,6 +561,14 @@ impl Deployment {
     /// Runs in level-period slices until the network is quiescent (live
     /// cut valid, no frozen components, no pending operations). Returns
     /// `false` if the budget ran out.
+    ///
+    /// Quiescent is not converged: this returns at the *first* level
+    /// period that ends quiescent, which can fall between two rounds of
+    /// the §3.2–3.3 rules — at w = 8192 and N = 1024 it came after 1 of
+    /// the 351 splits the fixpoint needs — and before the level tick
+    /// that sheds what a just-acknowledged hand-off freed. A caller
+    /// that needs the fixpoint runs on until the live cut has held
+    /// unchanged for several level periods.
     pub fn settle(&mut self, max_rounds: usize) -> bool {
         for _ in 0..max_rounds {
             self.run_for(self.level_period);

@@ -248,8 +248,8 @@ impl NodeProc {
             }
         }
         d.word(self.unacked.len() as u64);
-        for (guid, u) in &self.unacked {
-            d.guid(*guid);
+        for (guid, u) in self.unacked.iter() {
+            d.guid(guid);
             u.t.digest(d);
             d.word(u.sent_at);
         }
@@ -322,7 +322,7 @@ impl Deployment {
             .collect();
         for &pid in &pids {
             if let Some(Proc::Node(np)) = self.sim.process(pid) {
-                reachable.extend(np.unacked.keys().map(|&guid| (pid, guid)));
+                reachable.extend(np.unacked.guids().map(|guid| (pid, guid)));
             }
         }
         reachable.sort_unstable();

@@ -13,7 +13,7 @@ use acn_trace::{Span, SYSTEM_TRACE};
 
 use crate::component::Component;
 
-use super::dedup::{Accepted, Watermarks};
+use super::dedup::{Accepted, GuidDeque, Watermarks};
 use super::handoff::PendingHandOff;
 use super::msg::{Header, Msg, Token, COLLECTOR};
 use super::reconfig::{Hosting, MergeOp};
@@ -104,7 +104,7 @@ pub struct NodeProc {
     pub(super) merges: BTreeMap<ComponentId, MergeOp>,
     /// Tokens this node is responsible for until acknowledged, by the
     /// guid of the outstanding (or exhausted) send.
-    pub(super) unacked: BTreeMap<u64, UnackedToken>,
+    pub(super) unacked: GuidDeque<UnackedToken>,
     /// Per destination, what holds the ack watermark this node stamps
     /// on its token sends back.
     pub(super) watermarks: Watermarks,
@@ -165,7 +165,7 @@ impl NodeProc {
             split_list: BTreeSet::new(),
             splits: BTreeMap::new(),
             merges: BTreeMap::new(),
-            unacked: BTreeMap::new(),
+            unacked: GuidDeque::default(),
             watermarks: Watermarks::default(),
             accepted: Accepted::default(),
             stuck_collects: Vec::new(),

@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use std::ops::Deref;
 
 use acn_simnet::{Context, ProcessId};
-use acn_topology::ComponentId;
+use acn_topology::{ComponentId, WireAddress};
 use acn_trace::{Span, SYSTEM_TRACE};
 
 use crate::component::{merge_components, split_component, Component};
@@ -66,23 +66,54 @@ impl Hosted {
 /// may have become something a migration sweep can shed again: it was
 /// thawed, or the hand-off that kept it in flight was dropped
 /// ([`release`](Self::release)).
+///
+/// `insert` and `remove` also count the hosted components per level,
+/// so [`deepest_candidate`](Self::deepest_candidate) probes the map
+/// only at levels that host something.
 #[derive(Debug, Default, Clone)]
 pub(super) struct Hosting {
     map: BTreeMap<ComponentId, Hosted>,
     epoch: u64,
     releases: u64,
+    /// Hosted components per level.
+    per_level: [u32; ComponentId::MAX_DEPTH + 1],
 }
 
 impl Hosting {
     pub(super) fn insert(&mut self, id: ComponentId, hosted: Hosted) -> Option<Hosted> {
         self.epoch += 1;
-        self.map.insert(id, hosted)
+        let replaced = self.map.insert(id, hosted);
+        if replaced.is_none() {
+            self.per_level[id.level()] += 1;
+        }
+        replaced
     }
 
     pub(super) fn remove(&mut self, id: &ComponentId) -> Option<Hosted> {
         let removed = self.map.remove(id);
-        self.epoch += u64::from(removed.is_some());
+        if removed.is_some() {
+            self.epoch += 1;
+            self.per_level[id.level()] -= 1;
+        }
         removed
+    }
+
+    /// The deepest hosted candidate of `addr` (the one a token at
+    /// `addr` meets here), probing only the levels that host
+    /// something.
+    pub(super) fn deepest_candidate(&self, addr: &WireAddress) -> Option<ComponentId> {
+        let balancer = addr.balancer();
+        let found = (0..=balancer.level())
+            .rev()
+            .filter(|&level| self.per_level[level] != 0)
+            .map(|level| balancer.prefix(level))
+            .find(|candidate| self.map.contains_key(candidate));
+        debug_assert_eq!(
+            found,
+            addr.candidates().find(|c| self.map.contains_key(c)),
+            "the per-level counts skipped the hosted candidate of {addr}"
+        );
+        found
     }
 
     pub(super) fn get_mut(&mut self, id: &ComponentId) -> Option<&mut Hosted> {

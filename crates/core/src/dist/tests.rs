@@ -624,3 +624,162 @@ fn forking_a_deployment_with_a_self_profiler_panics() {
     d.sim.attach_self_profiler(&acn_trace::Tracer::new(16));
     let _ = d.fork();
 }
+
+/// The node process of `node`.
+fn node_proc(d: &Deployment, node: NodeId) -> &NodeProc {
+    match d.sim.process(ProcessId(node.0)) {
+        Some(Proc::Node(np)) => np,
+        _ => panic!("{node:?} has no node process"),
+    }
+}
+
+/// Where the hash of `id`'s name puts it in `node`'s own view.
+fn owner_in_view(d: &Deployment, node: NodeId, id: &ComponentId) -> NodeId {
+    let np = node_proc(d, node);
+    np.view.owner_of_name(np.tree.preorder_index(id))
+}
+
+/// Whether `node`'s last migration sweep migrated nothing and nothing
+/// it reads has moved since: its next sweep is skipped.
+fn sweep_settled(d: &Deployment, node: NodeId) -> bool {
+    let np = node_proc(d, node);
+    np.settled == Some((np.view.epoch(), np.components.sweep_stamp()))
+}
+
+/// The live nodes hosting `id`.
+fn hosts_of(d: &Deployment, id: &ComponentId) -> Vec<NodeId> {
+    d.sim
+        .process_ids()
+        .filter_map(|pid| match d.sim.process(pid) {
+            Some(Proc::Node(np)) if np.components.contains_key(id) => Some(np.node_id()),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Joins nodes, one level period apart, until `node`'s view names a
+/// joiner the owner of one of `ids`; returns that id and joiner, or
+/// `None` after `joins` joins.
+fn join_until_rehomed(
+    d: &mut Deployment,
+    node: NodeId,
+    ids: &[ComponentId],
+    joins: usize,
+) -> Option<(ComponentId, NodeId)> {
+    let mut joined = Vec::new();
+    for _ in 0..joins {
+        joined.push(d.join_node());
+        d.run_for(4 * d.level_period);
+        let rehomed = ids.iter().find_map(|id| {
+            let owner = owner_in_view(d, node, id);
+            joined.contains(&owner).then_some((*id, owner))
+        });
+        if rehomed.is_some() {
+            return rehomed;
+        }
+    }
+    None
+}
+
+/// Boots a settled deployment and finds a node hosting non-root
+/// components; `None` when this seed's boot split nothing.
+fn boot_with_a_host(seed: u64) -> Option<(Deployment, NodeId, Vec<ComponentId>)> {
+    let mut d = Deployment::new(32, 8, seed);
+    assert!(d.settle(100), "seed {seed}: boot did not settle");
+    let host = d.sim.process_ids().find_map(|pid| match d.sim.process(pid) {
+        Some(Proc::Node(np)) => {
+            let ids: Vec<ComponentId> =
+                np.components().map(|(id, _)| *id).filter(|id| !id.is_root()).collect();
+            (!ids.is_empty()).then(|| (np.node_id(), ids))
+        }
+        _ => None,
+    });
+    host.map(|(x, ids)| (d, x, ids))
+}
+
+/// Runs `scenario` on seeds from 0 until one reaches its window, and
+/// asserts that one of the first 32 does.
+fn on_the_first_seed_that_reaches(scenario: impl Fn(u64) -> Option<()>) {
+    assert!(
+        (0..32).any(|seed| scenario(seed).is_some()),
+        "no seed of the first 32 reaches the window"
+    );
+}
+
+/// A thawed component is one a migration sweep can shed again. A
+/// node's components are frozen for a merge (its coordinator's
+/// `FreezeCollect`), a join re-homes one of them while frozen, and the
+/// sweeps skip it; once the merge is aborted (`AbortFreeze`) the next
+/// sweep must shed it to the joiner, though neither the view nor the
+/// hosted set moved since the last sweep settled.
+#[test]
+fn a_thawed_component_is_shed_to_the_joiner_that_owns_it() {
+    on_the_first_seed_that_reaches(|seed| {
+        let (mut d, x, ids) = boot_with_a_host(seed)?;
+        for &id in &ids {
+            let parent = id.parent().expect("not the root");
+            d.sim.send_external(ProcessId(x.0), Msg::FreezeCollect { id, parent });
+        }
+        d.run_for(d.level_period);
+        let frozen = |d: &Deployment| node_proc(d, x).hosted_components().filter(|c| c.2).count();
+        assert_eq!(frozen(&d), ids.len(), "seed {seed}: frozen for the merge");
+        let (id, joiner) = join_until_rehomed(&mut d, x, &ids, 4)?;
+        d.run_for(4 * d.level_period);
+        assert_eq!(hosts_of(&d, &id), vec![x], "seed {seed}: {id} stays frozen where it was");
+        assert!(sweep_settled(&d, x), "seed {seed}: the sweeps skip the frozen {id}");
+
+        d.sim.send_external(ProcessId(x.0), Msg::AbortFreeze { id });
+        d.run_for(3 * d.level_period);
+        assert_eq!(
+            hosts_of(&d, &id),
+            vec![joiner],
+            "seed {seed}: {id} was not shed after its thaw"
+        );
+        Some(())
+    });
+}
+
+/// A hosted component whose hand-off is dropped is one a migration
+/// sweep can shed again. A node can host a component live while a
+/// hand-off of the same id is still in flight — `complete_merge` hands
+/// a merged parent off without asking whether a copy (say, one a
+/// ghost finished merging) is already live here — and the sweeps skip
+/// it. The entry is set up directly here, its target then crashes, and a join
+/// re-homes the component; once the hand-off is re-driven to the
+/// joiner and acknowledged, the next sweep must shed the live copy,
+/// though the hosted set did not move.
+#[test]
+fn a_component_whose_hand_off_is_dropped_is_shed_to_the_joiner_that_owns_it() {
+    on_the_first_seed_that_reaches(|seed| {
+        let (mut d, x, ids) = boot_with_a_host(seed)?;
+        let target = d.world.borrow().ring.nodes().find(|&n| n != x).expect("another node");
+        let Some(Proc::Node(np)) = d.sim.process_mut(ProcessId(x.0)) else { unreachable!() };
+        for id in &ids {
+            let hosted = &np.components[id];
+            let entry = super::handoff::PendingHandOff {
+                comp: hosted.comp.clone(),
+                seen: hosted.seen.to_pinned(),
+                buffer: Vec::new(),
+                sent_to: target,
+                cause: super::handoff::Cause::Migration,
+            };
+            np.handoffs.insert(*id, entry);
+        }
+        let (id, joiner) = join_until_rehomed(&mut d, x, &ids, 4)?;
+        d.run_for(4 * d.level_period);
+        assert_eq!(hosts_of(&d, &id), vec![x], "seed {seed}");
+        assert!(sweep_settled(&d, x), "seed {seed}: the sweeps skip {id} while it is in flight");
+
+        d.crash_node(target).expect("not the last node");
+        assert!(d.settle(200), "seed {seed}: the crash did not settle");
+        assert!(node_proc(&d, x).hand_offs_in_flight().next().is_none(), "seed {seed}: landed");
+        // `settle` can return before the sweep after the last ack.
+        d.run_for(2 * d.level_period);
+        assert_eq!(
+            hosts_of(&d, &id),
+            vec![joiner],
+            "seed {seed}: {id} was not shed after its hand-off was dropped"
+        );
+        Some(())
+    });
+}

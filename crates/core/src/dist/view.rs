@@ -4,7 +4,7 @@
 //! state — no `Context`, no `World` — so its laws
 //! are tested here without a simulator.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
@@ -62,8 +62,9 @@ pub(super) struct View {
     /// never against the harness's ground-truth `World::ring`.
     ring: Ring,
     /// Virtual time each peer was last heard from (any message counts
-    /// as a heartbeat; explicit pings fill idle gaps).
-    last_heard: BTreeMap<NodeId, u64>,
+    /// as a heartbeat; explicit pings fill idle gaps), sorted by peer:
+    /// every message updates it, and a new peer is rare.
+    last_heard: Vec<(NodeId, u64)>,
     /// The predecessor currently being monitored (strikes reset when
     /// the view changes it).
     fd_target: Option<NodeId>,
@@ -81,7 +82,7 @@ impl View {
             known: BTreeSet::from([me]),
             dead: BTreeSet::new(),
             ring,
-            last_heard: BTreeMap::new(),
+            last_heard: Vec::new(),
             fd_target: None,
             fd_strikes: 0,
         }
@@ -207,7 +208,10 @@ impl View {
     /// Notes a message from `from` at `now` (every message is a
     /// heartbeat).
     pub(super) fn heard(&mut self, from: NodeId, now: u64) {
-        self.last_heard.insert(from, now);
+        match self.last_heard.binary_search_by_key(&from, |&(n, _)| n) {
+            Ok(i) => self.last_heard[i].1 = now,
+            Err(i) => self.last_heard.insert(i, (from, now)),
+        }
     }
 
     /// One failure-detector tick of a live node: monitor the ring
@@ -223,7 +227,8 @@ impl View {
             self.fd_target = Some(pred);
             self.fd_strikes = 0;
         }
-        let fresh = self.last_heard.get(&pred).is_some_and(|&t| now.saturating_sub(t) < period);
+        let heard = self.last_heard.binary_search_by_key(&pred, |&(n, _)| n);
+        let fresh = heard.is_ok_and(|i| now.saturating_sub(self.last_heard[i].1) < period);
         if fresh {
             self.fd_strikes = 0;
             return FdStep::Idle;
@@ -251,7 +256,7 @@ mod tests {
     use super::*;
     use acn_overlay::splitmix64;
     use proptest::prelude::*;
-    use std::collections::VecDeque;
+    use std::collections::{BTreeMap, VecDeque};
 
     const ME: NodeId = NodeId(1_000);
 

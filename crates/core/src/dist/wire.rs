@@ -197,7 +197,7 @@ impl NodeProc {
 
     /// The hosted candidate (if any) covering `addr`.
     pub(super) fn hosted_candidate(&self, addr: &WireAddress) -> Option<ComponentId> {
-        addr.candidates().find(|c| self.components.contains_key(c))
+        self.components.deepest_candidate(addr)
     }
 
     /// Where a token arriving from outside (a client, a peer, or this
@@ -659,7 +659,7 @@ impl NodeProc {
 
     /// The receiver accepted the send: the obligation is discharged.
     pub(super) fn on_token_ack(&mut self, guid: u64) {
-        if let Some(u) = self.unacked.remove(&guid) {
+        if let Some(u) = self.unacked.remove(guid) {
             self.watermarks.discharge(guid, u.ob.copies);
             self.reset_backoff();
         }
@@ -669,7 +669,7 @@ impl NodeProc {
     /// for an obligation already satisfied through a different path is
     /// stale.)
     pub(super) fn on_token_nack(&mut self, ctx: &mut Context<'_, Msg>, guid: u64, attempt: u8) {
-        if let Some(u) = self.unacked.remove(&guid) {
+        if let Some(u) = self.unacked.remove(guid) {
             let next = if attempt == ATTEMPT_CACHED { 0 } else { attempt + 1 };
             let (_, traced) = self.token_flags(u.t.id);
             self.send_token(ctx, u.ob, u.t, next, traced);
@@ -680,7 +680,7 @@ impl NodeProc {
     /// stays ours. Make it immediately eligible for the next retry pass
     /// and widen the retry interval.
     pub(super) fn on_token_busy(&mut self, ctx: &mut Context<'_, Msg>, guid: u64) {
-        if let Some(u) = self.unacked.get_mut(&guid) {
+        if let Some(u) = self.unacked.get_mut(guid) {
             u.sent_at = ctx.now().saturating_sub(self.level_period);
             self.escalate_backoff();
             self.arm_retry(ctx);
@@ -700,7 +700,7 @@ impl NodeProc {
             .unacked
             .iter()
             .filter(|(_, u)| now.saturating_sub(u.sent_at) >= timeout)
-            .map(|(&g, _)| g)
+            .map(|(g, _)| g)
             .collect();
         if !stale.is_empty() {
             // A full interval elapsed without an ack: widen the next
@@ -708,7 +708,7 @@ impl NodeProc {
             self.escalate_backoff();
         }
         for guid in stale {
-            let UnackedToken { t, sent_at, ob } = self.unacked.remove(&guid).expect("listed above");
+            let UnackedToken { t, sent_at, ob } = self.unacked.remove(guid).expect("listed above");
             let flags = {
                 let mut w = self.world.borrow_mut();
                 w.token_retransmits += 1;

@@ -321,19 +321,21 @@ pub fn input_port_of(
         id == addr.balancer() || id.is_ancestor_of(addr.balancer()),
         "address {addr} is not under component {id}"
     );
-    let mut node = *addr.balancer();
+    // `ComponentId::kind` walks the path from the root, so the kinds from
+    // `id` down to the balancer's parent are taken in one descent; then
+    // the port is mapped up from the balancer, level by level.
+    let path = addr.balancer().path();
+    let top = id.level();
+    let mut kinds = [ComponentKind::Bitonic; ComponentId::MAX_DEPTH];
+    let mut kind = id.kind().expect("valid ancestor");
+    for (level, &step) in path.iter().enumerate().skip(top) {
+        kinds[level] = kind;
+        kind = kind.child_kind(usize::from(step)).expect("valid ancestor");
+    }
     let mut port = usize::from(addr.port());
-    while &node != id {
-        let parent = node.parent().expect("walk stays under id");
-        let child = node.child_index().expect("non-root") as usize;
-        let pinfo = tree.info(&parent).expect("valid ancestor");
-        match child_input_to_parent(pinfo.kind, pinfo.width, child, port, style) {
-            Some(parent_port) => {
-                node = parent;
-                port = parent_port;
-            }
-            None => return None,
-        }
+    for level in (top..path.len()).rev() {
+        let width = tree.width() >> level;
+        port = child_input_to_parent(kinds[level], width, usize::from(path[level]), port, style)?;
     }
     Some(port)
 }
@@ -998,6 +1000,55 @@ mod tests {
                     "{} port {port}",
                     node.id
                 );
+            }
+        }
+    }
+
+    /// The one-pass walk against the per-level one it replaced (each
+    /// level's `Tree::info` read afresh), for every component and every
+    /// balancer port under it, sibling-fed ones included.
+    #[test]
+    fn input_port_of_agrees_with_a_walk_that_reads_each_level_afresh() {
+        fn per_level(
+            tree: &Tree,
+            id: &ComponentId,
+            addr: &WireAddress,
+            style: WiringStyle,
+        ) -> Option<usize> {
+            let (mut node, mut port) = (*addr.balancer(), usize::from(addr.port()));
+            while &node != id {
+                let parent = node.parent().expect("walk stays under id");
+                let child = node.child_index().expect("non-root") as usize;
+                let pinfo = tree.info(&parent).expect("valid ancestor");
+                port = child_input_to_parent(pinfo.kind, pinfo.width, child, port, style)?;
+                node = parent;
+            }
+            Some(port)
+        }
+        for style in [WiringStyle::Ahs, WiringStyle::PaperLiteral] {
+            for width in [4, 8, 16, 32] {
+                let tree = Tree::new(width);
+                let balancers: Vec<ComponentId> =
+                    tree.iter_preorder().filter(|n| n.width == 2).map(|n| n.id).collect();
+                let (mut some, mut none) = (0, 0);
+                for node in tree.iter_preorder() {
+                    let under =
+                        balancers.iter().filter(|b| **b == node.id || node.id.is_ancestor_of(b));
+                    for &balancer in under {
+                        for port in 0..2 {
+                            let addr = WireAddress { balancer, port };
+                            let got = input_port_of(&tree, &node.id, &addr, style);
+                            let expected = per_level(&tree, &node.id, &addr, style);
+                            assert_eq!(got, expected, "{} {addr}", node.id);
+                            if got.is_some() {
+                                some += 1;
+                            } else {
+                                none += 1;
+                            }
+                        }
+                    }
+                }
+                assert!(some > 0 && (width == 4 || none > 0), "width {width}: {some} / {none}");
             }
         }
     }

@@ -16,7 +16,10 @@
 # is worse than the parent's by more than the bound; `unresolved` when
 # the parent's spread over its median is wider than the bound and not
 # every run of the change read better than every run of the parent;
-# else `ok`. Also reports whether every `exact` count of the `#detail`
+# else `ok`. Then, for information only (no verdict), both medians of
+# every `per_layer` metric of BENCHMARK.json that every run of both
+# sides reports: where in the layers a change in the end-to-end rows
+# shows up. Also reports whether every `exact` count of the `#detail`
 # line repeated bit for bit on each seed: the two sides run the same
 # seeded inputs, so any difference is a behaviour change.
 #
@@ -89,7 +92,8 @@ import json, statistics, sys
 runs, seed0, pairs, workloads = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sys.argv[4:]
 seeds = range(seed0, seed0 + pairs)
 with open("BENCHMARK.json") as f:
-    end_to_end = json.load(f)["end_to_end"]
+    bench = json.load(f)
+end_to_end, per_layer = bench["end_to_end"], bench["per_layer"]
 
 def detail(side, workload, seed):
     with open(f"{runs}/{side}.{workload}.{seed}.out") as out:
@@ -132,6 +136,16 @@ for workload in workloads:
         print(f"{name:<14}{cell(am, a1, a3):>40}{cell(bm, b1, b3):>40}"
               f"{(bm / am - 1) * 100 if am else 0:>+8.1f}%{f'{won}/{pairs - ties}':>7}"
               f"  {'yes' if beyond else 'no':<19}{bound * 100:>5.0f}%  {verdict}")
+
+    layers = [m["name"] for m in per_layer
+              if all(m["name"] in r["metrics"] for r in parent + change)]
+    if layers:
+        print(f"{'per-layer medians (informational)':<41}{'parent':>14}{'change':>16}{'change':>9}")
+        for name in layers:
+            am = statistics.median(r["metrics"][name] for r in parent)
+            bm = statistics.median(r["metrics"][name] for r in change)
+            print(f"  {name:<39}{am:>14.6g}{bm:>16.6g}"
+                  f"{(bm / am - 1) * 100 if am else 0:>+8.1f}%")
 
     differing = {}
     for seed, p, c in zip(seeds, parent, change):
